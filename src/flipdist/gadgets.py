@@ -18,12 +18,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import (EmptyFeasibleRegionError, InfeasibleSagError,
-                     SharpVertexError, ValidationError)
-from .geometry import (ConvexRegion, HalfPlane, Point2, halfplane_shift,
-                       halfplane_through, interior_point, orientation)
+from .errors import (EmptyFeasibleRegionError, IllegalFlipError,
+                     InfeasibleSagError, SharpVertexError, ValidationError)
+from .geometry import (ConvexRegion, HalfPlane, Point2, angular_key,
+                       halfplane_shift, halfplane_through, interior_point,
+                       orientation, polygon_signed_area2)
 from .triangulation import (Edge, FlipMove, PolygonalRegion, Triangulation,
-                            edge)
+                            edge, validate)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +103,6 @@ def channel_region(ch: Channel, cap_near: Optional[Point2] = None,
     if cap_near is not None:
         pts.append(cap_near)
         cycle.append(next_id)
-    from .geometry import polygon_signed_area2
     if polygon_signed_area2([pts[i] for i in cycle]) < 0:
         cycle.reverse()
     return PolygonalRegion(pts, cycle)
@@ -116,7 +116,6 @@ def capped_transform_replays(ch: Channel, cap: Point2, far_end: bool) -> bool:
     exactly on the right-inclined triangulation.  Flip legality is local
     geometry, so success here carries over to the embedded channel.
     """
-    from .errors import IllegalFlipError
     n = ch.n
     try:
         region = channel_region(ch, cap_near=None if far_end else cap,
@@ -128,8 +127,7 @@ def capped_transform_replays(ch: Channel, cap: Point2, far_end: bool) -> bool:
     cap_idx = 2 * n
     base = set(region.mandatory_edges)
     t = Triangulation(region, base | left_edges(upper, lower))
-    from .triangulation import validate as _validate
-    if not _validate(t).ok:
+    if not validate(t).ok:
         return False
     target = base | right_edges(upper, lower)
     try:
@@ -169,33 +167,10 @@ def channel_invariant_report(ch: Channel) -> list[str]:
 
     for i in upper_idx:
         for j in lower_idx:
-            if not segment_inside_region(region, i, j):
+            if not region.segment_inside(i, j):
                 out.append(f"chain vertices {i} and {j} do not see each other")
                 return out
     return out
-
-
-def segment_inside_region(region: PolygonalRegion, i: int, j: int) -> bool:
-    """True iff the open segment between domain vertices stays inside."""
-    e = edge(i, j)
-    if e in region.mandatory_edges:
-        return True
-    ip = region.ipoints
-    for f in region.mandatory_edges:
-        if len({i, j} & set(f)) == 0:
-            if region.segments_share_interior(e, f):
-                return False
-        else:
-            from .triangulation import _ishare_interior
-            if _ishare_interior(ip[i], ip[j], ip[f[0]], ip[f[1]]):
-                return False
-    for k in range(len(region.points)):
-        if k not in (i, j):
-            from .triangulation import _ion_segment
-            if _ion_segment(ip[k], ip[i], ip[j]):
-                return False
-    mid2 = (ip[i][0] + ip[j][0], ip[i][1] + ip[j][1])
-    return region.point_location(mid2) > 0
 
 
 # --- inclined triangulations and transform scripts (index level) -----------
@@ -210,13 +185,6 @@ def left_edges(upper: Sequence[int], lower: Sequence[int]) -> set[Edge]:
 
 def right_edges(upper: Sequence[int], lower: Sequence[int]) -> set[Edge]:
     return left_edges(lower, upper)
-
-
-def chain_edges(upper: Sequence[int], lower: Sequence[int]) -> set[Edge]:
-    out = set()
-    for chain in (upper, lower):
-        out |= {edge(chain[i], chain[i + 1]) for i in range(len(chain) - 1)}
-    return out
 
 
 def canonical_capped_edges(upper: Sequence[int], lower: Sequence[int],
@@ -324,10 +292,6 @@ def channel_mouths(upper: Sequence[Point2], lower: Sequence[Point2],
     return Mouths(narrow=narrow, wide=wide)
 
 
-def mouths_of_channel(ch: Channel, end: int) -> Mouths:
-    return channel_mouths(list(ch.upper), list(ch.lower), end)
-
-
 # ---------------------------------------------------------------------------
 # cap blocking sets
 
@@ -336,15 +300,14 @@ def edges_crossing_segment(t: Triangulation, p: int, q: int) -> set[Edge]:
     ip = t.domain.ipoints
     a, b = ip[p], ip[q]
     out = set()
-    from .triangulation import _iorient
     for (u, v) in t.edges:
         if u in (p, q) or v in (p, q):
             continue
         c, d = ip[u], ip[v]
-        o1 = _iorient(a, b, c)
-        o2 = _iorient(a, b, d)
-        o3 = _iorient(c, d, a)
-        o4 = _iorient(c, d, b)
+        o1 = orientation(a, b, c)
+        o2 = orientation(a, b, d)
+        o3 = orientation(c, d, a)
+        o4 = orientation(c, d, b)
         if o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4):
             out.add((u, v))
     return out
@@ -401,15 +364,6 @@ class VertexGadget:
 
 def _sym_edge(a, b):
     return tuple(sorted((a, b), key=repr))
-
-
-def _ccw_sorted(stubs: Sequence[ChannelStub], center: Point2):
-    def key(stub):
-        d = stub.direction
-        half = 0 if (d.y > 0 or (d.y == 0 and d.x > 0)) else 1
-        slope = Fraction(-d.x, d.y) if d.y != 0 else Fraction(0)
-        return (half, 0 if d.y == 0 else 1, slope)
-    return sorted(stubs, key=key)
 
 
 def build_vertex_gadget(center: Point2, half_side: Fraction,
@@ -542,7 +496,7 @@ def _perimeter_walk(center: Point2, half: Fraction,
         + [(t, name) for t, name, _ in walk_pts])
     corner_points = {name: p for _, name, p in walk_pts}
 
-    ordered = _ccw_sorted(stubs, center)
+    ordered = sorted(stubs, key=lambda s: angular_key(s.direction))
     arcs = {}
     pos_of = {name: i for i, (_, name) in enumerate(events)}
     names = [name for _, name in events]
@@ -641,7 +595,7 @@ def _build_degree2(v: Point2, half_side: Fraction,
 
 def _build_degree3(v: Point2, half_side: Fraction,
                    stubs: Sequence[ChannelStub]) -> VertexGadget:
-    ordered = _ccw_sorted(stubs, v)
+    ordered = sorted(stubs, key=lambda s: angular_key(s.direction))
     for a, b in zip(ordered, ordered[1:] + ordered[:1]):
         cr = a.direction.cross(b.direction)
         if cr < 0 or (cr == 0 and a.direction.dot(b.direction) < 0):

@@ -1,9 +1,13 @@
-"""Exact rational planar primitives.
+"""Exact planar primitives: the one predicate kernel of flipdist.
 
-Every predicate here is decided by integer/rational sign computations; there is
-no floating point anywhere.  Coordinates are `fractions.Fraction` values, so
-all operations are error-free and the bit growth of any construction can be
-audited with `coord_bits`.
+Every predicate here is decided by an integer or rational sign computation;
+there is no floating point anywhere.  The kernel predicates (`orientation`,
+`on_segment`, `segments_properly_cross`, `segments_share_interior`,
+`point_in_cycle`, `angular_key`) read points as plain `(x, y)` pairs by
+index, so one implementation serves both coordinate types: `Point2` values
+with `fractions.Fraction` coordinates, and the integer-grid tuples that the
+triangulation domains scale their points to.  Constructions stay
+error-free, and their bit growth can be audited with `coord_bits`.
 """
 
 from __future__ import annotations
@@ -19,10 +23,6 @@ Rational = Fraction
 CW = -1
 COLLINEAR = 0
 CCW = 1
-
-
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
 
 
 class Point2(NamedTuple):
@@ -53,25 +53,32 @@ def pt(x, y) -> Point2:
     return Point2(Fraction(x), Fraction(y))
 
 
-def orientation(p: Point2, q: Point2, r: Point2) -> int:
+def orientation(p, q, r) -> int:
     """Sign of the turn p->q->r: CCW (+1), CW (-1) or COLLINEAR (0)."""
-    return _sign((q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x))
+    v = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+    return (v > 0) - (v < 0)
 
 
-def on_segment(p: Point2, a: Point2, b: Point2, closed: bool = True) -> bool:
+def _in_box(p, a, b) -> bool:
+    return min(a[0], b[0]) <= p[0] <= max(a[0], b[0]) and \
+        min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
+
+
+def _collinear_overlap(a, b, c, d) -> bool:
+    """For segments on one line: their overlap has positive length."""
+    k = 0 if a[0] != b[0] or c[0] != d[0] else 1
+    return max(min(a[k], b[k]), min(c[k], d[k])) < \
+        min(max(a[k], b[k]), max(c[k], d[k]))
+
+
+def on_segment(p, a, b, closed: bool = True) -> bool:
     """True iff p lies on segment ab (endpoints included when closed)."""
-    if orientation(a, b, p) != COLLINEAR:
+    if not closed and (p == a or p == b):
         return False
-    lo_x, hi_x = min(a.x, b.x), max(a.x, b.x)
-    lo_y, hi_y = min(a.y, b.y), max(a.y, b.y)
-    if closed:
-        return lo_x <= p.x <= hi_x and lo_y <= p.y <= hi_y
-    if p == a or p == b:
-        return False
-    return lo_x <= p.x <= hi_x and lo_y <= p.y <= hi_y
+    return orientation(a, b, p) == COLLINEAR and _in_box(p, a, b)
 
 
-def segments_properly_cross(a: Point2, b: Point2, c: Point2, d: Point2) -> bool:
+def segments_properly_cross(a, b, c, d) -> bool:
     """True iff open segments ab and cd share a point interior to both."""
     o1 = orientation(a, b, c)
     o2 = orientation(a, b, d)
@@ -80,27 +87,63 @@ def segments_properly_cross(a: Point2, b: Point2, c: Point2, d: Point2) -> bool:
     if o1 != o2 and o3 != o4 and o1 != COLLINEAR and o2 != COLLINEAR \
             and o3 != COLLINEAR and o4 != COLLINEAR:
         return True
-    # collinear overlap: interior intersection iff the overlap segment of the
-    # common line has positive length
     if o1 == o2 == COLLINEAR:
-        key = (lambda p: p.x) if a.x != b.x or c.x != d.x else (lambda p: p.y)
-        a_, b_ = sorted((key(a), key(b)))
-        c_, d_ = sorted((key(c), key(d)))
-        return max(a_, c_) < min(b_, d_)
+        return _collinear_overlap(a, b, c, d)
     return False
 
 
-def segments_share_interior(a: Point2, b: Point2, c: Point2, d: Point2) -> bool:
-    """Proper cross, or one segment's interior touching the other anywhere."""
-    if segments_properly_cross(a, b, c, d):
+def segments_share_interior(a, b, c, d) -> bool:
+    """True iff segments ab and cd meet beyond shared endpoints: a proper
+    crossing, an endpoint of one inside the other, or a collinear overlap."""
+    o1 = orientation(a, b, c)
+    o2 = orientation(a, b, d)
+    o3 = orientation(c, d, a)
+    o4 = orientation(c, d, b)
+    if o1 and o2 and o3 and o4:
+        return o1 != o2 and o3 != o4
+    # an endpoint on the other segment's line, and not one of its ends
+    if (o1 == 0 and c != a and c != b and _in_box(c, a, b)) \
+            or (o2 == 0 and d != a and d != b and _in_box(d, a, b)) \
+            or (o3 == 0 and a != c and a != d and _in_box(a, c, d)) \
+            or (o4 == 0 and b != c and b != d and _in_box(b, c, d)):
         return True
-    for p in (c, d):
-        if on_segment(p, a, b, closed=False):
-            return True
-    for p in (a, b):
-        if on_segment(p, c, d, closed=False):
-            return True
-    return False
+    return o1 == o2 == o3 == o4 == 0 and _collinear_overlap(a, b, c, d)
+
+
+def point_in_cycle(q, cycle) -> int:
+    """Locate q in the polygon whose vertices `cycle` lists in order.
+
+    Returns +1 strictly inside, 0 on the boundary, -1 strictly outside.
+    Crossing-number parity with the half-open vertex rule.
+    """
+    n = len(cycle)
+    for i in range(n):
+        if on_segment(q, cycle[i], cycle[(i + 1) % n]):
+            return 0
+    inside = False
+    qy = q[1]
+    for i in range(n):
+        a = cycle[i]
+        b = cycle[(i + 1) % n]
+        if (a[1] <= qy) != (b[1] <= qy):
+            o = orientation(a, b, q)
+            if b[1] > a[1]:      # upward edge: count if q strictly left
+                if o > 0:
+                    inside = not inside
+            else:                # downward edge: count if q strictly right
+                if o < 0:
+                    inside = not inside
+    return 1 if inside else -1
+
+
+def angular_key(d):
+    """Sort key ordering directions `(x, y)` counterclockwise from +x."""
+    x, y = d
+    half = 0 if (y > 0 or (y == 0 and x > 0)) else 1
+    # within a half-turn the angle grows with -x/y; the axis point comes first
+    if y == 0:
+        return (half, 0, Fraction(0))
+    return (half, 1, Fraction(-x, y))
 
 
 def is_strictly_convex_quad(a: Point2, b: Point2, c: Point2, d: Point2) -> bool:
@@ -331,7 +374,7 @@ def _canonicalize(halfplanes: Sequence[HalfPlane]) -> list[HalfPlane]:
 def _is_unbounded(halfplanes: Sequence[HalfPlane]) -> bool:
     """Nonempty intersection is unbounded iff a recession direction exists."""
     dirs = sorted({_primitive_dir(h.a, h.b) for h in halfplanes},
-                  key=_angular_key)
+                  key=angular_key)
     n = len(dirs)
     if n == 1:
         return True
@@ -351,15 +394,6 @@ def _primitive_dir(a: Fraction, b: Fraction):
     return (an // g, bn // g)
 
 
-def _angular_key(d):
-    x, y = d
-    half = 0 if (y > 0 or (y == 0 and x > 0)) else 1
-    # within a half-turn the angle grows with -x/y; the axis point comes first
-    if y == 0:
-        return (half, 0, Fraction(0))
-    return (half, 1, Fraction(-x, y))
-
-
 def _vertex_cycle(halfplanes: Sequence[HalfPlane]) -> tuple[Point2, ...]:
     pts: list[Point2] = []
     n = len(halfplanes)
@@ -377,11 +411,7 @@ def _vertex_cycle(halfplanes: Sequence[HalfPlane]) -> tuple[Point2, ...]:
     cy = sum((p.y for p in pts), Fraction(0)) / len(pts)
     center = Point2(cx, cy)
 
-    def cmp_key(p):
-        d = p - center
-        return _angular_key((d.x, d.y))
-
-    ordered = sorted(pts, key=cmp_key)
+    ordered = sorted(pts, key=lambda p: angular_key(p - center))
     # drop collinear middles so the cycle is strictly convex
     out: list[Point2] = []
     m = len(ordered)

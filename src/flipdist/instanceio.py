@@ -16,7 +16,9 @@ from typing import Optional
 
 from .errors import ValidationError
 from .geometry import Point2
-from .triangulation import PointSet, PolygonalRegion, Triangulation, edge
+from .search import FlipScript
+from .triangulation import (FlipMove, PointSet, PolygonalRegion, Triangulation,
+                            edge)
 
 
 def frac_to_str(x: Fraction) -> str:
@@ -30,7 +32,10 @@ def str_to_frac(s) -> Fraction:
         return Fraction(s)
     if not isinstance(s, str):
         raise ValidationError(f"coordinate {s!r} must be a string or integer")
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"bad coordinate {s!r}: {exc}") from exc
 
 
 @dataclass
@@ -141,8 +146,6 @@ def script_dumps(script) -> str:
 
 
 def script_from_dict(data: dict):
-    from .search import FlipScript
-    from .triangulation import FlipMove
     moves = tuple(FlipMove(edge(*r), edge(*i)) for r, i in data["moves"])
     return FlipScript(data["start"].encode("ascii"), moves)
 
@@ -153,11 +156,6 @@ def script_loads(text: str):
         return script_from_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad script document: {exc}") from exc
-
-
-def script_save(script, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(script_dumps(script))
 
 
 def script_load(path):
@@ -182,19 +180,23 @@ def parse_graph_text(text: str):
             continue
         parts = line.split()
         kind = parts[0]
-        if kind == "v":
-            if len(parts) not in (2, 4):
-                raise ValidationError(f"line {lineno}: expected 'v <id> [<x> <y>]'")
-            vid = int(parts[1])
-            ids.append(vid)
-            if len(parts) == 4:
-                coords[vid] = Point2(str_to_frac(parts[2]), str_to_frac(parts[3]))
-        elif kind == "e":
-            if len(parts) != 3:
-                raise ValidationError(f"line {lineno}: expected 'e <u> <v>'")
-            edges.append((int(parts[1]), int(parts[2])))
-        elif kind == "outer":
-            outer = [int(p) for p in parts[1:]]
-        else:
-            raise ValidationError(f"line {lineno}: unknown directive {kind!r}")
+        try:
+            if kind == "v":
+                if len(parts) not in (2, 4):
+                    raise ValidationError("expected 'v <id> [<x> <y>]'")
+                vid = int(parts[1])
+                ids.append(vid)
+                if len(parts) == 4:
+                    coords[vid] = Point2(str_to_frac(parts[2]),
+                                         str_to_frac(parts[3]))
+            elif kind == "e":
+                if len(parts) != 3:
+                    raise ValidationError("expected 'e <u> <v>'")
+                edges.append((int(parts[1]), int(parts[2])))
+            elif kind == "outer":
+                outer = [int(p) for p in parts[1:]]
+            else:
+                raise ValidationError(f"unknown directive {kind!r}")
+        except (ValueError, ValidationError) as exc:
+            raise ValidationError(f"line {lineno}: {exc}") from exc
     return ids, (coords or None), edges, outer

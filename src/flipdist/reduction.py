@@ -15,19 +15,25 @@ from typing import Optional, Sequence
 
 import networkx as nx
 
-from .errors import (EmptyFeasibleRegionError, IllegalScriptError,
-                     InfeasibleSagError, InvalidOuterFaceError, Not3ConnectedError,
-                     NotACoverError, NotPlanarError, SharpVertexError,
-                     ValidationError)
+from .errors import (EmptyFeasibleRegionError, EmptyRegionError,
+                     IllegalFlipError, IllegalScriptError, InfeasibleSagError,
+                     InvalidOuterFaceError, Not3ConnectedError, NotACoverError,
+                     NotPlanarError, SharpVertexError, ValidationError)
 from .gadgets import (Channel, ChannelStub, VertexGadget, blocking_set,
                       build_channel, build_vertex_gadget,
                       capped_transform_moves, capped_transform_replays,
-                      channel_mouths, left_edges, reverse_moves, right_edges)
-from .geometry import Point2, coord_bits, orientation
+                      channel_mouths, left_edges, left_to_canonical_moves,
+                      reverse_moves, right_edges)
+from .geometry import (ConvexRegion, HalfPlane, Point2, angular_key,
+                       coord_bits, halfplane_through, interior_point,
+                       orientation, polygon_signed_area2,
+                       segments_share_interior)
 from .instanceio import InstanceDoc
 from .search import FlipScript
 from .triangulation import (Edge, FlipMove, PolygonalRegion, PointSet,
-                            Triangulation, edge, validate)
+                            Triangulation, canonical_cycle,
+                            ear_clip_with_triangles, edge, hull_cycle,
+                            validate, walk_faces)
 
 
 # ---------------------------------------------------------------------------
@@ -53,34 +59,13 @@ class PlanarGraphDrawing:
         return self.pos[w] - self.pos[v]
 
     def neighbors_ccw(self, v) -> list[int]:
-        def key(w):
-            d = self.direction(v, w)
-            half = 0 if (d.y > 0 or (d.y == 0 and d.x > 0)) else 1
-            if d.y == 0:
-                return (half, 0, Fraction(0))
-            return (half, 1, Fraction(-d.x, d.y))
-        return sorted(self.adj[v], key=key)
+        return sorted(self.adj[v],
+                      key=lambda w: angular_key(self.direction(v, w)))
 
     def faces(self) -> list[list[tuple[int, int]]]:
         """Face cycles as dart lists, faces on the left of each dart."""
         rot = {v: self.neighbors_ccw(v) for v in self.pos}
-        idx = {v: {w: i for i, w in enumerate(ws)} for v, ws in rot.items()}
-        seen = set()
-        faces = []
-        for u0, w0 in self.edges:
-            for dart in ((u0, w0), (w0, u0)):
-                if dart in seen:
-                    continue
-                face = []
-                u, w = dart
-                while (u, w) not in seen:
-                    seen.add((u, w))
-                    face.append((u, w))
-                    ws = rot[w]
-                    nxt = ws[(idx[w][u] - 1) % len(ws)]
-                    u, w = w, nxt
-                faces.append(face)
-        return faces
+        return [list(zip(f, f[1:] + f[:1])) for f in walk_faces(rot, self.edges)]
 
     def face_area2(self, face) -> Fraction:
         total = Fraction(0)
@@ -113,17 +98,6 @@ class PlanarGraphDrawing:
         return out
 
 
-def _canonical_face(cycle: Sequence[int]) -> tuple[int, ...]:
-    best = None
-    n = len(cycle)
-    for seq in (list(cycle), list(reversed(cycle))):
-        for s in range(n):
-            cand = tuple(seq[(s + i) % n] for i in range(n))
-            if best is None or cand < best:
-                best = cand
-    return best  # type: ignore[return-value]
-
-
 def convex_drawing(vertices: Sequence[int], edges: Sequence[tuple[int, int]],
                    outer: Optional[Sequence[int]] = None) -> PlanarGraphDrawing:
     """Exact Tutte (barycentric) drawing of a 3-connected planar graph.
@@ -150,9 +124,9 @@ def convex_drawing(vertices: Sequence[int], edges: Sequence[tuple[int, int]],
     for u in embedding:
         for w in embedding[u]:
             cyc = embedding.traverse_face(u, w)
-            face_set[_canonical_face(cyc)] = list(cyc)
+            face_set[canonical_cycle(cyc)] = list(cyc)
     if outer is not None:
-        key = _canonical_face(list(outer))
+        key = canonical_cycle(list(outer))
         if key not in face_set:
             raise InvalidOuterFaceError(f"{list(outer)} is not a face")
         outer_cycle = list(outer)
@@ -306,9 +280,6 @@ def eliminate_sharp(drawing: PlanarGraphDrawing):
 
 def _place_chain(pos, edges, v, u_prev, u_next, u_in, t, next_id, pre_sharp):
     """Try one chain placement scale; None when the local audit fails."""
-    from .geometry import ConvexRegion, HalfPlane, halfplane_through, interior_point
-    from .errors import EmptyRegionError
-
     p = pos[v]
     v1, v2, v3 = next_id, next_id + 1, next_id + 2
     d_in = pos[u_in] - p
@@ -355,13 +326,7 @@ def _place_chain(pos, edges, v, u_prev, u_next, u_in, t, next_id, pre_sharp):
 
 
 def _chain_audit(pos, new_pos, new_edges, touched, pre_sharp) -> bool:
-    from .triangulation import _ishare_interior
     allpos = {**{k: v for k, v in pos.items() if k != touched[0]}, **new_pos}
-
-    def ipt(v):
-        q = allpos[v]
-        return (q.x, q.y)
-
     new_ids = set(new_pos)
     check = [e for e in new_edges if new_ids & set(e)]
     for e in check:
@@ -369,7 +334,8 @@ def _chain_audit(pos, new_pos, new_edges, touched, pre_sharp) -> bool:
         for f in new_edges:
             if f == e or set(e) & set(f):
                 continue
-            if _ishare_interior(ipt(a), ipt(b), ipt(f[0]), ipt(f[1])):
+            if segments_share_interior(allpos[a], allpos[b],
+                                       allpos[f[0]], allpos[f[1]]):
                 return False
     # the chain must be non-sharp and no neighbor may become newly sharp
     probe = PlanarGraphDrawing(pos=allpos, edges=sorted(new_edges), outer_face=[])
@@ -380,8 +346,7 @@ def _chain_audit(pos, new_pos, new_edges, touched, pre_sharp) -> bool:
 
 
 def _audit_plane(drawing: PlanarGraphDrawing):
-    from .triangulation import _ishare_interior
-    pts = {v: (p.x, p.y) for v, p in drawing.pos.items()}
+    pts = drawing.pos
     es = drawing.edges
     for i in range(len(es)):
         a, b = es[i]
@@ -389,7 +354,7 @@ def _audit_plane(drawing: PlanarGraphDrawing):
             c, d = es[j]
             if set((a, b)) & set((c, d)):
                 continue
-            if _ishare_interior(pts[a], pts[b], pts[c], pts[d]):
+            if segments_share_interior(pts[a], pts[b], pts[c], pts[d]):
                 raise ValidationError(f"drawing edges {es[i]} and {es[j]} cross")
 
 
@@ -864,7 +829,6 @@ def _assemble(drawing, gadget_obj, channel_obj, gate_pts, k_input, t_outer,
     if outer_cycle is None:
         raise ValidationError("drawing has no outer face")
 
-    from .geometry import polygon_signed_area2
     if polygon_signed_area2([points[i] for i in outer_cycle]) < 0:
         outer_cycle = list(reversed(outer_cycle))
     holes = []
@@ -976,11 +940,13 @@ def audit_script(inst: ReductionInstance, script: FlipScript) -> AccountingRepor
 
     scan(t.edges)
     for i, m in enumerate(script.moves):
-        if not t.flip_is_legal(m):
-            raise IllegalScriptError(f"move {i} ({m}) is illegal", index=i)
+        try:
+            t = t.apply_flip(m)
+        except IllegalFlipError as exc:
+            raise IllegalScriptError(f"move {i} ({m}) is illegal",
+                                     index=i) from exc
         if m.removed in locks:
             unlocked.add(locks[m.removed])
-        t = t.apply_flip(m)
         scan(t.edges)
     if t.edges != inst.t2.edges:
         raise IllegalScriptError("script does not end at t2",
@@ -1028,8 +994,6 @@ def region_to_pointset(inst: ReductionInstance,
     region = inst.region
     pts: list[Point2] = list(region.points)
 
-    from .triangulation import ear_clip_with_triangles
-
     fill_edges: set[Edge] = set()
     fill_triangles: list = []
     for cyc in region.poly_holes:
@@ -1038,7 +1002,7 @@ def region_to_pointset(inst: ReductionInstance,
         fill_triangles.extend(ts)
 
     # hull pockets: stretches of the outer boundary strictly inside the hull
-    hull = _hull_of(region)
+    hull = hull_cycle(region.ipoints)
     hull_set = set(hull)
     outer = list(region.outer)
     n_out = len(outer)
@@ -1122,14 +1086,6 @@ def region_to_pointset(inst: ReductionInstance,
                             sliver_points=sliver_points)
 
 
-def _hull_of(region) -> list[int]:
-    from .triangulation import _hull_cycle_with_collinear
-    cyc = _hull_cycle_with_collinear(region.ipoints)
-    if cyc is None:
-        raise ValidationError("degenerate region")
-    return cyc
-
-
 @dataclass
 class GadgetScripts:
     """Per-channel script bundle of one gadget end: the one-flip unlock, the
@@ -1147,7 +1103,6 @@ class GadgetScripts:
 
 def gadget_scripts(inst: ReductionInstance, vertex: int,
                    channel: tuple[int, int]) -> GadgetScripts:
-    from .gadgets import left_to_canonical_moves
     g = inst.gadgets[vertex]
     rec = inst.channels[channel]
     far = vertex == max(channel)

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
-from .errors import CapExceededError, DomainMismatchError, IllegalScriptError
-from .triangulation import (FlipMove, Triangulation, _ishare_interior,
-                            _ion_segment, _point_in_cycle)
+from .errors import (CapExceededError, DomainMismatchError, IllegalFlipError,
+                     IllegalScriptError)
+from .geometry import on_segment, point_in_cycle, segments_share_interior
+from .triangulation import FlipMove, Triangulation
 
 
 @dataclass(frozen=True)
@@ -36,14 +38,12 @@ class FlipScript:
                                      index=-1)
         t = start
         for i, m in enumerate(self.moves):
-            if not t.flip_is_legal(m):
-                raise IllegalScriptError(f"move {i} ({m}) is illegal", index=i)
-            t = t.apply_flip(m)
+            try:
+                t = t.apply_flip(m)
+            except IllegalFlipError as exc:
+                raise IllegalScriptError(f"move {i} ({m}) is illegal",
+                                         index=i) from exc
         return t
-
-
-def script_from_moves(start: Triangulation, moves) -> FlipScript:
-    return FlipScript(start.canonical_key(), tuple(moves))
 
 
 @dataclass
@@ -309,25 +309,18 @@ def count_polygon_triangulations(domain, cycle) -> int:
             return True
         a, b = pts[i], pts[j]
         for k in range(n):
-            c, d = pts[k], pts[(k + 1) % n]
-            if {i, j} & {k, (k + 1) % n}:
-                if _ishare_interior(a, b, c, d):
-                    return False
-                continue
-            if _ishare_interior(a, b, c, d):
+            if segments_share_interior(a, b, pts[k], pts[(k + 1) % n]):
                 return False
         for k in range(n):
-            if k not in (i, j) and _ion_segment(pts[k], a, b):
+            if k not in (i, j) and on_segment(pts[k], a, b):
                 return False
         mid2 = (a[0] + b[0], a[1] + b[1])
-        return _point_in_cycle(mid2, pts2) > 0
+        return point_in_cycle(mid2, pts2) > 0
 
     ok = [[False] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             ok[i][j] = ok[j][i] = diagonal_ok(i, j)
-
-    from functools import lru_cache
 
     @lru_cache(maxsize=None)
     def count(i, j):

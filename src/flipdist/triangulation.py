@@ -2,8 +2,8 @@
 edge-set triangulations over them with flip legality and validation.
 
 Domains scale their rational coordinates to a shared integer grid once at
-construction; every predicate after that is plain integer arithmetic, which
-keeps exactness and makes validation and search cheap.
+construction; every predicate after that runs the `geometry` kernel on
+integer tuples, which keeps exactness and makes validation and search cheap.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import DomainMismatchError, IllegalFlipError, ValidationError
-from .geometry import Point2, polygon_signed_area2
+from .geometry import (Point2, on_segment, orientation, point_in_cycle,
+                       polygon_signed_area2, segments_share_interior)
 
 Edge = tuple[int, int]
 Triangle = tuple[int, int, int]
@@ -35,70 +36,9 @@ class FlipMove(NamedTuple):
         return FlipMove(self.inserted, self.removed)
 
 
-# ---------------------------------------------------------------------------
-# integer predicate helpers (exact; operate on grid-scaled coordinates)
-
-def _iorient(a, b, c) -> int:
-    v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    return (v > 0) - (v < 0)
-
-
-def _ion_segment(p, a, b, closed=True) -> bool:
-    if _iorient(a, b, p) != 0:
-        return False
-    if not closed and (p == a or p == b):
-        return False
-    return min(a[0], b[0]) <= p[0] <= max(a[0], b[0]) and \
-        min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
-
-
-def _ishare_interior(a, b, c, d) -> bool:
-    """True iff segments ab and cd intersect beyond shared endpoints."""
-    o1 = _iorient(a, b, c)
-    o2 = _iorient(a, b, d)
-    o3 = _iorient(c, d, a)
-    o4 = _iorient(c, d, b)
-    if o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4):
-        return True
-    for p in (c, d):
-        if p != a and p != b and _ion_segment(p, a, b):
-            return True
-    for p in (a, b):
-        if p != c and p != d and _ion_segment(p, c, d):
-            return True
-    if o1 == o2 == o3 == o4 == 0:
-        # collinear: any overlap of positive length
-        key = 0 if a[0] != b[0] else 1
-        lo1, hi1 = sorted((a[key], b[key]))
-        lo2, hi2 = sorted((c[key], d[key]))
-        return max(lo1, lo2) < min(hi1, hi2)
-    return False
-
-
-def _point_in_cycle(q2, cycle_pts2) -> int:
-    """Locate a doubled-coordinate point in a doubled-coordinate cycle.
-
-    Returns +1 strictly inside, 0 on the boundary, -1 strictly outside.
-    Crossing-number parity with the half-open vertex rule.
-    """
-    n = len(cycle_pts2)
-    for i in range(n):
-        if _ion_segment(q2, cycle_pts2[i], cycle_pts2[(i + 1) % n]):
-            return 0
-    inside = False
-    qy = q2[1]
-    for i in range(n):
-        a = cycle_pts2[i]
-        b = cycle_pts2[(i + 1) % n]
-        if (a[1] <= qy) != (b[1] <= qy):
-            o = _iorient(a, b, q2)
-            if b[1] > a[1]:      # upward edge: count if q strictly left
-                if o > 0:
-                    inside = not inside
-            else:                # downward edge: count if q strictly right
-                if o < 0:
-                    inside = not inside
-    return 1 if inside else -1
+# perfbench/tracing.py counts the kernel's orientation calls through this
+# name, so it stays bound to the one `geometry.orientation`.
+_iorient = orientation
 
 
 # ---------------------------------------------------------------------------
@@ -111,18 +51,23 @@ class _DomainBase:
         dens = [p.x.denominator for p in self.points] + \
                [p.y.denominator for p in self.points]
         scale = lcm(*dens) if dens else 1
-        self._scale = scale
         self.ipoints = [(int(p.x * scale), int(p.y * scale)) for p in self.points]
         self.ipoints2 = [(2 * x, 2 * y) for x, y in self.ipoints]
         if len(set(self.ipoints)) != len(self.ipoints):
             raise ValidationError("points are not pairwise distinct")
 
     def orient(self, i: int, j: int, k: int) -> int:
-        return _iorient(self.ipoints[i], self.ipoints[j], self.ipoints[k])
+        return orientation(self.ipoints[i], self.ipoints[j], self.ipoints[k])
 
-    def segments_share_interior(self, e: Edge, f: Edge) -> bool:
-        ip = self.ipoints
-        return _ishare_interior(ip[e[0]], ip[e[1]], ip[f[0]], ip[f[1]])
+    def segment_inside(self, i: int, j: int) -> bool:
+        """True iff segment ij can be an edge of a triangulation of the
+        domain: its open interior passes through no other point.  A point
+        set's convex hull holds every segment between its points."""
+        a, b = self.ipoints[i], self.ipoints[j]
+        for p in self.ipoints:
+            if on_segment(p, a, b, closed=False):
+                return False
+        return True
 
     def __eq__(self, other):
         return type(self) is type(other) and self._key() == other._key()
@@ -136,16 +81,12 @@ class _DomainBase:
 class PointSet(_DomainBase):
     """Finite planar point set; triangulations cover its convex hull."""
 
-    is_region = False
-
     def __init__(self, points: Sequence[Point2]):
         self.points = tuple(points)
         if len(self.points) < 3:
             raise ValidationError("point set needs at least 3 points")
         self._setup_grid()
-        cycle = _hull_cycle_with_collinear(self.ipoints)
-        if cycle is None:
-            raise ValidationError("all points are collinear")
+        cycle = hull_cycle(self.ipoints)
         self.boundary_cycles = [cycle]
         self.mandatory_edges = frozenset(
             edge(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle)))
@@ -156,14 +97,9 @@ class PointSet(_DomainBase):
     def _key(self):
         return self.points
 
-    def point_location(self, q2) -> int:
-        return _point_in_cycle(q2, [self.ipoints2[i] for i in self.boundary_cycles[0]])
-
 
 class PolygonalRegion(_DomainBase):
     """Simple polygon with polygonal holes; one-vertex holes are points."""
-
-    is_region = True
 
     def __init__(self, points: Sequence[Point2], outer: Sequence[int],
                  holes: Sequence[Sequence[int]] = ()):
@@ -220,50 +156,66 @@ class PolygonalRegion(_DomainBase):
                 shared = len({a, b} & {c, d})
                 if shared == 2:
                     raise ValidationError(f"duplicate boundary edge {(a, b)}")
-                if _ishare_interior(ip[a], ip[b], ip[c], ip[d]):
+                if segments_share_interior(ip[a], ip[b], ip[c], ip[d]):
                     raise ValidationError(
                         f"boundary edges {(a, b)} and {(c, d)} intersect")
         for a, b in segs:
             for k in range(len(self.points)):
-                if k != a and k != b and _ion_segment(ip[k], ip[a], ip[b]):
+                if on_segment(ip[k], ip[a], ip[b], closed=False):
                     raise ValidationError(f"point {k} lies on boundary edge {(a, b)}")
         outer2 = [self.ipoints2[i] for i in self.outer]
         for h in list(self.poly_holes) + [[p] for p in self.point_holes]:
             for idx in h:
-                if _point_in_cycle(self.ipoints2[idx], outer2) <= 0:
+                if point_in_cycle(self.ipoints2[idx], outer2) <= 0:
                     raise ValidationError(
                         f"hole vertex {idx} is not strictly inside the outer boundary")
         for hi, h1 in enumerate(self.poly_holes):
             cyc2 = [self.ipoints2[i] for i in h1]
             for h2 in self.poly_holes[hi + 1:]:
-                if _point_in_cycle(self.ipoints2[h2[0]], cyc2) > 0:
+                if point_in_cycle(self.ipoints2[h2[0]], cyc2) > 0:
                     raise ValidationError("nested holes")
             for p in self.point_holes:
-                if _point_in_cycle(self.ipoints2[p], cyc2) > 0:
+                if point_in_cycle(self.ipoints2[p], cyc2) > 0:
                     raise ValidationError(f"point hole {p} inside a polygonal hole")
 
     def point_location(self, q2) -> int:
         """+1 strictly inside the region, 0 on a boundary, -1 outside."""
-        loc = _point_in_cycle(q2, [self.ipoints2[i] for i in self.outer])
+        loc = point_in_cycle(q2, [self.ipoints2[i] for i in self.outer])
         if loc <= 0:
             return loc
         for h in self.poly_holes:
-            hl = _point_in_cycle(q2, [self.ipoints2[i] for i in h])
+            hl = point_in_cycle(q2, [self.ipoints2[i] for i in h])
             if hl == 0:
                 return 0
             if hl > 0:
                 return -1
         return 1
 
+    def segment_inside(self, i: int, j: int) -> bool:
+        """True iff segment ij can be an edge of a triangulation of the
+        region: a boundary edge, or an open segment in the region's interior
+        that touches no boundary edge and passes through no other point."""
+        if edge(i, j) in self.mandatory_edges:
+            return True
+        ip = self.ipoints
+        a, b = ip[i], ip[j]
+        for u, v in self.mandatory_edges:
+            if segments_share_interior(a, b, ip[u], ip[v]):
+                return False
+        if not super().segment_inside(i, j):
+            return False
+        return self.point_location((a[0] + b[0], a[1] + b[1])) > 0
 
-def _hull_cycle_with_collinear(ipoints) -> Optional[list[int]]:
-    """Convex hull cycle (CCW) listing every point on the hull boundary."""
+
+def hull_cycle(ipoints) -> list[int]:
+    """Convex hull cycle (CCW) listing every point on the hull boundary;
+    raises ValidationError when all points are collinear."""
     idx = sorted(range(len(ipoints)), key=lambda i: ipoints[i])
 
     def build(seq):
         out: list[int] = []
         for i in seq:
-            while len(out) >= 2 and _iorient(
+            while len(out) >= 2 and orientation(
                     ipoints[out[-2]], ipoints[out[-1]], ipoints[i]) <= 0:
                 out.pop()
             out.append(i)
@@ -273,13 +225,13 @@ def _hull_cycle_with_collinear(ipoints) -> Optional[list[int]]:
     upper = build(reversed(idx))
     corners = lower[:-1] + upper[:-1]
     if len(corners) < 3:
-        return None
+        raise ValidationError("all points are collinear")
     cycle: list[int] = []
     corner_set = set(corners)
     for k in range(len(corners)):
         a, b = corners[k], corners[(k + 1) % len(corners)]
         onway = [i for i in range(len(ipoints)) if i not in corner_set
-                 and _ion_segment(ipoints[i], ipoints[a], ipoints[b], closed=False)]
+                 and on_segment(ipoints[i], ipoints[a], ipoints[b], closed=False)]
         onway.sort(key=lambda i: (abs(ipoints[i][0] - ipoints[a][0]),
                                   abs(ipoints[i][1] - ipoints[a][1])))
         cycle.append(a)
@@ -310,8 +262,8 @@ def ear_clip_with_triangles(domain, cycle: Sequence[int]):
         # any remaining vertex inside or on the candidate ear blocks it
         for w in others:
             pa, pb, pc, pw = ip[a], ip[b], ip[c], ip[w]
-            if _iorient(pa, pb, pw) >= 0 and _iorient(pb, pc, pw) >= 0 \
-                    and _iorient(pc, pa, pw) >= 0:
+            if orientation(pa, pb, pw) >= 0 and orientation(pb, pc, pw) >= 0 \
+                    and orientation(pc, pa, pw) >= 0:
                 return True
         return False
 
@@ -322,7 +274,7 @@ def ear_clip_with_triangles(domain, cycle: Sequence[int]):
             a = cyc[(i - 1) % len(cyc)]
             b = cyc[i]
             c = cyc[(i + 1) % len(cyc)]
-            if _iorient(ip[a], ip[b], ip[c]) != 1:
+            if orientation(ip[a], ip[b], ip[c]) != 1:
                 continue
             others = [w for w in cyc if w not in (a, b, c)]
             if blocked(a, b, c, others):
@@ -373,13 +325,16 @@ def _sorted_rotations(domain, edges) -> dict[int, list[int]]:
             for v, ws in adj.items()}
 
 
-def extract_faces(domain, edges) -> list[list[int]]:
-    """All face cycles of the plane graph (edges must be non-crossing)."""
-    rot = _sorted_rotations(domain, edges)
-    index_of = {v: {w: i for i, w in enumerate(ws)} for v, ws in rot.items()}
+def walk_faces(rotation, edges) -> list[list[int]]:
+    """Face cycles of a plane graph, each with its face left of every dart.
+
+    `rotation` maps every vertex to its neighbours in counterclockwise
+    order; faces are found in the order of `edges`, both darts of each.
+    """
+    index_of = {v: {w: i for i, w in enumerate(ws)} for v, ws in rotation.items()}
     faces = []
     seen: set[tuple[int, int]] = set()
-    for u0, v0 in sorted(edges):
+    for u0, v0 in edges:
         for dart in ((u0, v0), (v0, u0)):
             if dart in seen:
                 continue
@@ -388,14 +343,18 @@ def extract_faces(domain, edges) -> list[list[int]]:
             while (u, v) not in seen:
                 seen.add((u, v))
                 face.append(u)
-                ws = rot[v]
-                nxt = ws[(index_of[v][u] - 1) % len(ws)]
-                u, v = v, nxt
+                ws = rotation[v]
+                u, v = v, ws[(index_of[v][u] - 1) % len(ws)]
             faces.append(face)
     return faces
 
 
-def _canonical_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
+def extract_faces(domain, edges) -> list[list[int]]:
+    """All face cycles of the plane graph (edges must be non-crossing)."""
+    return walk_faces(_sorted_rotations(domain, edges), sorted(edges))
+
+
+def canonical_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
     """Rotation- and reflection-independent canonical form of a cycle."""
     best = None
     n = len(cycle)
@@ -413,20 +372,20 @@ def derive_triangles(domain, edges) -> frozenset[Triangle]:
     Matches non-triangular faces against the domain boundary cycles; anything
     else must be a triangle, otherwise the edge set is not a triangulation.
     """
-    expected = {_canonical_cycle(c) for c in domain.boundary_cycles}
+    expected = {canonical_cycle(c) for c in domain.boundary_cycles}
     triangles: set[Triangle] = set()
     for face in extract_faces(domain, edges):
         if len(face) == 3:
             a, b, c = face
             if domain.orient(a, b, c) == 0:
                 raise ValidationError(f"degenerate triangle face {face}")
-            key = _canonical_cycle(face)
+            key = canonical_cycle(face)
             if key in expected:
                 expected.discard(key)
                 continue
             triangles.add(tri(a, b, c))
         else:
-            key = _canonical_cycle(face)
+            key = canonical_cycle(face)
             if key in expected:
                 expected.discard(key)
             else:
@@ -556,35 +515,14 @@ def validate(t: Triangulation) -> ValidationReport:
     if used != set(range(n)):
         report.add(f"vertices without incident edges: {sorted(set(range(n)) - used)[:4]}")
 
-    ip = domain.ipoints
-    for u, v in t.edges:
-        for k in range(n):
-            if k != u and k != v and _ion_segment(ip[k], ip[u], ip[v]):
-                report.add(f"point {k} lies inside edge {(u, v)}")
-
-    # containment: non-boundary edges must not touch the boundary except at
-    # endpoints, and their midpoints must be strictly inside the region
-    if domain.is_region:
-        boundary = domain.mandatory_edges
-        for e in t.edges:
-            if e in boundary:
-                continue
-            u, v = e
-            for f in boundary:
-                if len({u, v} & set(f)) == 0:
-                    if domain.segments_share_interior(e, f):
-                        report.add(f"edge {e} crosses boundary edge {f}")
-                        break
-                else:
-                    a, b = f
-                    if _ishare_interior(ip[u], ip[v], ip[a], ip[b]):
-                        report.add(f"edge {e} overlaps boundary edge {f}")
-                        break
-            mid2 = (ip[u][0] + ip[v][0], ip[u][1] + ip[v][1])
-            if domain.point_location(mid2) <= 0:
-                report.add(f"edge {e} leaves the region")
+    # boundary edges hold no point by construction (a hull cycle lists every
+    # point on the hull, and PolygonalRegion rejects points on its boundary)
+    for e in t.edges:
+        if e not in domain.mandatory_edges and not domain.segment_inside(*e):
+            report.add(f"edge {e} does not lie inside the domain")
 
     # pairwise proper crossings, bounding-box prefiltered
+    ip = domain.ipoints
     non_boundary = sorted(t.edges - domain.mandatory_edges)
     all_edges = sorted(t.edges)
     boxes = {}
@@ -600,10 +538,9 @@ def validate(t: Triangulation) -> ValidationReport:
                 break
             if f == e or fb[1] < ex0 or fb[2] > ey1 or fb[3] < ey0:
                 continue
-            if len({*e} & {*f}) == 0 and domain.segments_share_interior(e, f):
-                report.add(f"edges {e} and {f} cross")
-            elif len({*e} & {*f}) == 1 and domain.segments_share_interior(e, f):
-                report.add(f"edges {e} and {f} overlap")
+            if segments_share_interior(ip[e[0]], ip[e[1]], ip[f[0]], ip[f[1]]):
+                report.add(f"edges {e} and {f} "
+                           f"{'overlap' if {*e} & {*f} else 'cross'}")
 
     if len(t.edges) != domain.expected_edge_count:
         report.add(f"edge count {len(t.edges)} != maximal count "

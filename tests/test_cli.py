@@ -227,3 +227,21 @@ def test_malformed_instance_json_exits_2(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["distance", "--instance", str(path)]) == 2
+
+
+@pytest.mark.parametrize("line", ["v x", "v 0 a b", "v 0 1/0 2"])
+def test_malformed_graph_number_exits_2(tmp_path, capsys, line):
+    g = write(tmp_path / "bad.txt", f"{line}\nv 1\ne 0 1\n")
+    assert main(["vc", "--graph", g]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1:") and "Traceback" not in err
+
+
+def test_malformed_instance_number_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"points": [["1/0", "0"], ["1", "0"], ["0", "1"]],
+                                "t1": [[0, 1], [1, 2], [0, 2]],
+                                "t2": [[0, 1], [1, 2], [0, 2]]}))
+    assert main(["distance", "--instance", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err

@@ -7,7 +7,6 @@ from flipdist.gadgets import (
     Channel, build_channel, canonical_capped_edges, capped_transform_moves,
     channel_mouths, channel_region, channel_triangulations,
     left_to_canonical_moves, left_edges, right_edges, right_to_canonical_moves,
-    segment_inside_region,
 )
 from flipdist.geometry import pt
 from flipdist.search import (bfs_distance, count_polygon_triangulations,
@@ -29,7 +28,7 @@ def test_build_channel_invariants():
     # complete bipartite visibility: every upper vertex sees every lower one
     for i in range(7):
         for j in range(7, 14):
-            assert segment_inside_region(region, i, j)
+            assert region.segment_inside(i, j)
 
 
 def test_build_channel_rejects_zero_sag():
@@ -162,14 +161,14 @@ def test_mouths_nesting_and_visibility():
     # a capping vertex sees all 14 channel vertices
     region = channel_region(ch, cap_near=cap)
     for v in range(14):
-        assert segment_inside_region(region, 14, v)
+        assert region.segment_inside(14, v)
     # a vertex outside the wide mouth sees only the near end vertices
     outside = pt(-70, 50)
     assert not m.wide.contains(outside)
     pts2 = list(ch.upper) + list(ch.lower) + [outside]
     cycle = [14] + list(range(7)) + list(range(13, 6, -1))
     region2 = PolygonalRegion(pts2, list(reversed(cycle)))
-    seen = [v for v in range(14) if segment_inside_region(region2, 14, v)]
+    seen = [v for v in range(14) if region2.segment_inside(14, v)]
     # past the wide mouth it cannot look down the upper chain, so it can
     # never become an apex for an interior upper-chain edge
     assert [v for v in seen if v < 7] == [0]

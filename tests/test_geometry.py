@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,12 +7,15 @@ from hypothesis import given, strategies as st
 from flipdist.errors import EmptyRegionError
 from flipdist.geometry import (
     CCW, COLLINEAR, CW, HalfPlane, Point2, coord_bits, halfplane_intersection,
-    halfplane_through, interior_point, is_strictly_convex_quad, orientation,
-    pt, segments_properly_cross,
+    halfplane_through, interior_point, is_strictly_convex_quad, on_segment,
+    orientation, pt, segments_properly_cross, segments_share_interior,
 )
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=64)
 points = st.builds(Point2, rationals, rationals)
+# a coarse rational grid, so that collinear and touching inputs are common
+coarse = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+mixed_points = st.one_of(points, st.builds(Point2, coarse, coarse))
 
 
 def test_orientation_basis():
@@ -32,6 +36,25 @@ def test_orientation_translation_invariant(p, q, r, t):
     assert orientation(p, q, r) == orientation(p + t, q + t, r + t)
 
 
+def _grid_tuples(*pts):
+    """The points scaled by the lcm of their denominators to integer pairs,
+    as the triangulation domains store them."""
+    scale = lcm(*(c.denominator for p in pts for c in p))
+    return [(int(p.x * scale), int(p.y * scale)) for p in pts]
+
+
+@given(mixed_points, mixed_points, mixed_points, mixed_points)
+def test_kernel_agrees_on_point2_and_grid_tuples(a, b, c, d):
+    ia, ib, ic, id_ = _grid_tuples(a, b, c, d)
+    assert orientation(a, b, c) == orientation(ia, ib, ic)
+    for closed in (True, False):
+        assert on_segment(a, b, c, closed) == on_segment(ia, ib, ic, closed)
+    assert segments_share_interior(a, b, c, d) == \
+        segments_share_interior(ia, ib, ic, id_)
+    assert segments_properly_cross(a, b, c, d) == \
+        segments_properly_cross(ia, ib, ic, id_)
+
+
 def test_segments_properly_cross():
     assert segments_properly_cross(pt(0, 0), pt(2, 2), pt(0, 2), pt(2, 0))
     assert not segments_properly_cross(pt(0, 0), pt(1, 0), pt(1, 0), pt(2, 0))
@@ -39,6 +62,16 @@ def test_segments_properly_cross():
     # collinear overlap counts as interior sharing
     assert segments_properly_cross(pt(0, 0), pt(2, 0), pt(1, 0), pt(3, 0))
     assert not segments_properly_cross(pt(0, 0), pt(1, 0), pt(2, 0), pt(3, 0))
+
+
+def test_segments_share_interior():
+    assert segments_share_interior(pt(0, 0), pt(2, 2), pt(0, 2), pt(2, 0))
+    # an endpoint inside the other segment, and identical segments
+    assert segments_share_interior(pt(0, 0), pt(2, 0), pt(1, 0), pt(1, 1))
+    assert segments_share_interior(pt(0, 0), pt(2, 0), pt(2, 0), pt(0, 0))
+    # a shared endpoint alone, collinear or not, is no interior contact
+    assert not segments_share_interior(pt(0, 0), pt(1, 0), pt(1, 0), pt(2, 0))
+    assert not segments_share_interior(pt(0, 0), pt(1, 0), pt(0, 0), pt(0, 1))
 
 
 def test_strictly_convex_quad():

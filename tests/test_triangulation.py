@@ -1,12 +1,15 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from flipdist.errors import DomainMismatchError, IllegalFlipError, ValidationError
+from flipdist.gadgets import build_channel, channel_region, channel_triangulations
 from flipdist.geometry import pt
+from flipdist.search import enumerate_flip_graph
 from flipdist.triangulation import (
-    FlipMove, PointSet, PolygonalRegion, Triangulation, edge, edge_difference,
-    validate,
+    FlipMove, PointSet, PolygonalRegion, Triangulation, ear_clip_triangulation,
+    edge, edge_difference, validate,
 )
 from flipdist import instanceio
 
@@ -90,11 +93,15 @@ def test_illegal_flip_raises():
         t.apply_flip(FlipMove((0, 1), (2, 3)))
 
 
-def test_reflex_quad_has_no_flip():
-    # reflex quadrilateral: the single diagonal cannot be flipped
+def reflex_quad():
     region = PolygonalRegion(
         [pt(0, 0), pt(4, 0), pt(1, 1), pt(0, 4)], [0, 1, 2, 3])
-    t = Triangulation(region, list(region.mandatory_edges) + [(0, 2)])
+    return Triangulation(region, list(region.mandatory_edges) + [(0, 2)])
+
+
+def test_reflex_quad_has_no_flip():
+    # reflex quadrilateral: the single diagonal cannot be flipped
+    t = reflex_quad()
     assert validate(t).ok
     assert t.legal_flips() == []
 
@@ -140,17 +147,15 @@ def test_point_set_collinear_hull_points_mandatory():
     assert validate(t).ok
 
 
-def test_region_with_point_hole():
+def point_hole_square():
     region = PolygonalRegion(
         [pt(0, 0), pt(4, 0), pt(4, 4), pt(0, 4), pt(2, 2)],
         [0, 1, 2, 3], holes=[[4]])
-    t = Triangulation(region, list(region.mandatory_edges)
-                      + [(0, 4), (1, 4), (2, 4), (3, 4)])
-    assert validate(t).ok
-    assert len(t.triangles) == region.expected_triangle_count == 4
+    return Triangulation(region, list(region.mandatory_edges)
+                         + [(0, 4), (1, 4), (2, 4), (3, 4)])
 
 
-def test_region_with_polygonal_hole():
+def triangle_hole_square():
     # square with a clockwise triangular hole
     region = PolygonalRegion(
         [pt(0, 0), pt(6, 0), pt(6, 6), pt(0, 6), pt(2, 2), pt(3, 4), pt(4, 2)],
@@ -158,7 +163,24 @@ def test_region_with_polygonal_hole():
     edges = list(region.mandatory_edges) + [
         (0, 4), (1, 4), (1, 6), (1, 2), (2, 6), (2, 5), (3, 5), (3, 4), (0, 3)]
     edges = [e for e in edges if e not in region.mandatory_edges]
-    t = Triangulation(region, list(region.mandatory_edges) + edges)
+    return Triangulation(region, list(region.mandatory_edges) + edges)
+
+
+def small_channel():
+    return build_channel((pt(-60, 40), pt(-60, -40)), (pt(60, 40), pt(60, -40)),
+                         Fraction(1, 160), n=5)
+
+
+def test_region_with_point_hole():
+    t = point_hole_square()
+    region = t.domain
+    assert validate(t).ok
+    assert len(t.triangles) == region.expected_triangle_count == 4
+
+
+def test_region_with_polygonal_hole():
+    t = triangle_hole_square()
+    region = t.domain
     report = validate(t)
     assert report.ok, report.violations
     assert len(t.edges) == region.expected_edge_count
@@ -170,6 +192,40 @@ def test_region_rejects_bad_structure():
     with pytest.raises(ValidationError):
         PolygonalRegion(
             [pt(0, 0), pt(4, 0), pt(0, 4), pt(9, 9)], [0, 1, 2], holes=[[3]])
+    with pytest.raises(ValidationError):   # a point hole on an outer edge
+        PolygonalRegion(
+            [pt(0, 0), pt(4, 0), pt(4, 4), pt(0, 4), pt(2, 0)],
+            [0, 1, 2, 3], holes=[[4]])
+
+
+def left_small_channel():
+    return channel_triangulations(small_channel())[1]
+
+
+def capped_small_channel():
+    region = channel_region(small_channel(), cap_near=pt(-80, 0))
+    return Triangulation(region, ear_clip_triangulation(region, region.outer))
+
+
+@pytest.mark.parametrize("seed, triangulations, diagonals", [
+    (point_hole_square, 1, 4),
+    (triangle_hole_square, 8, 10),
+    (reflex_quad, 1, 1),
+    (left_small_channel, 70, 23),
+    (capped_small_channel, 251, 32),
+])
+def test_segment_inside_matches_flip_graph(seed, triangulations, diagonals):
+    # a segment can be a triangulation edge iff some triangulation uses it
+    t = seed()
+    region = t.domain
+    assert validate(t).ok
+    graph = enumerate_flip_graph(t)
+    used = set().union(*graph.nodes.values()) - region.mandatory_edges
+    n = len(region.points)
+    inside = {(i, j) for i in range(n) for j in range(i + 1, n)
+              if region.segment_inside(i, j)} - region.mandatory_edges
+    assert len(graph) == triangulations and len(used) == diagonals
+    assert inside == used
 
 
 def test_instance_roundtrip_bytes_identical(tmp_path):
