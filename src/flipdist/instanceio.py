@@ -79,13 +79,23 @@ def instance_to_dict(doc: InstanceDoc) -> dict:
     return out
 
 
+def _index_list(value, name: str) -> list[int]:
+    if not isinstance(value, list) or any(type(i) is not int for i in value):
+        raise ValidationError(f"{name} must be a list of integer point indices")
+    return value
+
+
 def instance_from_dict(data: dict) -> InstanceDoc:
     try:
         points = [Point2(str_to_frac(x), str_to_frac(y)) for x, y in data["points"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad points array: {exc}") from exc
     if "outer" in data:
-        domain = PolygonalRegion(points, data["outer"], data.get("holes", ()))
+        holes = data.get("holes", [])
+        if not isinstance(holes, list):
+            raise ValidationError("holes must be a list of index cycles")
+        domain = PolygonalRegion(points, _index_list(data["outer"], "outer"),
+                                 [_index_list(h, "hole") for h in holes])
     else:
         domain = PointSet(points)
 
@@ -93,7 +103,8 @@ def instance_from_dict(data: dict) -> InstanceDoc:
         if key not in data:
             return None
         try:
-            return Triangulation(domain, [edge(u, v) for u, v in data[key]])
+            return Triangulation(domain, [edge(*_index_list(e, f"{key} edge"))
+                                          for e in data[key]])
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"bad {key} edge array: {exc}") from exc
 

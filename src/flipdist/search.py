@@ -2,13 +2,18 @@
 
 The primary solver is a bidirectional best-first search with the admissible
 edge-difference lower bound (each flip replaces exactly one edge, so at least
-|edges(t1) - edges(t2)| flips are needed).  An independent plain BFS and a
-dynamic-programming triangulation counter serve as oracles in the tests.
+|edges(t1) - edges(t2)| flips are needed).  It and flip-graph enumeration run
+on a per-call flip kernel over integer edge ids; `Triangulation` stays the
+type at the API boundary, and witnesses are replayed through
+`Triangulation.apply_flip`.  An independent plain BFS over `Triangulation`
+objects and a dynamic-programming triangulation counter serve as oracles in
+the tests.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -16,7 +21,8 @@ from typing import Optional
 from .errors import (CapExceededError, DomainMismatchError, IllegalFlipError,
                      IllegalScriptError)
 from .geometry import on_segment, point_in_cycle, segments_share_interior
-from .triangulation import FlipMove, Triangulation
+from .triangulation import (FlipMove, Triangulation, flip_is_convex,
+                            flip_triangles)
 
 
 @dataclass(frozen=True)
@@ -100,6 +106,84 @@ def bfs_distance(t1: Triangulation, t2: Triangulation,
     return None
 
 
+class _FlipKernel:
+    """The flip relation of one domain, for the length of one search or
+    enumeration call.
+
+    A state is a sorted tuple of edge ids `u * n + v` (u < v), which sort
+    like the `(u, v)` pairs, with the triangle frozenset of
+    `Triangulation.triangles`.  Keys are the exact bytes of
+    `Triangulation.canonical_key`, joined from a token per edge id.
+    Convexity depends only on the geometry, so it is memoised per flip.
+    """
+
+    def __init__(self, domain):
+        self.domain = domain
+        self.n = len(domain.points)
+        self.tokens: dict[int, bytes] = {}      # edge id -> b"u,v"
+        self.pairs: dict[int, tuple[int, int]] = {}   # edge id -> (u, v)
+        # removed id * n**2 + inserted id -> the flip is legal
+        self.convex: dict[int, bool] = {}
+
+    def _register(self, i: int) -> None:
+        u, v = self.pairs[i] = divmod(i, self.n)
+        self.tokens[i] = f"{u},{v}".encode("ascii")
+
+    def ids(self, t: Triangulation) -> tuple[int, ...]:
+        n = self.n
+        ids = tuple(sorted(u * n + v for u, v in t.edges))
+        for i in ids:
+            if i not in self.tokens:
+                self._register(i)
+        return ids
+
+    def key(self, ids) -> bytes:
+        return b";".join(map(self.tokens.__getitem__, ids))
+
+    def move(self, r: int, a: int) -> FlipMove:
+        return FlipMove(self.pairs[r], self.pairs[a])
+
+    def triangles_after(self, triangles, r: int, a: int) -> frozenset:
+        return flip_triangles(triangles, self.pairs[r], self.pairs[a])
+
+    def flips(self, ids, triangles):
+        """(removed id, inserted id, ids after the flip) for every legal
+        flip, in the order of `Triangulation.legal_flips`."""
+        n, convex = self.n, self.convex
+        # an interior edge lies in two triangles, whose apexes x, y are the
+        # ends of the edge a flip would insert
+        first: dict[int, int] = {}
+        apexes: dict[int, tuple[int, int]] = {}
+        for a, b, c in triangles:
+            for e, w in ((a * n + b, c), (a * n + c, b), (b * n + c, a)):
+                if e in first:
+                    apexes[e] = (first[e], w)
+                else:
+                    first[e] = w
+        out = []
+        for i, r in enumerate(ids):
+            xy = apexes.get(r)
+            if xy is None:
+                continue
+            x, y = xy
+            a = x * n + y if x < y else y * n + x
+            legal = convex.get(r * n * n + a)
+            if legal is None:
+                legal = convex[r * n * n + a] = flip_is_convex(
+                    self.domain, *self.pairs[r], x, y)
+                if a not in self.tokens:
+                    self._register(a)
+            if not legal:
+                continue
+            j = bisect_left(ids, a)
+            if a < r:
+                after = ids[:j] + (a,) + ids[j:i] + ids[i + 1:]
+            else:
+                after = ids[:i] + ids[i + 1:j] + (a,) + ids[j:]
+            out.append((r, a, after))
+        return out
+
+
 def exact_distance(t1: Triangulation, t2: Triangulation,
                    budget: int = 10 ** 9) -> SearchResult:
     """Exact flip distance by bidirectional A* with the edge-difference bound.
@@ -116,22 +200,22 @@ def exact_distance(t1: Triangulation, t2: Triangulation,
     if k1 == k2:
         return SearchResult(0, FlipScript(k1, ()), 0, 0)
 
-    e2, e1 = t2.edges, t1.edges
+    kernel = _FlipKernel(t1.domain)
+    ids1, ids2 = kernel.ids(t1), kernel.ids(t2)
+    h1, h2 = lower_bound(t1, t2), lower_bound(t2, t1)
+    # a side's open states: ids, triangles and the edge-difference bound
     sides = [
-        {"target_edges": e2, "open": [], "g": {k1: 0}, "closed": set(),
-         "tri": {k1: t1}, "parent": {k1: None}, "fmin": len(e1 - e2)},
-        {"target_edges": e1, "open": [], "g": {k2: 0}, "closed": set(),
-         "tri": {k2: t2}, "parent": {k2: None}, "fmin": len(e2 - e1)},
+        {"target": frozenset(ids2), "open": [(h1, k1)], "g": {k1: 0},
+         "closed": set(), "state": {k1: (ids1, t1.triangles, h1)},
+         "parent": {k1: None}},
+        {"target": frozenset(ids1), "open": [(h2, k2)], "g": {k2: 0},
+         "closed": set(), "state": {k2: (ids2, t2.triangles, h2)},
+         "parent": {k2: None}},
     ]
-    heapq.heappush(sides[0]["open"], (len(e1 - e2), k1))
-    heapq.heappush(sides[1]["open"], (len(e2 - e1), k2))
 
     best = None          # (total length, meet key)
     expanded = 0
     peak = 2
-
-    def heuristic(side, t):
-        return len(t.edges - side["target_edges"])
 
     while sides[0]["open"] and sides[1]["open"]:
         fmins = []
@@ -141,7 +225,6 @@ def exact_distance(t1: Triangulation, t2: Triangulation,
             fmins.append(side["open"][0][0] if side["open"] else None)
         if fmins[0] is None or fmins[1] is None:
             break
-        sides[0]["fmin"], sides[1]["fmin"] = fmins
         if best is not None and best[0] <= max(fmins):
             break
         # any undiscovered solution of length L satisfies fminF <= L and
@@ -151,26 +234,30 @@ def exact_distance(t1: Triangulation, t2: Triangulation,
 
         side_idx = 0 if len(sides[0]["open"]) <= len(sides[1]["open"]) else 1
         side = sides[side_idx]
-        other = sides[1 - side_idx]
+        other_g = sides[1 - side_idx]["g"]
 
         f, key = heapq.heappop(side["open"])
         if key in side["closed"]:
             continue
         side["closed"].add(key)
         expanded += 1
-        t = side["tri"][key]
-        g = side["g"][key]
-        for m, t_new in _neighbors(t):
-            k_new = t_new.canonical_key()
-            g_new = g + 1
-            if k_new in side["g"] and side["g"][k_new] <= g_new:
+        # a closed state is never expanded again, so its triangles can go
+        ids, triangles, h = side["state"].pop(key)
+        g, states, parent = side["g"], side["state"], side["parent"]
+        target = side["target"]
+        g_new = g[key] + 1
+        for r, a, ids_new in kernel.flips(ids, triangles):
+            k_new = kernel.key(ids_new)
+            if k_new in g and g[k_new] <= g_new:
                 continue
-            side["g"][k_new] = g_new
-            side["tri"][k_new] = t_new
-            side["parent"][k_new] = (key, m)
-            heapq.heappush(side["open"], (g_new + heuristic(side, t_new), k_new))
-            if k_new in other["g"]:
-                total = g_new + other["g"][k_new]
+            g[k_new] = g_new
+            h_new = h - (r not in target) + (a not in target)
+            states[k_new] = (ids_new, kernel.triangles_after(triangles, r, a),
+                             h_new)
+            parent[k_new] = (key, r, a)
+            heapq.heappush(side["open"], (g_new + h_new, k_new))
+            if k_new in other_g:
+                total = g_new + other_g[k_new]
                 if best is None or total < best[0]:
                     best = (total, k_new)
         peak = max(peak, len(sides[0]["open"]) + len(sides[1]["open"]))
@@ -182,8 +269,8 @@ def exact_distance(t1: Triangulation, t2: Triangulation,
     def unwind(side, key):
         moves = []
         while side["parent"][key] is not None:
-            key, m = side["parent"][key]
-            moves.append(m)
+            key, r, a = side["parent"][key]
+            moves.append(kernel.move(r, a))
         moves.reverse()
         return moves
 
@@ -228,25 +315,28 @@ def enumerate_flip_graph(seed: Triangulation, cap: int = 10 ** 6) -> FlipGraph:
     Flip connectivity makes this the complete flip graph for any valid seed.
     Raises CapExceededError beyond `cap` nodes.
     """
+    kernel = _FlipKernel(seed.domain)
     start_key = seed.canonical_key()
     nodes = {start_key: seed.edges}
     reps = {start_key: seed}
     adjacency: dict[bytes, list[bytes]] = {}
-    stack = [seed]
+    stack = [(start_key, kernel.ids(seed), seed.triangles)]
     while stack:
-        t = stack.pop()
-        key = t.canonical_key()
+        key, ids, triangles = stack.pop()
         nbrs = []
-        for _, t_new in _neighbors(t):
-            k_new = t_new.canonical_key()
+        for r, a, ids_new in kernel.flips(ids, triangles):
+            k_new = kernel.key(ids_new)
             nbrs.append(k_new)
             if k_new not in nodes:
                 if len(nodes) >= cap:
                     raise CapExceededError(
                         f"flip graph exceeds the {cap}-node cap")
+                t_new = Triangulation(seed.domain,
+                                      [kernel.pairs[i] for i in ids_new],
+                                      kernel.triangles_after(triangles, r, a))
                 nodes[k_new] = t_new.edges
                 reps[k_new] = t_new
-                stack.append(t_new)
+                stack.append((k_new, ids_new, t_new.triangles))
         adjacency[key] = sorted(nbrs)
     return FlipGraph(nodes, adjacency, reps)
 

@@ -413,6 +413,25 @@ class ValidationReport:
         return f"ValidationReport(ok={self.ok}, violations={self.violations!r})"
 
 
+def flip_is_convex(domain, u: int, v: int, x: int, y: int) -> bool:
+    """True iff the quadrilateral u, x, v, y is strictly convex, so that the
+    diagonal uv between triangles uvx and uvy can be flipped to xy."""
+    orient = domain.orient
+    s = orient(u, x, v)
+    return s != 0 and orient(x, v, y) == s and orient(v, y, u) == s \
+        and orient(y, u, x) == s
+
+
+def flip_triangles(triangles: frozenset, removed: Edge,
+                   inserted: Edge) -> frozenset[Triangle]:
+    """The triangles after the diagonal `removed` of a quadrilateral is
+    flipped to `inserted`."""
+    u, v = removed
+    x, y = inserted
+    return (triangles - {tri(u, v, x), tri(u, v, y)}) \
+        | {tri(x, y, u), tri(x, y, v)}
+
+
 class Triangulation:
     """Immutable edge-set triangulation over a shared domain."""
 
@@ -446,19 +465,11 @@ class Triangulation:
     def legal_flips(self) -> list[FlipMove]:
         out = []
         apexes = self.edge_apexes()
-        orient = self.domain.orient
         for e in self.edges:
             aps = apexes.get(e)
-            if aps is None or len(aps) != 2:
-                continue
-            u, v = e
-            x, y = aps
-            # quadrilateral u, x, v, y must be strictly convex
-            s = orient(u, x, v)
-            if s == 0 or orient(x, v, y) != s or orient(v, y, u) != s \
-                    or orient(y, u, x) != s:
-                continue
-            out.append(FlipMove(e, edge(x, y)))
+            if aps is not None and len(aps) == 2 \
+                    and flip_is_convex(self.domain, *e, *aps):
+                out.append(FlipMove(e, edge(*aps)))
         out.sort()
         return out
 
@@ -468,21 +479,14 @@ class Triangulation:
             return False
         if edge(*aps) != move.inserted:
             return False
-        u, v = move.removed
-        x, y = aps
-        s = self.domain.orient(u, x, v)
-        return s != 0 and self.domain.orient(x, v, y) == s \
-            and self.domain.orient(v, y, u) == s and self.domain.orient(y, u, x) == s
+        return flip_is_convex(self.domain, *move.removed, *aps)
 
     def apply_flip(self, move: FlipMove) -> "Triangulation":
         if not self.flip_is_legal(move):
             raise IllegalFlipError(f"illegal flip {move}")
-        u, v = move.removed
-        x, y = move.inserted
         new_edges = (self.edges - {move.removed}) | {move.inserted}
-        new_tris = (self.triangles - {tri(u, v, x), tri(u, v, y)}) \
-            | {tri(x, y, u), tri(x, y, v)}
-        return Triangulation(self.domain, new_edges, frozenset(new_tris))
+        return Triangulation(self.domain, new_edges,
+                             flip_triangles(self.triangles, *move))
 
     def apply_script(self, moves) -> "Triangulation":
         t = self
@@ -536,7 +540,9 @@ def validate(t: Triangulation) -> ValidationReport:
             fb = boxes[f]
             if fb[0] > ex1:
                 break
-            if f == e or fb[1] < ex0 or fb[2] > ey1 or fb[3] < ey0:
+            # a pair of non-boundary edges is tested from its smaller edge
+            if (f <= e and f not in domain.mandatory_edges) or fb[1] < ex0 \
+                    or fb[2] > ey1 or fb[3] < ey0:
                 continue
             if segments_share_interior(ip[e[0]], ip[e[1]], ip[f[0]], ip[f[1]]):
                 report.add(f"edges {e} and {f} "

@@ -245,3 +245,16 @@ def test_malformed_instance_number_exits_2(tmp_path, capsys):
     assert main(["distance", "--instance", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad", [{"outer": ["a", 1, 2]},
+                                 {"outer": [0, 1, 2], "holes": 5},
+                                 {"t1": [[0, 1], [1, 2], [0, 1.5]]}])
+def test_malformed_indices_exit_2(tmp_path, capsys, bad):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"points": [["0", "0"], ["1", "0"], ["0", "1"]],
+                                "t1": [[0, 1], [1, 2], [0, 2]],
+                                "t2": [[0, 1], [1, 2], [0, 2]], **bad}))
+    assert main(["distance", "--instance", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err

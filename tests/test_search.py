@@ -1,10 +1,13 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from flipdist import instanceio
 from flipdist.errors import CapExceededError
+from flipdist.gadgets import build_channel, channel_triangulations
 from flipdist.geometry import pt
 from flipdist.search import (
     FlipScript, bfs_distance, count_polygon_triangulations, enumerate_flip_graph,
@@ -188,3 +191,33 @@ def test_greedy_cap_exceeded():
     t1, t2 = fan(region, 0), fan(region, 3)
     with pytest.raises(CapExceededError):
         greedy_upper_bound(t1, t2, move_cap=1)
+
+
+def channel_pair(n):
+    ch = build_channel((pt(-60, 40), pt(-60, -40)), (pt(60, 40), pt(60, -40)),
+                       Fraction(1, 160), n=n)
+    _, t_left, t_right = channel_triangulations(ch)
+    return t_left, t_right
+
+
+# SHA-256 of the H_7 left->right witness file; pinned with the expansion
+# count so that a change to the expansion order or the tie-breaks shows
+H7_WITNESS_SHA256 = \
+    "612b509ed99b19a0498b4f0bada3bd9543723b44a4f1efdb389daece7f24cb62"
+
+
+def test_h7_search_is_pinned():
+    t_left, t_right = channel_pair(7)
+    res = exact_distance(t_left, t_right)
+    assert (res.distance, res.nodes_expanded, res.frontier_peak) == \
+        (36, 1346, 149)
+    witness = instanceio.script_dumps(res.script).encode("ascii")
+    assert hashlib.sha256(witness).hexdigest() == H7_WITNESS_SHA256
+
+
+@pytest.mark.slow
+def test_h10_distance_is_81():
+    t_left, t_right = channel_pair(10)
+    res = exact_distance(t_left, t_right)
+    assert res.distance == len(res.script) == 81
+    assert res.script.replay(t_left).canonical_key() == t_right.canonical_key()

@@ -8,8 +8,8 @@ from flipdist.gadgets import build_channel, channel_region, channel_triangulatio
 from flipdist.geometry import pt
 from flipdist.search import enumerate_flip_graph
 from flipdist.triangulation import (
-    FlipMove, PointSet, PolygonalRegion, Triangulation, ear_clip_triangulation,
-    edge, edge_difference, validate,
+    FlipMove, PointSet, PolygonalRegion, Triangulation, derive_triangles,
+    ear_clip_triangulation, edge, edge_difference, validate,
 )
 from flipdist import instanceio
 
@@ -47,7 +47,8 @@ def test_quad_both_diagonals_invalid():
     t = Triangulation(region, list(region.mandatory_edges) + [(0, 2), (1, 3)])
     report = validate(t)
     assert not report.ok
-    assert any("cross" in v for v in report.violations)
+    assert [v for v in report.violations if "cross" in v] == \
+        ["edges (0, 2) and (1, 3) cross"]
 
 
 def test_quad_missing_diagonal_not_maximal():
@@ -207,13 +208,23 @@ def capped_small_channel():
     return Triangulation(region, ear_clip_triangulation(region, region.outer))
 
 
-@pytest.mark.parametrize("seed, triangulations, diagonals", [
+SMALL_SEEDS = [
     (point_hole_square, 1, 4),
     (triangle_hole_square, 8, 10),
     (reflex_quad, 1, 1),
     (left_small_channel, 70, 23),
     (capped_small_channel, 251, 32),
-])
+]
+
+
+def square_with_interior_points():
+    # point set: a square hull with two interior points
+    ps = PointSet([pt(0, 0), pt(6, 0), pt(6, 6), pt(0, 6), pt(2, 3), pt(4, 1)])
+    return Triangulation(ps, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (0, 5),
+                              (4, 5), (1, 5), (2, 5), (2, 4), (3, 4)])
+
+
+@pytest.mark.parametrize("seed, triangulations, diagonals", SMALL_SEEDS)
 def test_segment_inside_matches_flip_graph(seed, triangulations, diagonals):
     # a segment can be a triangulation edge iff some triangulation uses it
     t = seed()
@@ -226,6 +237,39 @@ def test_segment_inside_matches_flip_graph(seed, triangulations, diagonals):
               if region.segment_inside(i, j)} - region.mandatory_edges
     assert len(graph) == triangulations and len(used) == diagonals
     assert inside == used
+
+
+def closure_by_apply_flip(seed):
+    """Flip-graph nodes and adjacency built from the public Triangulation
+    API alone: the oracle of `enumerate_flip_graph`."""
+    nodes, adjacency, stack = {seed.canonical_key(): seed.edges}, {}, [seed]
+    while stack:
+        t = stack.pop()
+        nbrs = []
+        for m in t.legal_flips():
+            t_new = t.apply_flip(m)
+            nbrs.append(t_new.canonical_key())
+            if nbrs[-1] not in nodes:
+                nodes[nbrs[-1]] = t_new.edges
+                stack.append(t_new)
+        adjacency[t.canonical_key()] = sorted(nbrs)
+    return nodes, adjacency
+
+
+@pytest.mark.parametrize("seed", [s[0] for s in SMALL_SEEDS]
+                         + [square_with_interior_points])
+def test_flip_graph_matches_closure_oracle(seed):
+    t = seed()
+    assert validate(t).ok
+    graph = enumerate_flip_graph(t)
+    nodes, adjacency = closure_by_apply_flip(t)
+    assert list(graph.nodes.items()) == list(nodes.items())
+    assert graph.adjacency == adjacency
+    assert graph.representatives.keys() == nodes.keys()
+    for key, rep in graph.representatives.items():
+        assert rep.canonical_key() == key and rep.edges == nodes[key]
+        assert rep.triangles == derive_triangles(t.domain, rep.edges)
+        assert validate(rep).ok
 
 
 def test_instance_roundtrip_bytes_identical(tmp_path):
