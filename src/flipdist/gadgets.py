@@ -41,9 +41,6 @@ class Channel:
     def n(self) -> int:
         return len(self.upper)
 
-    def polygon_cycle(self) -> list[Point2]:
-        return list(self.upper) + list(reversed(self.lower))
-
 
 def build_channel(end1: tuple[Point2, Point2], end2: tuple[Point2, Point2],
                   sag: Fraction, n: int = 7) -> Channel:
@@ -224,20 +221,19 @@ def reverse_moves(moves: Sequence[FlipMove]) -> list[FlipMove]:
 
 
 def capped_transform_moves(upper: Sequence[int], lower: Sequence[int],
-                           cap: int, cap_at_far_end: bool = False,
-                           right_to_left: bool = False) -> list[FlipMove]:
-    """The `2(2n-2)` move transform (24 moves for n=7) between the inclined
-    triangulations of a capped channel, via the canonical fan: left to right,
-    or right to left with `right_to_left=True`. With `cap_at_far_end=True`
-    the chains are reversed first, as for `canonical_capped_edges`."""
+                           cap: int, cap_at_far_end: bool = False
+                           ) -> list[FlipMove]:
+    """The `2(2n-2)` move transform (24 moves for n=7) from the left- to the
+    right-inclined triangulation of a capped channel, via the canonical fan.
+    With `cap_at_far_end=True` the chains are reversed first, as for
+    `canonical_capped_edges`."""
     u, l = list(upper), list(lower)
     if cap_at_far_end:
         # relabel from the far end; left and right swap roles
         u, l = list(reversed(u)), list(reversed(l))
-        right_to_left = not right_to_left
     fwd = left_to_canonical_moves(u, l, cap) + \
         reverse_moves(right_to_canonical_moves(u, l, cap))
-    return reverse_moves(fwd) if right_to_left else fwd
+    return reverse_moves(fwd) if cap_at_far_end else fwd
 
 
 def channel_triangulations(ch: Channel, cap_near: Optional[Point2] = None,

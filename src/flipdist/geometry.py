@@ -3,11 +3,12 @@
 Every predicate here is decided by an integer or rational sign computation;
 there is no floating point anywhere.  The kernel predicates (`orientation`,
 `on_segment`, `segments_properly_cross`, `segments_share_interior`,
-`point_in_cycle`, `angular_key`) read points as plain `(x, y)` pairs by
-index, so one implementation serves both coordinate types: `Point2` values
-with `fractions.Fraction` coordinates, and the integer-grid tuples that the
-triangulation domains scale their points to.  Constructions stay
-error-free, and their bit growth can be audited with `coord_bits`.
+`point_in_cycle`, `angular_key`) and the segment sweep `touching_pairs` read
+points as plain `(x, y)` pairs by index, so one implementation serves both
+coordinate types: `Point2` values with `fractions.Fraction` coordinates, and
+the integer-grid tuples that the triangulation domains scale their points to.
+Constructions stay error-free, and their bit growth can be audited with
+`coord_bits`.
 """
 
 from __future__ import annotations
@@ -110,6 +111,37 @@ def segments_share_interior(a, b, c, d) -> bool:
     return o1 == o2 == o3 == o4 == 0 and _collinear_overlap(a, b, c, d)
 
 
+def touching_pairs(points, segments) -> list[tuple[int, int]]:
+    """Every index pair i < j, sorted, for which `segments_share_interior`
+    holds on segments[i] and segments[j].
+
+    A segment is a `(u, v)` pair of keys into `points`, a list or a dict.
+    A sweep over the segments' x-extents, with a y-extent filter, limits
+    the exact test to pairs whose bounding boxes meet.
+    """
+    boxes = []
+    for u, v in segments:
+        (x1, y1), (x2, y2) = points[u], points[v]
+        boxes.append((min(x1, x2), max(x1, x2), min(y1, y2), max(y1, y2)))
+    order = sorted(range(len(segments)), key=lambda i: boxes[i][0])
+    pairs = []
+    for k, i in enumerate(order):
+        _, x_hi, y_lo, y_hi = boxes[i]
+        for j in order[k + 1:]:
+            box = boxes[j]
+            if box[0] > x_hi:
+                break
+            if box[3] < y_lo or box[2] > y_hi:
+                continue
+            lo, hi = (i, j) if i < j else (j, i)
+            (a, b), (c, d) = segments[lo], segments[hi]
+            if segments_share_interior(points[a], points[b],
+                                       points[c], points[d]):
+                pairs.append((lo, hi))
+    pairs.sort()
+    return pairs
+
+
 def point_in_cycle(q, cycle) -> int:
     """Locate q in the polygon whose vertices `cycle` lists in order.
 
@@ -187,9 +219,6 @@ class HalfPlane(NamedTuple):
         v = self.value(p)
         return v > 0 if self.strict else v >= 0
 
-    def boundary_contains(self, p: Point2) -> bool:
-        return self.value(p) == 0
-
     def normalized(self) -> "HalfPlane":
         """Divide out the content so equal half-planes compare equal."""
         nums = [self.a.numerator, self.b.numerator, self.c.numerator]
@@ -205,8 +234,8 @@ class HalfPlane(NamedTuple):
 
 
 def halfplane_through(p: Point2, q: Point2, inside: Point2,
-                      strict: bool = True, contains_inside: bool = True) -> HalfPlane:
-    """Half-plane bounded by line pq, oriented by a sample point.
+                      contains_inside: bool = True) -> HalfPlane:
+    """Open half-plane bounded by line pq, oriented by a sample point.
 
     With contains_inside=True the half-plane contains `inside`; otherwise it is
     the opposite side.  `inside` must be strictly off the line.
@@ -214,12 +243,12 @@ def halfplane_through(p: Point2, q: Point2, inside: Point2,
     a = -(q.y - p.y)
     b = q.x - p.x
     c = -(a * p.x + b * p.y)
-    h = HalfPlane(a, b, c, strict)
+    h = HalfPlane(a, b, c)
     v = h.value(inside)
     if v == 0:
         raise ValueError("sample point lies on the boundary line")
     if (v > 0) != contains_inside:
-        h = HalfPlane(-a, -b, -c, strict)
+        h = HalfPlane(-a, -b, -c)
     return h
 
 

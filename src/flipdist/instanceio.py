@@ -158,6 +158,8 @@ def script_dumps(script) -> str:
 
 def script_from_dict(data: dict):
     moves = tuple(FlipMove(edge(*r), edge(*i)) for r, i in data["moves"])
+    if not isinstance(data["start"], str):
+        raise ValidationError("script start must be a canonical key string")
     return FlipScript(data["start"].encode("ascii"), moves)
 
 

@@ -26,8 +26,7 @@ from .gadgets import (Channel, ChannelStub, VertexGadget, blocking_set,
                       reverse_moves, right_edges)
 from .geometry import (ConvexRegion, HalfPlane, Point2, angular_key,
                        coord_bits, halfplane_through, interior_point,
-                       orientation, polygon_signed_area2,
-                       segments_share_interior)
+                       orientation, polygon_signed_area2, touching_pairs)
 from .instanceio import InstanceDoc
 from .search import FlipScript
 from .triangulation import (Edge, FlipMove, PolygonalRegion, PointSet,
@@ -328,17 +327,13 @@ def _place_chain(pos, edges, v, u_prev, u_next, u_in, t, next_id, pre_sharp):
 def _chain_audit(pos, new_pos, new_edges, touched, pre_sharp) -> bool:
     allpos = {**{k: v for k, v in pos.items() if k != touched[0]}, **new_pos}
     new_ids = set(new_pos)
-    check = [e for e in new_edges if new_ids & set(e)]
-    for e in check:
-        a, b = e
-        for f in new_edges:
-            if f == e or set(e) & set(f):
-                continue
-            if segments_share_interior(allpos[a], allpos[b],
-                                       allpos[f[0]], allpos[f[1]]):
-                return False
+    segs = sorted(new_edges)
+    for i, j in touching_pairs(allpos, segs):
+        e, f = set(segs[i]), set(segs[j])
+        if new_ids & (e | f) and not e & f:
+            return False
     # the chain must be non-sharp and no neighbor may become newly sharp
-    probe = PlanarGraphDrawing(pos=allpos, edges=sorted(new_edges), outer_face=[])
+    probe = PlanarGraphDrawing(pos=allpos, edges=segs, outer_face=[])
     bad = set(probe.sharp_vertices())
     if bad & new_ids:
         return False
@@ -346,16 +341,10 @@ def _chain_audit(pos, new_pos, new_edges, touched, pre_sharp) -> bool:
 
 
 def _audit_plane(drawing: PlanarGraphDrawing):
-    pts = drawing.pos
     es = drawing.edges
-    for i in range(len(es)):
-        a, b = es[i]
-        for j in range(i + 1, len(es)):
-            c, d = es[j]
-            if set((a, b)) & set((c, d)):
-                continue
-            if segments_share_interior(pts[a], pts[b], pts[c], pts[d]):
-                raise ValidationError(f"drawing edges {es[i]} and {es[j]} cross")
+    for i, j in touching_pairs(drawing.pos, es):
+        if not set(es[i]) & set(es[j]):
+            raise ValidationError(f"drawing edges {es[i]} and {es[j]} cross")
 
 
 # ---------------------------------------------------------------------------
@@ -471,32 +460,35 @@ class ReductionInstance:
         meta = doc.gadget_metadata
         if meta is None:
             raise ValidationError("instance carries no gadget metadata")
-        channels = {}
-        for c in meta["channels"]:
-            key = tuple(c["edge"])
-            channels[key] = ChannelRecord(
-                key=key,
-                upper=list(c["upper"]),
-                lower=list(c["lower"]),
-                gates={int(v): tuple(g) for v, g in c["gates"].items()},
-                caps={int(v): cap for v, cap in c["caps"].items()},
-                cap_scripts={
-                    int(v): [FlipMove(edge(*r), edge(*i)) for r, i in ms]
-                    for v, ms in c["cap_scripts"].items()
-                },
-                blocking={
-                    int(v): frozenset(edge(*e) for e in bl)
-                    for v, bl in c["blocking"].items()
-                },
-            )
-        gadgets = {}
-        for g in meta["gadgets"]:
-            gadgets[g["vertex"]] = GadgetRecord(
-                vertex=g["vertex"], degree=g["degree"],
-                points=dict(g["points"]),
-                lock=edge(*g["lock"]),
-                unlock_insert=edge(*g["unlock_insert"]),
-            )
+        try:
+            channels = {}
+            for c in meta["channels"]:
+                key = tuple(c["edge"])
+                channels[key] = ChannelRecord(
+                    key=key,
+                    upper=list(c["upper"]),
+                    lower=list(c["lower"]),
+                    gates={int(v): tuple(g) for v, g in c["gates"].items()},
+                    caps={int(v): cap for v, cap in c["caps"].items()},
+                    cap_scripts={
+                        int(v): [FlipMove(edge(*r), edge(*i)) for r, i in ms]
+                        for v, ms in c["cap_scripts"].items()
+                    },
+                    blocking={
+                        int(v): frozenset(edge(*e) for e in bl)
+                        for v, bl in c["blocking"].items()
+                    },
+                )
+            gadgets = {}
+            for g in meta["gadgets"]:
+                gadgets[g["vertex"]] = GadgetRecord(
+                    vertex=g["vertex"], degree=g["degree"],
+                    points=dict(g["points"]),
+                    lock=edge(*g["lock"]),
+                    unlock_insert=edge(*g["unlock_insert"]),
+                )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"bad gadget metadata: {exc!r}") from exc
         acc = doc.accounting or {}
         t1, t2 = doc.pair
         return cls(region=doc.domain, t1=t1, t2=t2, channels=channels,
@@ -585,8 +577,7 @@ def _line_intersection_points(p1: Point2, d1: Point2,
 
 
 def build_instance(drawing: PlanarGraphDrawing, k_input: int,
-                   t_outer: int = 0, validate_instance: bool = True
-                   ) -> ReductionInstance:
+                   t_outer: int = 0) -> ReductionInstance:
     """Assemble the polygonal region, T1 (all channels left-inclined) and T2
     (all right-inclined) for a drawing with degrees in {2, 3} and no sharp
     vertices."""
@@ -713,7 +704,7 @@ def build_instance(drawing: PlanarGraphDrawing, k_input: int,
         channel_obj[(u, w)] = ch
 
     return _assemble(drawing, gadget_obj, channel_obj, gate_pts,
-                     k_input, t_outer, validate_instance)
+                     k_input, t_outer)
 
 
 def _channel_mouth_audit(ch: Channel, key, gadget_obj, gate_pts, drawing) -> bool:
@@ -746,8 +737,7 @@ def _channel_mouth_audit(ch: Channel, key, gadget_obj, gate_pts, drawing) -> boo
     return True
 
 
-def _assemble(drawing, gadget_obj, channel_obj, gate_pts, k_input, t_outer,
-              validate_instance):
+def _assemble(drawing, gadget_obj, channel_obj, gate_pts, k_input, t_outer):
     points: list[Point2] = []
     index: dict = {}
 
@@ -857,13 +847,12 @@ def _assemble(drawing, gadget_obj, channel_obj, gate_pts, k_input, t_outer,
 
     inst = ReductionInstance(region=region, t1=t1, t2=t2, channels=channels,
                              gadgets=gadgets, k_input=k_input, t_outer=t_outer)
-    if validate_instance:
-        for name, t in (("t1", t1), ("t2", t2)):
-            rep = validate(t)
-            if not rep.ok:
-                raise ValidationError(
-                    f"{name} is not a valid triangulation: {rep.violations[:3]}")
-        _blocking_audit(inst)
+    for name, t in (("t1", t1), ("t2", t2)):
+        rep = validate(t)
+        if not rep.ok:
+            raise ValidationError(
+                f"{name} is not a valid triangulation: {rep.violations[:3]}")
+    _blocking_audit(inst)
     return inst
 
 

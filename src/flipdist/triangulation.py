@@ -8,13 +8,13 @@ integer tuples, which keeps exactness and makes validation and search cheap.
 
 from __future__ import annotations
 
-import functools
 from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import DomainMismatchError, IllegalFlipError, ValidationError
-from .geometry import (Point2, on_segment, orientation, point_in_cycle,
-                       polygon_signed_area2, segments_share_interior)
+from .geometry import (Point2, angular_key, on_segment, orientation,
+                       point_in_cycle, polygon_signed_area2,
+                       segments_share_interior, touching_pairs)
 
 Edge = tuple[int, int]
 Triangle = tuple[int, int, int]
@@ -144,23 +144,18 @@ class PolygonalRegion(_DomainBase):
             if polygon_signed_area2([self.points[i] for i in h]) >= 0:
                 raise ValidationError("hole boundaries must be clockwise")
         cycles = [list(self.outer)] + [list(h) for h in self.poly_holes]
-        segs = []
-        for c in cycles:
-            for i in range(len(c)):
-                segs.append((c[i], c[(i + 1) % len(c)]))
+        segs = [(c[i], c[(i + 1) % len(c)]) for c in cycles for i in range(len(c))]
         ip = self.ipoints
-        for i in range(len(segs)):
-            a, b = segs[i]
-            for j in range(i + 1, len(segs)):
-                c, d = segs[j]
-                shared = len({a, b} & {c, d})
-                if shared == 2:
-                    raise ValidationError(f"duplicate boundary edge {(a, b)}")
-                if segments_share_interior(ip[a], ip[b], ip[c], ip[d]):
-                    raise ValidationError(
-                        f"boundary edges {(a, b)} and {(c, d)} intersect")
+        # indices are unique and cycles have 3+ vertices, so no two boundary
+        # edges coincide; a cycle vertex inside a boundary edge makes its own
+        # edges touch that edge, so only point holes need the point scan
+        touching = touching_pairs(ip, segs)
+        if touching:
+            i, j = touching[0]
+            raise ValidationError(
+                f"boundary edges {segs[i]} and {segs[j]} intersect")
         for a, b in segs:
-            for k in range(len(self.points)):
+            for k in sorted(self.point_holes):
                 if on_segment(ip[k], ip[a], ip[b], closed=False):
                     raise ValidationError(f"point {k} lies on boundary edge {(a, b)}")
         outer2 = [self.ipoints2[i] for i in self.outer]
@@ -307,22 +302,10 @@ def _sorted_rotations(domain, edges) -> dict[int, list[int]]:
 
     def around(v):
         vx, vy = ip[v]
+        # overlapping directions fall back to the neighbour index
+        return lambda w: (angular_key((ip[w][0] - vx, ip[w][1] - vy)), w)
 
-        def cmp(w1, w2):
-            d1 = (ip[w1][0] - vx, ip[w1][1] - vy)
-            d2 = (ip[w2][0] - vx, ip[w2][1] - vy)
-            h1 = 0 if (d1[1] > 0 or (d1[1] == 0 and d1[0] > 0)) else 1
-            h2 = 0 if (d2[1] > 0 or (d2[1] == 0 and d2[0] > 0)) else 1
-            if h1 != h2:
-                return h1 - h2
-            cr = d1[0] * d2[1] - d1[1] * d2[0]
-            if cr != 0:
-                return -1 if cr > 0 else 1
-            return w1 - w2  # overlapping directions: deterministic fallback
-        return cmp
-
-    return {v: sorted(ws, key=functools.cmp_to_key(around(v)))
-            for v, ws in adj.items()}
+    return {v: sorted(ws, key=around(v)) for v, ws in adj.items()}
 
 
 def walk_faces(rotation, edges) -> list[list[int]]:
@@ -525,28 +508,15 @@ def validate(t: Triangulation) -> ValidationReport:
         if e not in domain.mandatory_edges and not domain.segment_inside(*e):
             report.add(f"edge {e} does not lie inside the domain")
 
-    # pairwise proper crossings, bounding-box prefiltered
-    ip = domain.ipoints
-    non_boundary = sorted(t.edges - domain.mandatory_edges)
+    # boundary edges never touch one another (the domain checked that), so
+    # every touching pair names a non-boundary edge; it is reported first
     all_edges = sorted(t.edges)
-    boxes = {}
-    for e in all_edges:
-        (x1, y1), (x2, y2) = ip[e[0]], ip[e[1]]
-        boxes[e] = (min(x1, x2), max(x1, x2), min(y1, y2), max(y1, y2))
-    by_minx = sorted(all_edges, key=lambda e: boxes[e][0])
-    for e in non_boundary:
-        ex0, ex1, ey0, ey1 = boxes[e]
-        for f in by_minx:
-            fb = boxes[f]
-            if fb[0] > ex1:
-                break
-            # a pair of non-boundary edges is tested from its smaller edge
-            if (f <= e and f not in domain.mandatory_edges) or fb[1] < ex0 \
-                    or fb[2] > ey1 or fb[3] < ey0:
-                continue
-            if segments_share_interior(ip[e[0]], ip[e[1]], ip[f[0]], ip[f[1]]):
-                report.add(f"edges {e} and {f} "
-                           f"{'overlap' if {*e} & {*f} else 'cross'}")
+    for i, j in touching_pairs(domain.ipoints, all_edges):
+        e, f = all_edges[i], all_edges[j]
+        if e in domain.mandatory_edges:
+            e, f = f, e
+        report.add(f"edges {e} and {f} "
+                   f"{'overlap' if {*e} & {*f} else 'cross'}")
 
     if len(t.edges) != domain.expected_edge_count:
         report.add(f"edge count {len(t.edges)} != maximal count "

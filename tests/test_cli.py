@@ -258,3 +258,27 @@ def test_malformed_indices_exit_2(tmp_path, capsys, bad):
     assert main(["distance", "--instance", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_script_with_non_string_start_exits_2(tmp_path, capsys):
+    doc = channel_instance_doc()
+    doc.gadget_metadata = {"channels": [], "gadgets": []}
+    inst = tmp_path / "inst.json"
+    instanceio.save(doc, inst)
+    script = write(tmp_path / "script.json", json.dumps({"start": 5, "moves": []}))
+    assert main(["verify", "--instance", str(inst), "--script", script]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["script", "verify"])
+def test_empty_gadget_metadata_exits_2(tmp_path, capsys, command):
+    doc = channel_instance_doc()
+    doc.gadget_metadata = {}
+    inst = tmp_path / "inst.json"
+    instanceio.save(doc, inst)
+    other = {"script": ["--out", str(tmp_path / "out.json")],
+             "verify": ["--script", write(tmp_path / "s.json", "{}")]}[command]
+    assert main([command, "--instance", str(inst), *other]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err

@@ -2,13 +2,14 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from flipdist.errors import EmptyRegionError
 from flipdist.geometry import (
     CCW, COLLINEAR, CW, HalfPlane, Point2, coord_bits, halfplane_intersection,
     halfplane_through, interior_point, is_strictly_convex_quad, on_segment,
     orientation, pt, segments_properly_cross, segments_share_interior,
+    touching_pairs,
 )
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=64)
@@ -53,6 +54,33 @@ def test_kernel_agrees_on_point2_and_grid_tuples(a, b, c, d):
         segments_share_interior(ia, ib, ic, id_)
     assert segments_properly_cross(a, b, c, d) == \
         segments_properly_cross(ia, ib, ic, id_)
+
+
+@st.composite
+def grid_segments(draw):
+    """Points of a 4x4 integer grid and segments between them; collinear
+    points, shared endpoints and repeated segments are common."""
+    pts = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                        min_size=2, max_size=8, unique=True))
+    index = st.integers(0, len(pts) - 1)
+    segs = draw(st.lists(st.tuples(index, index).filter(lambda s: s[0] != s[1]),
+                         max_size=12))
+    return pts, segs
+
+
+@given(grid_segments())
+@example(([(0, 0), (2, 0), (1, 0), (3, 0), (1, 1)],
+          [(0, 1), (2, 3), (0, 1), (1, 0), (0, 2), (4, 2), (2, 4)]))
+def test_touching_pairs_matches_all_pairs(case):
+    pts, segs = case
+    brute = [(i, j) for i in range(len(segs)) for j in range(i + 1, len(segs))
+             if segments_share_interior(pts[segs[i][0]], pts[segs[i][1]],
+                                        pts[segs[j][0]], pts[segs[j][1]])]
+    assert touching_pairs(pts, segs) == brute
+    # the same segments over a dict of rational points, keyed by label
+    by_label = {f"p{k}": pt(Fraction(x, 3), Fraction(y, 3))
+                for k, (x, y) in enumerate(pts)}
+    assert touching_pairs(by_label, [(f"p{u}", f"p{v}") for u, v in segs]) == brute
 
 
 def test_segments_properly_cross():

@@ -1,11 +1,14 @@
-"""No flipdist module imports an underscore-prefixed name from another.
+"""No flipdist module imports an underscore-prefixed name from another,
+and every function, class and method of flipdist is used somewhere.
 
 Private names stay inside their module, so shared helpers such as the
 exact geometry predicates live behind one public interface and cannot be
-split into per-module copies again.
+split into per-module copies again; a definition that nothing in `src/`,
+`tests/` or `perfbench/` names is dead code.
 """
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "flipdist"
@@ -25,3 +28,41 @@ def test_modules_import_no_private_names():
     modules = sorted(SRC.glob("*.py"))
     assert modules
     assert [hit for m in modules for hit in private_imports(m)] == []
+
+
+ROOT = SRC.parent.parent
+NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
+
+
+def definitions(path: Path) -> list[tuple[str, int]]:
+    """Functions, classes and methods defined in a module, dunders excepted."""
+    return [(node.name, node.lineno)
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
+def references(path: Path) -> set[str]:
+    """Names a file uses: identifiers, attributes, imported names and the
+    parts of dotted name strings (`"Class.method"`)."""
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and NAME.fullmatch(node.value):
+            found.update(node.value.split("."))
+    return found
+
+
+def test_every_definition_is_referenced():
+    used = set().union(*(references(p) for d in ("src", "tests", "perfbench")
+                         for p in sorted((ROOT / d).rglob("*.py"))))
+    unused = [f"{m.name}:{line} {name}" for m in sorted(SRC.glob("*.py"))
+              for name, line in definitions(m) if name not in used]
+    assert unused == []

@@ -199,6 +199,28 @@ def test_region_rejects_bad_structure():
             [0, 1, 2, 3], holes=[[4]])
 
 
+SQUARE = [pt(0, 0), pt(4, 0), pt(4, 4), pt(0, 4)]
+
+
+@pytest.mark.parametrize("extra, holes, message", [
+    # a hole crossing outer edge (1, 2) twice: the smallest pair is named
+    ([pt(3, 1), pt(3, 3), pt(5, 2)], [[4, 5, 6]],
+     "boundary edges (1, 2) and (5, 6) intersect"),
+    # a hole reusing outer edge (0, 1): repeated indices are caught first,
+    # so a duplicate boundary edge never reaches the pairwise test
+    ([pt(2, 2)], [[1, 0, 4]], "index 1 used twice on boundaries"),
+    # a hole vertex inside outer edge (1, 2): its hole edges touch that edge
+    ([pt(4, 2), pt(2, 1), pt(2, 3)], [[4, 5, 6]],
+     "boundary edges (1, 2) and (4, 5) intersect"),
+    # point holes on outer edge (0, 1): the smallest index is named
+    ([pt(3, 0), pt(1, 0)], [[5], [4]], "point 4 lies on boundary edge (0, 1)"),
+])
+def test_region_error_messages(extra, holes, message):
+    with pytest.raises(ValidationError) as exc:
+        PolygonalRegion(SQUARE + extra, [0, 1, 2, 3], holes)
+    assert str(exc.value) == message
+
+
 def left_small_channel():
     return channel_triangulations(small_channel())[1]
 
