@@ -3,12 +3,12 @@
 Every predicate here is decided by an integer or rational sign computation;
 there is no floating point anywhere.  The kernel predicates (`orientation`,
 `on_segment`, `segments_properly_cross`, `segments_share_interior`,
-`point_in_cycle`, `angular_key`) and the segment sweep `touching_pairs` read
-points as plain `(x, y)` pairs by index, so one implementation serves both
-coordinate types: `Point2` values with `fractions.Fraction` coordinates, and
-the integer-grid tuples that the triangulation domains scale their points to.
-Constructions stay error-free, and their bit growth can be audited with
-`coord_bits`.
+`point_in_cycle`, `angular_key`), the segment sweep `touching_pairs` and
+`polygon_signed_area2` read points as plain `(x, y)` pairs by index, so one
+implementation serves both coordinate types: `Point2` values with
+`fractions.Fraction` coordinates, and the integer-grid tuples that the
+triangulation domains scale their points to.  Constructions stay
+error-free, and their bit growth can be audited with `coord_bits`.
 """
 
 from __future__ import annotations
@@ -186,12 +186,15 @@ def is_strictly_convex_quad(a: Point2, b: Point2, c: Point2, d: Point2) -> bool:
     return signs == {CCW} or signs == {CW}
 
 
-def polygon_signed_area2(points: Sequence[Point2]) -> Fraction:
-    """Twice the signed area; positive for counterclockwise cycles."""
-    total = Fraction(0)
+def polygon_signed_area2(points):
+    """Twice the signed area of the polygon `points` lists in order as
+    `(x, y)` pairs; positive for counterclockwise cycles.  Exact: an integer
+    on grid tuples, a Fraction on `Point2` values."""
+    total = 0
     n = len(points)
     for i in range(n):
-        total += points[i].cross(points[(i + 1) % n])
+        (x1, y1), (x2, y2) = points[i], points[(i + 1) % n]
+        total += x1 * y2 - y1 * x2
     return total
 
 

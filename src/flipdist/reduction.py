@@ -489,11 +489,46 @@ class ReductionInstance:
                 )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad gadget metadata: {exc!r}") from exc
+        _check_metadata(channels, gadgets, len(doc.domain.points))
         acc = doc.accounting or {}
         t1, t2 = doc.pair
         return cls(region=doc.domain, t1=t1, t2=t2, channels=channels,
                    gadgets=gadgets, k_input=acc.get("k_input", 0),
                    t_outer=acc.get("t_outer", 0))
+
+
+def _check_metadata(channels: dict[tuple[int, int], ChannelRecord],
+                    gadgets: dict[int, GadgetRecord], n_points: int) -> None:
+    """Cross-check loaded gadget metadata: every channel end has a gadget
+    record, every per-end record is keyed by an end of its channel, and
+    every point index is in range."""
+    def in_range(owner, indices):
+        for i in indices:
+            if type(i) is not int or not 0 <= i < n_points:
+                raise ValidationError(
+                    f"bad gadget metadata: {owner} names point {i!r}, "
+                    f"not one of the {n_points} points")
+
+    for key, rec in channels.items():
+        for v in key:
+            if v not in gadgets:
+                raise ValidationError(f"bad gadget metadata: channel {key} "
+                                      f"ends at {v!r}, which has no gadget")
+        for name in ("gates", "caps", "cap_scripts", "blocking"):
+            for v in getattr(rec, name):
+                if v not in key:
+                    raise ValidationError(
+                        f"bad gadget metadata: channel {key} has {name} "
+                        f"for {v}, which is not one of its ends")
+        in_range(f"channel {key}", [
+            *rec.upper, *rec.lower, *rec.caps.values(),
+            *(i for g in rec.gates.values() for i in g),
+            *(i for ms in rec.cap_scripts.values() for m in ms
+              for e in m for i in e),
+            *(i for bl in rec.blocking.values() for e in bl for i in e)])
+    for v, g in gadgets.items():
+        in_range(f"gadget {v!r}",
+                 [*g.points.values(), *g.lock, *g.unlock_insert])
 
 
 def instance_coord_bits(domain) -> int:

@@ -282,3 +282,46 @@ def test_empty_gadget_metadata_exits_2(tmp_path, capsys, command):
     assert main([command, "--instance", str(inst), *other]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def c3_files(tmp_path, capsys):
+    """A C3 reduction instance and a script for its cover {0, 1}."""
+    g = write(tmp_path / "c3.txt", C3_GRAPH)
+    inst, script = tmp_path / "inst.json", tmp_path / "script.json"
+    assert main(["reduce", "--graph", g, "--k", "2", "--out", str(inst)]) == 0
+    assert main(["script", "--instance", str(inst), "--cover", "0,1",
+                 "--out", str(script)]) == 0
+    capsys.readouterr()
+    return inst, script
+
+
+def no_gadgets(meta):
+    meta["gadgets"] = []
+
+
+def far_upper_point(meta):
+    meta["channels"][0]["upper"][0] = 1000000
+
+
+def cap_at_other_vertex(meta):
+    caps = meta["channels"][0]["caps"]
+    caps["7"] = caps.pop(next(iter(caps)))
+
+
+@pytest.mark.parametrize("command", ["script", "verify"])
+@pytest.mark.parametrize("corrupt, message", [
+    (no_gadgets, "has no gadget"),
+    (far_upper_point, "names point 1000000"),
+    (cap_at_other_vertex, "has caps for 7"),
+])
+def test_inconsistent_gadget_metadata_exits_2(tmp_path, capsys, command,
+                                              corrupt, message):
+    inst, script = c3_files(tmp_path, capsys)
+    data = json.loads(inst.read_text())
+    corrupt(data["gadget_metadata"])
+    inst.write_text(json.dumps(data))
+    other = {"script": ["--cover", "0,1", "--out", str(tmp_path / "out.json")],
+             "verify": ["--script", str(script)]}[command]
+    assert main([command, "--instance", str(inst), *other]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad gadget metadata:") and message in err

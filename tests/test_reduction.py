@@ -19,13 +19,6 @@ PRISM_EDGES = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
 
 
 @pytest.fixture(scope="module")
-def c3_instance():
-    pos = {0: pt(0, 0), 1: pt(1200, 0), 2: pt(600, 1000)}
-    d = drawing_from_coords(pos, [(0, 1), (1, 2), (0, 2)])
-    return build_instance(d, k_input=2, t_outer=0)
-
-
-@pytest.fixture(scope="module")
 def k4_instance():
     d = convex_drawing([0, 1, 2, 3], K4_EDGES, outer=[0, 1, 2])
     d2, t = eliminate_sharp(d)

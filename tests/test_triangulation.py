@@ -1,17 +1,21 @@
 import random
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flipdist.errors import DomainMismatchError, IllegalFlipError, ValidationError
 from flipdist.gadgets import build_channel, channel_region, channel_triangulations
 from flipdist.geometry import pt
+from flipdist.reduction import region_to_pointset
 from flipdist.search import enumerate_flip_graph
 from flipdist.triangulation import (
     FlipMove, PointSet, PolygonalRegion, Triangulation, derive_triangles,
     ear_clip_triangulation, edge, edge_difference, validate,
 )
 from flipdist import instanceio
+from oracles import validate_by_segments
 
 
 def convex_polygon_region(n):
@@ -292,6 +296,138 @@ def test_flip_graph_matches_closure_oracle(seed):
         assert rep.canonical_key() == key and rep.edges == nodes[key]
         assert rep.triangles == derive_triangles(t.domain, rep.edges)
         assert validate(rep).ok
+
+
+@pytest.fixture(scope="module")
+def differential_seeds(c3_instance):
+    """Valid triangulations to mutate: the small seeds, a point set with
+    interior points, and the C3 reduction's region (three channels) and
+    its point set."""
+    seeds = {s.__name__: s() for s, _, _ in SMALL_SEEDS}
+    seeds["square_with_interior_points"] = square_with_interior_points()
+    seeds["c3_region"] = c3_instance.t1
+    seeds["c3_pointset"] = region_to_pointset(c3_instance, multiplicity=1).t1
+    return seeds
+
+
+def mutated(data, t):
+    """`t` after up to five random flips, with one to three edges then
+    swapped, added or dropped; a swap removes a non-boundary edge when there
+    is one.  A new segment is the other diagonal of the quadrilateral around
+    the chosen edge (a flip when the quadrilateral is convex, else a segment
+    outside the domain or across other edges), joins an end of that edge to
+    a vertex two steps away, or joins any two points."""
+    for _ in range(data.draw(st.integers(0, 5), label="flips")):
+        moves = t.legal_flips()
+        if moves:
+            t = t.apply_flip(data.draw(st.sampled_from(moves)))
+    apexes = t.edge_apexes()
+    nbrs = defaultdict(set)
+    for u, v in t.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    n = len(t.domain.points)
+    inner = sorted(t.edges - t.domain.mandatory_edges)
+    edges = set(t.edges)
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        kind = data.draw(st.sampled_from(["swap", "add", "drop"]))
+        u, v = data.draw(st.sampled_from(
+            inner if kind == "swap" and inner else sorted(t.edges)))
+        if kind != "add":
+            edges.discard((u, v))
+        if kind != "drop":
+            two_steps = sorted({w for x in nbrs[u] for w in nbrs[x]} - {u})
+            choices = [
+                st.sampled_from(two_steps).map(lambda w: edge(u, w)),
+                st.tuples(st.integers(0, n - 1), st.integers(1, n - 1))
+                .map(lambda p: edge(p[0], (p[0] + p[1]) % n))]
+            if len(apexes[(u, v)]) == 2:
+                choices.insert(0, st.just(edge(*apexes[(u, v)])))
+            edges.add(data.draw(st.one_of(choices)))
+    return Triangulation(t.domain, edges)
+
+
+@pytest.mark.parametrize("seed", [s.__name__ for s, _, _ in SMALL_SEEDS]
+                         + ["square_with_interior_points", "c3_region",
+                            "c3_pointset"])
+@settings(max_examples=40)
+@given(data=st.data())
+def test_certificate_matches_segment_oracle(differential_seeds, seed, data):
+    t = mutated(data, differential_seeds[seed])
+    fast, slow = validate(t), validate_by_segments(t)
+    assert fast.ok == slow.ok, (fast.violations, slow.violations)
+    assert fast.ok == (fast.violations == [])
+    assert slow.ok == (slow.violations == [])
+
+
+def swapped(t, removed, inserted):
+    return Triangulation(t.domain, (t.edges - {removed}) | {inserted})
+
+
+def collinear_point_set():
+    # interior points 3 and 4 lie on the segment from 0 to 4
+    ps = PointSet([pt(0, 0), pt(6, 0), pt(3, 6), pt(1, 1), pt(2, 2)])
+    t = Triangulation(ps, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (1, 3),
+                           (1, 4), (2, 4), (2, 3)])
+    assert validate(t).ok
+    return swapped(t, (0, 3), (0, 4))
+
+
+def edge_through_hole():
+    # a square annulus; the hole's diagonal replaces a spoke
+    region = PolygonalRegion(
+        [pt(0, 0), pt(6, 0), pt(6, 6), pt(0, 6),
+         pt(2, 2), pt(2, 4), pt(4, 4), pt(4, 2)],
+        [0, 1, 2, 3], holes=[[4, 5, 6, 7]])
+    t = Triangulation(region, list(region.mandatory_edges) + [
+        (0, 4), (0, 7), (1, 7), (1, 6), (2, 6), (2, 5), (3, 5), (3, 4)])
+    assert validate(t).ok
+    return swapped(t, (0, 7), (4, 6))
+
+
+def edge_across_pocket():
+    # hexagon with reflex vertex 2: segment (1, 3) runs outside, past it
+    region = PolygonalRegion(
+        [pt(0, 0), pt(6, 0), pt(5, 4), pt(6, 8), pt(0, 8), pt(-2, 4)],
+        list(range(6)))
+    t = Triangulation(region, list(region.mandatory_edges)
+                      + [(0, 2), (0, 3), (0, 4)])
+    assert validate(t).ok
+    return swapped(t, (0, 2), (1, 3))
+
+
+def collinear_overlap():
+    ps = PointSet([pt(0, 0), pt(2, 0), pt(4, 0), pt(0, 4)])
+    return Triangulation(ps, [(0, 1), (1, 2), (0, 3), (2, 3), (0, 2)])
+
+
+def fan_with_clockwise_triangle():
+    # the fan from vertex 1 of the reflex quad: its triangle (1, 2, 3) is
+    # clockwise and the unbounded face is the triangle (0, 1, 3), so every
+    # count holds and only the side and area checks see it
+    t = reflex_quad()
+    return swapped(t, (0, 2), (1, 3))
+
+
+@pytest.mark.parametrize("make", [collinear_point_set, edge_through_hole,
+                                  edge_across_pocket, collinear_overlap,
+                                  fan_with_clockwise_triangle])
+def test_both_validators_reject(make):
+    t = make()
+    assert not validate(t).ok
+    assert not validate_by_segments(t).ok
+
+
+def test_clockwise_fan_fails_only_the_certificate():
+    t = fan_with_clockwise_triangle()
+    assert validate_by_segments(t).violations == \
+        ["edge (1, 3) does not lie inside the domain"]
+    assert validate(t).violations == [
+        "boundary edge (1, 2) has its triangle outside the domain",
+        "boundary edge (2, 3) has its triangle outside the domain",
+        "both triangles of edge (1, 3) lie on one side of it",
+        "triangles cover twice-area 24, the domain 8",
+    ]
 
 
 def test_instance_roundtrip_bytes_identical(tmp_path):
