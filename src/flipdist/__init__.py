@@ -8,9 +8,8 @@ from .errors import (CapExceededError, DomainMismatchError,
                      InvalidOuterFaceError, Not3ConnectedError, NotACoverError,
                      NotPlanarError, SharpVertexError, ValidationError)
 from .geometry import (CCW, COLLINEAR, CW, ConvexRegion, HalfPlane, Point2,
-                       Rational, coord_bits, halfplane_intersection,
-                       interior_point, is_strictly_convex_quad, orientation,
-                       pt, segments_properly_cross)
+                       coord_bits, interior_point, is_strictly_convex_quad,
+                       orientation, pt, segments_properly_cross)
 from .triangulation import (FlipMove, PointSet, PolygonalRegion, Triangulation,
                             edge, edge_difference, validate)
 from .search import (FlipScript, SearchResult, bfs_distance,

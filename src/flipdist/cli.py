@@ -11,7 +11,8 @@ import json
 import sys
 
 from . import instanceio
-from .errors import CapExceededError, FlipdistError, NotACoverError
+from .errors import (CapExceededError, FlipdistError, NotACoverError,
+                     ValidationError)
 from .reduction import (ReductionInstance, audit_script, build_instance,
                         convex_drawing, cover_to_script, drawing_from_coords,
                         eliminate_sharp, region_to_pointset)
@@ -126,7 +127,11 @@ def cmd_script(args) -> int:
     doc = instanceio.load(args.instance)
     inst = ReductionInstance.from_doc(doc)
     if args.cover is not None:
-        cover = {int(x) for x in args.cover.split(",") if x.strip() != ""}
+        try:
+            cover = {int(x) for x in args.cover.split(",") if x.strip() != ""}
+        except ValueError:
+            raise ValidationError(
+                f"--cover must list vertex ids, got {args.cover!r}") from None
     else:
         g = Graph(inst.graph_vertices, inst.graph_edges)
         _, cover = exact_vc(g)

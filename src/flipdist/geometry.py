@@ -9,17 +9,19 @@ implementation serves both coordinate types: `Point2` values with
 `fractions.Fraction` coordinates, and the integer-grid tuples that the
 triangulation domains scale their points to.  Constructions stay
 error-free, and their bit growth can be audited with `coord_bits`.
+
+Feasible regions are intersections of open half-planes only: a
+`ConvexRegion` is decided by one Fourier-Motzkin pass, and `interior_point`
+picks a deterministic point strictly inside it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import EmptyRegionError
-
-Rational = Fraction
 
 CW = -1
 COLLINEAR = 0
@@ -208,23 +210,20 @@ def coord_bits(value) -> int:
 
 
 class HalfPlane(NamedTuple):
-    """Open or closed half-plane {p : a*x + b*y + c > 0} (>= when not strict)."""
+    """Open half-plane {p : a*x + b*y + c > 0}."""
 
     a: Fraction
     b: Fraction
     c: Fraction
-    strict: bool = True
 
     def value(self, p: Point2) -> Fraction:
         return self.a * p.x + self.b * p.y + self.c
 
     def contains(self, p: Point2) -> bool:
-        v = self.value(p)
-        return v > 0 if self.strict else v >= 0
+        return self.value(p) > 0
 
     def normalized(self) -> "HalfPlane":
         """Divide out the content so equal half-planes compare equal."""
-        nums = [self.a.numerator, self.b.numerator, self.c.numerator]
         dens = [self.a.denominator, self.b.denominator, self.c.denominator]
         scale = Fraction(dens[0] * dens[1] * dens[2], 1)
         g = 0
@@ -233,7 +232,7 @@ class HalfPlane(NamedTuple):
         if g == 0:
             raise ValueError("degenerate half-plane (a, b) == (0, 0)")
         return HalfPlane(self.a * scale / g, self.b * scale / g,
-                         self.c * scale / g, self.strict)
+                         self.c * scale / g)
 
 
 def halfplane_through(p: Point2, q: Point2, inside: Point2,
@@ -257,7 +256,7 @@ def halfplane_through(p: Point2, q: Point2, inside: Point2,
 
 def halfplane_shift(h: HalfPlane, offset: Point2) -> HalfPlane:
     """Translate a half-plane by a vector (the boundary line moves with it)."""
-    return HalfPlane(h.a, h.b, h.c - (h.a * offset.x + h.b * offset.y), h.strict)
+    return HalfPlane(h.a, h.b, h.c - (h.a * offset.x + h.b * offset.y))
 
 
 def line_intersection(h1: HalfPlane, h2: HalfPlane) -> Optional[Point2]:
@@ -269,164 +268,90 @@ def line_intersection(h1: HalfPlane, h2: HalfPlane) -> Optional[Point2]:
     return Point2(x, y)
 
 
-def _fourier_motzkin_point(constraints: Sequence[HalfPlane]) -> Optional[Point2]:
-    """A point satisfying all constraints, or None when infeasible.
+def _between(lo: Optional[Fraction], hi: Optional[Fraction]) -> Optional[Fraction]:
+    """A value strictly between the bounds (None for no bound on a side):
+    the midpoint, or one past a lone bound; None when lo >= hi."""
+    if lo is None:
+        return Fraction(0) if hi is None else hi - 1
+    if hi is None:
+        return lo + 1
+    return (lo + hi) / 2 if lo < hi else None
 
-    Classic two-variable Fourier-Motzkin elimination; strictness is preserved
-    when combining, so open constraint systems are decided exactly.
+
+def _fourier_motzkin_point(constraints: Sequence[HalfPlane]) -> Optional[Point2]:
+    """A point inside every open half-plane, or None when they share none.
+
+    Classic two-variable Fourier-Motzkin elimination: x is eliminated by
+    combining each lower bound on it with each upper bound, y is chosen
+    strictly inside its derived bounds, and x strictly inside its bounds at
+    that y.
     """
-    lowers = []   # a > 0:  x {>,>=} (-c - b*y)/a
-    uppers = []   # a < 0
-    y_only = []   # (b, c, strict)
-    for h in constraints:
-        if h.a > 0:
-            lowers.append(h)
-        elif h.a < 0:
-            uppers.append(h)
-        else:
-            y_only.append((h.b, h.c, h.strict))
-    derived = list(y_only)
+    lowers = [h for h in constraints if h.a > 0]   # x > (-c - b*y)/a
+    uppers = [h for h in constraints if h.a < 0]   # x < (-c - b*y)/a
+    derived = [(h.b, h.c) for h in constraints if h.a == 0]
     for lo in lowers:
         for up in uppers:
             # (-up.a)*lo + lo.a*up, both multipliers positive
-            b = -up.a * lo.b + lo.a * up.b
-            c = -up.a * lo.c + lo.a * up.c
-            derived.append((b, c, lo.strict or up.strict))
-
-    # 1-D feasibility in y.
-    y_lo = y_hi = None   # (bound, strict)
-    for b, c, strict in derived:
-        if b == 0:
-            if c < 0 or (strict and c == 0):
-                return None
-        elif b > 0:
-            bound = -c / b
-            if y_lo is None or bound > y_lo[0] or (bound == y_lo[0] and strict):
-                y_lo = (bound, strict)
-        else:
-            bound = -c / b
-            if y_hi is None or bound < y_hi[0] or (bound == y_hi[0] and strict):
-                y_hi = (bound, strict)
-    if y_lo is not None and y_hi is not None:
-        if y_lo[0] > y_hi[0]:
-            return None
-        if y_lo[0] == y_hi[0] and (y_lo[1] or y_hi[1]):
-            return None
-        y = y_lo[0] if y_lo[0] == y_hi[0] else (y_lo[0] + y_hi[0]) / 2
-    elif y_lo is not None:
-        y = y_lo[0] + 1
-    elif y_hi is not None:
-        y = y_hi[0] - 1
-    else:
-        y = Fraction(0)
-
-    # Back-substitute for x.
-    x_lo = x_hi = None
-    for h in lowers:
-        bound = (-h.c - h.b * y) / h.a
-        if x_lo is None or bound > x_lo[0] or (bound == x_lo[0] and h.strict):
-            x_lo = (bound, h.strict)
-    for h in uppers:
-        bound = (-h.c - h.b * y) / h.a
-        if x_hi is None or bound < x_hi[0] or (bound == x_hi[0] and h.strict):
-            x_hi = (bound, h.strict)
-    if x_lo is not None and x_hi is not None:
-        if x_lo[0] > x_hi[0] or (x_lo[0] == x_hi[0] and (x_lo[1] or x_hi[1])):
-            return None
-        x = x_lo[0] if x_lo[0] == x_hi[0] else (x_lo[0] + x_hi[0]) / 2
-    elif x_lo is not None:
-        x = x_lo[0] + 1
-    elif x_hi is not None:
-        x = x_hi[0] - 1
-    else:
-        x = Fraction(0)
+            derived.append((-up.a * lo.b + lo.a * up.b,
+                            -up.a * lo.c + lo.a * up.c))
+    if any(b == 0 and c <= 0 for b, c in derived):
+        return None
+    y = _between(max((-c / b for b, c in derived if b > 0), default=None),
+                 min((-c / b for b, c in derived if b < 0), default=None))
+    if y is None:
+        return None
+    x = _between(max(((-h.c - h.b * y) / h.a for h in lowers), default=None),
+                 min(((-h.c - h.b * y) / h.a for h in uppers), default=None))
+    if x is None:
+        return None
     p = Point2(x, y)
     assert all(h.contains(p) for h in constraints)
     return p
 
 
 class ConvexRegion:
-    """Intersection of half-planes with a cached exact vertex cycle.
+    """Intersection of open half-planes, each direction's tightest kept.
 
-    The vertex cycle is populated only for bounded regions with nonempty
-    interior; it is strictly convex and counterclockwise.
+    Construction runs one Fourier-Motzkin pass; its sample point decides
+    whether the region is nonempty.
     """
 
     def __init__(self, halfplanes: Sequence[HalfPlane]):
         if not halfplanes:
             raise ValueError("need at least one half-plane")
         self.halfplanes = tuple(_canonicalize(halfplanes))
-        self._feasible = _fourier_motzkin_point(self.halfplanes) is not None
-        strict_all = [HalfPlane(h.a, h.b, h.c, True) for h in self.halfplanes]
-        self._interior_sample = _fourier_motzkin_point(strict_all)
-        self.is_empty = not self._feasible
-        self.is_unbounded = self._feasible and _is_unbounded(self.halfplanes)
-        self.vertices: tuple[Point2, ...] = ()
-        if self._feasible and not self.is_unbounded:
-            self.vertices = _vertex_cycle(self.halfplanes)
+        self._interior_sample = _fourier_motzkin_point(self.halfplanes)
 
     @property
     def has_interior(self) -> bool:
         return self._interior_sample is not None
 
     def contains(self, p: Point2) -> bool:
-        return not self.is_empty and all(h.contains(p) for h in self.halfplanes)
-
-    def strictly_contains(self, p: Point2) -> bool:
-        return not self.is_empty and all(h.value(p) > 0 for h in self.halfplanes)
+        return all(h.contains(p) for h in self.halfplanes)
 
     def is_subset_of(self, other: "ConvexRegion") -> bool:
-        """Exact containment test via infeasibility of self minus other."""
-        if self.is_empty:
-            return True
-        for h in other.halfplanes:
-            # complement of {h > 0} is {-h >= 0}; of {h >= 0} is {-h > 0}
-            comp = HalfPlane(-h.a, -h.b, -h.c, not h.strict)
-            if _fourier_motzkin_point(list(self.halfplanes) + [comp]) is not None:
-                return False
-        return True
+        """Exact containment: self lies in {h > 0} iff self meets no point
+        of {h < 0}, since an open region touching the line h = 0 also holds
+        points just beyond it."""
+        return all(_fourier_motzkin_point(
+            self.halfplanes + (HalfPlane(-h.a, -h.b, -h.c),)) is None
+            for h in other.halfplanes)
 
 
 def _canonicalize(halfplanes: Sequence[HalfPlane]) -> list[HalfPlane]:
     """Normalize, then keep only the tightest constraint per direction."""
     best: dict[tuple, HalfPlane] = {}
-    order: list[tuple] = []
     for h in halfplanes:
         n = h.normalized()
         key = (n.a, n.b)
-        cur = best.get(key)
-        if cur is None:
+        if key not in best or n.c < best[key].c:
             best[key] = n
-            order.append(key)
-        elif n.c < cur.c or (n.c == cur.c and n.strict and not cur.strict):
-            best[key] = n
-    return [best[k] for k in order]
-
-
-def _is_unbounded(halfplanes: Sequence[HalfPlane]) -> bool:
-    """Nonempty intersection is unbounded iff a recession direction exists."""
-    dirs = sorted({_primitive_dir(h.a, h.b) for h in halfplanes},
-                  key=angular_key)
-    n = len(dirs)
-    if n == 1:
-        return True
-    for i in range(n):
-        d1 = dirs[i]
-        d2 = dirs[(i + 1) % n]
-        cross = d1[0] * d2[1] - d1[1] * d2[0]
-        # gap >= pi between consecutive inward normals leaves an escape cone
-        if cross < 0 or (cross == 0 and d1[0] * d2[0] + d1[1] * d2[1] < 0):
-            return True
-    return False
-
-
-def _primitive_dir(a: Fraction, b: Fraction):
-    an, bn = a.numerator * b.denominator, b.numerator * a.denominator
-    g = gcd(abs(an), abs(bn))
-    return (an // g, bn // g)
+    return list(best.values())
 
 
 def _vertex_cycle(halfplanes: Sequence[HalfPlane]) -> tuple[Point2, ...]:
+    """The counterclockwise, strictly convex vertex cycle of a bounded
+    region with interior; () when the region is unbounded."""
     pts: list[Point2] = []
     n = len(halfplanes)
     for i in range(n):
@@ -437,7 +362,7 @@ def _vertex_cycle(halfplanes: Sequence[HalfPlane]) -> tuple[Point2, ...]:
             if all(h.value(p) >= 0 for h in halfplanes) and p not in pts:
                 pts.append(p)
     if len(pts) < 3:
-        return tuple(pts)
+        return ()
     # order counterclockwise around the average point
     cx = sum((p.x for p in pts), Fraction(0)) / len(pts)
     cy = sum((p.y for p in pts), Fraction(0)) / len(pts)
@@ -453,29 +378,30 @@ def _vertex_cycle(halfplanes: Sequence[HalfPlane]) -> tuple[Point2, ...]:
         nxt = ordered[(k + 1) % m]
         if orientation(prev, cur, nxt) != COLLINEAR:
             out.append(cur)
+    # a bounded region's consecutive vertices share a boundary line; an
+    # unbounded one's chain of vertices has two ends that share none
+    for p, q in zip(out, out[1:] + out[:1]):
+        if not any(h.value(p) == 0 == h.value(q) for h in halfplanes):
+            return ()
     return tuple(out)
-
-
-def halfplane_intersection(halfplanes: Iterable[HalfPlane]) -> ConvexRegion:
-    return ConvexRegion(list(halfplanes))
 
 
 def interior_point(region: ConvexRegion) -> Point2:
     """Deterministic point strictly inside the region.
 
-    Bounded regions use the centroid of the vertex cycle.  Unbounded regions
-    fall back to the Fourier-Motzkin witness of the all-strict system (the
-    documented deterministic fallback), which also has polynomial bit-size.
+    The vertex cycle is computed here, on demand.  The centroid of a
+    bounded region's vertex cycle is used when it is strictly inside, and
+    the Fourier-Motzkin sample of the region otherwise (always for
+    unbounded regions); both have polynomial bit-size.
     """
-    if region.is_empty or not region.has_interior:
+    if not region.has_interior:
         raise EmptyRegionError("region has no interior point")
-    if region.vertices and len(region.vertices) >= 3:
-        n = len(region.vertices)
-        cx = sum((p.x for p in region.vertices), Fraction(0)) / n
-        cy = sum((p.y for p in region.vertices), Fraction(0)) / n
+    vertices = _vertex_cycle(region.halfplanes)
+    if vertices:
+        n = len(vertices)
+        cx = sum((p.x for p in vertices), Fraction(0)) / n
+        cy = sum((p.y for p in vertices), Fraction(0)) / n
         p = Point2(cx, cy)
-        if all(h.value(p) > 0 for h in region.halfplanes):
+        if region.contains(p):
             return p
-    p = region._interior_sample
-    assert p is not None
-    return p
+    return region._interior_sample

@@ -754,7 +754,7 @@ def _channel_mouth_audit(ch: Channel, key, gadget_obj, gate_pts, drawing) -> boo
         cap_name = g.cap_of[key]
         for name, p in g.points.items():
             if name == cap_name:
-                if not mouths.narrow.strictly_contains(p):
+                if not mouths.narrow.contains(p):
                     return False
             elif mouths.wide.contains(p):
                 return False
@@ -918,6 +918,10 @@ def cover_to_script(inst: ReductionInstance, cover) -> FlipScript:
     """The constructive direction: a vertex cover yields a flip script of
     length exactly 2|cover| + 28|E| from t1 to t2."""
     cover = set(cover)
+    unknown = cover - inst.gadgets.keys()
+    if unknown:
+        raise ValidationError(
+            f"cover names vertices {sorted(unknown)} that are not in the graph")
     for key in inst.graph_edges:
         if not (set(key) & cover):
             raise NotACoverError(f"edge {key} is uncovered", edge=key)

@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .errors import (CapExceededError, DomainMismatchError, IllegalFlipError,
-                     IllegalScriptError)
+                     IllegalScriptError, ValidationError)
 from .geometry import on_segment, point_in_cycle, segments_share_interior
 from .triangulation import (FlipMove, Triangulation, flip_is_convex,
                             flip_triangles)
@@ -195,7 +195,7 @@ def exact_distance(t1: Triangulation, t2: Triangulation,
     if t1.domain != t2.domain:
         raise DomainMismatchError("triangulations live on different domains")
     if budget < 0:
-        raise ValueError("budget must be nonnegative")
+        raise ValidationError(f"budget must be nonnegative, got {budget}")
     k1, k2 = t1.canonical_key(), t2.canonical_key()
     if k1 == k2:
         return SearchResult(0, FlipScript(k1, ()), 0, 0)
@@ -287,10 +287,9 @@ def exact_distance(t1: Triangulation, t2: Triangulation,
 class FlipGraph:
     """Complete flip graph of a domain: nodes are canonical keys."""
 
-    def __init__(self, nodes, adjacency, representatives):
+    def __init__(self, nodes, adjacency):
         self.nodes = nodes                    # key -> frozenset of edges
         self.adjacency = adjacency            # key -> sorted list of keys
-        self.representatives = representatives  # key -> Triangulation
 
     def __len__(self):
         return len(self.nodes)
@@ -313,12 +312,13 @@ def enumerate_flip_graph(seed: Triangulation, cap: int = 10 ** 6) -> FlipGraph:
     """Reachable closure of the flip relation from a seed triangulation.
 
     Flip connectivity makes this the complete flip graph for any valid seed.
-    Raises CapExceededError beyond `cap` nodes.
+    A node's edge set shares the kernel's edge tuples; build a
+    `Triangulation` from it where one is needed.  Raises CapExceededError
+    beyond `cap` nodes.
     """
     kernel = _FlipKernel(seed.domain)
     start_key = seed.canonical_key()
     nodes = {start_key: seed.edges}
-    reps = {start_key: seed}
     adjacency: dict[bytes, list[bytes]] = {}
     stack = [(start_key, kernel.ids(seed), seed.triangles)]
     while stack:
@@ -331,14 +331,11 @@ def enumerate_flip_graph(seed: Triangulation, cap: int = 10 ** 6) -> FlipGraph:
                 if len(nodes) >= cap:
                     raise CapExceededError(
                         f"flip graph exceeds the {cap}-node cap")
-                t_new = Triangulation(seed.domain,
-                                      [kernel.pairs[i] for i in ids_new],
-                                      kernel.triangles_after(triangles, r, a))
-                nodes[k_new] = t_new.edges
-                reps[k_new] = t_new
-                stack.append((k_new, ids_new, t_new.triangles))
+                nodes[k_new] = frozenset(map(kernel.pairs.__getitem__, ids_new))
+                stack.append((k_new, ids_new,
+                              kernel.triangles_after(triangles, r, a)))
         adjacency[key] = sorted(nbrs)
-    return FlipGraph(nodes, adjacency, reps)
+    return FlipGraph(nodes, adjacency)
 
 
 def greedy_upper_bound(t1: Triangulation, t2: Triangulation,

@@ -149,25 +149,30 @@ class PolygonalRegion(_DomainBase):
                 raise ValidationError("hole boundaries must be clockwise")
         cycles = [list(self.outer)] + [list(h) for h in self.poly_holes]
         segs = [(c[i], c[(i + 1) % len(c)]) for c in cycles for i in range(len(c))]
+        point_holes = sorted(self.point_holes)
         ip = self.ipoints
         # indices are unique and cycles have 3+ vertices, so no two boundary
         # edges coincide; a cycle vertex inside a boundary edge makes its own
-        # edges touch that edge, so only point holes need the point scan
-        touching = touching_pairs(ip, segs)
+        # edges touch that edge.  A point hole k rides along as the
+        # zero-length segment (k, k), which touches exactly the boundary
+        # edges it lies inside.
+        touching = touching_pairs(ip, segs + [(k, k) for k in point_holes])
+        for i, j in touching:
+            if j < len(segs):
+                raise ValidationError(
+                    f"boundary edges {segs[i]} and {segs[j]} intersect")
         if touching:
             i, j = touching[0]
             raise ValidationError(
-                f"boundary edges {segs[i]} and {segs[j]} intersect")
-        for a, b in segs:
-            for k in sorted(self.point_holes):
-                if on_segment(ip[k], ip[a], ip[b], closed=False):
-                    raise ValidationError(f"point {k} lies on boundary edge {(a, b)}")
+                f"point {point_holes[j - len(segs)]} lies on boundary edge {segs[i]}")
+        # the points are pairwise distinct and no two boundaries touch, so
+        # a hole lies wholly inside or wholly outside the outer cycle, and
+        # one vertex locates it
         outer2 = [self.ipoints2[i] for i in self.outer]
         for h in list(self.poly_holes) + [[p] for p in self.point_holes]:
-            for idx in h:
-                if point_in_cycle(self.ipoints2[idx], outer2) <= 0:
-                    raise ValidationError(
-                        f"hole vertex {idx} is not strictly inside the outer boundary")
+            if point_in_cycle(self.ipoints2[h[0]], outer2) <= 0:
+                raise ValidationError(
+                    f"hole vertex {h[0]} is not strictly inside the outer boundary")
         for hi, h1 in enumerate(self.poly_holes):
             cyc2 = [self.ipoints2[i] for i in h1]
             for h2 in self.poly_holes[hi + 1:]:

@@ -1,7 +1,12 @@
 """Slow reference implementations that the tests compare fast paths against."""
 
+from fractions import Fraction
+from math import gcd
+from typing import NamedTuple
+
 from flipdist.errors import ValidationError
-from flipdist.geometry import touching_pairs
+from flipdist.geometry import (COLLINEAR, Point2, angular_key,
+                               line_intersection, orientation, touching_pairs)
 from flipdist.triangulation import (Edge, ValidationReport, derive_triangles,
                                     edge)
 
@@ -63,3 +68,153 @@ def validate_by_segments(t) -> ValidationReport:
                     report.add(f"edge {e} bounds {apexes.get(e, 0)} triangles, "
                                f"expected {want}")
     return report
+
+
+class SidedHalfPlane(NamedTuple):
+    """{p : a*x + b*y + c > 0}, or >= 0 when not strict."""
+
+    a: Fraction
+    b: Fraction
+    c: Fraction
+    strict: bool = True
+
+    def value(self, p):
+        return self.a * p.x + self.b * p.y + self.c
+
+    def contains(self, p):
+        v = self.value(p)
+        return v > 0 if self.strict else v >= 0
+
+
+def fourier_motzkin_with_strictness(constraints):
+    """The oracle of `geometry._fourier_motzkin_point`: two-variable
+    Fourier-Motzkin elimination over a mix of open and closed half-planes
+    (`SidedHalfPlane`), keeping strictness when bounds are combined."""
+    lowers = []   # a > 0:  x {>,>=} (-c - b*y)/a
+    uppers = []   # a < 0
+    y_only = []   # (b, c, strict)
+    for h in constraints:
+        if h.a > 0:
+            lowers.append(h)
+        elif h.a < 0:
+            uppers.append(h)
+        else:
+            y_only.append((h.b, h.c, h.strict))
+    derived = list(y_only)
+    for lo in lowers:
+        for up in uppers:
+            b = -up.a * lo.b + lo.a * up.b
+            c = -up.a * lo.c + lo.a * up.c
+            derived.append((b, c, lo.strict or up.strict))
+
+    # 1-D feasibility in y.
+    y_lo = y_hi = None   # (bound, strict)
+    for b, c, strict in derived:
+        if b == 0:
+            if c < 0 or (strict and c == 0):
+                return None
+        elif b > 0:
+            bound = -c / b
+            if y_lo is None or bound > y_lo[0] or (bound == y_lo[0] and strict):
+                y_lo = (bound, strict)
+        else:
+            bound = -c / b
+            if y_hi is None or bound < y_hi[0] or (bound == y_hi[0] and strict):
+                y_hi = (bound, strict)
+    if y_lo is not None and y_hi is not None:
+        if y_lo[0] > y_hi[0]:
+            return None
+        if y_lo[0] == y_hi[0] and (y_lo[1] or y_hi[1]):
+            return None
+        y = y_lo[0] if y_lo[0] == y_hi[0] else (y_lo[0] + y_hi[0]) / 2
+    elif y_lo is not None:
+        y = y_lo[0] + 1
+    elif y_hi is not None:
+        y = y_hi[0] - 1
+    else:
+        y = Fraction(0)
+
+    # Back-substitute for x.
+    x_lo = x_hi = None
+    for h in lowers:
+        bound = (-h.c - h.b * y) / h.a
+        if x_lo is None or bound > x_lo[0] or (bound == x_lo[0] and h.strict):
+            x_lo = (bound, h.strict)
+    for h in uppers:
+        bound = (-h.c - h.b * y) / h.a
+        if x_hi is None or bound < x_hi[0] or (bound == x_hi[0] and h.strict):
+            x_hi = (bound, h.strict)
+    if x_lo is not None and x_hi is not None:
+        if x_lo[0] > x_hi[0] or (x_lo[0] == x_hi[0] and (x_lo[1] or x_hi[1])):
+            return None
+        x = x_lo[0] if x_lo[0] == x_hi[0] else (x_lo[0] + x_hi[0]) / 2
+    elif x_lo is not None:
+        x = x_lo[0] + 1
+    elif x_hi is not None:
+        x = x_hi[0] - 1
+    else:
+        x = Fraction(0)
+    p = Point2(x, y)
+    assert all(h.contains(p) for h in constraints)
+    return p
+
+
+def _recession_direction_exists(halfplanes) -> bool:
+    """A nonempty intersection is unbounded iff consecutive inward normals,
+    in angular order, leave a gap of at least pi."""
+    def primitive(a, b):
+        an, bn = a.numerator * b.denominator, b.numerator * a.denominator
+        g = gcd(abs(an), abs(bn))
+        return (an // g, bn // g)
+
+    dirs = sorted({primitive(h.a, h.b) for h in halfplanes}, key=angular_key)
+    n = len(dirs)
+    if n == 1:
+        return True
+    for i in range(n):
+        d1, d2 = dirs[i], dirs[(i + 1) % n]
+        cross = d1[0] * d2[1] - d1[1] * d2[0]
+        if cross < 0 or (cross == 0 and d1[0] * d2[0] + d1[1] * d2[1] < 0):
+            return True
+    return False
+
+
+def interior_point_by_recession(halfplanes):
+    """The oracle of `geometry.interior_point` on a region's canonical
+    open half-planes, or None when the region is empty: the centroid of
+    the vertex cycle of a bounded region (boundedness decided from the
+    normals' angular gaps) when strictly inside, else the Fourier-Motzkin
+    sample."""
+    sample = fourier_motzkin_with_strictness(
+        [SidedHalfPlane(h.a, h.b, h.c) for h in halfplanes])
+    if sample is None or _recession_direction_exists(halfplanes):
+        return sample
+    pts = []
+    for i, h1 in enumerate(halfplanes):
+        for h2 in halfplanes[i + 1:]:
+            p = line_intersection(h1, h2)
+            if p is not None and p not in pts and \
+                    all(h.value(p) >= 0 for h in halfplanes):
+                pts.append(p)
+    center = Point2(sum(p.x for p in pts) / len(pts),
+                    sum(p.y for p in pts) / len(pts))
+    ordered = sorted(pts, key=lambda p: angular_key(p - center))
+    m = len(ordered)
+    cycle = [ordered[k] for k in range(m)
+             if orientation(ordered[k - 1], ordered[k],
+                            ordered[(k + 1) % m]) != COLLINEAR]
+    p = Point2(sum(q.x for q in cycle) / len(cycle),
+               sum(q.y for q in cycle) / len(cycle))
+    return p if all(h.value(p) > 0 for h in halfplanes) else sample
+
+
+def is_subset_by_closed_complement(inner, outer) -> bool:
+    """The oracle of `ConvexRegion.is_subset_of` on two regions' open
+    half-planes: inner is empty, or meets no closed complement {h <= 0} of
+    a constraint of outer."""
+    opened = [SidedHalfPlane(h.a, h.b, h.c) for h in inner]
+    if fourier_motzkin_with_strictness(opened) is None:
+        return True
+    return all(fourier_motzkin_with_strictness(
+        opened + [SidedHalfPlane(-h.a, -h.b, -h.c, False)]) is None
+        for h in outer)

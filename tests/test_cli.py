@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -22,6 +23,18 @@ e 2 0
 K4_GRAPH = "\n".join(["v 0", "v 1", "v 2", "v 3",
                       "e 0 1", "e 0 2", "e 0 3", "e 1 2", "e 1 3", "e 2 3",
                       "outer 0 1 2"]) + "\n"
+
+
+# SHA-256 of the canonical JSON that `reduce` writes for the graphs above;
+# any change to geometry, gadget placement or serialisation shows here
+K4_SHA256 = "0016241d7961ce25e39220f4b6450d6eb7bcfa66e67522d9c91680bfede5285b"
+C3_SHA256 = "583b90af3d6267de69eef95a412f68dac494dcc68b83ac4424297bd2661cddac"
+C3_POINTSET_SHA256 = \
+    "36573affc1aed8f73a235b5df116c6df001d85f83c437def179d5f704bc43891"
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def write(path, text):
@@ -57,6 +70,7 @@ def test_reduce_roundtrip_and_determinism(tmp_path, capsys):
     assert acc["threshold"] == 88
     assert main(["reduce", "--graph", g, "--k", "2", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+    assert sha256(out1) == C3_SHA256
     # parse -> serialize is byte-identical
     doc = instanceio.load(out1)
     assert instanceio.dumps(doc).encode("ascii") == out1.read_bytes()
@@ -70,6 +84,7 @@ def test_reduce_k4_threshold(tmp_path, capsys):
     acc = json.loads(capsys.readouterr().out)
     assert acc["k_prime"] == 6 and acc["channel_count"] == 12
     assert acc["threshold"] == 348
+    assert sha256(out) == K4_SHA256
 
 
 def test_reduce_rejects_nonplanar(tmp_path, capsys):
@@ -85,6 +100,7 @@ def test_reduce_pointset(tmp_path, capsys):
     out = tmp_path / "ps.json"
     assert main(["reduce", "--graph", g, "--k", "2", "--pointset",
                  "--multiplicity", "1", "--out", str(out), "--json"]) == 0
+    assert sha256(out) == C3_POINTSET_SHA256
     doc = instanceio.load(out)
     from flipdist.triangulation import PointSet, validate
     assert isinstance(doc.domain, PointSet)
@@ -325,3 +341,23 @@ def test_inconsistent_gadget_metadata_exits_2(tmp_path, capsys, command,
     assert main([command, "--instance", str(inst), *other]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: bad gadget metadata:") and message in err
+
+
+@pytest.mark.parametrize("cover, message", [
+    ("a", "--cover must list vertex ids, got 'a'"),
+    ("0,1,2,99", "cover names vertices [99] that are not in the graph"),
+])
+def test_script_bad_cover_exits_2(tmp_path, capsys, cover, message):
+    inst, _ = c3_files(tmp_path, capsys)
+    assert main(["script", "--instance", str(inst), "--cover", cover,
+                 "--out", str(tmp_path / "out.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+
+
+def test_distance_negative_budget_exits_2(tmp_path, capsys):
+    path = tmp_path / "channel.json"
+    instanceio.save(channel_instance_doc(), path)
+    assert main(["distance", "--instance", str(path), "--budget", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: budget must be nonnegative, got -1\n"

@@ -6,11 +6,15 @@ from hypothesis import example, given, strategies as st
 
 from flipdist.errors import EmptyRegionError
 from flipdist.geometry import (
-    CCW, COLLINEAR, CW, HalfPlane, Point2, coord_bits, halfplane_intersection,
-    halfplane_through, interior_point, is_strictly_convex_quad, on_segment,
-    orientation, pt, segments_properly_cross, segments_share_interior,
-    touching_pairs,
+    CCW, COLLINEAR, CW, ConvexRegion, HalfPlane, Point2, _vertex_cycle,
+    coord_bits, halfplane_through, interior_point, is_strictly_convex_quad,
+    on_segment, orientation, pt, segments_properly_cross,
+    segments_share_interior, touching_pairs,
 )
+
+from oracles import (SidedHalfPlane, fourier_motzkin_with_strictness,
+                     interior_point_by_recession,
+                     is_subset_by_closed_complement)
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=64)
 points = st.builds(Point2, rationals, rationals)
@@ -113,66 +117,72 @@ def test_strictly_convex_quad():
     assert is_strictly_convex_quad(pt(0, 1), pt(1, 1), pt(1, 0), pt(0, 0))
 
 
-def _strip(a, b, c, strict=True):
-    return HalfPlane(Fraction(a), Fraction(b), Fraction(c), strict)
+def _strip(a, b, c):
+    return HalfPlane(Fraction(a), Fraction(b), Fraction(c))
 
 
 def test_halfplane_intersection_triangle():
-    region = halfplane_intersection([
+    region = ConvexRegion([
         _strip(1, 0, 0),    # x > 0
         _strip(0, 1, 0),    # y > 0
         _strip(-1, -1, 1),  # x + y < 1
     ])
-    assert not region.is_empty
-    assert not region.is_unbounded
-    assert set(region.vertices) == {pt(0, 0), pt(1, 0), pt(0, 1)}
-    # every vertex satisfies all constraints non-strictly
-    for v in region.vertices:
-        assert all(h.value(v) >= 0 for h in region.halfplanes)
+    assert region.has_interior
+    assert set(_vertex_cycle(region.halfplanes)) == \
+        {pt(0, 0), pt(1, 0), pt(0, 1)}
     assert interior_point(region) == Point2(Fraction(1, 3), Fraction(1, 3))
+    # open half-planes: the boundary is outside
+    assert not region.contains(pt(0, 0))
+    assert not region.contains(Point2(Fraction(1, 2), Fraction(1, 2)))
 
 
 def test_halfplane_intersection_empty():
-    region = halfplane_intersection([_strip(1, 0, 0), _strip(-1, 0, -1)])
-    assert region.is_empty
+    region = ConvexRegion([_strip(1, 0, 0), _strip(-1, 0, -1)])
+    assert not region.has_interior
     with pytest.raises(EmptyRegionError):
         interior_point(region)
 
 
 def test_halfplane_intersection_unbounded():
-    region = halfplane_intersection([_strip(1, 0, 0), _strip(0, 1, 0)])
-    assert not region.is_empty
-    assert region.is_unbounded
-    assert region.vertices == ()
+    region = ConvexRegion([_strip(1, 0, 0), _strip(0, 1, 0)])
+    assert _vertex_cycle(region.halfplanes) == ()
     p = interior_point(region)
     assert all(h.value(p) > 0 for h in region.halfplanes)
+    # x + 2y > 2 and 2x + y > 2 cut the quadrant's corner: three vertices
+    # (0, 2), (2/3, 2/3) and (2, 0), whose centroid (8/9, 8/9) is inside,
+    # but the region is unbounded, so the sample is used instead
+    stairs = ConvexRegion([_strip(1, 0, 0), _strip(0, 1, 0),
+                           _strip(1, 2, -2), _strip(2, 1, -2)])
+    assert _vertex_cycle(stairs.halfplanes) == ()
+    assert interior_point(stairs) == stairs._interior_sample
+    assert interior_point(stairs) != Point2(Fraction(8, 9), Fraction(8, 9))
 
 
 def test_interior_point_square_centroid():
-    region = halfplane_intersection([
+    region = ConvexRegion([
         _strip(1, 0, 0), _strip(-1, 0, 2), _strip(0, 1, 0), _strip(0, -1, 2),
     ])
     assert interior_point(region) == pt(1, 1)
 
 
 def test_degenerate_region_has_no_interior():
-    # x >= 0 and x <= 0 pin a line; the strict system is infeasible
-    region = halfplane_intersection(
-        [_strip(1, 0, 0, False), _strip(-1, 0, 0, False), _strip(0, 1, 0)])
-    assert not region.is_empty
+    # x > 0 and x < 0 share no point, whatever y is
+    region = ConvexRegion([_strip(1, 0, 0), _strip(-1, 0, 0), _strip(0, 1, 0)])
     assert not region.has_interior
+    assert not region.contains(pt(0, 1))
     with pytest.raises(EmptyRegionError):
         interior_point(region)
 
 
 def test_duplicate_and_parallel_constraints_canonicalized():
-    region = halfplane_intersection([
+    region = ConvexRegion([
         _strip(1, 0, 0), _strip(2, 0, 0), _strip(1, 0, 1),
         _strip(-1, 0, 1), _strip(0, 1, 0), _strip(0, -1, 1),
     ])
     # only the tightest constraint per direction survives
     assert len(region.halfplanes) == 4
-    assert set(region.vertices) == {pt(0, 0), pt(1, 0), pt(0, 1), pt(1, 1)}
+    assert set(_vertex_cycle(region.halfplanes)) == \
+        {pt(0, 0), pt(1, 0), pt(0, 1), pt(1, 1)}
 
 
 def test_halfplane_through_orientation():
@@ -183,11 +193,41 @@ def test_halfplane_through_orientation():
 
 
 def test_region_subset():
-    narrow = halfplane_intersection(
-        [_strip(1, 0, 0), _strip(0, 1, 0), _strip(-1, -1, 1)])
-    wide = halfplane_intersection([_strip(1, 0, 1), _strip(0, 1, 1)])
+    narrow = ConvexRegion([_strip(1, 0, 0), _strip(0, 1, 0), _strip(-1, -1, 1)])
+    wide = ConvexRegion([_strip(1, 0, 1), _strip(0, 1, 1)])
     assert narrow.is_subset_of(wide)
     assert not wide.is_subset_of(narrow)
+    # sharing boundary lines: the open triangle lies in the open quadrant
+    quadrant = ConvexRegion([_strip(1, 0, 0), _strip(0, 1, 0)])
+    assert narrow.is_subset_of(quadrant)
+    # but not in the part of it left of x = 1/2
+    left = ConvexRegion([_strip(1, 0, 0), _strip(0, 1, 0), _strip(-2, 0, 1)])
+    assert not narrow.is_subset_of(left)
+
+
+halfplanes = st.builds(
+    HalfPlane, st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4)
+).filter(lambda h: (h.a, h.b) != (0, 0))
+systems = st.lists(halfplanes, min_size=1, max_size=6)
+
+
+@given(systems, systems)
+@example([HalfPlane(1, 0, 0), HalfPlane(0, 1, 0), HalfPlane(-1, -1, 1)],
+         [HalfPlane(1, 0, 0), HalfPlane(0, 1, 0)])
+@example([HalfPlane(1, 0, 0), HalfPlane(0, 1, 0), HalfPlane(1, 2, -2),
+          HalfPlane(2, 1, -2)], [HalfPlane(1, 0, 0)])
+def test_open_solver_matches_strictness_aware_oracle(first, second):
+    region, other = ConvexRegion(first), ConvexRegion(second)
+    sided = [SidedHalfPlane(h.a, h.b, h.c) for h in region.halfplanes]
+    assert region._interior_sample == fourier_motzkin_with_strictness(sided)
+    expected = interior_point_by_recession(region.halfplanes)
+    if expected is None:
+        with pytest.raises(EmptyRegionError):
+            interior_point(region)
+    else:
+        assert interior_point(region) == expected
+    assert region.is_subset_of(other) == \
+        is_subset_by_closed_complement(region.halfplanes, other.halfplanes)
 
 
 def test_coord_bits_meter():

@@ -131,7 +131,7 @@ def test_gadget_audit_mouths(c3_instance):
             end = 0 if rec.gates[v] == (rec.upper[0], rec.lower[0]) else 1
             m = channel_mouths(upper, lower, end)
             assert m.narrow.is_subset_of(m.wide)
-            assert m.narrow.strictly_contains(pts[cap])
+            assert m.narrow.contains(pts[cap])
             g = inst.gadgets[v]
             for name, idx in g.points.items():
                 if idx != cap:

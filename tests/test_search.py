@@ -64,12 +64,12 @@ def test_hexagon_flip_graph_and_oracle_equivalence():
     graph = enumerate_flip_graph(fan(region, 0))
     assert len(graph) == 14  # Catalan(4)
     keys = sorted(graph.nodes)
+    reps = {k: Triangulation(region, graph.nodes[k]) for k in keys}
     for k1 in keys:
-        t1 = graph.representatives[k1]
+        t1 = reps[k1]
         dist = graph.bfs_distances(k1)
         for k2 in keys:
-            t2 = graph.representatives[k2]
-            res = exact_distance(t1, t2)
+            res = exact_distance(t1, reps[k2])
             assert res.distance == dist[k2]
             end = res.script.replay(t1)
             assert end.canonical_key() == k2
@@ -100,7 +100,8 @@ def test_symmetry_and_triangle_inequality():
     keys = sorted(graph.nodes)
     triples = [tuple(rng.sample(keys, 3)) for _ in range(12)]
     for ka, kb, kc in triples:
-        ta, tb, tc = (graph.representatives[k] for k in (ka, kb, kc))
+        ta, tb, tc = (Triangulation(region, graph.nodes[k])
+                      for k in (ka, kb, kc))
         dab = exact_distance(ta, tb).distance
         dba = exact_distance(tb, ta).distance
         dbc = exact_distance(tb, tc).distance
@@ -132,7 +133,7 @@ def test_greedy_upper_bound():
     keys = sorted(graph.nodes)
     for _ in range(10):
         ka, kb = rng.sample(keys, 2)
-        ta, tb = graph.representatives[ka], graph.representatives[kb]
+        ta, tb = (Triangulation(region, graph.nodes[k]) for k in (ka, kb))
         s = greedy_upper_bound(ta, tb)
         assert s.replay(ta).canonical_key() == kb
         assert lower_bound(ta, tb) <= exact_distance(ta, tb).distance <= len(s)
@@ -178,11 +179,11 @@ def test_random_nonagon_oracle_equivalence():
     graph = enumerate_flip_graph(seed)
     assert len(graph) == count_polygon_triangulations(region, list(range(9)))
     keys = sorted(graph.nodes)[:6]
+    reps = {k: Triangulation(region, graph.nodes[k]) for k in keys}
     for k1 in keys:
         dist = graph.bfs_distances(k1)
         for k2 in keys:
-            res = exact_distance(graph.representatives[k1],
-                                 graph.representatives[k2])
+            res = exact_distance(reps[k1], reps[k2])
             assert res.distance == dist[k2]
 
 

@@ -11,7 +11,7 @@ from flipdist.geometry import pt
 from flipdist.reduction import region_to_pointset
 from flipdist.search import enumerate_flip_graph
 from flipdist.triangulation import (
-    FlipMove, PointSet, PolygonalRegion, Triangulation, derive_triangles,
+    FlipMove, PointSet, PolygonalRegion, Triangulation,
     ear_clip_triangulation, edge, edge_difference, validate,
 )
 from flipdist import instanceio
@@ -218,6 +218,13 @@ SQUARE = [pt(0, 0), pt(4, 0), pt(4, 4), pt(0, 4)]
      "boundary edges (1, 2) and (4, 5) intersect"),
     # point holes on outer edge (0, 1): the smallest index is named
     ([pt(3, 0), pt(1, 0)], [[5], [4]], "point 4 lies on boundary edge (0, 1)"),
+    # a point on edge (0, 1) and a hole crossing edge (1, 2): the crossing
+    # is named although the point's pair sorts first
+    ([pt(2, 0), pt(3, 1), pt(3, 3), pt(5, 2)], [[4], [5, 6, 7]],
+     "boundary edges (1, 2) and (6, 7) intersect"),
+    # a hole wholly outside the outer cycle
+    ([pt(5, 1), pt(5, 3), pt(7, 2)], [[4, 5, 6]],
+     "hole vertex 4 is not strictly inside the outer boundary"),
 ])
 def test_region_error_messages(extra, holes, message):
     with pytest.raises(ValidationError) as exc:
@@ -291,10 +298,9 @@ def test_flip_graph_matches_closure_oracle(seed):
     nodes, adjacency = closure_by_apply_flip(t)
     assert list(graph.nodes.items()) == list(nodes.items())
     assert graph.adjacency == adjacency
-    assert graph.representatives.keys() == nodes.keys()
-    for key, rep in graph.representatives.items():
-        assert rep.canonical_key() == key and rep.edges == nodes[key]
-        assert rep.triangles == derive_triangles(t.domain, rep.edges)
+    for key, edges in graph.nodes.items():
+        rep = Triangulation(t.domain, edges)
+        assert rep.canonical_key() == key
         assert validate(rep).ok
 
 
