@@ -616,6 +616,8 @@ def build_instance(drawing: PlanarGraphDrawing, k_input: int,
     """Assemble the polygonal region, T1 (all channels left-inclined) and T2
     (all right-inclined) for a drawing with degrees in {2, 3} and no sharp
     vertices."""
+    if k_input < 0:
+        raise ValidationError(f"cover bound k must be nonnegative, got {k_input}")
     vids = sorted(drawing.pos)
     for v in vids:
         if drawing.degree(v) not in (2, 3):

@@ -3,11 +3,13 @@
 The primary solver is a bidirectional best-first search with the admissible
 edge-difference lower bound (each flip replaces exactly one edge, so at least
 |edges(t1) - edges(t2)| flips are needed).  It and flip-graph enumeration run
-on a per-call flip kernel over integer edge ids; `Triangulation` stays the
-type at the API boundary, and witnesses are replayed through
-`Triangulation.apply_flip`.  An independent plain BFS over `Triangulation`
-objects and a dynamic-programming triangulation counter serve as oracles in
-the tests.
+on a per-call flip kernel whose state is the sorted tuple of integer edge
+ids plus, per edge, the id of its opposite edge (the edge its flip would
+insert); a flip updates five entries of that state in place of rebuilding
+it from the triangles.  `Triangulation` stays the type at the API boundary,
+and witnesses are replayed through `Triangulation.apply_flip`.  An
+independent plain BFS over `Triangulation` objects and a dynamic-programming
+triangulation counter serve as oracles in the tests.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import (CapExceededError, DomainMismatchError, IllegalFlipError,
                      IllegalScriptError, ValidationError)
 from .geometry import on_segment, point_in_cycle, segments_share_interior
 from .triangulation import (FlipMove, Triangulation, flip_is_convex,
-                            flip_triangles)
+                            quad_sides)
 
 
 @dataclass(frozen=True)
@@ -110,11 +112,16 @@ class _FlipKernel:
     """The flip relation of one domain, for the length of one search or
     enumeration call.
 
-    A state is a sorted tuple of edge ids `u * n + v` (u < v), which sort
-    like the `(u, v)` pairs, with the triangle frozenset of
-    `Triangulation.triangles`.  Keys are the exact bytes of
-    `Triangulation.canonical_key`, joined from a token per edge id.
-    Convexity depends only on the geometry, so it is memoised per flip.
+    A state is a pair of tuples `(ids, opp)`.  `ids` holds the edge ids
+    `u * n + v` (u < v), sorted, which sort like the `(u, v)` pairs.
+    `opp[i]` is the id of the edge joining the two apexes of `ids[i]`, the
+    edge a flip of `ids[i]` would insert, or -1 for an edge with one
+    triangle, which is never flipped.  A flip moves one id and changes the
+    opposite edges of the quadrilateral's four sides (`quad_sides`), so no
+    state is rebuilt from its triangles.  Keys are the exact bytes of
+    `Triangulation.canonical_key`, a token per edge id, and a child's key
+    is spliced from its parent's tokens.  Convexity depends only on the
+    geometry, so it is memoised per flip.
     """
 
     def __init__(self, domain):
@@ -129,59 +136,72 @@ class _FlipKernel:
         u, v = self.pairs[i] = divmod(i, self.n)
         self.tokens[i] = f"{u},{v}".encode("ascii")
 
-    def ids(self, t: Triangulation) -> tuple[int, ...]:
-        n = self.n
-        ids = tuple(sorted(u * n + v for u, v in t.edges))
+    def _id(self, x: int, y: int) -> int:
+        return x * self.n + y if x < y else y * self.n + x
+
+    def state(self, t: Triangulation):
+        """The `(ids, opp)` state of a triangulation, from its apexes."""
+        apexes = t.edge_apexes()
+        ids = tuple(sorted(u * self.n + v for u, v in t.edges))
+        opp = []
         for i in ids:
             if i not in self.tokens:
                 self._register(i)
-        return ids
-
-    def key(self, ids) -> bytes:
-        return b";".join(map(self.tokens.__getitem__, ids))
+            aps = apexes.get(self.pairs[i], ())
+            opp.append(self._id(*aps) if len(aps) == 2 else -1)
+        return ids, tuple(opp)
 
     def move(self, r: int, a: int) -> FlipMove:
         return FlipMove(self.pairs[r], self.pairs[a])
 
-    def triangles_after(self, triangles, r: int, a: int) -> frozenset:
-        return flip_triangles(triangles, self.pairs[r], self.pairs[a])
-
-    def flips(self, ids, triangles):
-        """(removed id, inserted id, ids after the flip) for every legal
-        flip, in the order of `Triangulation.legal_flips`."""
-        n, convex = self.n, self.convex
-        # an interior edge lies in two triangles, whose apexes x, y are the
-        # ends of the edge a flip would insert
-        first: dict[int, int] = {}
-        apexes: dict[int, tuple[int, int]] = {}
-        for a, b, c in triangles:
-            for e, w in ((a * n + b, c), (a * n + c, b), (b * n + c, a)):
-                if e in first:
-                    apexes[e] = (first[e], w)
-                else:
-                    first[e] = w
+    def flips(self, ids, opp):
+        """(index of the removed id, inserted id, index the inserted id
+        takes in `ids`) for every legal flip, in the order of
+        `Triangulation.legal_flips`."""
+        nn, convex = self.n * self.n, self.convex
         out = []
-        for i, r in enumerate(ids):
-            xy = apexes.get(r)
-            if xy is None:
+        for i, a in enumerate(opp):
+            if a < 0:
                 continue
-            x, y = xy
-            a = x * n + y if x < y else y * n + x
-            legal = convex.get(r * n * n + a)
+            r = ids[i]
+            legal = convex.get(r * nn + a)
             if legal is None:
-                legal = convex[r * n * n + a] = flip_is_convex(
-                    self.domain, *self.pairs[r], x, y)
+                legal = convex[r * nn + a] = flip_is_convex(
+                    self.domain, *self.pairs[r], *divmod(a, self.n))
                 if a not in self.tokens:
                     self._register(a)
-            if not legal:
-                continue
-            j = bisect_left(ids, a)
-            if a < r:
-                after = ids[:j] + (a,) + ids[j:i] + ids[i + 1:]
-            else:
-                after = ids[:i] + ids[i + 1:j] + (a,) + ids[j:]
-            out.append((r, a, after))
+            if legal:
+                out.append((i, a, bisect_left(ids, a)))
         return out
+
+    def child_key(self, parts, i: int, a: int, j: int) -> bytes:
+        """The key after a flip from `flips`, spliced from the parent key's
+        tokens `parts`."""
+        if j <= i:
+            return b";".join(parts[:j] + [self.tokens[a]] + parts[j:i]
+                             + parts[i + 1:])
+        return b";".join(parts[:i] + parts[i + 1:j] + [self.tokens[a]]
+                         + parts[j:])
+
+    def child(self, ids, opp, i: int, a: int, j: int):
+        """The `(ids, opp)` state after a flip from `flips`: the removed
+        edge becomes the inserted edge's opposite edge, and each two-sided
+        side of the quadrilateral swaps one apex."""
+        r = ids[i]
+        if j <= i:
+            ids = ids[:j] + (a,) + ids[j:i] + ids[i + 1:]
+            opp = [*opp[:j], r, *opp[j:i], *opp[i + 1:]]
+        else:
+            ids = ids[:i] + ids[i + 1:j] + (a,) + ids[j:]
+            opp = [*opp[:i], *opp[i + 1:j], r, *opp[j:]]
+        n = self.n
+        for (p, q), old, new in quad_sides(divmod(r, n), divmod(a, n)):
+            k = bisect_left(ids, p * n + q)
+            o = opp[k]
+            if o >= 0:
+                w, z = divmod(o, n)
+                opp[k] = self._id(z if w == old else w, new)
+        return ids, tuple(opp)
 
 
 def exact_distance(t1: Triangulation, t2: Triangulation,
@@ -201,15 +221,15 @@ def exact_distance(t1: Triangulation, t2: Triangulation,
         return SearchResult(0, FlipScript(k1, ()), 0, 0)
 
     kernel = _FlipKernel(t1.domain)
-    ids1, ids2 = kernel.ids(t1), kernel.ids(t2)
+    (ids1, opp1), (ids2, opp2) = kernel.state(t1), kernel.state(t2)
     h1, h2 = lower_bound(t1, t2), lower_bound(t2, t1)
-    # a side's open states: ids, triangles and the edge-difference bound
+    # a side's open states: ids, opposite edges and the edge-difference bound
     sides = [
         {"target": frozenset(ids2), "open": [(h1, k1)], "g": {k1: 0},
-         "closed": set(), "state": {k1: (ids1, t1.triangles, h1)},
+         "closed": set(), "state": {k1: (ids1, opp1, h1)},
          "parent": {k1: None}},
         {"target": frozenset(ids1), "open": [(h2, k2)], "g": {k2: 0},
-         "closed": set(), "state": {k2: (ids2, t2.triangles, h2)},
+         "closed": set(), "state": {k2: (ids2, opp2, h2)},
          "parent": {k2: None}},
     ]
 
@@ -241,19 +261,20 @@ def exact_distance(t1: Triangulation, t2: Triangulation,
             continue
         side["closed"].add(key)
         expanded += 1
-        # a closed state is never expanded again, so its triangles can go
-        ids, triangles, h = side["state"].pop(key)
+        # a closed state is never expanded again, so its state can go
+        ids, opp, h = side["state"].pop(key)
         g, states, parent = side["g"], side["state"], side["parent"]
         target = side["target"]
         g_new = g[key] + 1
-        for r, a, ids_new in kernel.flips(ids, triangles):
-            k_new = kernel.key(ids_new)
+        parts = key.split(b";")
+        for i, a, j in kernel.flips(ids, opp):
+            k_new = kernel.child_key(parts, i, a, j)
             if k_new in g and g[k_new] <= g_new:
                 continue
             g[k_new] = g_new
+            r = ids[i]
             h_new = h - (r not in target) + (a not in target)
-            states[k_new] = (ids_new, kernel.triangles_after(triangles, r, a),
-                             h_new)
+            states[k_new] = (*kernel.child(ids, opp, i, a, j), h_new)
             parent[k_new] = (key, r, a)
             heapq.heappush(side["open"], (g_new + h_new, k_new))
             if k_new in other_g:
@@ -314,26 +335,29 @@ def enumerate_flip_graph(seed: Triangulation, cap: int = 10 ** 6) -> FlipGraph:
     Flip connectivity makes this the complete flip graph for any valid seed.
     A node's edge set shares the kernel's edge tuples; build a
     `Triangulation` from it where one is needed.  Raises CapExceededError
-    beyond `cap` nodes.
+    beyond `cap` nodes, and ValidationError for a `cap` below 1.
     """
+    if cap < 1:
+        raise ValidationError(f"cap must be positive, got {cap}")
     kernel = _FlipKernel(seed.domain)
     start_key = seed.canonical_key()
     nodes = {start_key: seed.edges}
     adjacency: dict[bytes, list[bytes]] = {}
-    stack = [(start_key, kernel.ids(seed), seed.triangles)]
+    stack = [(start_key, *kernel.state(seed))]
     while stack:
-        key, ids, triangles = stack.pop()
+        key, ids, opp = stack.pop()
+        parts = key.split(b";")
         nbrs = []
-        for r, a, ids_new in kernel.flips(ids, triangles):
-            k_new = kernel.key(ids_new)
+        for i, a, j in kernel.flips(ids, opp):
+            k_new = kernel.child_key(parts, i, a, j)
             nbrs.append(k_new)
             if k_new not in nodes:
                 if len(nodes) >= cap:
                     raise CapExceededError(
                         f"flip graph exceeds the {cap}-node cap")
+                ids_new, opp_new = kernel.child(ids, opp, i, a, j)
                 nodes[k_new] = frozenset(map(kernel.pairs.__getitem__, ids_new))
-                stack.append((k_new, ids_new,
-                              kernel.triangles_after(triangles, r, a)))
+                stack.append((k_new, ids_new, opp_new))
         adjacency[key] = sorted(nbrs)
     return FlipGraph(nodes, adjacency)
 

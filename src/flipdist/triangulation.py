@@ -410,14 +410,18 @@ def flip_is_convex(domain, u: int, v: int, x: int, y: int) -> bool:
         and orient(y, u, x) == s
 
 
-def flip_triangles(triangles: frozenset, removed: Edge,
-                   inserted: Edge) -> frozenset[Triangle]:
-    """The triangles after the diagonal `removed` of a quadrilateral is
-    flipped to `inserted`."""
+def quad_sides(removed: Edge, inserted: Edge):
+    """The four sides of the quadrilateral around a flip of `removed` to
+    `inserted`, each with the apex it loses and the apex it gains.
+
+    Flipping uv to xy replaces triangles uvx and uvy by xyu and xyv, so
+    side ux trades apex v for y, xv trades u for y, vy trades u for x and
+    yu trades v for x; the apexes across the quadrilateral stay.
+    """
     u, v = removed
     x, y = inserted
-    return (triangles - {tri(u, v, x), tri(u, v, y)}) \
-        | {tri(x, y, u), tri(x, y, v)}
+    return ((edge(u, x), v, y), (edge(x, v), u, y),
+            (edge(v, y), u, x), (edge(y, u), v, x))
 
 
 def triangle_apexes(triangles) -> dict[Edge, list[int]]:
@@ -435,10 +439,10 @@ class Triangulation:
 
     __slots__ = ("domain", "edges", "_triangles", "_apexes")
 
-    def __init__(self, domain, edges, triangles: Optional[frozenset] = None):
+    def __init__(self, domain, edges):
         self.domain = domain
         self.edges = frozenset(edge(u, v) for u, v in edges)
-        self._triangles = triangles
+        self._triangles: Optional[frozenset[Triangle]] = None
         self._apexes: Optional[dict[Edge, list[int]]] = None
 
     @property
@@ -477,9 +481,20 @@ class Triangulation:
     def apply_flip(self, move: FlipMove) -> "Triangulation":
         if not self.flip_is_legal(move):
             raise IllegalFlipError(f"illegal flip {move}")
-        new_edges = (self.edges - {move.removed}) | {move.inserted}
-        return Triangulation(self.domain, new_edges,
-                             flip_triangles(self.triangles, *move))
+        removed, inserted = move
+        # the apexes move with the flip: five entries change, and the
+        # edges are already normalised, so no face walk and no `edge()` pass
+        apexes = self.edge_apexes().copy()
+        del apexes[removed]
+        apexes[inserted] = list(removed)
+        for side, old, new in quad_sides(removed, inserted):
+            apexes[side] = [new if w == old else w for w in apexes[side]]
+        child = Triangulation.__new__(Triangulation)
+        child.domain = self.domain
+        child.edges = (self.edges - {removed}) | {inserted}
+        child._triangles = None
+        child._apexes = apexes
+        return child
 
     def apply_script(self, moves) -> "Triangulation":
         t = self

@@ -95,6 +95,15 @@ def test_reduce_rejects_nonplanar(tmp_path, capsys):
                  "--out", str(tmp_path / "x.json")]) == 2
 
 
+def test_reduce_negative_k_exits_2(tmp_path, capsys):
+    g = write(tmp_path / "c3.txt", C3_GRAPH)
+    out = tmp_path / "inst.json"
+    assert main(["reduce", "--graph", g, "--k", "-5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: cover bound k must be nonnegative, got -5\n"
+    assert not out.exists()
+
+
 def test_reduce_pointset(tmp_path, capsys):
     g = write(tmp_path / "c3.txt", C3_GRAPH)
     out = tmp_path / "ps.json"
@@ -361,3 +370,12 @@ def test_distance_negative_budget_exits_2(tmp_path, capsys):
     assert main(["distance", "--instance", str(path), "--budget", "-1"]) == 2
     err = capsys.readouterr().err
     assert err == "error: budget must be nonnegative, got -1\n"
+
+
+@pytest.mark.parametrize("cap", ["-1", "0"])
+def test_enumerate_nonpositive_cap_exits_2(tmp_path, capsys, cap):
+    path = tmp_path / "channel.json"
+    instanceio.save(channel_instance_doc(), path)
+    assert main(["enumerate", "--instance", str(path), "--cap", cap]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cap must be positive, got {cap}\n"

@@ -216,9 +216,46 @@ def test_h7_search_is_pinned():
     assert hashlib.sha256(witness).hexdigest() == H7_WITNESS_SHA256
 
 
+# the answers of the benchmark's `search` and `enumerate` workloads on H_9
+H9_WITNESS_SHA256 = \
+    "7cdc01198ca9ab21bf8baa2e4758c84017718d78f18c793d0dd0ca0f1cd5ffa2"
+H9_ADJACENCY_SHA256 = \
+    "ae8c2030607f919729ebd4ec727a4e3a4a84fd86191ea5c693b7c50695266a8d"
+H9_NODE_ORDER_SHA256 = \
+    "2dc89c29a62f7aa370ffa9979186a60eb6a652d1e9877f7bf9205dad4566484a"
+H10_WITNESS_SHA256 = \
+    "f29ac84cb96fc565a7d166526b65a2dfb6c81f0a6e31bc16866d6f8a30083502"
+
+
+def test_h9_search_is_pinned():
+    t_left, t_right = channel_pair(9)
+    res = exact_distance(t_left, t_right)
+    assert (res.distance, res.nodes_expanded, res.frontier_peak) == \
+        (64, 17103, 1235)
+    witness = instanceio.script_dumps(res.script).encode("ascii")
+    assert hashlib.sha256(witness).hexdigest() == H9_WITNESS_SHA256
+
+
+def test_h9_enumeration_is_pinned():
+    # nodes in the order they were found, adjacency in expansion order
+    t_left, _ = channel_pair(9)
+    graph = enumerate_flip_graph(t_left)
+    flips = sum(len(nbrs) for nbrs in graph.adjacency.values()) // 2
+    assert (len(graph), flips) == (12870, 51480)
+    nodes = b"".join(key + b"\n" for key in graph.nodes)
+    assert hashlib.sha256(nodes).hexdigest() == H9_NODE_ORDER_SHA256
+    digest = hashlib.sha256()
+    for key, nbrs in graph.adjacency.items():
+        digest.update(key + b">" + b"|".join(nbrs) + b"\n")
+    assert digest.hexdigest() == H9_ADJACENCY_SHA256
+
+
 @pytest.mark.slow
 def test_h10_distance_is_81():
     t_left, t_right = channel_pair(10)
     res = exact_distance(t_left, t_right)
     assert res.distance == len(res.script) == 81
+    assert (res.nodes_expanded, res.frontier_peak) == (63765, 3793)
     assert res.script.replay(t_left).canonical_key() == t_right.canonical_key()
+    witness = instanceio.script_dumps(res.script).encode("ascii")
+    assert hashlib.sha256(witness).hexdigest() == H10_WITNESS_SHA256

@@ -9,10 +9,10 @@ from flipdist.errors import DomainMismatchError, IllegalFlipError, ValidationErr
 from flipdist.gadgets import build_channel, channel_region, channel_triangulations
 from flipdist.geometry import pt
 from flipdist.reduction import region_to_pointset
-from flipdist.search import enumerate_flip_graph
+from flipdist.search import _FlipKernel, enumerate_flip_graph
 from flipdist.triangulation import (
-    FlipMove, PointSet, PolygonalRegion, Triangulation,
-    ear_clip_triangulation, edge, edge_difference, validate,
+    FlipMove, PointSet, PolygonalRegion, Triangulation, derive_triangles,
+    ear_clip_triangulation, edge, edge_difference, triangle_apexes, validate,
 )
 from flipdist import instanceio
 from oracles import validate_by_segments
@@ -364,6 +364,53 @@ def test_certificate_matches_segment_oracle(differential_seeds, seed, data):
     assert fast.ok == slow.ok, (fast.violations, slow.violations)
     assert fast.ok == (fast.violations == [])
     assert slow.ok == (slow.violations == [])
+
+
+WALK_SEEDS = [s.__name__ for s, _, _ in SMALL_SEEDS] + [
+    "square_with_interior_points", "c3_region"]
+
+
+def sorted_apexes(apexes):
+    return {e: sorted(aps) for e, aps in apexes.items()}
+
+
+@pytest.mark.parametrize("seed", WALK_SEEDS)
+def test_carried_apexes_match_face_walk(differential_seeds, seed):
+    # a random flip walk: after every flip the apexes `apply_flip` carried
+    # over equal those of the child's triangles, found by the face walk
+    t = differential_seeds[seed]
+    rng = random.Random(seed)
+    for _ in range(60):
+        moves = t.legal_flips()
+        if not moves:
+            break
+        t = t.apply_flip(rng.choice(moves))
+        fresh = triangle_apexes(derive_triangles(t.domain, t.edges))
+        assert sorted_apexes(t.edge_apexes()) == sorted_apexes(fresh)
+
+
+@pytest.mark.parametrize("seed", WALK_SEEDS)
+def test_kernel_state_matches_fresh_state(differential_seeds, seed):
+    # a random flip walk on the search kernel: the carried (ids, opp) state
+    # and the spliced key equal those built afresh from the edges alone
+    t = differential_seeds[seed]
+    kernel = _FlipKernel(t.domain)
+    ids, opp = kernel.state(t)
+    key = t.canonical_key()
+    rng = random.Random(seed)
+    for _ in range(60):
+        flips = kernel.flips(ids, opp)
+        moves = [kernel.move(ids[i], a) for i, a, _ in flips]
+        assert moves == t.legal_flips()
+        if not flips:
+            break
+        k = rng.randrange(len(flips))
+        key = kernel.child_key(key.split(b";"), *flips[k])
+        ids, opp = kernel.child(ids, opp, *flips[k])
+        removed, inserted = moves[k]
+        t = Triangulation(t.domain, (t.edges - {removed}) | {inserted})
+        assert (ids, opp) == kernel.state(t)
+        assert key == t.canonical_key()
 
 
 def swapped(t, removed, inserted):
