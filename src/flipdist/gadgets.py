@@ -292,20 +292,21 @@ def channel_mouths(upper: Sequence[Point2], lower: Sequence[Point2],
 # cap blocking sets
 
 def edges_crossing_segment(t: Triangulation, p: int, q: int) -> set[Edge]:
-    """Triangulation edges properly crossing the open segment p-q."""
+    """Triangulation edges properly crossing the open segment p-q.
+
+    Every point's side of line pq is computed once; only an edge whose
+    endpoints lie strictly on opposite sides can cross, and only such an
+    edge has p and q tested against its own line.
+    """
     ip = t.domain.ipoints
     a, b = ip[p], ip[q]
+    side = [orientation(a, b, c) for c in ip]
     out = set()
     for (u, v) in t.edges:
-        if u in (p, q) or v in (p, q):
-            continue
-        c, d = ip[u], ip[v]
-        o1 = orientation(a, b, c)
-        o2 = orientation(a, b, d)
-        o3 = orientation(c, d, a)
-        o4 = orientation(c, d, b)
-        if o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4):
-            out.add((u, v))
+        if side[u] * side[v] < 0:
+            c, d = ip[u], ip[v]
+            if orientation(c, d, a) * orientation(c, d, b) < 0:
+                out.add((u, v))
     return out
 
 

@@ -259,15 +259,6 @@ def halfplane_shift(h: HalfPlane, offset: Point2) -> HalfPlane:
     return HalfPlane(h.a, h.b, h.c - (h.a * offset.x + h.b * offset.y))
 
 
-def line_intersection(h1: HalfPlane, h2: HalfPlane) -> Optional[Point2]:
-    det = h1.a * h2.b - h2.a * h1.b
-    if det == 0:
-        return None
-    x = (h1.b * h2.c - h2.b * h1.c) / det
-    y = (h2.a * h1.c - h1.a * h2.c) / det
-    return Point2(x, y)
-
-
 def _between(lo: Optional[Fraction], hi: Optional[Fraction]) -> Optional[Fraction]:
     """A value strictly between the bounds (None for no bound on a side):
     the midpoint, or one past a lone bound; None when lo >= hi."""
@@ -351,16 +342,46 @@ def _canonicalize(halfplanes: Sequence[HalfPlane]) -> list[HalfPlane]:
 
 def _vertex_cycle(halfplanes: Sequence[HalfPlane]) -> tuple[Point2, ...]:
     """The counterclockwise, strictly convex vertex cycle of a bounded
-    region with interior; () when the region is unbounded."""
-    pts: list[Point2] = []
-    n = len(halfplanes)
+    region with interior; () when the region is unbounded.
+
+    Each candidate vertex, the meeting point of two boundary lines, is
+    tested in homogeneous integers: `_canonicalize` leaves every
+    coefficient an integer, and a `Fraction` point is built only for a
+    vertex that every closed half-plane contains.
+    """
+    coeffs = []
+    for h in halfplanes:
+        if h.a.denominator != 1 or h.b.denominator != 1 or h.c.denominator != 1:
+            raise ValueError(f"half-plane {h} has non-integer coefficients")
+        coeffs.append((h.a.numerator, h.b.numerator, h.c.numerator))
+    # each vertex with the set of boundary lines through it
+    lines: dict[Point2, set[int]] = {}
+    n = len(coeffs)
     for i in range(n):
+        a1, b1, c1 = coeffs[i]
         for j in range(i + 1, n):
-            p = line_intersection(halfplanes[i], halfplanes[j])
-            if p is None:
+            a2, b2, c2 = coeffs[j]
+            det = a1 * b2 - a2 * b1
+            if det == 0:
                 continue
-            if all(h.value(p) >= 0 for h in halfplanes) and p not in pts:
-                pts.append(p)
+            xn = b1 * c2 - b2 * c1
+            yn = a2 * c1 - a1 * c2
+            if det < 0:
+                det, xn, yn = -det, -xn, -yn
+            # the vertex is (xn/det, yn/det), and det > 0 scales each
+            # half-plane's value there without changing its sign
+            on = set()
+            for k, (a, b, c) in enumerate(coeffs):
+                s = a * xn + b * yn + c * det
+                if s < 0:
+                    break
+                if s == 0:
+                    on.add(k)
+            else:
+                p = Point2(Fraction(xn, det), Fraction(yn, det))
+                if p not in lines:
+                    lines[p] = on
+    pts = list(lines)
     if len(pts) < 3:
         return ()
     # order counterclockwise around the average point
@@ -381,7 +402,7 @@ def _vertex_cycle(halfplanes: Sequence[HalfPlane]) -> tuple[Point2, ...]:
     # a bounded region's consecutive vertices share a boundary line; an
     # unbounded one's chain of vertices has two ends that share none
     for p, q in zip(out, out[1:] + out[:1]):
-        if not any(h.value(p) == 0 == h.value(q) for h in halfplanes):
+        if not lines[p] & lines[q]:
             return ()
     return tuple(out)
 

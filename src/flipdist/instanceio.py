@@ -181,11 +181,17 @@ def script_load(path):
 def parse_graph_text(text: str):
     """Parse the `v <id> [<x> <y>]` / `e <u> <v>` / `outer <ids>` format.
 
+    Lines may come in any order.  A repeated vertex id, a self-loop, an
+    edge listed twice (in either orientation) and an edge to a vertex no
+    `v` line declares are rejected with the offending line's number.
+
     Returns (vertex ids, coords dict or None, edge list, outer list or None).
     """
     ids: list[int] = []
+    declared: set[int] = set()
     coords: dict[int, Point2] = {}
     edges: list[tuple[int, int]] = []
+    edge_lines: dict[frozenset, int] = {}
     outer: Optional[list[int]] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -198,6 +204,9 @@ def parse_graph_text(text: str):
                 if len(parts) not in (2, 4):
                     raise ValidationError("expected 'v <id> [<x> <y>]'")
                 vid = int(parts[1])
+                if vid in declared:
+                    raise ValidationError(f"vertex {vid} declared twice")
+                declared.add(vid)
                 ids.append(vid)
                 if len(parts) == 4:
                     coords[vid] = Point2(str_to_frac(parts[2]),
@@ -205,11 +214,25 @@ def parse_graph_text(text: str):
             elif kind == "e":
                 if len(parts) != 3:
                     raise ValidationError("expected 'e <u> <v>'")
-                edges.append((int(parts[1]), int(parts[2])))
+                u, v = int(parts[1]), int(parts[2])
+                if u == v:
+                    raise ValidationError(f"self-loop at vertex {u}")
+                key = frozenset((u, v))
+                if key in edge_lines:
+                    raise ValidationError(
+                        f"edge {u} {v} repeats line {edge_lines[key]}")
+                edge_lines[key] = lineno
+                edges.append((u, v))
             elif kind == "outer":
                 outer = [int(p) for p in parts[1:]]
             else:
                 raise ValidationError(f"unknown directive {kind!r}")
         except (ValueError, ValidationError) as exc:
             raise ValidationError(f"line {lineno}: {exc}") from exc
+    for (u, v), lineno in zip(edges, edge_lines.values()):
+        missing = [w for w in (u, v) if w not in declared]
+        if missing:
+            raise ValidationError(
+                f"line {lineno}: edge {u} {v} names undeclared vertex "
+                f"{missing[0]}")
     return ids, (coords or None), edges, outer

@@ -205,8 +205,10 @@ def drawing_from_coords(pos: dict[int, Point2], edges,
                         outer: Optional[Sequence[int]] = None) -> PlanarGraphDrawing:
     d = PlanarGraphDrawing(pos=dict(pos), edges=list(edges), outer_face=[])
     if outer is None:
-        faces = d.faces()
-        outer_face = next(f for f in faces if d.face_area2(f) < 0)
+        outer_face = next((f for f in d.faces() if d.face_area2(f) < 0), None)
+        if outer_face is None:
+            raise ValidationError("the drawing has no face of negative "
+                                  "area (collinear or coincident vertices)")
         d.outer_face = [u for u, _ in outer_face]
     else:
         d.outer_face = list(outer)

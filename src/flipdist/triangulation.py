@@ -343,15 +343,15 @@ def extract_faces(domain, edges) -> list[list[int]]:
 
 
 def canonical_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
-    """Rotation- and reflection-independent canonical form of a cycle."""
-    best = None
-    n = len(cycle)
-    for seq in (list(cycle), list(reversed(cycle))):
-        for s in range(n):
-            cand = tuple(seq[(s + i) % n] for i in range(n))
-            if best is None or cand < best:
-                best = cand
-    return best  # type: ignore[return-value]
+    """Rotation- and reflection-independent canonical form of a cycle: the
+    least of its rotations in either direction.  The least one starts at
+    the smallest vertex, so only the rotations starting there are compared
+    (more than one start when a face repeats a vertex)."""
+    seq = list(cycle)
+    lo = min(seq)
+    return min(rot for s, v in enumerate(seq) if v == lo
+               for rot in (tuple(seq[s:] + seq[:s]),
+                           tuple(seq[s::-1] + seq[:s:-1])))
 
 
 def derive_triangles(domain, edges) -> frozenset[Triangle]:

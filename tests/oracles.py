@@ -5,8 +5,8 @@ from math import gcd
 from typing import NamedTuple
 
 from flipdist.errors import ValidationError
-from flipdist.geometry import (COLLINEAR, Point2, angular_key,
-                               line_intersection, orientation, touching_pairs)
+from flipdist.geometry import (COLLINEAR, Point2, angular_key, orientation,
+                               touching_pairs)
 from flipdist.triangulation import (Edge, ValidationReport, derive_triangles,
                                     edge)
 
@@ -68,6 +68,78 @@ def validate_by_segments(t) -> ValidationReport:
                     report.add(f"edge {e} bounds {apexes.get(e, 0)} triangles, "
                                f"expected {want}")
     return report
+
+
+def canonical_cycle_all_rotations(cycle) -> tuple:
+    """The oracle of `triangulation.canonical_cycle`: the least of all
+    rotations of the cycle and of its reversal."""
+    best = None
+    n = len(cycle)
+    for seq in (list(cycle), list(reversed(cycle))):
+        for s in range(n):
+            cand = tuple(seq[(s + i) % n] for i in range(n))
+            if best is None or cand < best:
+                best = cand
+    return best
+
+
+def edges_crossing_segment_four_tests(t, p, q) -> set:
+    """The oracle of `gadgets.edges_crossing_segment`: the four orientation
+    tests of a proper crossing on every edge not incident to p or q."""
+    ip = t.domain.ipoints
+    a, b = ip[p], ip[q]
+    out = set()
+    for (u, v) in t.edges:
+        if u in (p, q) or v in (p, q):
+            continue
+        c, d = ip[u], ip[v]
+        o1 = orientation(a, b, c)
+        o2 = orientation(a, b, d)
+        o3 = orientation(c, d, a)
+        o4 = orientation(c, d, b)
+        if o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4):
+            out.add((u, v))
+    return out
+
+
+def line_intersection(h1, h2):
+    """The meeting point of two half-planes' boundary lines, or None when
+    they are parallel."""
+    det = h1.a * h2.b - h2.a * h1.b
+    if det == 0:
+        return None
+    x = (h1.b * h2.c - h2.b * h1.c) / det
+    y = (h2.a * h1.c - h1.a * h2.c) / det
+    return Point2(x, y)
+
+
+def vertex_cycle_by_fractions(halfplanes) -> tuple:
+    """The oracle of `geometry._vertex_cycle`: every pair of boundary lines
+    is intersected in `Fraction`s and the point tested against every
+    half-plane; consecutive cycle vertices must share a boundary line,
+    found by evaluating every half-plane at both."""
+    pts = []
+    n = len(halfplanes)
+    for i in range(n):
+        for j in range(i + 1, n):
+            p = line_intersection(halfplanes[i], halfplanes[j])
+            if p is None:
+                continue
+            if all(h.value(p) >= 0 for h in halfplanes) and p not in pts:
+                pts.append(p)
+    if len(pts) < 3:
+        return ()
+    center = Point2(sum((p.x for p in pts), Fraction(0)) / len(pts),
+                    sum((p.y for p in pts), Fraction(0)) / len(pts))
+    ordered = sorted(pts, key=lambda p: angular_key(p - center))
+    m = len(ordered)
+    out = [ordered[k] for k in range(m)
+           if orientation(ordered[k - 1], ordered[k],
+                          ordered[(k + 1) % m]) != COLLINEAR]
+    for p, q in zip(out, out[1:] + out[:1]):
+        if not any(h.value(p) == 0 == h.value(q) for h in halfplanes):
+            return ()
+    return tuple(out)
 
 
 class SidedHalfPlane(NamedTuple):

@@ -104,6 +104,30 @@ def test_reduce_negative_k_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    (C3_GRAPH + "v 1 5 5\n", "line 8: vertex 1 declared twice"),
+    (K4_GRAPH + "v 2\n", "line 12: vertex 2 declared twice"),
+    (C3_GRAPH + "e 1 0\n", "line 8: edge 1 0 repeats line 5"),
+    (K4_GRAPH + "e 0 1\n", "line 12: edge 0 1 repeats line 5"),
+    (K4_GRAPH + "e 2 2\n", "line 12: self-loop at vertex 2"),
+    (C3_GRAPH + "e 2 7\n", "line 8: edge 2 7 names undeclared vertex 7"),
+    ("e 3 9\n" + K4_GRAPH, "line 1: edge 3 9 names undeclared vertex 9"),
+    ("v 0 0 0\nv 1 1 0\nv 2 2 0\ne 0 1\ne 1 2\ne 2 0\n",
+     "the drawing has no face of negative area"),
+    ("v 0 5 5\nv 1 5 5\nv 2 5 5\ne 0 1\ne 1 2\ne 2 0\n",
+     "the drawing has no face of negative area"),
+], ids=["vertex-twice-xy", "vertex-twice", "edge-twice-reversed-xy",
+        "edge-twice", "self-loop", "undeclared-xy", "undeclared-before-v",
+        "collinear-xy", "coincident-xy"])
+def test_hostile_graph_file_exits_2(tmp_path, capsys, text, message):
+    g = write(tmp_path / "bad.txt", text)
+    out = tmp_path / "inst.json"
+    assert main(["reduce", "--graph", g, "--k", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message) and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_reduce_pointset(tmp_path, capsys):
     g = write(tmp_path / "c3.txt", C3_GRAPH)
     out = tmp_path / "ps.json"

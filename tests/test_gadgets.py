@@ -1,17 +1,21 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from flipdist import gadgets
 from flipdist.errors import InfeasibleSagError
 from flipdist.gadgets import (
-    Channel, build_channel, canonical_capped_edges, capped_transform_moves,
-    channel_mouths, channel_region, channel_triangulations,
-    left_to_canonical_moves, left_edges, right_edges, right_to_canonical_moves,
+    Channel, blocking_set, build_channel, canonical_capped_edges,
+    capped_transform_moves, channel_mouths, channel_region,
+    channel_triangulations, edges_crossing_segment, left_to_canonical_moves,
+    left_edges, right_edges, right_to_canonical_moves,
 )
-from flipdist.geometry import pt
+from flipdist.geometry import on_segment, orientation, pt
 from flipdist.search import (bfs_distance, count_polygon_triangulations,
                              enumerate_flip_graph, exact_distance)
 from flipdist.triangulation import PolygonalRegion, Triangulation, edge, validate
+from oracles import edges_crossing_segment_four_tests
 
 
 def figure_channel(n=7, sag=Fraction(1, 160)):
@@ -226,3 +230,52 @@ def test_wide_mouths_covering_square_is_infeasible():
     ]
     with pytest.raises(EmptyFeasibleRegionError):
         build_vertex_gadget(pt(0, 0), Fraction(10), stubs)
+
+
+def test_crossing_scan_matches_four_test_oracle(c3_instance):
+    """Random point pairs of the C3 instance's t1, every pair whose open
+    segment passes through a point, and every edge of t1 as a segment."""
+    t = c3_instance.t1
+    ip = t.domain.ipoints
+    n = len(ip)
+    rng = random.Random(17)
+    pairs = {tuple(rng.sample(range(n), 2)) for _ in range(200)}
+    through = {(p, q) for p in range(n) for q in range(p + 1, n)
+               if any(on_segment(ip[r], ip[p], ip[q], closed=False)
+                      for r in range(n))}
+    assert through
+    for p, q in pairs | through | set(t.edges):
+        assert edges_crossing_segment(t, p, q) == \
+            edges_crossing_segment_four_tests(t, p, q)
+
+
+def test_blocking_set_orients_each_point_once(c3_instance, monkeypatch):
+    """`blocking_set` makes at most one orientation call per point and
+    segment, plus two per edge whose endpoints straddle the segment's line."""
+    inst = c3_instance
+    t = inst.t1
+    ip = t.domain.ipoints
+    calls = []
+
+    def counted(p, q, r):
+        calls.append(None)
+        return orientation(p, q, r)
+
+    checked = 0
+    for rec in inst.channels.values():
+        for v, cap in rec.caps.items():
+            gate = edge(*rec.gates[v])
+            bound = 0
+            for end in gate:
+                a, b = ip[cap], ip[end]
+                straddling = sum(1 for u, w in t.edges
+                                 if orientation(a, b, ip[u])
+                                 * orientation(a, b, ip[w]) < 0)
+                bound += len(ip) + 2 * straddling
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(gadgets, "orientation", counted)
+                blocking_set(t, cap, gate)
+            assert 0 < len(calls) <= bound
+            checked += 1
+    assert checked == 6

@@ -14,7 +14,7 @@ from flipdist.geometry import (
 
 from oracles import (SidedHalfPlane, fourier_motzkin_with_strictness,
                      interior_point_by_recession,
-                     is_subset_by_closed_complement)
+                     is_subset_by_closed_complement, vertex_cycle_by_fractions)
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=64)
 points = st.builds(Point2, rationals, rationals)
@@ -228,6 +228,45 @@ def test_open_solver_matches_strictness_aware_oracle(first, second):
         assert interior_point(region) == expected
     assert region.is_subset_of(other) == \
         is_subset_by_closed_complement(region.halfplanes, other.halfplanes)
+
+
+BOX = [HalfPlane(1, 0, 4), HalfPlane(-1, 0, 4), HalfPlane(0, 1, 4),
+       HalfPlane(0, -1, 4)]
+
+
+@given(systems, st.booleans())
+@example([HalfPlane(1, 0, 0), HalfPlane(-1, 0, 2)], False)          # a strip
+@example([HalfPlane(1, 0, 0), HalfPlane(2, 0, 0), HalfPlane(0, 1, 0),
+          HalfPlane(-1, -1, 1), HalfPlane(-2, -2, 2)], False)      # duplicates
+@example([HalfPlane(1, 0, 0), HalfPlane(0, 1, 0), HalfPlane(-1, -1, 2),
+          HalfPlane(-1, 1, 2), HalfPlane(1, -1, 2)], False)  # lines through vertices
+@example([HalfPlane(1, 0, 0), HalfPlane(0, 1, 0), HalfPlane(1, 2, -2),
+          HalfPlane(2, 1, -2)], False)           # unbounded, three vertices
+def test_vertex_cycle_matches_fraction_oracle(hs, boxed):
+    """The integer vertex test agrees with the Fraction oracle on raw
+    systems (parallel and duplicate lines, unbounded and empty regions)
+    and on their canonical forms.  Half the systems are clipped to a box,
+    so that most of those are bounded and have a vertex cycle."""
+    if boxed:
+        hs = hs + BOX
+    raw = [_strip(*h) for h in hs]
+    for system in (raw, ConvexRegion(hs).halfplanes):
+        assert _vertex_cycle(system) == vertex_cycle_by_fractions(system)
+
+
+@given(st.lists(st.builds(HalfPlane, rationals, rationals, rationals)
+                .filter(lambda h: (h.a, h.b) != (0, 0)),
+                min_size=1, max_size=6))
+def test_canonical_halfplanes_have_integer_coefficients(hs):
+    for h in ConvexRegion(hs).halfplanes:
+        assert (h.a.denominator, h.b.denominator, h.c.denominator) == (1, 1, 1)
+
+
+def test_vertex_cycle_rejects_fractional_coefficients():
+    half = Fraction(1, 2)
+    with pytest.raises(ValueError, match="non-integer coefficients"):
+        _vertex_cycle([_strip(1, 0, 0), _strip(0, 1, 0),
+                       HalfPlane(-half, Fraction(-1), Fraction(1))])
 
 
 def test_coord_bits_meter():

@@ -3,7 +3,7 @@ from collections import defaultdict
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flipdist.errors import DomainMismatchError, IllegalFlipError, ValidationError
 from flipdist.gadgets import build_channel, channel_region, channel_triangulations
@@ -11,11 +11,12 @@ from flipdist.geometry import pt
 from flipdist.reduction import region_to_pointset
 from flipdist.search import _FlipKernel, enumerate_flip_graph
 from flipdist.triangulation import (
-    FlipMove, PointSet, PolygonalRegion, Triangulation, derive_triangles,
-    ear_clip_triangulation, edge, edge_difference, triangle_apexes, validate,
+    FlipMove, PointSet, PolygonalRegion, Triangulation, canonical_cycle,
+    derive_triangles, ear_clip_triangulation, edge, edge_difference,
+    triangle_apexes, validate,
 )
 from flipdist import instanceio
-from oracles import validate_by_segments
+from oracles import canonical_cycle_all_rotations, validate_by_segments
 
 
 def convex_polygon_region(n):
@@ -125,6 +126,13 @@ def test_canonical_key():
     t2 = t1.apply_flip(FlipMove((0, 2), (1, 3)))
     assert t1.canonical_key() == t1b.canonical_key()
     assert t1.canonical_key() != t2.canonical_key()
+
+
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=12))
+@example([0, 1, 2, 1])           # the face around a bridge 1-2
+@example([3, 0, 4, 0, 5, 0])     # a vertex repeated three times
+def test_canonical_cycle_matches_all_rotations(cycle):
+    assert canonical_cycle(cycle) == canonical_cycle_all_rotations(cycle)
 
 
 def test_edge_difference_domain_mismatch():
