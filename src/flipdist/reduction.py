@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import networkx as nx
-
 from .errors import (EmptyFeasibleRegionError, EmptyRegionError,
                      IllegalFlipError, IllegalScriptError, InfeasibleSagError,
                      InvalidOuterFaceError, Not3ConnectedError, NotACoverError,
@@ -45,7 +43,7 @@ class PlanarGraphDrawing:
     outer_face: list[int]
 
     def __post_init__(self):
-        self.edges = [tuple(sorted(e)) for e in self.edges]
+        self.edges = list(dict.fromkeys(tuple(sorted(e)) for e in self.edges))
         self.adj: dict[int, list[int]] = {v: [] for v in self.pos}
         for u, w in self.edges:
             self.adj[u].append(w)
@@ -105,32 +103,19 @@ def convex_drawing(vertices: Sequence[int], edges: Sequence[tuple[int, int]],
     interior positions solve the uniform barycentric system exactly, which for
     3-connected planar graphs yields a plane drawing with strictly convex
     faces.  Audited by orientation predicates afterwards.
-    """
-    g = nx.Graph()
-    g.add_nodes_from(vertices)
-    g.add_edges_from(edges)
-    if g.number_of_nodes() != len(set(vertices)) or nx.number_of_selfloops(g):
-        raise ValidationError("graph must be simple")
-    is_planar, embedding = nx.check_planarity(g)
-    if not is_planar:
-        raise NotPlanarError("graph is not planar")
-    if g.number_of_nodes() < 4 or not nx.is_connected(g) \
-            or nx.node_connectivity(g) < 3:
-        raise Not3ConnectedError("graph is not 3-connected")
 
-    # faces of the (unique) combinatorial embedding
-    face_set = {}
-    for u in embedding:
-        for w in embedding[u]:
-            cyc = embedding.traverse_face(u, w)
-            face_set[canonical_cycle(cyc)] = list(cyc)
+    Without `outer`, the outer face is the least face under
+    `canonical_cycle`, drawn in that vertex order, so the drawing does not
+    depend on the order of `vertices` or `edges`.
+    """
+    adj, faces = _embedding(vertices, edges)
+    face_set = {canonical_cycle(f) for f in faces}
     if outer is not None:
-        key = canonical_cycle(list(outer))
-        if key not in face_set:
+        if not outer or canonical_cycle(outer) not in face_set:
             raise InvalidOuterFaceError(f"{list(outer)} is not a face")
         outer_cycle = list(outer)
     else:
-        outer_cycle = face_set[min(face_set)]
+        outer_cycle = list(min(face_set))
 
     k = len(outer_cycle)
     radius = Fraction(1 << 12)
@@ -149,8 +134,8 @@ def convex_drawing(vertices: Sequence[int], edges: Sequence[tuple[int, int]],
         by = [Fraction(0)] * m
         for v in inner:
             i = index[v]
-            a[i][i] = Fraction(g.degree(v))
-            for w in g.neighbors(v):
+            a[i][i] = Fraction(len(adj[v]))
+            for w in adj[v]:
                 if w in index:
                     a[i][index[w]] -= 1
                 else:
@@ -187,6 +172,154 @@ def _solve(a, b):
     return b
 
 
+def _embedding(vertices, edges) -> tuple[dict[int, set[int]], list[list[int]]]:
+    """Adjacency sets of a simple, planar, 3-connected graph and the face
+    cycles of its plane embedding, which is unique (Tutte, 1963).
+
+    Duplicate edges merge.  Raises ValidationError for a self-loop or an
+    edge to an undeclared vertex, then NotPlanarError, then
+    Not3ConnectedError.
+    """
+    adj: dict[int, set[int]] = {v: set() for v in vertices}
+    for u, w in edges:
+        if u == w or u not in adj or w not in adj:
+            raise ValidationError("graph must be simple")
+        adj[u].add(w)
+        adj[w].add(u)
+    blocks = _blocks(adj)
+    faces: list[list[int]] = []
+    for block in blocks:
+        if len(block) > 1:
+            faces = _block_faces(block)
+            if faces is None:
+                raise NotPlanarError("graph is not planar")
+    # 3-connected: at least 4 vertices, and G and every G - v are one block
+    n = len(adj)
+    if n < 4 or not _is_one_block(blocks, n) or not all(
+            _is_one_block(_blocks(adj, skip=v), n - 1) for v in adj):
+        raise Not3ConnectedError("graph is not 3-connected")
+    return adj, faces
+
+
+def _blocks(adj: dict[int, set[int]], skip=None) -> list[list[tuple[int, int]]]:
+    """Edge lists of the biconnected components of the graph minus `skip`.
+
+    Hopcroft and Tarjan's low-point search with an explicit stack, so a long
+    path cannot reach the interpreter's recursion limit.
+    """
+    disc: dict[int, int] = {}
+    low: dict[int, int] = {}
+    blocks = []
+    for root in adj:
+        if root == skip or root in disc:
+            continue
+        disc[root] = low[root] = len(disc)
+        stack = [(root, None, iter(adj[root]))]
+        edge_stack: list[tuple[int, int]] = []
+        while stack:
+            v, parent, it = stack[-1]
+            for w in it:
+                if w == skip or w == parent:
+                    continue
+                if w not in disc:
+                    disc[w] = low[w] = len(disc)
+                    edge_stack.append((v, w))
+                    stack.append((w, v, iter(adj[w])))
+                    break
+                if disc[w] < disc[v]:
+                    edge_stack.append((v, w))
+                    low[v] = min(low[v], disc[w])
+            else:
+                stack.pop()
+                if parent is not None:
+                    low[parent] = min(low[parent], low[v])
+                    if low[v] >= disc[parent]:
+                        block = []
+                        while not block or block[-1] != (parent, v):
+                            block.append(edge_stack.pop())
+                        blocks.append(block)
+    return blocks
+
+
+def _is_one_block(blocks, n: int) -> bool:
+    """True when `blocks` is a single block spanning `n` vertices."""
+    return len(blocks) == 1 and len({v for e in blocks[0] for v in e}) == n
+
+
+def _block_faces(block: list[tuple[int, int]]) -> Optional[list[list[int]]]:
+    """Face cycles of a plane embedding of a biconnected graph, or None if
+    the graph is not planar (Demoucron, Malgrange and Pertuiset, 1964).
+
+    The embedded part H starts as a cycle with its two faces.  Each round
+    finds the fragments of H: an unplaced edge between two vertices of H, or
+    a component of the unplaced vertices with the edges to its attachments
+    in H.  A fragment whose attachments lie on no single face cannot be
+    placed.  Otherwise a fragment that fits the fewest faces has a path
+    between two of its attachments drawn into one of them, splitting it.
+    """
+    adj: dict[int, set[int]] = {}
+    for u, w in block:
+        adj.setdefault(u, set()).add(w)
+        adj.setdefault(w, set()).add(u)
+    u0, w0 = block[0]
+    cycle = _bfs_path(adj, u0, adj.keys() - {u0, w0}, {w0})
+    faces = [cycle, cycle[::-1]]
+    placed = set(cycle)
+    placed_edges = {frozenset(e) for e in zip(cycle, cycle[1:] + cycle[:1])}
+    while len(placed_edges) < len(block):
+        fragments = [({u, w}, [u, w]) for u, w in block
+                     if u in placed and w in placed
+                     and frozenset((u, w)) not in placed_edges]
+        unplaced = adj.keys() - placed
+        while unplaced:
+            comp = {unplaced.pop()}
+            todo = list(comp)
+            while todo:
+                for w in adj[todo.pop()]:
+                    if w not in placed and w not in comp:
+                        comp.add(w)
+                        todo.append(w)
+            unplaced -= comp
+            attach = {w for x in comp for w in adj[x] if w in placed}
+            a = min(attach)
+            fragments.append((attach, _bfs_path(adj, a, comp, attach - {a})))
+        face_sets = [set(f) for f in faces]
+        fits = [[i for i, fs in enumerate(face_sets) if attach <= fs]
+                for attach, _ in fragments]
+        if not all(fits):
+            return None
+        best = min(range(len(fragments)), key=lambda i: len(fits[i]))
+        path = fragments[best][1]
+        face = faces.pop(fits[best][0])
+        i = face.index(path[0])
+        face = face[i:] + face[:i]
+        j = face.index(path[-1])
+        faces.append(face[:j + 1] + path[-2:0:-1])
+        faces.append(face[j:] + face[:1] + path[1:-1])
+        placed.update(path)
+        placed_edges.update(frozenset(e) for e in zip(path, path[1:]))
+    return faces
+
+
+def _bfs_path(adj, source, inside, targets) -> list[int]:
+    """A shortest path from `source` into `inside`, through `inside` vertices
+    only, to a vertex of `targets`."""
+    parent = {source: None}
+    queue = [source]
+    for x in queue:
+        for y in adj[x]:
+            if y in targets and x != source:
+                path = [y]
+                while x is not None:
+                    path.append(x)
+                    x = parent[x]
+                return path[::-1]
+            if y in inside and y not in parent:
+                parent[y] = x
+                queue.append(y)
+    raise ValueError("no path: the graph is not biconnected")
+
+
 def _audit_convex_faces(drawing: PlanarGraphDrawing):
     for face in drawing.faces():
         cyc = [u for u, _ in face]
@@ -204,13 +337,15 @@ def _audit_convex_faces(drawing: PlanarGraphDrawing):
 def drawing_from_coords(pos: dict[int, Point2], edges,
                         outer: Optional[Sequence[int]] = None) -> PlanarGraphDrawing:
     d = PlanarGraphDrawing(pos=dict(pos), edges=list(edges), outer_face=[])
-    if outer is None:
-        outer_face = next((f for f in d.faces() if d.face_area2(f) < 0), None)
-        if outer_face is None:
-            raise ValidationError("the drawing has no face of negative "
-                                  "area (collinear or coincident vertices)")
-        d.outer_face = [u for u, _ in outer_face]
-    else:
+    outer_face = next((f for f in d.faces() if d.face_area2(f) < 0), None)
+    if outer_face is None:
+        raise ValidationError("the drawing has no face of negative "
+                              "area (collinear or coincident vertices)")
+    d.outer_face = [u for u, _ in outer_face]
+    if outer is not None:
+        if not outer or canonical_cycle(outer) != canonical_cycle(d.outer_face):
+            raise InvalidOuterFaceError(
+                f"{list(outer)} is not the outer face of the drawing")
         d.outer_face = list(outer)
     return d
 

@@ -4,11 +4,13 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from flipdist.errors import ValidationError
+import networkx as nx
+
+from flipdist.errors import Not3ConnectedError, NotPlanarError, ValidationError
 from flipdist.geometry import (COLLINEAR, Point2, angular_key, orientation,
                                touching_pairs)
-from flipdist.triangulation import (Edge, ValidationReport, derive_triangles,
-                                    edge)
+from flipdist.triangulation import (Edge, ValidationReport, canonical_cycle,
+                                    derive_triangles, edge)
 
 
 def validate_by_segments(t) -> ValidationReport:
@@ -290,3 +292,22 @@ def is_subset_by_closed_complement(inner, outer) -> bool:
     return all(fourier_motzkin_with_strictness(
         opened + [SidedHalfPlane(-h.a, -h.b, -h.c, False)]) is None
         for h in outer)
+
+
+def embedding_faces_by_networkx(vertices, edges) -> set:
+    """The networkx oracle of `reduction._embedding`, the graph checks of
+    `convex_drawing`: raises what it raises, in the same order, or returns
+    the `canonical_cycle` keys of the faces of the unique plane embedding."""
+    g = nx.Graph()
+    g.add_nodes_from(vertices)
+    g.add_edges_from(edges)
+    if g.number_of_nodes() != len(set(vertices)) or nx.number_of_selfloops(g):
+        raise ValidationError("graph must be simple")
+    is_planar, embedding = nx.check_planarity(g)
+    if not is_planar:
+        raise NotPlanarError("graph is not planar")
+    if g.number_of_nodes() < 4 or not nx.is_connected(g) \
+            or nx.node_connectivity(g) < 3:
+        raise Not3ConnectedError("graph is not 3-connected")
+    return {canonical_cycle(embedding.traverse_face(u, w))
+            for u in embedding for w in embedding[u]}

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,6 +25,22 @@ e 2 0
 K4_GRAPH = "\n".join(["v 0", "v 1", "v 2", "v 3",
                       "e 0 1", "e 0 2", "e 0 3", "e 1 2", "e 1 3", "e 2 3",
                       "outer 0 1 2"]) + "\n"
+
+K4_XY_GRAPH = """# K4 with coordinates: outer triangle 0 1 2 around vertex 3
+v 0 0 0
+v 1 1200 0
+v 2 600 1000
+v 3 600 400
+e 0 1
+e 1 2
+e 2 0
+e 0 3
+e 1 3
+e 2 3
+"""
+
+PRISM_EDGES = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+               (0, 3), (1, 4), (2, 5)]
 
 
 # SHA-256 of the canonical JSON that `reduce` writes for the graphs above;
@@ -116,9 +134,15 @@ def test_reduce_negative_k_exits_2(tmp_path, capsys):
      "the drawing has no face of negative area"),
     ("v 0 5 5\nv 1 5 5\nv 2 5 5\ne 0 1\ne 1 2\ne 2 0\n",
      "the drawing has no face of negative area"),
+    (C3_GRAPH + "outer 0 1 9\n",
+     "[0, 1, 9] is not the outer face of the drawing"),
+    (K4_XY_GRAPH + "outer 0 1 3\n",
+     "[0, 1, 3] is not the outer face of the drawing"),
+    (K4_GRAPH.replace("outer 0 1 2", "outer"), "[] is not a face"),
 ], ids=["vertex-twice-xy", "vertex-twice", "edge-twice-reversed-xy",
         "edge-twice", "self-loop", "undeclared-xy", "undeclared-before-v",
-        "collinear-xy", "coincident-xy"])
+        "collinear-xy", "coincident-xy", "outer-undeclared-xy",
+        "outer-inner-face-xy", "outer-empty"])
 def test_hostile_graph_file_exits_2(tmp_path, capsys, text, message):
     g = write(tmp_path / "bad.txt", text)
     out = tmp_path / "inst.json"
@@ -126,6 +150,38 @@ def test_hostile_graph_file_exits_2(tmp_path, capsys, text, message):
     err = capsys.readouterr().err
     assert err.startswith("error: " + message) and "Traceback" not in err
     assert not out.exists()
+
+
+def test_reduce_without_outer_ignores_line_order(tmp_path, capsys):
+    """Without an `outer` line the outer face is the least face under
+    `canonical_cycle`, so the order of the lines and of the two ids on an
+    edge line cannot change the instance."""
+    written = set()
+    for seed in range(4):
+        rnd = random.Random(seed)
+        lines = [f"v {v}" for v in range(6)] + [
+            f"e {u} {w}" if rnd.random() < 0.5 else f"e {w} {u}"
+            for u, w in PRISM_EDGES]
+        rnd.shuffle(lines)
+        g = write(tmp_path / f"prism{seed}.txt", "\n".join(lines) + "\n")
+        out = tmp_path / f"prism{seed}.json"
+        assert main(["reduce", "--graph", g, "--k", "4", "--out", str(out)]) == 0
+        written.add(out.read_bytes())
+    assert len(written) == 1
+
+
+def test_long_cycle_graph_exits_2(tmp_path, capsys):
+    """A 3,000-vertex cycle is rejected as not 3-connected within seconds,
+    and the block search does not recurse (a recursive one would pass the
+    interpreter's recursion limit)."""
+    n = 3000
+    g = write(tmp_path / "cycle.txt", "\n".join(
+        [f"v {v}" for v in range(n)] + [f"e {v} {(v + 1) % n}" for v in range(n)]))
+    start = time.perf_counter()
+    assert main(["reduce", "--graph", g, "--k", "3",
+                 "--out", str(tmp_path / "x.json")]) == 2
+    assert time.perf_counter() - start < 10
+    assert capsys.readouterr().err == "error: graph is not 3-connected\n"
 
 
 def test_reduce_pointset(tmp_path, capsys):

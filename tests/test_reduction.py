@@ -1,17 +1,24 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from flipdist import instanceio
 from flipdist.errors import (IllegalScriptError, Not3ConnectedError,
-                             NotACoverError, NotPlanarError)
+                             NotACoverError, NotPlanarError, ValidationError)
 from flipdist.gadgets import blocking_set, channel_mouths
-from flipdist.geometry import pt
-from flipdist.reduction import (ReductionInstance, audit_script, build_instance,
-                                convex_drawing, cover_to_script,
-                                drawing_from_coords, eliminate_sharp,
-                                instance_coord_bits, region_to_pointset)
+from flipdist.geometry import orientation, pt
+from flipdist.reduction import (ReductionInstance, _embedding, audit_script,
+                                build_instance, convex_drawing,
+                                cover_to_script, drawing_from_coords,
+                                eliminate_sharp, instance_coord_bits,
+                                region_to_pointset)
 from flipdist.search import FlipScript, exact_distance, lower_bound
-from flipdist.triangulation import FlipMove, Triangulation, edge, validate
+from flipdist.triangulation import (FlipMove, Triangulation, canonical_cycle,
+                                    edge, hull_cycle, validate)
 from flipdist.vertexcover import Graph, exact_vc
+
+from oracles import embedding_faces_by_networkx
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 PRISM_EDGES = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
@@ -56,6 +63,94 @@ def test_convex_drawing_rejects_bad_graphs():
     k5 = [(i, j) for i in range(5) for j in range(i + 1, 5)]
     with pytest.raises(NotPlanarError):
         convex_drawing(list(range(5)), k5)
+
+
+@st.composite
+def gnp_graphs(draw):
+    """G(n, p) with n <= 12; now and then a self-loop or an edge to an
+    undeclared vertex, which both sides must reject as not simple."""
+    n = draw(st.integers(0, 12))
+    p = draw(st.sampled_from([0.2, 0.35, 0.5, 0.7]))
+    rnd = draw(st.randoms(use_true_random=False))
+    edges = [e for e in combinations(range(n), 2) if rnd.random() < p]
+    flaw = draw(st.sampled_from([None] * 8 + ["loop", "undeclared"]))
+    if flaw == "loop" and n:
+        edges.append((n - 1, n - 1))
+    elif flaw == "undeclared":
+        edges.append((0, n))
+    return list(range(n)), edges
+
+
+@st.composite
+def plane_graphs(draw):
+    """A maximal plane straight-line graph on distinct points of a small
+    integer grid (segments added shortest first when they cross no earlier
+    one and pass through no point), sometimes with an apex joined to the
+    hull cycle, then edges removed and pairs added."""
+    side = draw(st.integers(3, 5))
+    pts = draw(st.lists(st.tuples(st.integers(0, side), st.integers(0, side)),
+                        min_size=4, max_size=10, unique=True))
+    rnd = draw(st.randoms(use_true_random=False))
+    p = [pt(x, y) for x, y in pts]
+
+    def crosses(a, b, c, d):
+        return (orientation(p[a], p[b], p[c]) * orientation(p[a], p[b], p[d]) < 0
+                and orientation(p[c], p[d], p[a]) * orientation(p[c], p[d], p[b]) < 0)
+
+    def through_point(a, b):
+        return any(orientation(p[a], p[b], p[c]) == 0
+                   and (p[c] - p[a]).dot(p[c] - p[b]) < 0
+                   for c in range(len(p)))
+
+    edges = []
+    for a, b in sorted(combinations(range(len(p)), 2),
+                       key=lambda e: (p[e[0]] - p[e[1]]).dot(p[e[0]] - p[e[1]])):
+        if not through_point(a, b) and not any(crosses(a, b, c, d)
+                                               for c, d in edges):
+            edges.append((a, b))
+    n = len(p)
+    if draw(st.booleans()) and any(orientation(p[0], p[1], q) for q in p):
+        edges += [(n, v) for v in hull_cycle(pts)]
+        n += 1
+    drop = draw(st.sampled_from([0, 0, 0.1, 0.3]))
+    edges = [e for e in edges if rnd.random() >= drop]
+    edges += [tuple(rnd.sample(range(n), 2))
+              for _ in range(draw(st.sampled_from([0, 0, 1, 3])))]
+    return list(range(n)), edges
+
+
+def embedding_outcome(find_faces):
+    try:
+        return find_faces()
+    except (NotPlanarError, Not3ConnectedError, ValidationError) as exc:
+        return type(exc).__name__
+
+
+def embedding_faces(vertices, edges):
+    """Face keys of the embedding, which must also be the faces of the Tutte
+    drawing built on it."""
+    keys = {canonical_cycle(f) for f in _embedding(vertices, edges)[1]}
+    d = convex_drawing(vertices, edges)
+    assert {canonical_cycle([u for u, _ in f]) for f in d.faces()} == keys
+    return keys
+
+
+K33 = [(a, b) for a in range(3) for b in range(3, 6)]
+PETERSEN = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)] \
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+
+
+@settings(max_examples=150)
+@given(st.one_of(gnp_graphs(), plane_graphs()))
+@example((list(range(6)), K33))
+@example((list(range(10)), PETERSEN))
+@example((list(range(6)), PRISM_EDGES + [(0, 1), (4, 3)]))
+def test_convex_drawing_matches_networkx_oracle(graph):
+    """Planarity, 3-connectivity and the faces of the embedding agree with
+    networkx, error order included."""
+    vertices, edges = graph
+    want = embedding_outcome(lambda: embedding_faces_by_networkx(vertices, edges))
+    assert embedding_outcome(lambda: embedding_faces(vertices, edges)) == want
 
 
 def test_eliminate_sharp_counts():
