@@ -88,13 +88,15 @@ def cmd_distance(args) -> int:
     res = exact_distance(t1, t2, budget=args.budget)
     if res.exceeds_budget:
         _emit(args, {"distance": None, "exceeds_budget": True,
-                     "nodes_expanded": res.nodes_expanded},
+                     "nodes_expanded": res.nodes_expanded,
+                     "frontier_peak": res.frontier_peak},
               f"EXCEEDS_BUDGET (> {args.budget})")
         return 4
     if args.witness:
         _write(args.witness, instanceio.script_dumps(res.script))
     _emit(args, {"distance": res.distance, "exceeds_budget": False,
-                 "nodes_expanded": res.nodes_expanded},
+                 "nodes_expanded": res.nodes_expanded,
+                 "frontier_peak": res.frontier_peak},
           f"distance = {res.distance}  (nodes expanded: {res.nodes_expanded})")
     return 0
 

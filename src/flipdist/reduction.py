@@ -672,6 +672,28 @@ def instance_coord_bits(domain) -> int:
     return max(coord_bits(p) for p in domain.points)
 
 
+def _shear_off_diagonals(drawing: PlanarGraphDrawing) -> PlanarGraphDrawing:
+    """The drawing, or, when an edge runs at exactly 45 degrees (it would
+    leave every vertex square through a corner), its image under the shear
+    (x, y) -> (x + y/m, y) with the least m >= 2 that leaves no such edge.
+
+    An edge rules out at most two values of m.  The shear is affine with
+    determinant 1, so it keeps orientations: the drawing stays plane, its
+    faces strictly convex and its sharp vertices the same.
+    """
+    dirs = [drawing.direction(u, w) for u, w in drawing.edges]
+    if all(abs(d.x) != abs(d.y) for d in dirs):
+        return drawing
+    m = 2
+    while any(abs(d.x + d.y / m) == abs(d.y) for d in dirs):
+        m += 1
+    out = PlanarGraphDrawing(
+        pos={v: Point2(p.x + p.y / m, p.y) for v, p in drawing.pos.items()},
+        edges=drawing.edges, outer_face=drawing.outer_face)
+    _audit_plane(out)
+    return out
+
+
 def _square_crossing(v: Point2, d: Point2, half: Fraction) -> tuple[Point2, str]:
     """Where the ray from v along d leaves the axis-aligned square |.|<=half."""
     ax, ay = abs(d.x), abs(d.y)
@@ -715,10 +737,7 @@ def _gate_for(drawing, v, w, half, scale=Fraction(1)) -> tuple[Point2, Point2, P
             continue
         d = drawing.direction(v, u)
         for dd in (d, Point2(-d.x, -d.y)):
-            try:
-                q, qside = _square_crossing(drawing.pos[v], dd, half)
-            except ValidationError:
-                continue
+            q, qside = _square_crossing(drawing.pos[v], dd, half)
             if qside == side:
                 s_points.append(q)
     def along(p):  # position along the side
@@ -763,26 +782,13 @@ def build_instance(drawing: PlanarGraphDrawing, k_input: int,
         raise SharpVertexError(
             f"drawing has sharp vertices {drawing.sharp_vertices()}")
 
-    # global square size: comfortably smaller than the shortest edge
-    min_len = min(max(abs(drawing.direction(u, w).x),
-                      abs(drawing.direction(u, w).y))
-                  for u, w in drawing.edges)
-    c_global = min_len / 4
+    drawing = _shear_off_diagonals(drawing)
 
-    # per-vertex square, shrunk away from any corner degeneracy
-    half_side: dict[int, Fraction] = {}
-    for v in vids:
-        half = c_global / 2
-        for _ in range(64):
-            try:
-                for u in drawing.adj[v]:
-                    _square_crossing(drawing.pos[v], drawing.direction(v, u), half)
-                break
-            except ValidationError:
-                half *= Fraction(63, 64)
-        else:
-            raise ValidationError(f"cannot place square at vertex {v}")
-        half_side[v] = half
+    # one square size, comfortably smaller than the shortest edge; with no
+    # diagonal edge, no edge leaves a square through a corner
+    half = min(max(abs(drawing.direction(u, w).x),
+                   abs(drawing.direction(u, w).y))
+               for u, w in drawing.edges) / 8
 
     # gates (the narrower of the two end candidates wins per edge) and vertex
     # gadgets; when a gadget has no room between nearly parallel strips, its
@@ -795,23 +801,23 @@ def build_instance(drawing: PlanarGraphDrawing, k_input: int,
         gate_pts = {}
         for (u, w) in sorted(drawing.edges):
             d = drawing.direction(u, w)
-            p1u, lu, ru = _gate_for(drawing, u, w, half_side[u], scale[(u, w)])
-            p1w, lw, rw = _gate_for(drawing, w, u, half_side[w], scale[(u, w)])
+            p1u, lu, ru = _gate_for(drawing, u, w, half, scale[(u, w)])
+            p1w, lw, rw = _gate_for(drawing, w, u, half, scale[(u, w)])
             width_u = abs((lu - p1u).cross(d))
             width_w = abs((lw - p1w).cross(d))
             if width_u <= width_w:
                 # carry u's walls across to w's square side
                 _, side_w = _square_crossing(drawing.pos[w],
-                                             drawing.direction(w, u), half_side[w])
-                sa, sb = _side_line(drawing.pos[w], half_side[w], side_w)
+                                             drawing.direction(w, u), half)
+                sa, sb = _side_line(drawing.pos[w], half, side_w)
                 side_dir = sb - sa
                 lw2 = _line_intersection_points(lu, d, sa, side_dir)
                 rw2 = _line_intersection_points(ru, d, sa, side_dir)
                 # left of (u -> w) arrives as right of (w -> u)
                 gate_pts[(u, w)] = {u: (lu, ru), w: (rw2, lw2)}
             else:
-                _, side_u = _square_crossing(drawing.pos[u], d, half_side[u])
-                sa, sb = _side_line(drawing.pos[u], half_side[u], side_u)
+                _, side_u = _square_crossing(drawing.pos[u], d, half)
+                sa, sb = _side_line(drawing.pos[u], half, side_u)
                 side_dir = sb - sa
                 lu2 = _line_intersection_points(lw, d, sa, side_dir)
                 ru2 = _line_intersection_points(rw, d, sa, side_dir)
@@ -830,7 +836,7 @@ def build_instance(drawing: PlanarGraphDrawing, k_input: int,
                                          gate_left=gl, gate_right=gr))
             try:
                 gadget_obj[v] = build_vertex_gadget(drawing.pos[v],
-                                                    half_side[v], stubs)
+                                                    half, stubs)
             except EmptyFeasibleRegionError as exc:
                 failed_at = v
                 last_exc = exc

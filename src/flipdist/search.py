@@ -6,10 +6,11 @@ edge-difference lower bound (each flip replaces exactly one edge, so at least
 on a per-call flip kernel whose state is the sorted tuple of integer edge
 ids plus, per edge, the id of its opposite edge (the edge its flip would
 insert); a flip updates five entries of that state in place of rebuilding
-it from the triangles.  `Triangulation` stays the type at the API boundary,
-and witnesses are replayed through `Triangulation.apply_flip`.  An
-independent plain BFS over `Triangulation` objects and a dynamic-programming
-triangulation counter serve as oracles in the tests.
+it from the triangles.  A state is known by an exact edge bitmask, so
+duplicate children cost an integer lookup, and canonical bytes are built
+once per kept state.  `Triangulation` stays the type at the API boundary,
+and witnesses are replayed through `Triangulation.apply_flip`.  A plain BFS
+and a triangulation counter serve as oracles in the tests.
 """
 
 from __future__ import annotations
@@ -72,11 +73,6 @@ def lower_bound(t1: Triangulation, t2: Triangulation) -> int:
     return len(t1.edges - t2.edges)
 
 
-def _neighbors(t: Triangulation):
-    for m in t.legal_flips():
-        yield m, t.apply_flip(m)
-
-
 def bfs_distance(t1: Triangulation, t2: Triangulation,
                  budget: Optional[int] = None) -> Optional[int]:
     """Plain breadth-first flip distance; the oracle the fast search is
@@ -96,7 +92,8 @@ def bfs_distance(t1: Triangulation, t2: Triangulation,
             return None
         nxt = []
         for t in frontier:
-            for _, t_new in _neighbors(t):
+            for m in t.legal_flips():
+                t_new = t.apply_flip(m)
                 k = t_new.canonical_key()
                 if k in dist:
                     continue
@@ -112,21 +109,23 @@ class _FlipKernel:
     """The flip relation of one domain, for the length of one search or
     enumeration call.
 
-    A state is a pair of tuples `(ids, opp)`.  `ids` holds the edge ids
+    A state is a triple `(mask, ids, opp)`.  `ids` holds the edge ids
     `u * n + v` (u < v), sorted, which sort like the `(u, v)` pairs.
     `opp[i]` is the id of the edge joining the two apexes of `ids[i]`, the
     edge a flip of `ids[i]` would insert, or -1 for an edge with one
     triangle, which is never flipped.  A flip moves one id and changes the
     opposite edges of the quadrilateral's four sides (`quad_sides`), so no
-    state is rebuilt from its triangles.  Keys are the exact bytes of
-    `Triangulation.canonical_key`, a token per edge id, and a child's key
-    is spliced from its parent's tokens.  Convexity depends only on the
-    geometry, so it is memoised per flip.
+    state is rebuilt from its triangles.  `mask`, the exact identity, has
+    one bit per edge met, handed out densely by `_register`; a flip of `r`
+    to `a` toggles `bit[r] ^ bit[a]`.  `key` builds the bytes of
+    `Triangulation.canonical_key`, once per kept state, never per child.
+    Convexity depends only on the geometry, so it is memoised per flip.
     """
 
     def __init__(self, domain):
         self.domain = domain
         self.n = len(domain.points)
+        self.bit: dict[int, int] = {}           # edge id -> its mask bit
         self.tokens: dict[int, bytes] = {}      # edge id -> b"u,v"
         self.pairs: dict[int, tuple[int, int]] = {}   # edge id -> (u, v)
         # removed id * n**2 + inserted id -> the flip is legal
@@ -135,29 +134,34 @@ class _FlipKernel:
     def _register(self, i: int) -> None:
         u, v = self.pairs[i] = divmod(i, self.n)
         self.tokens[i] = f"{u},{v}".encode("ascii")
+        self.bit[i] = 1 << len(self.bit)
 
     def _id(self, x: int, y: int) -> int:
         return x * self.n + y if x < y else y * self.n + x
 
     def state(self, t: Triangulation):
-        """The `(ids, opp)` state of a triangulation, from its apexes."""
+        """The `(mask, ids, opp)` state of a triangulation."""
         apexes = t.edge_apexes()
         ids = tuple(sorted(u * self.n + v for u, v in t.edges))
-        opp = []
+        mask, opp = 0, []
         for i in ids:
-            if i not in self.tokens:
+            if i not in self.bit:
                 self._register(i)
+            mask |= self.bit[i]
             aps = apexes.get(self.pairs[i], ())
             opp.append(self._id(*aps) if len(aps) == 2 else -1)
-        return ids, tuple(opp)
+        return mask, ids, tuple(opp)
+
+    def key(self, ids) -> bytes:
+        """The `Triangulation.canonical_key` of a state's ids."""
+        return b";".join(map(self.tokens.__getitem__, ids))
 
     def move(self, r: int, a: int) -> FlipMove:
         return FlipMove(self.pairs[r], self.pairs[a])
 
     def flips(self, ids, opp):
-        """(index of the removed id, inserted id, index the inserted id
-        takes in `ids`) for every legal flip, in the order of
-        `Triangulation.legal_flips`."""
+        """(index of the removed id, inserted id) for every legal flip, in
+        the order of `Triangulation.legal_flips`."""
         nn, convex = self.n * self.n, self.convex
         out = []
         for i, a in enumerate(opp):
@@ -168,26 +172,18 @@ class _FlipKernel:
             if legal is None:
                 legal = convex[r * nn + a] = flip_is_convex(
                     self.domain, *self.pairs[r], *divmod(a, self.n))
-                if a not in self.tokens:
+                if a not in self.bit:
                     self._register(a)
             if legal:
-                out.append((i, a, bisect_left(ids, a)))
+                out.append((i, a))
         return out
 
-    def child_key(self, parts, i: int, a: int, j: int) -> bytes:
-        """The key after a flip from `flips`, spliced from the parent key's
-        tokens `parts`."""
-        if j <= i:
-            return b";".join(parts[:j] + [self.tokens[a]] + parts[j:i]
-                             + parts[i + 1:])
-        return b";".join(parts[:i] + parts[i + 1:j] + [self.tokens[a]]
-                         + parts[j:])
-
-    def child(self, ids, opp, i: int, a: int, j: int):
+    def child(self, ids, opp, i: int, a: int):
         """The `(ids, opp)` state after a flip from `flips`: the removed
         edge becomes the inserted edge's opposite edge, and each two-sided
         side of the quadrilateral swaps one apex."""
         r = ids[i]
+        j = bisect_left(ids, a)
         if j <= i:
             ids = ids[:j] + (a,) + ids[j:i] + ids[i + 1:]
             opp = [*opp[:j], r, *opp[j:i], *opp[i + 1:]]
@@ -221,26 +217,24 @@ def exact_distance(t1: Triangulation, t2: Triangulation,
         return SearchResult(0, FlipScript(k1, ()), 0, 0)
 
     kernel = _FlipKernel(t1.domain)
-    (ids1, opp1), (ids2, opp2) = kernel.state(t1), kernel.state(t2)
-    h1, h2 = lower_bound(t1, t2), lower_bound(t2, t1)
-    # a side's open states: ids, opposite edges and the edge-difference bound
-    sides = [
-        {"target": frozenset(ids2), "open": [(h1, k1)], "g": {k1: 0},
-         "closed": set(), "state": {k1: (ids1, opp1, h1)},
-         "parent": {k1: None}},
-        {"target": frozenset(ids1), "open": [(h2, k2)], "g": {k2: 0},
-         "closed": set(), "state": {k2: (ids2, opp2, h2)},
-         "parent": {k2: None}},
-    ]
+    starts = [(*kernel.state(t1), k1, lower_bound(t1, t2)),
+              (*kernel.state(t2), k2, lower_bound(t2, t1))]
+    # a side's heap of (f, key, mask) and, by mask, its g values, closed
+    # states, open states (ids, opposite edges, bound) and parents
+    sides = [{"target": frozenset(starts[1 - s][1]), "open": [(h, k, m)],
+              "g": {m: 0}, "closed": set(), "state": {m: (ids, opp, h)},
+              "parent": {m: None}}
+             for s, (m, ids, opp, k, h) in enumerate(starts)]
+    bit = kernel.bit
 
-    best = None          # (total length, meet key)
+    best = None          # (total length, meet mask)
     expanded = 0
     peak = 2
 
     while sides[0]["open"] and sides[1]["open"]:
         fmins = []
         for side in sides:
-            while side["open"] and side["open"][0][1] in side["closed"]:
+            while side["open"] and side["open"][0][2] in side["closed"]:
                 heapq.heappop(side["open"])
             fmins.append(side["open"][0][0] if side["open"] else None)
         if fmins[0] is None or fmins[1] is None:
@@ -256,41 +250,42 @@ def exact_distance(t1: Triangulation, t2: Triangulation,
         side = sides[side_idx]
         other_g = sides[1 - side_idx]["g"]
 
-        f, key = heapq.heappop(side["open"])
-        if key in side["closed"]:
+        _, _, mask = heapq.heappop(side["open"])
+        if mask in side["closed"]:
             continue
-        side["closed"].add(key)
+        side["closed"].add(mask)
         expanded += 1
         # a closed state is never expanded again, so its state can go
-        ids, opp, h = side["state"].pop(key)
+        ids, opp, h = side["state"].pop(mask)
         g, states, parent = side["g"], side["state"], side["parent"]
         target = side["target"]
-        g_new = g[key] + 1
-        parts = key.split(b";")
-        for i, a, j in kernel.flips(ids, opp):
-            k_new = kernel.child_key(parts, i, a, j)
-            if k_new in g and g[k_new] <= g_new:
-                continue
-            g[k_new] = g_new
+        g_new = g[mask] + 1
+        for i, a in kernel.flips(ids, opp):
             r = ids[i]
+            m_new = mask ^ bit[r] ^ bit[a]
+            if m_new in g and g[m_new] <= g_new:
+                continue
+            g[m_new] = g_new
             h_new = h - (r not in target) + (a not in target)
-            states[k_new] = (*kernel.child(ids, opp, i, a, j), h_new)
-            parent[k_new] = (key, r, a)
-            heapq.heappush(side["open"], (g_new + h_new, k_new))
-            if k_new in other_g:
-                total = g_new + other_g[k_new]
+            ids_new, opp_new = kernel.child(ids, opp, i, a)
+            states[m_new] = (ids_new, opp_new, h_new)
+            parent[m_new] = (mask, r, a)
+            heapq.heappush(side["open"],
+                           (g_new + h_new, kernel.key(ids_new), m_new))
+            if m_new in other_g:
+                total = g_new + other_g[m_new]
                 if best is None or total < best[0]:
-                    best = (total, k_new)
+                    best = (total, m_new)
         peak = max(peak, len(sides[0]["open"]) + len(sides[1]["open"]))
 
     if best is None or best[0] > budget:
         return SearchResult(None, None, expanded, peak)
 
     # stitch the witness: forward start -> meet, then reversed backward moves
-    def unwind(side, key):
+    def unwind(side, mask):
         moves = []
-        while side["parent"][key] is not None:
-            key, r, a = side["parent"][key]
+        while side["parent"][mask] is not None:
+            mask, r, a = side["parent"][mask]
             moves.append(kernel.move(r, a))
         moves.reverse()
         return moves
@@ -333,33 +328,37 @@ def enumerate_flip_graph(seed: Triangulation, cap: int = 10 ** 6) -> FlipGraph:
     """Reachable closure of the flip relation from a seed triangulation.
 
     Flip connectivity makes this the complete flip graph for any valid seed.
-    A node's edge set shares the kernel's edge tuples; build a
-    `Triangulation` from it where one is needed.  Raises CapExceededError
-    beyond `cap` nodes, and ValidationError for a `cap` below 1.
+    A node's value is its edge set; build a `Triangulation` from it where
+    one is needed.  Raises CapExceededError beyond `cap` nodes, and
+    ValidationError for a `cap` below 1.
     """
     if cap < 1:
         raise ValidationError(f"cap must be positive, got {cap}")
     kernel = _FlipKernel(seed.domain)
-    start_key = seed.canonical_key()
-    nodes = {start_key: seed.edges}
-    adjacency: dict[bytes, list[bytes]] = {}
-    stack = [(start_key, *kernel.state(seed))]
+    mask, ids, opp = kernel.state(seed)
+    nodes = {mask: ids}                       # in discovery order
+    adjacency: dict[int, list[int]] = {}      # in expansion order
+    stack = [(mask, ids, opp)]
     while stack:
-        key, ids, opp = stack.pop()
-        parts = key.split(b";")
+        mask, ids, opp = stack.pop()
         nbrs = []
-        for i, a, j in kernel.flips(ids, opp):
-            k_new = kernel.child_key(parts, i, a, j)
-            nbrs.append(k_new)
-            if k_new not in nodes:
+        for i, a in kernel.flips(ids, opp):
+            m_new = mask ^ kernel.bit[ids[i]] ^ kernel.bit[a]
+            nbrs.append(m_new)
+            if m_new not in nodes:
                 if len(nodes) >= cap:
                     raise CapExceededError(
                         f"flip graph exceeds the {cap}-node cap")
-                ids_new, opp_new = kernel.child(ids, opp, i, a, j)
-                nodes[k_new] = frozenset(map(kernel.pairs.__getitem__, ids_new))
-                stack.append((k_new, ids_new, opp_new))
-        adjacency[key] = sorted(nbrs)
-    return FlipGraph(nodes, adjacency)
+                ids_new, opp_new = kernel.child(ids, opp, i, a)
+                nodes[m_new] = ids_new
+                stack.append((m_new, ids_new, opp_new))
+        adjacency[mask] = nbrs
+    keys = {m: kernel.key(ids) for m, ids in nodes.items()}
+    pairs = kernel.pairs.__getitem__
+    return FlipGraph(
+        {keys[m]: frozenset(map(pairs, ids)) for m, ids in nodes.items()},
+        {keys[m]: sorted(map(keys.__getitem__, nbrs))
+         for m, nbrs in adjacency.items()})
 
 
 def greedy_upper_bound(t1: Triangulation, t2: Triangulation,

@@ -311,3 +311,23 @@ def embedding_faces_by_networkx(vertices, edges) -> set:
         raise Not3ConnectedError("graph is not 3-connected")
     return {canonical_cycle(embedding.traverse_face(u, w))
             for u in embedding for w in embedding[u]}
+
+
+def flip_graph_by_triangulations(seed):
+    """Flip-graph nodes (canonical key -> edges) and adjacency (key ->
+    sorted neighbour keys) reachable from `seed`, built from
+    `Triangulation.legal_flips` and `apply_flip` alone: the oracle of
+    `search.enumerate_flip_graph`.  The last node found is expanded first,
+    as there, so the node order and the adjacency order compare too."""
+    nodes, adjacency, stack = {seed.canonical_key(): seed.edges}, {}, [seed]
+    while stack:
+        t = stack.pop()
+        nbrs = []
+        for m in t.legal_flips():
+            t_new = t.apply_flip(m)
+            nbrs.append(t_new.canonical_key())
+            if nbrs[-1] not in nodes:
+                nodes[nbrs[-1]] = t_new.edges
+                stack.append(t_new)
+        adjacency[t.canonical_key()] = sorted(nbrs)
+    return nodes, adjacency

@@ -105,6 +105,29 @@ def test_reduce_k4_threshold(tmp_path, capsys):
     assert sha256(out) == K4_SHA256
 
 
+@pytest.mark.slow
+def test_reduce_6_prism_passes_at_threshold(tmp_path, capsys):
+    # C6 x K2, cubic, planar and 3-connected: sharp elimination puts chain
+    # edges at exactly 45 degrees, which the drawing's shear clears
+    n = 6
+    text = "\n".join([f"v {v}" for v in range(2 * n)]
+                     + [f"e {i} {(i + 1) % n}" for i in range(n)]
+                     + [f"e {n + i} {n + (i + 1) % n}" for i in range(n)]
+                     + [f"e {i} {n + i}" for i in range(n)]
+                     + ["outer " + " ".join(map(str, range(n)))]) + "\n"
+    g = write(tmp_path / "prism6.txt", text)
+    inst, script = tmp_path / "inst.json", tmp_path / "script.json"
+    assert main(["reduce", "--graph", g, "--k", "6", "--out", str(inst)]) == 0
+    assert main(["script", "--instance", str(inst), "--out", str(script)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--instance", str(inst), "--script", str(script),
+                 "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["verdict"], out["length"], out["threshold"]) == \
+        ("PASS", 864, 864)
+    assert not out["over_threshold"]
+
+
 def test_reduce_rejects_nonplanar(tmp_path, capsys):
     text = "\n".join([f"v {i}" for i in range(5)]
                      + [f"e {i} {j}" for i in range(5) for j in range(i + 1, 5)])
@@ -229,6 +252,22 @@ def test_distance_on_channel_instance(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["distance"] == 36
     assert main(["distance", "--instance", str(path), "--budget", "10"]) == 4
+
+
+def test_distance_json_reports_search_statistics(tmp_path, capsys):
+    # --json carries the expansion count and the frontier peak of the
+    # search, within and past the budget
+    path = tmp_path / "channel.json"
+    instanceio.save(channel_instance_doc(), path)
+    assert main(["distance", "--instance", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "distance": 36, "exceeds_budget": False, "nodes_expanded": 1346,
+        "frontier_peak": 149}
+    assert main(["distance", "--instance", str(path), "--budget", "35",
+                 "--json"]) == 4
+    out = json.loads(capsys.readouterr().out)
+    assert out["exceeds_budget"] and out["distance"] is None
+    assert 0 < out["nodes_expanded"] <= 1346 and out["frontier_peak"] > 2
 
 
 def test_distance_identical(tmp_path, capsys):

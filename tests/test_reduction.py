@@ -8,7 +8,8 @@ from flipdist.errors import (IllegalScriptError, Not3ConnectedError,
                              NotACoverError, NotPlanarError, ValidationError)
 from flipdist.gadgets import blocking_set, channel_mouths
 from flipdist.geometry import orientation, pt
-from flipdist.reduction import (ReductionInstance, _embedding, audit_script,
+from flipdist.reduction import (ReductionInstance, _embedding,
+                                _shear_off_diagonals, audit_script,
                                 build_instance, convex_drawing,
                                 cover_to_script, drawing_from_coords,
                                 eliminate_sharp, instance_coord_bits,
@@ -161,6 +162,27 @@ def test_eliminate_sharp_counts():
     assert len(d2.edges) == 12        # |E| + 2t
     assert d2.sharp_vertices() == []
     assert all(d2.degree(v) in (2, 3) for v in d2.pos)
+
+
+def test_shear_clears_diagonal_edges():
+    # K4 with two 45-degree outer edges, and an inner edge that the shear
+    # with m = 2 would make diagonal: m = 3 is the least that clears all
+    pos = {0: pt(0, 0), 1: pt(1200, 0), 2: pt(600, 600), 3: pt(500, 400)}
+    d = drawing_from_coords(pos, K4_EDGES)
+    sheared = _shear_off_diagonals(d)
+    assert sheared.pos == {v: pt(p.x + p.y / 3, p.y) for v, p in pos.items()}
+    assert all(abs(sheared.direction(u, w).x) != abs(sheared.direction(u, w).y)
+               for u, w in sheared.edges)
+    assert sorted(sheared.sharp_vertices()) == sorted(d.sharp_vertices()) \
+        == [0, 1, 2]
+    assert {canonical_cycle([u for u, _ in f]) for f in sheared.faces()} == \
+        {canonical_cycle([u for u, _ in f]) for f in d.faces()}
+    assert _shear_off_diagonals(sheared) is sheared
+    # the chains that replace the sharp corners keep the 45-degree
+    # directions, which no square could be placed around before the shear
+    d2, t = eliminate_sharp(d)
+    inst = build_instance(d2, k_input=3, t_outer=t)
+    assert (inst.threshold, validate(inst.t1).ok) == (348, True)
 
 
 def test_eliminate_sharp_identity_when_clean():

@@ -10,8 +10,8 @@ from flipdist.errors import CapExceededError
 from flipdist.gadgets import build_channel, channel_triangulations
 from flipdist.geometry import pt
 from flipdist.search import (
-    FlipScript, bfs_distance, count_polygon_triangulations, enumerate_flip_graph,
-    exact_distance, greedy_upper_bound, lower_bound,
+    FlipScript, _FlipKernel, bfs_distance, count_polygon_triangulations,
+    enumerate_flip_graph, exact_distance, greedy_upper_bound, lower_bound,
 )
 from flipdist.triangulation import (
     FlipMove, PolygonalRegion, Triangulation, edge, validate,
@@ -214,6 +214,23 @@ def test_h7_search_is_pinned():
         (36, 1346, 149)
     witness = instanceio.script_dumps(res.script).encode("ascii")
     assert hashlib.sha256(witness).hexdigest() == H7_WITNESS_SHA256
+
+
+def test_bytes_keys_built_once_per_kept_state(monkeypatch):
+    # states are told apart by their edge masks; canonical bytes are built
+    # only for kept states: one per node when enumerating, one per heap push
+    # when searching (a key per generated child was about 8 per expansion)
+    built = []
+    key = _FlipKernel.key
+    monkeypatch.setattr(_FlipKernel, "key",
+                        lambda self, ids: built.append(ids) or key(self, ids))
+    t_left, t_right = channel_pair(7)
+    graph = enumerate_flip_graph(t_left)
+    assert len(built) == len(graph) == 924
+    built.clear()
+    res = exact_distance(t_left, t_right)
+    assert res.nodes_expanded == 1346
+    assert res.nodes_expanded <= len(built) <= 2 * res.nodes_expanded + 2
 
 
 # the answers of the benchmark's `search` and `enumerate` workloads on H_9

@@ -9,14 +9,16 @@ from flipdist.errors import DomainMismatchError, IllegalFlipError, ValidationErr
 from flipdist.gadgets import build_channel, channel_region, channel_triangulations
 from flipdist.geometry import pt
 from flipdist.reduction import region_to_pointset
-from flipdist.search import _FlipKernel, enumerate_flip_graph
+from flipdist.search import (_FlipKernel, bfs_distance, enumerate_flip_graph,
+                             exact_distance)
 from flipdist.triangulation import (
     FlipMove, PointSet, PolygonalRegion, Triangulation, canonical_cycle,
     derive_triangles, ear_clip_triangulation, edge, edge_difference,
     triangle_apexes, validate,
 )
 from flipdist import instanceio
-from oracles import canonical_cycle_all_rotations, validate_by_segments
+from oracles import (canonical_cycle_all_rotations, flip_graph_by_triangulations,
+                     validate_by_segments)
 
 
 def convex_polygon_region(n):
@@ -280,36 +282,29 @@ def test_segment_inside_matches_flip_graph(seed, triangulations, diagonals):
     assert inside == used
 
 
-def closure_by_apply_flip(seed):
-    """Flip-graph nodes and adjacency built from the public Triangulation
-    API alone: the oracle of `enumerate_flip_graph`."""
-    nodes, adjacency, stack = {seed.canonical_key(): seed.edges}, {}, [seed]
-    while stack:
-        t = stack.pop()
-        nbrs = []
-        for m in t.legal_flips():
-            t_new = t.apply_flip(m)
-            nbrs.append(t_new.canonical_key())
-            if nbrs[-1] not in nodes:
-                nodes[nbrs[-1]] = t_new.edges
-                stack.append(t_new)
-        adjacency[t.canonical_key()] = sorted(nbrs)
-    return nodes, adjacency
-
-
 @pytest.mark.parametrize("seed", [s[0] for s in SMALL_SEEDS]
                          + [square_with_interior_points])
 def test_flip_graph_matches_closure_oracle(seed):
+    # holes, reflex corners, channels, a capped channel and a point set:
+    # enumeration equals the closure built from the public API, and exact
+    # search equals plain BFS on a seeded sample of node pairs
     t = seed()
     assert validate(t).ok
     graph = enumerate_flip_graph(t)
-    nodes, adjacency = closure_by_apply_flip(t)
+    nodes, adjacency = flip_graph_by_triangulations(t)
     assert list(graph.nodes.items()) == list(nodes.items())
-    assert graph.adjacency == adjacency
+    assert list(graph.adjacency.items()) == list(adjacency.items())
     for key, edges in graph.nodes.items():
         rep = Triangulation(t.domain, edges)
         assert rep.canonical_key() == key
         assert validate(rep).ok
+    rng = random.Random(seed.__name__)
+    for _ in range(8):
+        t1, t2 = (Triangulation(t.domain, nodes[rng.choice(list(nodes))])
+                  for _ in range(2))
+        res = exact_distance(t1, t2)
+        assert res.distance == bfs_distance(t1, t2) == len(res.script)
+        assert res.script.replay(t1).canonical_key() == t2.canonical_key()
 
 
 @pytest.fixture(scope="module")
@@ -399,26 +394,29 @@ def test_carried_apexes_match_face_walk(differential_seeds, seed):
 
 @pytest.mark.parametrize("seed", WALK_SEEDS)
 def test_kernel_state_matches_fresh_state(differential_seeds, seed):
-    # a random flip walk on the search kernel: the carried (ids, opp) state
-    # and the spliced key equal those built afresh from the edges alone
+    # a random flip walk on the search kernel: the carried (mask, ids, opp)
+    # state equals the one built afresh from the edges alone, and the bytes
+    # key of the carried ids is the canonical key
     t = differential_seeds[seed]
     kernel = _FlipKernel(t.domain)
-    ids, opp = kernel.state(t)
-    key = t.canonical_key()
+    mask, ids, opp = kernel.state(t)
     rng = random.Random(seed)
     for _ in range(60):
         flips = kernel.flips(ids, opp)
-        moves = [kernel.move(ids[i], a) for i, a, _ in flips]
+        moves = [kernel.move(ids[i], a) for i, a in flips]
         assert moves == t.legal_flips()
         if not flips:
             break
         k = rng.randrange(len(flips))
-        key = kernel.child_key(key.split(b";"), *flips[k])
-        ids, opp = kernel.child(ids, opp, *flips[k])
+        i, a = flips[k]
+        mask ^= kernel.bit[ids[i]] ^ kernel.bit[a]
+        ids, opp = kernel.child(ids, opp, i, a)
         removed, inserted = moves[k]
         t = Triangulation(t.domain, (t.edges - {removed}) | {inserted})
-        assert (ids, opp) == kernel.state(t)
-        assert key == t.canonical_key()
+        fresh_mask, fresh_ids, fresh_opp = kernel.state(t)
+        assert mask == fresh_mask
+        assert kernel.key(ids) == t.canonical_key()
+        assert (ids, opp) == (fresh_ids, fresh_opp)
 
 
 def swapped(t, removed, inserted):
