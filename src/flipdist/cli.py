@@ -11,11 +11,10 @@ import json
 import sys
 
 from . import instanceio
-from .errors import (CapExceededError, FlipdistError, NotACoverError,
-                     ValidationError)
+from .errors import FlipdistError, ValidationError
 from .reduction import (ReductionInstance, audit_script, build_instance,
                         convex_drawing, cover_to_script, drawing_from_coords,
-                        eliminate_sharp, region_to_pointset)
+                        eliminate_sharp, grid_bits, region_to_pointset)
 from .render import render_instance_svg
 from .search import enumerate_flip_graph, exact_distance
 from .triangulation import validate
@@ -70,7 +69,8 @@ def cmd_reduce(args) -> int:
         doc = out_doc
     _write(args.out, instanceio.dumps(doc))
     acc = doc.accounting
-    _emit(args, acc,
+    _emit(args, {**acc, "stats": {**inst.stats,
+                                  "grid_bits": grid_bits(doc.domain)}},
           f"instance written to {args.out}\n"
           f"k' = {acc['k_prime']}  |E'| = {acc['channel_count']}  "
           f"threshold = {acc['threshold']}  max coord bits = "
@@ -249,12 +249,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit:
         raise
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except NotACoverError as exc:
-        print(f"error: {exc} (uncovered edge {exc.edge})", file=sys.stderr)
-        return 2
     except FlipdistError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

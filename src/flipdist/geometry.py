@@ -11,14 +11,15 @@ triangulation domains scale their points to.  Constructions stay
 error-free, and their bit growth can be audited with `coord_bits`.
 
 Feasible regions are intersections of open half-planes only: a
-`ConvexRegion` is decided by one Fourier-Motzkin pass, and `interior_point`
-picks a deterministic point strictly inside it.
+`ConvexRegion` is decided by one Fourier-Motzkin pass, whose sample is the
+deterministic, dyadic point strictly inside it that `interior_point`
+returns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import ceil, floor, gcd
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import EmptyRegionError
@@ -259,14 +260,40 @@ def halfplane_shift(h: HalfPlane, offset: Point2) -> HalfPlane:
     return HalfPlane(h.a, h.b, h.c - (h.a * offset.x + h.b * offset.y))
 
 
+def floor_log2(x: Fraction) -> int:
+    """floor(log2(x)) of a positive x, exactly."""
+    n, d = x.numerator, x.denominator
+    j = n.bit_length() - d.bit_length()
+    if (n << -j if j < 0 else n) < (d << j if j > 0 else d):
+        j -= 1
+    return j
+
+
 def _between(lo: Optional[Fraction], hi: Optional[Fraction]) -> Optional[Fraction]:
-    """A value strictly between the bounds (None for no bound on a side):
-    the midpoint, or one past a lone bound; None when lo >= hi."""
+    """A dyadic value strictly between the bounds (None for no bound on a
+    side), or None when lo >= hi.
+
+    Between two bounds it is the coarsest dyadic in the middle half
+    [lo + w/4, hi - w/4] of the interval, w = hi - lo: the multiple of the
+    largest power of two 2^s there, s of either sign.  The middle half is
+    w/2 long, so with 2^j <= w/2 < 2^(j+1) it holds a multiple of 2^j and at
+    most one of 2^(j+1); either way the answer is unique.  With one bound it
+    is the integer one past it, with none 0.
+    """
     if lo is None:
-        return Fraction(0) if hi is None else hi - 1
+        return Fraction(0) if hi is None else Fraction(ceil(hi) - 1)
     if hi is None:
-        return lo + 1
-    return (lo + hi) / 2 if lo < hi else None
+        return Fraction(floor(lo) + 1)
+    if lo >= hi:
+        return None
+    quarter = (hi - lo) / 4
+    a, b = lo + quarter, hi - quarter
+    step = Fraction(2) ** (floor_log2(b - a) + 1)
+    q = ceil(a / step) * step
+    if q > b:
+        step /= 2
+        q = ceil(a / step) * step
+    return q
 
 
 def _fourier_motzkin_point(constraints: Sequence[HalfPlane]) -> Optional[Point2]:
@@ -340,89 +367,9 @@ def _canonicalize(halfplanes: Sequence[HalfPlane]) -> list[HalfPlane]:
     return list(best.values())
 
 
-def _vertex_cycle(halfplanes: Sequence[HalfPlane]) -> tuple[Point2, ...]:
-    """The counterclockwise, strictly convex vertex cycle of a bounded
-    region with interior; () when the region is unbounded.
-
-    Each candidate vertex, the meeting point of two boundary lines, is
-    tested in homogeneous integers: `_canonicalize` leaves every
-    coefficient an integer, and a `Fraction` point is built only for a
-    vertex that every closed half-plane contains.
-    """
-    coeffs = []
-    for h in halfplanes:
-        if h.a.denominator != 1 or h.b.denominator != 1 or h.c.denominator != 1:
-            raise ValueError(f"half-plane {h} has non-integer coefficients")
-        coeffs.append((h.a.numerator, h.b.numerator, h.c.numerator))
-    # each vertex with the set of boundary lines through it
-    lines: dict[Point2, set[int]] = {}
-    n = len(coeffs)
-    for i in range(n):
-        a1, b1, c1 = coeffs[i]
-        for j in range(i + 1, n):
-            a2, b2, c2 = coeffs[j]
-            det = a1 * b2 - a2 * b1
-            if det == 0:
-                continue
-            xn = b1 * c2 - b2 * c1
-            yn = a2 * c1 - a1 * c2
-            if det < 0:
-                det, xn, yn = -det, -xn, -yn
-            # the vertex is (xn/det, yn/det), and det > 0 scales each
-            # half-plane's value there without changing its sign
-            on = set()
-            for k, (a, b, c) in enumerate(coeffs):
-                s = a * xn + b * yn + c * det
-                if s < 0:
-                    break
-                if s == 0:
-                    on.add(k)
-            else:
-                p = Point2(Fraction(xn, det), Fraction(yn, det))
-                if p not in lines:
-                    lines[p] = on
-    pts = list(lines)
-    if len(pts) < 3:
-        return ()
-    # order counterclockwise around the average point
-    cx = sum((p.x for p in pts), Fraction(0)) / len(pts)
-    cy = sum((p.y for p in pts), Fraction(0)) / len(pts)
-    center = Point2(cx, cy)
-
-    ordered = sorted(pts, key=lambda p: angular_key(p - center))
-    # drop collinear middles so the cycle is strictly convex
-    out: list[Point2] = []
-    m = len(ordered)
-    for k in range(m):
-        prev = ordered[(k - 1) % m]
-        cur = ordered[k]
-        nxt = ordered[(k + 1) % m]
-        if orientation(prev, cur, nxt) != COLLINEAR:
-            out.append(cur)
-    # a bounded region's consecutive vertices share a boundary line; an
-    # unbounded one's chain of vertices has two ends that share none
-    for p, q in zip(out, out[1:] + out[:1]):
-        if not lines[p] & lines[q]:
-            return ()
-    return tuple(out)
-
-
 def interior_point(region: ConvexRegion) -> Point2:
-    """Deterministic point strictly inside the region.
-
-    The vertex cycle is computed here, on demand.  The centroid of a
-    bounded region's vertex cycle is used when it is strictly inside, and
-    the Fourier-Motzkin sample of the region otherwise (always for
-    unbounded regions); both have polynomial bit-size.
-    """
+    """Deterministic point strictly inside the region: its Fourier-Motzkin
+    sample, whose coordinates are dyadic (see `_between`)."""
     if not region.has_interior:
         raise EmptyRegionError("region has no interior point")
-    vertices = _vertex_cycle(region.halfplanes)
-    if vertices:
-        n = len(vertices)
-        cx = sum((p.x for p in vertices), Fraction(0)) / n
-        cy = sum((p.y for p in vertices), Fraction(0)) / n
-        p = Point2(cx, cy)
-        if region.contains(p):
-            return p
     return region._interior_sample

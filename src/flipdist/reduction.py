@@ -9,7 +9,7 @@ cover via the threshold 2*k' + 28*|E'|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -23,8 +23,9 @@ from .gadgets import (Channel, ChannelStub, VertexGadget, blocking_set,
                       channel_mouths, left_edges, left_to_canonical_moves,
                       reverse_moves, right_edges)
 from .geometry import (ConvexRegion, HalfPlane, Point2, angular_key,
-                       coord_bits, halfplane_through, interior_point,
-                       orientation, polygon_signed_area2, touching_pairs)
+                       coord_bits, floor_log2, halfplane_through,
+                       interior_point, orientation, polygon_signed_area2,
+                       touching_pairs)
 from .instanceio import InstanceDoc
 from .search import FlipScript
 from .triangulation import (Edge, FlipMove, PolygonalRegion, PointSet,
@@ -533,6 +534,8 @@ class ReductionInstance:
     gadgets: dict[int, GadgetRecord]
     k_input: int
     t_outer: int
+    # build counters: `sag_halvings` and `narrowing_rounds`; not serialised
+    stats: dict = field(default_factory=dict, compare=False)
 
     @property
     def k_prime(self) -> int:
@@ -672,6 +675,12 @@ def instance_coord_bits(domain) -> int:
     return max(coord_bits(p) for p in domain.points)
 
 
+def grid_bits(domain) -> int:
+    """The largest bit length of the domain's integer grid coordinates:
+    the cost of every exact predicate on it."""
+    return max(abs(c).bit_length() for p in domain.ipoints for c in p)
+
+
 def _shear_off_diagonals(drawing: PlanarGraphDrawing) -> PlanarGraphDrawing:
     """The drawing, or, when an edge runs at exactly 45 degrees (it would
     leave every vertex square through a corner), its image under the shear
@@ -797,7 +806,7 @@ def build_instance(drawing: PlanarGraphDrawing, k_input: int,
                                               for e in map(tuple, map(sorted, drawing.edges))}
     gate_pts: dict[tuple[int, int], dict[int, tuple[Point2, Point2]]] = {}
     gadget_obj: dict[int, VertexGadget] = {}
-    for _attempt in range(30):
+    for attempt in range(30):
         gate_pts = {}
         for (u, w) in sorted(drawing.edges):
             d = drawing.direction(u, w)
@@ -842,6 +851,7 @@ def build_instance(drawing: PlanarGraphDrawing, k_input: int,
                 last_exc = exc
                 break
         if failed_at is None:
+            narrowing_rounds = attempt
             break
         for u in drawing.adj[failed_at]:
             scale[edge(failed_at, u)] /= 2
@@ -852,17 +862,19 @@ def build_instance(drawing: PlanarGraphDrawing, k_input: int,
 
     # channels with reflex chains; sag halved until the mouth audit passes
     channel_obj: dict[tuple[int, int], Channel] = {}
+    sag_halvings = 0
     for (u, w) in sorted(drawing.edges):
         gl_u, gr_u = gate_pts[(u, w)][u]
         gl_w, gr_w = gate_pts[(u, w)][w]
         # upper chain = wall left of u->w: runs from gl_u to gr_w
         axis = gr_w - gl_u
         hw = gl_u - gr_u
-        sag0 = max(abs(hw.x), abs(hw.y)) / (Fraction(512) *
-                                            max(abs(axis.x), abs(axis.y)))
+        # a power of two, so every halving keeps the chain points dyadic
+        sag = Fraction(2) ** floor_log2(
+            max(abs(hw.x), abs(hw.y))
+            / (512 * max(abs(axis.x), abs(axis.y))))
         ch = None
-        sag = sag0
-        for _ in range(40):
+        for halvings in range(40):
             try:
                 cand = build_channel((gl_u, gr_u), (gr_w, gl_w), sag)
             except InfeasibleSagError:
@@ -882,9 +894,13 @@ def build_instance(drawing: PlanarGraphDrawing, k_input: int,
             raise InfeasibleSagError(
                 f"no feasible sag for channel {(u, w)}")
         channel_obj[(u, w)] = ch
+        sag_halvings += halvings
 
-    return _assemble(drawing, gadget_obj, channel_obj, gate_pts,
+    inst = _assemble(drawing, gadget_obj, channel_obj, gate_pts,
                      k_input, t_outer)
+    inst.stats = {"sag_halvings": sag_halvings,
+                  "narrowing_rounds": narrowing_rounds}
+    return inst
 
 
 def _channel_mouth_audit(ch: Channel, key, gadget_obj, gate_pts, drawing) -> bool:

@@ -513,10 +513,9 @@ def validate(t: Triangulation) -> ValidationReport:
     """Check every Triangulation invariant; an empty report means valid.
 
     The edges must be in range, include the domain's boundary edges, use
-    every point, touch one another only at shared endpoints (a sweep) and
-    have the maximal count.  The triangles derived from them must then pass
-    a local certificate (Devillers, Liotta, Preparata and Tamassia,
-    "Checking the convexity of polytopes and the planarity of
+    every point and have the maximal count.  The triangles derived from them
+    must then pass a local certificate (Devillers, Liotta, Preparata and
+    Tamassia, "Checking the convexity of polytopes and the planarity of
     subdivisions", CGTA 1998):
 
     - every triangle is non-degenerate (`derive_triangles` rejects others);
@@ -527,8 +526,12 @@ def validate(t: Triangulation) -> ValidationReport:
 
     Across an edge, the number of triangles over a point then stays the same,
     except at the boundary, where it grows by one going in; it is 0 far
-    away, so the triangles cover the region exactly once.  All of this is
-    O(E log E) integer arithmetic.
+    away, so the triangles cover the region exactly once, and no two edges
+    can touch beyond a shared endpoint.  All of this is O(E log E) integer
+    arithmetic.  Only when a check fails does a sweep name the edges that
+    touch; those pairs, with the failed count and cover checks, are the
+    report, and the certificate's findings are reported only when the sweep
+    finds none.
     """
     report = ValidationReport()
     domain = t.domain
@@ -546,6 +549,12 @@ def validate(t: Triangulation) -> ValidationReport:
     if used != set(range(n)):
         report.add(f"vertices without incident edges: {sorted(set(range(n)) - used)[:4]}")
 
+    count_ok = len(t.edges) == domain.expected_edge_count
+    if report.ok and count_ok:
+        certificate = _certificate(domain, t.edges)
+        if not certificate:
+            return report
+
     # boundary edges never touch one another (the domain checked that), so
     # every touching pair names a non-boundary edge; it is reported first
     all_edges = sorted(t.edges)
@@ -556,19 +565,25 @@ def validate(t: Triangulation) -> ValidationReport:
         report.add(f"edges {e} and {f} "
                    f"{'overlap' if {*e} & {*f} else 'cross'}")
 
-    if len(t.edges) != domain.expected_edge_count:
+    if not count_ok:
         report.add(f"edge count {len(t.edges)} != maximal count "
                    f"{domain.expected_edge_count} (not a triangulation)")
-    if not report.ok:
-        return report
+    if report.ok:       # only the certificate failed, and nothing touches
+        report.violations = certificate
+    return report
 
+
+def _certificate(domain, edges) -> list[str]:
+    """The violations of `validate`'s local certificate, for edges that are
+    in range, include the boundary, use every point and have the maximal
+    count."""
     try:
-        tris = derive_triangles(domain, t.edges)
+        tris = derive_triangles(domain, edges)
     except ValidationError as exc:
-        report.add(str(exc))
-        return report
+        return [str(exc)]
+    out = []
     if len(tris) != domain.expected_triangle_count:
-        report.add(f"triangle count {len(tris)} != expected "
+        out.append(f"triangle count {len(tris)} != expected "
                    f"{domain.expected_triangle_count}")
     ip = domain.ipoints
     area2 = sum(abs(polygon_signed_area2((ip[a], ip[b], ip[c])))
@@ -577,19 +592,19 @@ def validate(t: Triangulation) -> ValidationReport:
     darts = {edge(a, b): (a, b) for c in domain.boundary_cycles
              for a, b in zip(c, c[1:] + c[:1])}
     orient = domain.orient
-    for e in t.edges:
+    for e in edges:
         aps = apexes.get(e, [])
         dart = darts.get(e)
         want = 1 if dart else 2
         if len(aps) != want:
-            report.add(f"edge {e} bounds {len(aps)} triangles, expected {want}")
+            out.append(f"edge {e} bounds {len(aps)} triangles, expected {want}")
         elif dart:
             if orient(*dart, aps[0]) < 0:
-                report.add(f"boundary edge {e} has its triangle outside "
+                out.append(f"boundary edge {e} has its triangle outside "
                            f"the domain")
         elif orient(*e, aps[0]) == orient(*e, aps[1]):
-            report.add(f"both triangles of edge {e} lie on one side of it")
+            out.append(f"both triangles of edge {e} lie on one side of it")
     if area2 != domain.area2:
-        report.add(f"triangles cover twice-area {area2}, the domain "
+        out.append(f"triangles cover twice-area {area2}, the domain "
                    f"{domain.area2}")
-    return report
+    return out

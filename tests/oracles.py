@@ -1,16 +1,16 @@
 """Slow reference implementations that the tests compare fast paths against."""
 
 from fractions import Fraction
-from math import gcd
+from math import ceil, floor
 from typing import NamedTuple
 
 import networkx as nx
 
 from flipdist.errors import Not3ConnectedError, NotPlanarError, ValidationError
-from flipdist.geometry import (COLLINEAR, Point2, angular_key, orientation,
+from flipdist.geometry import (Point2, orientation, polygon_signed_area2,
                                touching_pairs)
 from flipdist.triangulation import (Edge, ValidationReport, canonical_cycle,
-                                    derive_triangles, edge)
+                                    derive_triangles, edge, triangle_apexes)
 
 
 def validate_by_segments(t) -> ValidationReport:
@@ -72,6 +72,73 @@ def validate_by_segments(t) -> ValidationReport:
     return report
 
 
+def validate_with_sweep(t) -> ValidationReport:
+    """The oracle of `triangulation.validate` that sweeps every pair of
+    touching edges before the edge count and the local certificate, on
+    valid input too."""
+    report = ValidationReport()
+    domain = t.domain
+    n = len(domain.points)
+    for u, v in t.edges:
+        if not (0 <= u < n and 0 <= v < n) or u == v:
+            report.add(f"bad edge {(u, v)}")
+            return report
+
+    missing = domain.mandatory_edges - t.edges
+    if missing:
+        report.add(f"missing mandatory boundary edges: {sorted(missing)[:4]}")
+
+    used = {u for e in t.edges for u in e}
+    if used != set(range(n)):
+        report.add(f"vertices without incident edges: {sorted(set(range(n)) - used)[:4]}")
+
+    all_edges = sorted(t.edges)
+    for i, j in touching_pairs(domain.ipoints, all_edges):
+        e, f = all_edges[i], all_edges[j]
+        if e in domain.mandatory_edges:
+            e, f = f, e
+        report.add(f"edges {e} and {f} "
+                   f"{'overlap' if {*e} & {*f} else 'cross'}")
+
+    if len(t.edges) != domain.expected_edge_count:
+        report.add(f"edge count {len(t.edges)} != maximal count "
+                   f"{domain.expected_edge_count} (not a triangulation)")
+    if not report.ok:
+        return report
+
+    try:
+        tris = derive_triangles(domain, t.edges)
+    except ValidationError as exc:
+        report.add(str(exc))
+        return report
+    if len(tris) != domain.expected_triangle_count:
+        report.add(f"triangle count {len(tris)} != expected "
+                   f"{domain.expected_triangle_count}")
+    ip = domain.ipoints
+    area2 = sum(abs(polygon_signed_area2((ip[a], ip[b], ip[c])))
+                for a, b, c in tris)
+    apexes = triangle_apexes(tris)
+    darts = {edge(a, b): (a, b) for c in domain.boundary_cycles
+             for a, b in zip(c, c[1:] + c[:1])}
+    orient = domain.orient
+    for e in t.edges:
+        aps = apexes.get(e, [])
+        dart = darts.get(e)
+        want = 1 if dart else 2
+        if len(aps) != want:
+            report.add(f"edge {e} bounds {len(aps)} triangles, expected {want}")
+        elif dart:
+            if orient(*dart, aps[0]) < 0:
+                report.add(f"boundary edge {e} has its triangle outside "
+                           f"the domain")
+        elif orient(*e, aps[0]) == orient(*e, aps[1]):
+            report.add(f"both triangles of edge {e} lie on one side of it")
+    if area2 != domain.area2:
+        report.add(f"triangles cover twice-area {area2}, the domain "
+                   f"{domain.area2}")
+    return report
+
+
 def canonical_cycle_all_rotations(cycle) -> tuple:
     """The oracle of `triangulation.canonical_cycle`: the least of all
     rotations of the cycle and of its reversal."""
@@ -104,46 +171,6 @@ def edges_crossing_segment_four_tests(t, p, q) -> set:
     return out
 
 
-def line_intersection(h1, h2):
-    """The meeting point of two half-planes' boundary lines, or None when
-    they are parallel."""
-    det = h1.a * h2.b - h2.a * h1.b
-    if det == 0:
-        return None
-    x = (h1.b * h2.c - h2.b * h1.c) / det
-    y = (h2.a * h1.c - h1.a * h2.c) / det
-    return Point2(x, y)
-
-
-def vertex_cycle_by_fractions(halfplanes) -> tuple:
-    """The oracle of `geometry._vertex_cycle`: every pair of boundary lines
-    is intersected in `Fraction`s and the point tested against every
-    half-plane; consecutive cycle vertices must share a boundary line,
-    found by evaluating every half-plane at both."""
-    pts = []
-    n = len(halfplanes)
-    for i in range(n):
-        for j in range(i + 1, n):
-            p = line_intersection(halfplanes[i], halfplanes[j])
-            if p is None:
-                continue
-            if all(h.value(p) >= 0 for h in halfplanes) and p not in pts:
-                pts.append(p)
-    if len(pts) < 3:
-        return ()
-    center = Point2(sum((p.x for p in pts), Fraction(0)) / len(pts),
-                    sum((p.y for p in pts), Fraction(0)) / len(pts))
-    ordered = sorted(pts, key=lambda p: angular_key(p - center))
-    m = len(ordered)
-    out = [ordered[k] for k in range(m)
-           if orientation(ordered[k - 1], ordered[k],
-                          ordered[(k + 1) % m]) != COLLINEAR]
-    for p, q in zip(out, out[1:] + out[:1]):
-        if not any(h.value(p) == 0 == h.value(q) for h in halfplanes):
-            return ()
-    return tuple(out)
-
-
 class SidedHalfPlane(NamedTuple):
     """{p : a*x + b*y + c > 0}, or >= 0 when not strict."""
 
@@ -160,10 +187,29 @@ class SidedHalfPlane(NamedTuple):
         return v > 0 if self.strict else v >= 0
 
 
+def coarsest_dyadic_by_scan(lo, hi):
+    """The oracle of `geometry._between` on two bounds lo < hi: the powers
+    of two 2^s are scanned downward from one above the bounds' size, and
+    the first with a multiple in the middle half [lo + w/4, hi - w/4],
+    w = hi - lo, gives the answer, so no coarser dyadic lies there."""
+    a, b = lo + (hi - lo) / 4, hi - (hi - lo) / 4
+    if a <= 0 <= b:
+        return Fraction(0)
+    # 2^s > |a| and |b|, so the only multiple of 2^s near them is 0
+    s = max(abs(a), abs(b)).numerator.bit_length() + 1
+    while True:
+        q = ceil(a / Fraction(2) ** s) * Fraction(2) ** s
+        if q <= b:
+            return q
+        s -= 1
+
+
 def fourier_motzkin_with_strictness(constraints):
     """The oracle of `geometry._fourier_motzkin_point`: two-variable
     Fourier-Motzkin elimination over a mix of open and closed half-planes
-    (`SidedHalfPlane`), keeping strictness when bounds are combined."""
+    (`SidedHalfPlane`), keeping strictness when bounds are combined.  Open
+    bounds on both sides pick `coarsest_dyadic_by_scan`, one bound the
+    integer one past it."""
     lowers = []   # a > 0:  x {>,>=} (-c - b*y)/a
     uppers = []   # a < 0
     y_only = []   # (b, c, strict)
@@ -200,11 +246,12 @@ def fourier_motzkin_with_strictness(constraints):
             return None
         if y_lo[0] == y_hi[0] and (y_lo[1] or y_hi[1]):
             return None
-        y = y_lo[0] if y_lo[0] == y_hi[0] else (y_lo[0] + y_hi[0]) / 2
+        y = y_lo[0] if y_lo[0] == y_hi[0] else \
+            coarsest_dyadic_by_scan(y_lo[0], y_hi[0])
     elif y_lo is not None:
-        y = y_lo[0] + 1
+        y = Fraction(floor(y_lo[0]) + 1)
     elif y_hi is not None:
-        y = y_hi[0] - 1
+        y = Fraction(ceil(y_hi[0]) - 1)
     else:
         y = Fraction(0)
 
@@ -221,65 +268,17 @@ def fourier_motzkin_with_strictness(constraints):
     if x_lo is not None and x_hi is not None:
         if x_lo[0] > x_hi[0] or (x_lo[0] == x_hi[0] and (x_lo[1] or x_hi[1])):
             return None
-        x = x_lo[0] if x_lo[0] == x_hi[0] else (x_lo[0] + x_hi[0]) / 2
+        x = x_lo[0] if x_lo[0] == x_hi[0] else \
+            coarsest_dyadic_by_scan(x_lo[0], x_hi[0])
     elif x_lo is not None:
-        x = x_lo[0] + 1
+        x = Fraction(floor(x_lo[0]) + 1)
     elif x_hi is not None:
-        x = x_hi[0] - 1
+        x = Fraction(ceil(x_hi[0]) - 1)
     else:
         x = Fraction(0)
     p = Point2(x, y)
     assert all(h.contains(p) for h in constraints)
     return p
-
-
-def _recession_direction_exists(halfplanes) -> bool:
-    """A nonempty intersection is unbounded iff consecutive inward normals,
-    in angular order, leave a gap of at least pi."""
-    def primitive(a, b):
-        an, bn = a.numerator * b.denominator, b.numerator * a.denominator
-        g = gcd(abs(an), abs(bn))
-        return (an // g, bn // g)
-
-    dirs = sorted({primitive(h.a, h.b) for h in halfplanes}, key=angular_key)
-    n = len(dirs)
-    if n == 1:
-        return True
-    for i in range(n):
-        d1, d2 = dirs[i], dirs[(i + 1) % n]
-        cross = d1[0] * d2[1] - d1[1] * d2[0]
-        if cross < 0 or (cross == 0 and d1[0] * d2[0] + d1[1] * d2[1] < 0):
-            return True
-    return False
-
-
-def interior_point_by_recession(halfplanes):
-    """The oracle of `geometry.interior_point` on a region's canonical
-    open half-planes, or None when the region is empty: the centroid of
-    the vertex cycle of a bounded region (boundedness decided from the
-    normals' angular gaps) when strictly inside, else the Fourier-Motzkin
-    sample."""
-    sample = fourier_motzkin_with_strictness(
-        [SidedHalfPlane(h.a, h.b, h.c) for h in halfplanes])
-    if sample is None or _recession_direction_exists(halfplanes):
-        return sample
-    pts = []
-    for i, h1 in enumerate(halfplanes):
-        for h2 in halfplanes[i + 1:]:
-            p = line_intersection(h1, h2)
-            if p is not None and p not in pts and \
-                    all(h.value(p) >= 0 for h in halfplanes):
-                pts.append(p)
-    center = Point2(sum(p.x for p in pts) / len(pts),
-                    sum(p.y for p in pts) / len(pts))
-    ordered = sorted(pts, key=lambda p: angular_key(p - center))
-    m = len(ordered)
-    cycle = [ordered[k] for k in range(m)
-             if orientation(ordered[k - 1], ordered[k],
-                            ordered[(k + 1) % m]) != COLLINEAR]
-    p = Point2(sum(q.x for q in cycle) / len(cycle),
-               sum(q.y for q in cycle) / len(cycle))
-    return p if all(h.value(p) > 0 for h in halfplanes) else sample
 
 
 def is_subset_by_closed_complement(inner, outer) -> bool:

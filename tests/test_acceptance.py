@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from flipdist import instanceio
-from flipdist.gadgets import (blocking_set, build_channel,
+from flipdist.gadgets import (Channel, blocking_set, build_channel,
                               canonical_capped_edges, channel_mouths,
                               channel_region, channel_triangulations,
                               left_edges, left_to_canonical_moves, right_edges)
@@ -99,6 +99,28 @@ def test_criterion_4_double_capped():
     t_right = Triangulation(region, base | right_edges(upper, lower))
     assert exact_distance(t_left, t_right).distance == 24
     report(4, "double-capped channel distance is still 24")
+
+
+def test_every_built_channel_is_certified(c3_instance, k4_instance):
+    """Criteria 1, 3 and 4 on every placed channel, not just the figure's:
+    each channel of the C3 and K4 instances, cut out on its own from the
+    instance's coordinates, is 36 flips open and 24 with each recorded cap,
+    near or far."""
+    searches = 0
+    for inst in (c3_instance, k4_instance):
+        pts = inst.region.points
+        for (u, w), rec in sorted(inst.channels.items()):
+            ch = Channel(tuple(pts[i] for i in rec.upper),
+                         tuple(pts[i] for i in rec.lower))
+            for caps, want in (({}, 36),
+                               ({"cap_near": pts[rec.caps[u]]}, 24),
+                               ({"cap_far": pts[rec.caps[w]]}, 24)):
+                _, t_left, t_right = channel_triangulations(ch, **caps)
+                assert exact_distance(t_left, t_right).distance == want, \
+                    ((u, w), caps)
+                searches += 1
+    report(1, f"every built channel certified: {searches} searches, "
+              f"36 open and 24 per cap")
 
 
 def test_criterion_5_gadget_audit(c3_instance, k4_instance):

@@ -12,6 +12,7 @@ from flipdist.gadgets import (build_channel, channel_region, left_edges,
                               right_edges)
 from flipdist.geometry import pt
 from flipdist.triangulation import PolygonalRegion, Triangulation
+from flipdist.vertexcover import Graph, brute_force_vc
 
 C3_GRAPH = """# triangle with coordinates
 v 0 0 0
@@ -45,10 +46,10 @@ PRISM_EDGES = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
 
 # SHA-256 of the canonical JSON that `reduce` writes for the graphs above;
 # any change to geometry, gadget placement or serialisation shows here
-K4_SHA256 = "0016241d7961ce25e39220f4b6450d6eb7bcfa66e67522d9c91680bfede5285b"
-C3_SHA256 = "583b90af3d6267de69eef95a412f68dac494dcc68b83ac4424297bd2661cddac"
+K4_SHA256 = "993a8dc9834150eec0ba8c643a4c792a92c8bbbaf13a252b81017124768ba9b0"
+C3_SHA256 = "df03aad473fbffcea95de33e627f6b7fa22ebe93975f8a02cb41ffae122e09be"
 C3_POINTSET_SHA256 = \
-    "36573affc1aed8f73a235b5df116c6df001d85f83c437def179d5f704bc43891"
+    "6bb39277c301779a78d6c62b06dc816056d12b5a44638cf4aa8d1eb74e249371"
 
 
 def sha256(path):
@@ -105,27 +106,77 @@ def test_reduce_k4_threshold(tmp_path, capsys):
     assert sha256(out) == K4_SHA256
 
 
-@pytest.mark.slow
-def test_reduce_6_prism_passes_at_threshold(tmp_path, capsys):
-    # C6 x K2, cubic, planar and 3-connected: sharp elimination puts chain
-    # edges at exactly 45 degrees, which the drawing's shear clears
-    n = 6
-    text = "\n".join([f"v {v}" for v in range(2 * n)]
+def test_reduce_json_prints_build_stats(tmp_path, capsys):
+    # `stats` rides along in the --json output only: the instance file is
+    # the same with and without --json, and carries no stats
+    g = write(tmp_path / "k4.txt", K4_GRAPH)
+    quiet, loud = tmp_path / "quiet.json", tmp_path / "loud.json"
+    assert main(["reduce", "--graph", g, "--k", "3", "--out", str(quiet)]) == 0
+    capsys.readouterr()
+    assert main(["reduce", "--graph", g, "--k", "3", "--out", str(loud),
+                 "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert loud.read_bytes() == quiet.read_bytes()
+    stats = out.pop("stats")
+    assert out == instanceio.load(loud).accounting
+    assert set(stats) == {"grid_bits", "sag_halvings", "narrowing_rounds"}
+    assert 0 < stats["grid_bits"] <= 100
+    assert b"grid_bits" not in loud.read_bytes()
+
+
+def prism_graph_text(n):
+    """The prism C_n x K2 as a graph file: cycle 0..n-1 is the outer face,
+    cycle n..2n-1 the inner one, and spoke i joins i to n + i."""
+    return "\n".join([f"v {v}" for v in range(2 * n)]
                      + [f"e {i} {(i + 1) % n}" for i in range(n)]
                      + [f"e {n + i} {n + (i + 1) % n}" for i in range(n)]
                      + [f"e {i} {n + i}" for i in range(n)]
                      + ["outer " + " ".join(map(str, range(n)))]) + "\n"
-    g = write(tmp_path / "prism6.txt", text)
+
+
+def prism_pipeline(tmp_path, capsys, n):
+    """`vc`, `reduce` at the minimum cover size, `script` and `verify` on
+    the n-prism; returns the reduce and verify --json outputs."""
+    text = prism_graph_text(n)
+    g = write(tmp_path / f"prism{n}.txt", text)
+    assert main(["vc", "--graph", g, "--json"]) == 0
+    k = json.loads(capsys.readouterr().out)["size"]
+    ids, _, edges, _ = instanceio.parse_graph_text(text)
+    assert k == brute_force_vc(Graph(ids, edges))[0]
     inst, script = tmp_path / "inst.json", tmp_path / "script.json"
-    assert main(["reduce", "--graph", g, "--k", "6", "--out", str(inst)]) == 0
+    assert main(["reduce", "--graph", g, "--k", str(k), "--out", str(inst),
+                 "--json"]) == 0
+    acc = json.loads(capsys.readouterr().out)
     assert main(["script", "--instance", str(inst), "--out", str(script)]) == 0
     capsys.readouterr()
     assert main(["verify", "--instance", str(inst), "--script", str(script),
                  "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
+    threshold = 2 * acc["k_prime"] + 28 * acc["channel_count"]
     assert (out["verdict"], out["length"], out["threshold"]) == \
-        ("PASS", 864, 864)
+        ("PASS", threshold, threshold)
     assert not out["over_threshold"]
+    return acc, out
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_reduce_prism_passes_at_threshold(tmp_path, capsys, n):
+    acc, _ = prism_pipeline(tmp_path, capsys, n)
+    assert acc["stats"]["grid_bits"] <= 300
+
+
+def test_reduce_6_prism_passes_at_threshold(tmp_path, capsys):
+    # sharp elimination puts chain edges at exactly 45 degrees, which the
+    # drawing's shear clears
+    _, out = prism_pipeline(tmp_path, capsys, 6)
+    assert out["length"] == 864
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n, length", [(7, 1010), (10, 1440)])
+def test_reduce_large_prism_passes_at_threshold(tmp_path, capsys, n, length):
+    _, out = prism_pipeline(tmp_path, capsys, n)
+    assert out["length"] == length
 
 
 def test_reduce_rejects_nonplanar(tmp_path, capsys):
@@ -481,6 +532,13 @@ def test_script_bad_cover_exits_2(tmp_path, capsys, cover, message):
                  "--out", str(tmp_path / "out.json")]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
+
+
+def test_script_uncovered_edge_is_named_once(tmp_path, capsys):
+    inst, _ = c3_files(tmp_path, capsys)
+    assert main(["script", "--instance", str(inst), "--cover", "0",
+                 "--out", str(tmp_path / "out.json")]) == 2
+    assert capsys.readouterr().err == "error: edge (1, 2) is uncovered\n"
 
 
 def test_distance_negative_budget_exits_2(tmp_path, capsys):

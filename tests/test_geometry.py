@@ -6,15 +6,15 @@ from hypothesis import example, given, strategies as st
 
 from flipdist.errors import EmptyRegionError
 from flipdist.geometry import (
-    CCW, COLLINEAR, CW, ConvexRegion, HalfPlane, Point2, _vertex_cycle,
-    coord_bits, halfplane_through, interior_point, is_strictly_convex_quad,
-    on_segment, orientation, pt, segments_properly_cross,
-    segments_share_interior, touching_pairs,
+    CCW, COLLINEAR, CW, ConvexRegion, HalfPlane, Point2, _between,
+    coord_bits, floor_log2, halfplane_through, interior_point,
+    is_strictly_convex_quad, on_segment, orientation, pt,
+    segments_properly_cross, segments_share_interior, touching_pairs,
 )
 
-from oracles import (SidedHalfPlane, fourier_motzkin_with_strictness,
-                     interior_point_by_recession,
-                     is_subset_by_closed_complement, vertex_cycle_by_fractions)
+from oracles import (SidedHalfPlane, coarsest_dyadic_by_scan,
+                     fourier_motzkin_with_strictness,
+                     is_subset_by_closed_complement)
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=64)
 points = st.builds(Point2, rationals, rationals)
@@ -128,9 +128,9 @@ def test_halfplane_intersection_triangle():
         _strip(-1, -1, 1),  # x + y < 1
     ])
     assert region.has_interior
-    assert set(_vertex_cycle(region.halfplanes)) == \
-        {pt(0, 0), pt(1, 0), pt(0, 1)}
-    assert interior_point(region) == Point2(Fraction(1, 3), Fraction(1, 3))
+    # y in (0, 1) takes 1/2, the coarsest dyadic in [1/4, 3/4]; then x in
+    # (0, 1/2) takes 1/4, the only multiple of 1/4 in [1/8, 3/8]
+    assert interior_point(region) == Point2(Fraction(1, 4), Fraction(1, 2))
     # open half-planes: the boundary is outside
     assert not region.contains(pt(0, 0))
     assert not region.contains(Point2(Fraction(1, 2), Fraction(1, 2)))
@@ -144,18 +144,18 @@ def test_halfplane_intersection_empty():
 
 
 def test_halfplane_intersection_unbounded():
+    # the open quadrant: each coordinate has a lone lower bound 0 and takes
+    # the integer one past it
     region = ConvexRegion([_strip(1, 0, 0), _strip(0, 1, 0)])
-    assert _vertex_cycle(region.halfplanes) == ()
-    p = interior_point(region)
-    assert all(h.value(p) > 0 for h in region.halfplanes)
-    # x + 2y > 2 and 2x + y > 2 cut the quadrant's corner: three vertices
-    # (0, 2), (2/3, 2/3) and (2, 0), whose centroid (8/9, 8/9) is inside,
-    # but the region is unbounded, so the sample is used instead
+    assert interior_point(region) == pt(1, 1)
+    # x + 2y > 2 and 2x + y > 2 cut the quadrant's corner: y has the lone
+    # lower bound 0, and at y = 1 the tightest lower bound on x is 1/2
     stairs = ConvexRegion([_strip(1, 0, 0), _strip(0, 1, 0),
                            _strip(1, 2, -2), _strip(2, 1, -2)])
-    assert _vertex_cycle(stairs.halfplanes) == ()
-    assert interior_point(stairs) == stairs._interior_sample
-    assert interior_point(stairs) != Point2(Fraction(8, 9), Fraction(8, 9))
+    assert interior_point(stairs) == pt(1, 1)
+    # lone upper bounds: y < -5/2 takes -3, and x < 7/3 - y/3 = 10/3 takes 3
+    below = ConvexRegion([_strip(0, -2, -5), _strip(-3, -1, 7)])
+    assert interior_point(below) == pt(3, -3)
 
 
 def test_interior_point_square_centroid():
@@ -180,9 +180,8 @@ def test_duplicate_and_parallel_constraints_canonicalized():
         _strip(-1, 0, 1), _strip(0, 1, 0), _strip(0, -1, 1),
     ])
     # only the tightest constraint per direction survives
-    assert len(region.halfplanes) == 4
-    assert set(_vertex_cycle(region.halfplanes)) == \
-        {pt(0, 0), pt(1, 0), pt(0, 1), pt(1, 1)}
+    assert set(region.halfplanes) == {
+        _strip(1, 0, 0), _strip(-1, 0, 1), _strip(0, 1, 0), _strip(0, -1, 1)}
 
 
 def test_halfplane_through_orientation():
@@ -211,47 +210,60 @@ halfplanes = st.builds(
 systems = st.lists(halfplanes, min_size=1, max_size=6)
 
 
+def dyadic(v: Fraction) -> bool:
+    return v.denominator & (v.denominator - 1) == 0
+
+
 @given(systems, systems)
 @example([HalfPlane(1, 0, 0), HalfPlane(0, 1, 0), HalfPlane(-1, -1, 1)],
          [HalfPlane(1, 0, 0), HalfPlane(0, 1, 0)])
 @example([HalfPlane(1, 0, 0), HalfPlane(0, 1, 0), HalfPlane(1, 2, -2),
           HalfPlane(2, 1, -2)], [HalfPlane(1, 0, 0)])
 def test_open_solver_matches_strictness_aware_oracle(first, second):
+    """The sample is the oracle's exact point: each coordinate is the
+    coarsest dyadic in the middle half of its bounds, found by the oracle's
+    downward scan over powers of two, or the integer past a lone bound."""
     region, other = ConvexRegion(first), ConvexRegion(second)
     sided = [SidedHalfPlane(h.a, h.b, h.c) for h in region.halfplanes]
-    assert region._interior_sample == fourier_motzkin_with_strictness(sided)
-    expected = interior_point_by_recession(region.halfplanes)
+    expected = fourier_motzkin_with_strictness(sided)
+    assert region._interior_sample == expected
     if expected is None:
         with pytest.raises(EmptyRegionError):
             interior_point(region)
     else:
         assert interior_point(region) == expected
+        assert dyadic(expected.x) and dyadic(expected.y)
     assert region.is_subset_of(other) == \
         is_subset_by_closed_complement(region.halfplanes, other.halfplanes)
 
 
-BOX = [HalfPlane(1, 0, 4), HalfPlane(-1, 0, 4), HalfPlane(0, 1, 4),
-       HalfPlane(0, -1, 4)]
+bounds = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                      max_denominator=10 ** 6)
 
 
-@given(systems, st.booleans())
-@example([HalfPlane(1, 0, 0), HalfPlane(-1, 0, 2)], False)          # a strip
-@example([HalfPlane(1, 0, 0), HalfPlane(2, 0, 0), HalfPlane(0, 1, 0),
-          HalfPlane(-1, -1, 1), HalfPlane(-2, -2, 2)], False)      # duplicates
-@example([HalfPlane(1, 0, 0), HalfPlane(0, 1, 0), HalfPlane(-1, -1, 2),
-          HalfPlane(-1, 1, 2), HalfPlane(1, -1, 2)], False)  # lines through vertices
-@example([HalfPlane(1, 0, 0), HalfPlane(0, 1, 0), HalfPlane(1, 2, -2),
-          HalfPlane(2, 1, -2)], False)           # unbounded, three vertices
-def test_vertex_cycle_matches_fraction_oracle(hs, boxed):
-    """The integer vertex test agrees with the Fraction oracle on raw
-    systems (parallel and duplicate lines, unbounded and empty regions)
-    and on their canonical forms.  Half the systems are clipped to a box,
-    so that most of those are bounded and have a vertex cycle."""
-    if boxed:
-        hs = hs + BOX
-    raw = [_strip(*h) for h in hs]
-    for system in (raw, ConvexRegion(hs).halfplanes):
-        assert _vertex_cycle(system) == vertex_cycle_by_fractions(system)
+@given(bounds, bounds)
+@example(Fraction(0), Fraction(1))
+@example(Fraction(-1, 3), Fraction(1, 3))          # 0 is the coarsest
+@example(Fraction(1000), Fraction(3000))           # a large power of two
+@example(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10 ** 9))
+def test_between_is_the_coarsest_dyadic_in_the_middle_half(lo, hi):
+    if lo == hi:
+        assert _between(lo, hi) is None
+        return
+    lo, hi = min(lo, hi), max(lo, hi)
+    assert _between(hi, lo) is None
+    v = _between(lo, hi)
+    assert v == coarsest_dyadic_by_scan(lo, hi)
+    assert lo + (hi - lo) / 4 <= v <= hi - (hi - lo) / 4 and dyadic(v)
+    assert _between(lo, None) == (lo // 1) + 1 > lo
+    assert _between(None, hi) == -(-hi // 1) - 1 < hi
+    assert _between(None, None) == 0
+
+
+@given(st.fractions(min_value=Fraction(1, 10 ** 12), max_value=10 ** 12))
+def test_floor_log2_brackets(x):
+    j = floor_log2(x)
+    assert Fraction(2) ** j <= x < Fraction(2) ** (j + 1)
 
 
 @given(st.lists(st.builds(HalfPlane, rationals, rationals, rationals)
@@ -260,13 +272,6 @@ def test_vertex_cycle_matches_fraction_oracle(hs, boxed):
 def test_canonical_halfplanes_have_integer_coefficients(hs):
     for h in ConvexRegion(hs).halfplanes:
         assert (h.a.denominator, h.b.denominator, h.c.denominator) == (1, 1, 1)
-
-
-def test_vertex_cycle_rejects_fractional_coefficients():
-    half = Fraction(1, 2)
-    with pytest.raises(ValueError, match="non-integer coefficients"):
-        _vertex_cycle([_strip(1, 0, 0), _strip(0, 1, 0),
-                       HalfPlane(-half, Fraction(-1), Fraction(1))])
 
 
 def test_coord_bits_meter():

@@ -3,11 +3,11 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from flipdist import instanceio
+from flipdist import instanceio, triangulation
 from flipdist.errors import (IllegalScriptError, Not3ConnectedError,
                              NotACoverError, NotPlanarError, ValidationError)
 from flipdist.gadgets import blocking_set, channel_mouths
-from flipdist.geometry import orientation, pt
+from flipdist.geometry import orientation, pt, touching_pairs
 from flipdist.reduction import (ReductionInstance, _embedding,
                                 _shear_off_diagonals, audit_script,
                                 build_instance, convex_drawing,
@@ -219,6 +219,21 @@ def test_k4_instance_shape(k4_instance):
     assert inst.threshold == 2 * 6 + 28 * 12 == 348
     delta = len(inst.t1.edges - inst.t2.edges) + len(inst.t2.edges - inst.t1.edges)
     assert delta == 12 * 22
+
+
+def test_validate_runs_no_sweep_on_valid_k4(k4_instance, monkeypatch):
+    # on a valid triangulation the certificate alone decides: the
+    # all-edges `touching_pairs` sweep never runs
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return touching_pairs(*args)
+
+    monkeypatch.setattr(triangulation, "touching_pairs", counted)
+    inst = k4_instance[0]
+    assert validate(inst.t1).ok and validate(inst.t2).ok
+    assert calls == []
 
 
 def test_gadget_audit_blocking_sets(c3_instance, k4_instance):

@@ -18,7 +18,7 @@ from flipdist.triangulation import (
 )
 from flipdist import instanceio
 from oracles import (canonical_cycle_all_rotations, flip_graph_by_triangulations,
-                     validate_by_segments)
+                     validate_by_segments, validate_with_sweep)
 
 
 def convex_polygon_region(n):
@@ -367,6 +367,39 @@ def test_certificate_matches_segment_oracle(differential_seeds, seed, data):
     assert fast.ok == slow.ok, (fast.violations, slow.violations)
     assert fast.ok == (fast.violations == [])
     assert slow.ok == (slow.violations == [])
+
+
+def crossing_swap(data, t):
+    """t after a few random flips, with one non-boundary edge swapped for a
+    segment that is not an edge, so the edge count stays maximal; the new
+    segment mostly crosses an edge or leaves the domain."""
+    for _ in range(data.draw(st.integers(0, 5), label="flips")):
+        moves = t.legal_flips()
+        if moves:
+            t = t.apply_flip(data.draw(st.sampled_from(moves)))
+    inner = sorted(t.edges - t.domain.mandatory_edges)
+    if not inner:
+        return t
+    n = len(t.domain.points)
+    removed = data.draw(st.sampled_from(inner), label="removed")
+    inserted = data.draw(
+        st.tuples(st.integers(0, n - 1), st.integers(1, n - 1))
+        .map(lambda p: edge(p[0], (p[0] + p[1]) % n))
+        .filter(lambda e: e not in t.edges), label="inserted")
+    return Triangulation(t.domain, (t.edges - {removed}) | {inserted})
+
+
+@pytest.mark.parametrize("seed", [s.__name__ for s, _, _ in SMALL_SEEDS]
+                         + ["square_with_interior_points", "c3_region",
+                            "c3_pointset"])
+@settings(max_examples=40)
+@given(data=st.data())
+def test_validate_matches_sweep_oracle(differential_seeds, seed, data):
+    # `validate` sweeps for touching edges only after a failed check; the
+    # violation list, order included, is that of the sweep-first oracle
+    make = crossing_swap if data.draw(st.booleans(), label="swap") else mutated
+    t = make(data, differential_seeds[seed])
+    assert validate(t).violations == validate_with_sweep(t).violations
 
 
 WALK_SEEDS = [s.__name__ for s, _, _ in SMALL_SEEDS] + [
