@@ -236,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="enumerate the flip graph",
                        epilog=EXIT_CODES)
     p.add_argument("--instance", required=True)
-    p.add_argument("--cap", type=int, default=10 ** 6)
+    p.add_argument("--cap", type=int, default=10 ** 6,
+                   help="exit 4 past this many triangulations")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_enumerate)
     return parser

@@ -8,7 +8,9 @@ ids plus, per edge, the id of its opposite edge (the edge its flip would
 insert); a flip updates five entries of that state in place of rebuilding
 it from the triangles.  A state is known by an exact edge bitmask, so
 duplicate children cost an integer lookup, and canonical bytes are built
-once per kept state.  `Triangulation` stays the type at the API boundary,
+once per kept state.  Enumeration numbers its nodes densely as they are
+found and returns each node's edges as a sorted tuple of the kernel's
+shared `(u, v)` pairs.  `Triangulation` stays the type at the API boundary,
 and witnesses are replayed through `Triangulation.apply_flip`.  A plain BFS
 and a triangulation counter serve as oracles in the tests.
 """
@@ -304,7 +306,7 @@ class FlipGraph:
     """Complete flip graph of a domain: nodes are canonical keys."""
 
     def __init__(self, nodes, adjacency):
-        self.nodes = nodes                    # key -> frozenset of edges
+        self.nodes = nodes                    # key -> sorted tuple of edges
         self.adjacency = adjacency            # key -> sorted list of keys
 
     def __len__(self):
@@ -328,37 +330,51 @@ def enumerate_flip_graph(seed: Triangulation, cap: int = 10 ** 6) -> FlipGraph:
     """Reachable closure of the flip relation from a seed triangulation.
 
     Flip connectivity makes this the complete flip graph for any valid seed.
-    A node's value is its edge set; build a `Triangulation` from it where
-    one is needed.  Raises CapExceededError beyond `cap` nodes, and
-    ValidationError for a `cap` below 1.
+    A node's value is its edges as a sorted tuple of `(u, v)` pairs; build a
+    `Triangulation` from it where one is needed.  Nodes are kept in the
+    order they were found and adjacency in the order nodes were expanded.
+    Raises CapExceededError beyond `cap` nodes, and ValidationError for a
+    `cap` below 1.
     """
     if cap < 1:
         raise ValidationError(f"cap must be positive, got {cap}")
     kernel = _FlipKernel(seed.domain)
+    bit = kernel.bit
     mask, ids, opp = kernel.state(seed)
-    nodes = {mask: ids}                       # in discovery order
-    adjacency: dict[int, list[int]] = {}      # in expansion order
-    stack = [(mask, ids, opp)]
+    # a node gets a dense index when it is found, so the adjacency holds
+    # small ints, not masks; `index` goes before the keys are built, and
+    # each node's ids give way in place to its shared (u, v) pairs
+    index = {mask: 0}                         # mask -> node index
+    found = [ids]                             # node ids, in discovery order
+    expanded: list[int] = []                  # node indices, in expansion order
+    adjacency: list[list[int]] = []           # their neighbours, likewise
+    stack = [(mask, ids, opp, 0)]
     while stack:
-        mask, ids, opp = stack.pop()
+        mask, ids, opp, node = stack.pop()
         nbrs = []
         for i, a in kernel.flips(ids, opp):
-            m_new = mask ^ kernel.bit[ids[i]] ^ kernel.bit[a]
-            nbrs.append(m_new)
-            if m_new not in nodes:
-                if len(nodes) >= cap:
+            m_new = mask ^ bit[ids[i]] ^ bit[a]
+            j = index.get(m_new)
+            if j is None:
+                if len(found) >= cap:
                     raise CapExceededError(
                         f"flip graph exceeds the {cap}-node cap")
+                j = index[m_new] = len(found)
                 ids_new, opp_new = kernel.child(ids, opp, i, a)
-                nodes[m_new] = ids_new
-                stack.append((m_new, ids_new, opp_new))
-        adjacency[mask] = nbrs
-    keys = {m: kernel.key(ids) for m, ids in nodes.items()}
+                found.append(ids_new)
+                stack.append((m_new, ids_new, opp_new, j))
+            nbrs.append(j)
+        expanded.append(node)
+        adjacency.append(nbrs)
+    del index
+    keys = [kernel.key(ids) for ids in found]
     pairs = kernel.pairs.__getitem__
+    for j, ids in enumerate(found):
+        found[j] = tuple(map(pairs, ids))
     return FlipGraph(
-        {keys[m]: frozenset(map(pairs, ids)) for m, ids in nodes.items()},
-        {keys[m]: sorted(map(keys.__getitem__, nbrs))
-         for m, nbrs in adjacency.items()})
+        dict(zip(keys, found)),
+        {keys[node]: sorted(map(keys.__getitem__, nbrs))
+         for node, nbrs in zip(expanded, adjacency)})
 
 
 def greedy_upper_bound(t1: Triangulation, t2: Triangulation,

@@ -142,10 +142,10 @@ class PolygonalRegion(_DomainBase):
                 f"points {missing} belong to no boundary; list them as point holes")
         if len(self.outer) < 3:
             raise ValidationError("outer boundary needs at least 3 vertices")
-        if polygon_signed_area2([self.points[i] for i in self.outer]) <= 0:
+        if polygon_signed_area2([self.ipoints[i] for i in self.outer]) <= 0:
             raise ValidationError("outer boundary must be counterclockwise")
         for h in self.poly_holes:
-            if polygon_signed_area2([self.points[i] for i in h]) >= 0:
+            if polygon_signed_area2([self.ipoints[i] for i in h]) >= 0:
                 raise ValidationError("hole boundaries must be clockwise")
         cycles = [list(self.outer)] + [list(h) for h in self.poly_holes]
         segs = [(c[i], c[(i + 1) % len(c)]) for c in cycles for i in range(len(c))]

@@ -313,12 +313,13 @@ def embedding_faces_by_networkx(vertices, edges) -> set:
 
 
 def flip_graph_by_triangulations(seed):
-    """Flip-graph nodes (canonical key -> edges) and adjacency (key ->
-    sorted neighbour keys) reachable from `seed`, built from
-    `Triangulation.legal_flips` and `apply_flip` alone: the oracle of
+    """Flip-graph nodes (canonical key -> sorted tuple of edges) and
+    adjacency (key -> sorted neighbour keys) reachable from `seed`, built
+    from `Triangulation.legal_flips` and `apply_flip` alone: the oracle of
     `search.enumerate_flip_graph`.  The last node found is expanded first,
     as there, so the node order and the adjacency order compare too."""
-    nodes, adjacency, stack = {seed.canonical_key(): seed.edges}, {}, [seed]
+    nodes = {seed.canonical_key(): tuple(sorted(seed.edges))}
+    adjacency, stack = {}, [seed]
     while stack:
         t = stack.pop()
         nbrs = []
@@ -326,7 +327,7 @@ def flip_graph_by_triangulations(seed):
             t_new = t.apply_flip(m)
             nbrs.append(t_new.canonical_key())
             if nbrs[-1] not in nodes:
-                nodes[nbrs[-1]] = t_new.edges
+                nodes[nbrs[-1]] = tuple(sorted(t_new.edges))
                 stack.append(t_new)
         adjacency[t.canonical_key()] = sorted(nbrs)
     return nodes, adjacency

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -265,6 +266,24 @@ def test_h9_enumeration_is_pinned():
     for key, nbrs in graph.adjacency.items():
         digest.update(key + b">" + b"|".join(nbrs) + b"\n")
     assert digest.hexdigest() == H9_ADJACENCY_SHA256
+
+
+def test_h8_enumeration_memory():
+    # a node is held as a dense index, a key and a tuple of the kernel's
+    # shared (u, v) pairs, not as a mask and a frozenset: about 1,000 B a
+    # node at the traced peak, where frozensets took about 3,500 B
+    t_left, _ = channel_pair(8)
+    tracemalloc.start()
+    try:
+        graph = enumerate_flip_graph(t_left)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(graph) == 3432
+    assert peak < 2000 * len(graph), peak / len(graph)
+    for key, edges in graph.nodes.items():
+        assert type(edges) is tuple and list(edges) == sorted(edges)
+        assert Triangulation(t_left.domain, edges).canonical_key() == key
 
 
 @pytest.mark.slow

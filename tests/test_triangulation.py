@@ -242,6 +242,29 @@ def test_region_error_messages(extra, holes, message):
     assert str(exc.value) == message
 
 
+# a square and a triangle inside it with non-integer coordinates, so the
+# orientation is read on the scaled grid, not on the given points
+THIRDS = [pt(Fraction(1, 3), Fraction(1, 7)), pt(Fraction(10, 3), Fraction(1, 7)),
+          pt(Fraction(10, 3), Fraction(22, 7)), pt(Fraction(1, 3), Fraction(22, 7)),
+          pt(Fraction(5, 6), Fraction(1, 2)), pt(Fraction(5, 6), Fraction(5, 2)),
+          pt(Fraction(5, 2), Fraction(3, 2))]
+
+
+@pytest.mark.parametrize("outer, holes, message", [
+    ([3, 2, 1, 0], [], "outer boundary must be counterclockwise"),
+    ([0, 1, 2, 3], [[4, 6, 5]], "hole boundaries must be clockwise"),
+])
+def test_region_orientation_errors(outer, holes, message):
+    points = THIRDS if holes else THIRDS[:4]
+    with pytest.raises(ValidationError) as exc:
+        PolygonalRegion(points, outer, holes)
+    assert str(exc.value) == message
+    # the same cycles turned the right way round make a valid region
+    region = PolygonalRegion(points, [0, 1, 2, 3],
+                             [[4, 5, 6]] if holes else [])
+    assert region.area2 > 0
+
+
 def left_small_channel():
     return channel_triangulations(small_channel())[1]
 
