@@ -115,25 +115,19 @@ def capped_transform_replays(ch: Channel, cap: Point2, far_end: bool) -> bool:
     """
     n = ch.n
     try:
-        region = channel_region(ch, cap_near=None if far_end else cap,
-                                cap_far=cap if far_end else None)
+        _, t_left, t_right = channel_triangulations(
+            ch, cap_near=None if far_end else cap,
+            cap_far=cap if far_end else None)
     except ValidationError:
         return False
-    upper = list(range(n))
-    lower = list(range(n, 2 * n))
-    cap_idx = 2 * n
-    base = set(region.mandatory_edges)
-    t = Triangulation(region, base | left_edges(upper, lower))
-    if not validate(t).ok:
+    if not validate(t_left).ok:
         return False
-    target = base | right_edges(upper, lower)
+    moves = capped_transform_moves(list(range(n)), list(range(n, 2 * n)),
+                                   2 * n, cap_at_far_end=far_end)
     try:
-        for m in capped_transform_moves(upper, lower, cap_idx,
-                                        cap_at_far_end=far_end):
-            t = t.apply_flip(m)
+        return t_left.apply_script(moves).edges == t_right.edges
     except IllegalFlipError:
         return False
-    return t.edges == frozenset(target)
 
 
 def channel_invariant_report(ch: Channel) -> list[str]:
@@ -381,14 +375,11 @@ def build_vertex_gadget(center: Point2, half_side: Fraction,
                           f"got {len(stubs)}")
 
 
-def _inner_box(center: Point2, r: Fraction) -> list[HalfPlane]:
-    one = Fraction(1)
-    return [
-        HalfPlane(one, 0, -(center.x - r)),
-        HalfPlane(-one, 0, center.x + r),
-        HalfPlane(0, one, -(center.y - r)),
-        HalfPlane(0, -one, center.y + r),
-    ]
+def inner_box(center: Point2, r: Fraction) -> list[HalfPlane]:
+    """Four open half-planes cutting out the axis-aligned square of
+    half-side r around center."""
+    return [HalfPlane(1, 0, r - center.x), HalfPlane(-1, 0, center.x + r),
+            HalfPlane(0, 1, r - center.y), HalfPlane(0, -1, center.y + r)]
 
 
 def _strip(stub: ChannelStub, v: Point2) -> list[HalfPlane]:
@@ -415,9 +406,8 @@ def _hug(stub: ChannelStub, v: Point2, side: str,
     g = stub.gate_left if side == "L" else stub.gate_right
     other = stub.gate_right if side == "L" else stub.gate_left
     w = Point2((g.x - other.x) / 2, (g.y - other.y) / 2)   # outward half-width
-    base = halfplane_through(g, g + stub.direction, v, contains_inside=False)
     outer = halfplane_through(g, g + stub.direction, v)    # toward v
-    return [halfplane_shift(base, w.scale(lo)),
+    return [halfplane_shift(_beyond_wall(stub, v, side), w.scale(lo)),
             halfplane_shift(outer, w.scale(hi))]
 
 
@@ -458,8 +448,7 @@ def _perimeter_walk(center: Point2, half: Fraction,
 
     def strictly_outside_strips(p: Point2) -> bool:
         for s in stubs:
-            h1 = halfplane_through(s.gate_left, s.gate_left + s.direction, center)
-            h2 = halfplane_through(s.gate_right, s.gate_right + s.direction, center)
+            h1, h2 = _strip(s, center)
             if h1.value(p) > 0 and h2.value(p) > 0:
                 return False
             if h1.value(p) == 0 or h2.value(p) == 0:
@@ -526,7 +515,7 @@ def _build_degree2(v: Point2, half_side: Fraction,
             "degree-2 vertex with collinear channels (angle exactly pi)")
     p, q = (s1, s2) if cr > 0 else (s2, s1)   # ccw sector p->q is < pi
     ep, eq = p.direction, q.direction
-    box = _inner_box(v, half_side / 2)
+    box = inner_box(v, half_side / 2)
     sector_sample = v + ep + eq
 
     sec = [halfplane_through(v, v + ep, sector_sample),
@@ -613,7 +602,7 @@ def _build_degree3(v: Point2, half_side: Fraction,
 def _build_degree3_rolled(v: Point2, half_side: Fraction,
                           ordered: Sequence[ChannelStub]) -> VertexGadget:
     s1, s2, s3 = ordered
-    box = _inner_box(v, half_side / 2)
+    box = inner_box(v, half_side / 2)
     gate_mid = {
         s.key: Point2((s.gate_left.x + s.gate_right.x) / 2,
                       (s.gate_left.y + s.gate_right.y) / 2)

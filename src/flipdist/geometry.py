@@ -19,7 +19,7 @@ returns.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import ceil, floor
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import EmptyRegionError
@@ -223,18 +223,6 @@ class HalfPlane(NamedTuple):
     def contains(self, p: Point2) -> bool:
         return self.value(p) > 0
 
-    def normalized(self) -> "HalfPlane":
-        """Divide out the content so equal half-planes compare equal."""
-        dens = [self.a.denominator, self.b.denominator, self.c.denominator]
-        scale = Fraction(dens[0] * dens[1] * dens[2], 1)
-        g = 0
-        for v in (self.a * scale, self.b * scale, self.c * scale):
-            g = gcd(g, abs(int(v)))
-        if g == 0:
-            raise ValueError("degenerate half-plane (a, b) == (0, 0)")
-        return HalfPlane(self.a * scale / g, self.b * scale / g,
-                         self.c * scale / g)
-
 
 def halfplane_through(p: Point2, q: Point2, inside: Point2,
                       contains_inside: bool = True) -> HalfPlane:
@@ -328,16 +316,20 @@ def _fourier_motzkin_point(constraints: Sequence[HalfPlane]) -> Optional[Point2]
 
 
 class ConvexRegion:
-    """Intersection of open half-planes, each direction's tightest kept.
+    """Intersection of open half-planes, kept as given with `Fraction`
+    coefficients.
 
     Construction runs one Fourier-Motzkin pass; its sample point decides
-    whether the region is nonempty.
+    whether the region is nonempty.  The elimination projects exactly, so a
+    scaled copy or a looser parallel of a half-plane never moves a bound:
+    redundant half-planes change neither the sample nor `is_subset_of`.
     """
 
     def __init__(self, halfplanes: Sequence[HalfPlane]):
         if not halfplanes:
             raise ValueError("need at least one half-plane")
-        self.halfplanes = tuple(_canonicalize(halfplanes))
+        self.halfplanes = tuple(HalfPlane(*map(Fraction, h))
+                                for h in halfplanes)
         self._interior_sample = _fourier_motzkin_point(self.halfplanes)
 
     @property
@@ -354,17 +346,6 @@ class ConvexRegion:
         return all(_fourier_motzkin_point(
             self.halfplanes + (HalfPlane(-h.a, -h.b, -h.c),)) is None
             for h in other.halfplanes)
-
-
-def _canonicalize(halfplanes: Sequence[HalfPlane]) -> list[HalfPlane]:
-    """Normalize, then keep only the tightest constraint per direction."""
-    best: dict[tuple, HalfPlane] = {}
-    for h in halfplanes:
-        n = h.normalized()
-        key = (n.a, n.b)
-        if key not in best or n.c < best[key].c:
-            best[key] = n
-    return list(best.values())
 
 
 def interior_point(region: ConvexRegion) -> Point2:

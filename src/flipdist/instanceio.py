@@ -32,6 +32,10 @@ def str_to_frac(s) -> Fraction:
         return Fraction(s)
     if not isinstance(s, str):
         raise ValidationError(f"coordinate {s!r} must be a string or integer")
+    # `Fraction` expands an exponent in full, in time that grows with it
+    if "e" in s or "E" in s:
+        raise ValidationError(
+            f"bad coordinate {s!r}: exponents are not allowed")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
@@ -125,7 +129,9 @@ def dumps(doc: InstanceDoc) -> str:
 def _parse_json(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integer literals past
+        # Python's digit limit; RecursionError deeply nested arrays
         raise ValidationError(f"malformed JSON: {exc}") from exc
 
 

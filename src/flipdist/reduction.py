@@ -20,9 +20,9 @@ from .errors import (EmptyFeasibleRegionError, EmptyRegionError,
 from .gadgets import (Channel, ChannelStub, VertexGadget, blocking_set,
                       build_channel, build_vertex_gadget,
                       capped_transform_moves, capped_transform_replays,
-                      channel_mouths, left_edges, left_to_canonical_moves,
-                      reverse_moves, right_edges)
-from .geometry import (ConvexRegion, HalfPlane, Point2, angular_key,
+                      channel_mouths, inner_box, left_edges, reverse_moves,
+                      right_edges)
+from .geometry import (ConvexRegion, Point2, angular_key,
                        coord_bits, floor_log2, halfplane_through,
                        interior_point, orientation, polygon_signed_area2,
                        touching_pairs)
@@ -66,10 +66,7 @@ class PlanarGraphDrawing:
         return [list(zip(f, f[1:] + f[:1])) for f in walk_faces(rot, self.edges)]
 
     def face_area2(self, face) -> Fraction:
-        total = Fraction(0)
-        for u, w in face:
-            total += self.pos[u].cross(self.pos[w])
-        return total
+        return polygon_signed_area2([self.pos[u] for u, _ in face])
 
     def sharp_vertices(self) -> list[int]:
         """Vertices with an incident angle of at least pi.
@@ -423,13 +420,7 @@ def _place_chain(pos, edges, v, u_prev, u_next, u_in, t, next_id, pre_sharp):
     d_prev = pos[u_prev] - p
     d_next = pos[u_next] - p
 
-    box_r = Fraction(max(abs(d_prev.x), abs(d_prev.y))) * t / 2
-    box = [
-        HalfPlane(Fraction(1), 0, -(p.x - box_r)),
-        HalfPlane(Fraction(-1), 0, p.x + box_r),
-        HalfPlane(0, Fraction(1), -(p.y - box_r)),
-        HalfPlane(0, Fraction(-1), p.y + box_r),
-    ]
+    box = inner_box(p, Fraction(max(abs(d_prev.x), abs(d_prev.y))) * t / 2)
     # two ways to hand out the three old edges; the middle vertex goes in the
     # window that keeps every gap at the degree-3 chain end below pi.  The
     # inner-face sector between the kept directions fixes the window side.
@@ -630,11 +621,18 @@ class ReductionInstance:
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad gadget metadata: {exc!r}") from exc
         _check_metadata(channels, gadgets, len(doc.domain.points))
-        acc = doc.accounting or {}
+        acc = {} if doc.accounting is None else doc.accounting
+        if not isinstance(acc, dict):
+            raise ValidationError("bad accounting: expected an object, got "
+                                  f"{type(acc).__name__}")
+        counts = {name: acc.get(name, 0) for name in ("k_input", "t_outer")}
+        for name, value in counts.items():
+            if type(value) is not int or value < 0:
+                raise ValidationError(f"bad accounting: {name} must be a "
+                                      f"nonnegative integer, got {value!r}")
         t1, t2 = doc.pair
         return cls(region=doc.domain, t1=t1, t2=t2, channels=channels,
-                   gadgets=gadgets, k_input=acc.get("k_input", 0),
-                   t_outer=acc.get("t_outer", 0))
+                   gadgets=gadgets, **counts)
 
 
 def _check_metadata(channels: dict[tuple[int, int], ChannelRecord],
@@ -810,27 +808,21 @@ def build_instance(drawing: PlanarGraphDrawing, k_input: int,
         gate_pts = {}
         for (u, w) in sorted(drawing.edges):
             d = drawing.direction(u, w)
-            p1u, lu, ru = _gate_for(drawing, u, w, half, scale[(u, w)])
-            p1w, lw, rw = _gate_for(drawing, w, u, half, scale[(u, w)])
-            width_u = abs((lu - p1u).cross(d))
-            width_w = abs((lw - p1w).cross(d))
-            if width_u <= width_w:
-                # carry u's walls across to w's square side
-                _, side_w = _square_crossing(drawing.pos[w],
-                                             drawing.direction(w, u), half)
-                sa, sb = _side_line(drawing.pos[w], half, side_w)
-                side_dir = sb - sa
-                lw2 = _line_intersection_points(lu, d, sa, side_dir)
-                rw2 = _line_intersection_points(ru, d, sa, side_dir)
-                # left of (u -> w) arrives as right of (w -> u)
-                gate_pts[(u, w)] = {u: (lu, ru), w: (rw2, lw2)}
-            else:
-                _, side_u = _square_crossing(drawing.pos[u], d, half)
-                sa, sb = _side_line(drawing.pos[u], half, side_u)
-                side_dir = sb - sa
-                lu2 = _line_intersection_points(lw, d, sa, side_dir)
-                ru2 = _line_intersection_points(rw, d, sa, side_dir)
-                gate_pts[(u, w)] = {u: (ru2, lu2), w: (lw, rw)}
+            width, walls = {}, {}
+            for x, y in ((u, w), (w, u)):
+                p1, left, right = _gate_for(drawing, x, y, half, scale[(u, w)])
+                width[x] = abs((left - p1).cross(d))
+                walls[x] = (left, right)
+            # carry the narrower end's walls across to the other end's square
+            # side, where left of (a -> b) arrives as right of (b -> a)
+            a, b = (u, w) if width[u] <= width[w] else (w, u)
+            left, right = walls[a]
+            _, side = _square_crossing(drawing.pos[b], drawing.direction(b, a),
+                                       half)
+            sa, sb = _side_line(drawing.pos[b], half, side)
+            gate_pts[(u, w)] = {a: (left, right), b: tuple(
+                _line_intersection_points(p, d, sa, sb - sa)
+                for p in (right, left))}
 
         gadget_obj = {}
         failed_at = None
@@ -896,8 +888,7 @@ def build_instance(drawing: PlanarGraphDrawing, k_input: int,
         channel_obj[(u, w)] = ch
         sag_halvings += halvings
 
-    inst = _assemble(drawing, gadget_obj, channel_obj, gate_pts,
-                     k_input, t_outer)
+    inst = _assemble(drawing, gadget_obj, channel_obj, k_input, t_outer)
     inst.stats = {"sag_halvings": sag_halvings,
                   "narrowing_rounds": narrowing_rounds}
     return inst
@@ -933,7 +924,7 @@ def _channel_mouth_audit(ch: Channel, key, gadget_obj, gate_pts, drawing) -> boo
     return True
 
 
-def _assemble(drawing, gadget_obj, channel_obj, gate_pts, k_input, t_outer):
+def _assemble(drawing, gadget_obj, channel_obj, k_input, t_outer):
     points: list[Point2] = []
     index: dict = {}
 
@@ -1273,37 +1264,3 @@ def region_to_pointset(inst: ReductionInstance,
                             multiplicity=multiplicity,
                             protected_edges=protected,
                             sliver_points=sliver_points)
-
-
-@dataclass
-class GadgetScripts:
-    """Per-channel script bundle of one gadget end: the one-flip unlock, the
-    two-flip cap, the full capped transform and the canonical half, plus
-    their reversals via `reverse_moves`. For the vertex at the channel's far
-    end (`vertex == max(channel)`) the canonical half is taken on the
-    mirrored chains (`reversed(lower)`, `reversed(upper)`), so it reaches
-    `canonical_capped_edges(upper[::-1], lower[::-1], cap)`."""
-
-    unlock: list[FlipMove]
-    cap: list[FlipMove]
-    capped_transform: list[FlipMove]
-    canonical_half: list[FlipMove]
-
-
-def gadget_scripts(inst: ReductionInstance, vertex: int,
-                   channel: tuple[int, int]) -> GadgetScripts:
-    g = inst.gadgets[vertex]
-    rec = inst.channels[channel]
-    far = vertex == max(channel)
-    upper, lower = list(rec.upper), list(rec.lower)
-    if far:
-        # seen from the far end the left-inclined state is mirrored, which
-        # swaps the chains as well as reversing them
-        upper, lower = list(reversed(lower)), list(reversed(upper))
-    return GadgetScripts(
-        unlock=[FlipMove(g.lock, g.unlock_insert)],
-        cap=list(rec.cap_scripts[vertex]),
-        capped_transform=capped_transform_moves(
-            rec.upper, rec.lower, rec.caps[vertex], cap_at_far_end=far),
-        canonical_half=left_to_canonical_moves(upper, lower, rec.caps[vertex]),
-    )

@@ -442,6 +442,39 @@ def test_malformed_instance_number_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text", ["[%s]" % ("7" * 5000), "[" * 100000],
+                         ids=["5000-digit-integer", "deep-nesting"])
+@pytest.mark.parametrize("command", ["distance", "verify"])
+def test_overlong_integer_or_deep_nesting_exits_2(tmp_path, capsys, command,
+                                                  text):
+    bad = write(tmp_path / "bad.json", text)
+    if command == "distance":
+        argv = ["distance", "--instance", bad]
+    else:
+        doc = channel_instance_doc()
+        doc.gadget_metadata = {"channels": [], "gadgets": []}
+        inst = tmp_path / "inst.json"
+        instanceio.save(doc, inst)
+        argv = ["verify", "--instance", str(inst), "--script", bad]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: malformed JSON:")
+
+
+def test_graph_coordinate_with_exponent_exits_2(tmp_path, capsys):
+    g = write(tmp_path / "bad.txt", "v 0 0 0\nv 1 1e5 0\ne 0 1\n")
+    assert main(["vc", "--graph", g]) == 2
+    assert capsys.readouterr().err.startswith("error: line 2: bad coordinate")
+
+
+def test_instance_coordinate_with_exponent_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"points": [["1e5", "0"], ["1", "0"], ["0", "1"]],
+                                "t1": [[0, 1], [1, 2], [0, 2]],
+                                "t2": [[0, 1], [1, 2], [0, 2]]}))
+    assert main(["distance", "--instance", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: bad coordinate '1e5'")
+
+
 @pytest.mark.parametrize("bad", [{"outer": ["a", 1, 2]},
                                  {"outer": [0, 1, 2], "holes": 5},
                                  {"t1": [[0, 1], [1, 2], [0, 1.5]]}])
@@ -520,6 +553,25 @@ def test_inconsistent_gadget_metadata_exits_2(tmp_path, capsys, command,
     assert main([command, "--instance", str(inst), *other]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: bad gadget metadata:") and message in err
+
+
+@pytest.mark.parametrize("command", ["script", "verify"])
+@pytest.mark.parametrize("accounting", [
+    {"k_input": "3"}, {"k_input": None}, {"k_input": 2.5}, {"k_input": True},
+    {"k_input": -7}, {"t_outer": -1}, "x", [],
+])
+def test_bad_accounting_exits_2(tmp_path, capsys, command, accounting):
+    inst, script = c3_files(tmp_path, capsys)
+    data = json.loads(inst.read_text())
+    if isinstance(accounting, dict):
+        data["accounting"].update(accounting)
+    else:
+        data["accounting"] = accounting
+    inst.write_text(json.dumps(data))
+    other = {"script": ["--cover", "0,1", "--out", str(tmp_path / "out.json")],
+             "verify": ["--script", str(script)]}[command]
+    assert main([command, "--instance", str(inst), *other]) == 2
+    assert capsys.readouterr().err.startswith("error: bad accounting:")
 
 
 @pytest.mark.parametrize("cover, message", [

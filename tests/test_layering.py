@@ -1,6 +1,7 @@
 """No flipdist module imports an underscore-prefixed name from another,
-every function, class and method of flipdist is used somewhere, and the
-CLI runs on the standard library alone.
+every function, class and method of flipdist is used somewhere, the CLI
+runs on the standard library alone, and the benchmark's tracer finds every
+name it wraps.
 
 Private names stay inside their module, so shared helpers such as the
 exact geometry predicates live behind one public interface and cannot be
@@ -78,3 +79,14 @@ def test_cli_import_leaves_out_networkx():
     run = subprocess.run([sys.executable, "-c", code], cwd=SRC.parent,
                          capture_output=True, text=True, check=True)
     assert run.stdout == "False\n"
+
+
+def test_benchmark_traced_names_exist():
+    """The benchmark's tracer wraps library names by their dotted paths, so
+    deleting or renaming one (say `capped_transform_replays`,
+    `ConvexRegion.__init__` or `_iorient`) breaks
+    `perfbench/run.py --trace 1`."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import flipdist.cli, tracing; tracing.install(tracing.Tracer())")
+    subprocess.run([sys.executable, "-c", code, str(ROOT / "perfbench")],
+                   cwd=SRC.parent, check=True)

@@ -432,28 +432,42 @@ def test_theta_graph_pipeline():
 
 
 def test_gadget_scripts_replay_from_their_start_states(c3_instance):
-    from flipdist.reduction import gadget_scripts
-    from flipdist.gadgets import reverse_moves, canonical_capped_edges
+    from flipdist.gadgets import (canonical_capped_edges,
+                                  capped_transform_moves,
+                                  left_to_canonical_moves, reverse_moves)
     inst = c3_instance
     key = (0, 1)
+    rec = inst.channels[key]
     for vertex in key:
-        s = gadget_scripts(inst, vertex, key)
-        assert (len(s.unlock), len(s.cap), len(s.capped_transform),
-                len(s.canonical_half)) == (1, 2, 24, 12)
-        t = inst.t1.apply_script(s.unlock).apply_script(s.cap)
-        rec = inst.channels[key]
-        a, b = rec.gates[vertex]
+        # per-channel scripts of one gadget end: the one-flip unlock, the
+        # two-flip cap, the full capped transform and the canonical half
+        g = inst.gadgets[vertex]
         cap = rec.caps[vertex]
+        far = vertex == max(key)
+        unlock = [FlipMove(g.lock, g.unlock_insert)]
+        cap_moves = list(rec.cap_scripts[vertex])
+        capped_transform = capped_transform_moves(
+            rec.upper, rec.lower, cap, cap_at_far_end=far)
+        # seen from the far end the left-inclined state is mirrored, which
+        # swaps the chains as well as reversing them
+        near_upper, near_lower = rec.upper, rec.lower
+        if far:
+            near_upper, near_lower = rec.lower[::-1], rec.upper[::-1]
+        canonical_half = left_to_canonical_moves(near_upper, near_lower, cap)
+        assert (len(unlock), len(cap_moves), len(capped_transform),
+                len(canonical_half)) == (1, 2, 24, 12)
+        t = inst.t1.apply_script(unlock).apply_script(cap_moves)
+        a, b = rec.gates[vertex]
         assert edge(cap, a) in t.edges and edge(cap, b) in t.edges
-        t_half = t.apply_script(s.canonical_half)
+        t_half = t.apply_script(canonical_half)
         # a cap at the far end sees the chains reversed
         upper, lower = rec.upper, rec.lower
-        if vertex == max(key):
+        if far:
             upper, lower = upper[::-1], lower[::-1]
         assert canonical_capped_edges(upper, lower, cap) <= t_half.edges
-        t2 = t.apply_script(s.capped_transform)
-        t2 = t2.apply_script(reverse_moves(s.cap))
-        t2 = t2.apply_script(reverse_moves(s.unlock))
+        t2 = t.apply_script(capped_transform)
+        t2 = t2.apply_script(reverse_moves(cap_moves))
+        t2 = t2.apply_script(reverse_moves(unlock))
         # that channel now right-inclined, everything else untouched
         from flipdist.gadgets import right_edges
         assert right_edges(rec.upper, rec.lower) <= t2.edges
