@@ -174,9 +174,9 @@ def cmd_enumerate(args) -> int:
     if not rep.ok:
         raise FlipdistError(f"seed invalid: {rep.violations[:3]}")
     graph = enumerate_flip_graph(seed, cap=args.cap)
-    n_edges = sum(len(v) for v in graph.adjacency.values()) // 2
-    _emit(args, {"nodes": len(graph), "edges": n_edges},
-          f"flip graph: {len(graph)} triangulations, {n_edges} flips")
+    _emit(args, {"nodes": len(graph), "edges": graph.flip_count},
+          f"flip graph: {len(graph)} triangulations, "
+          f"{graph.flip_count} flips")
     return 0
 
 

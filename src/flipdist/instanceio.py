@@ -28,7 +28,8 @@ def frac_to_str(x: Fraction) -> str:
 
 
 def str_to_frac(s) -> Fraction:
-    if isinstance(s, int):
+    # a JSON `true` or `false` is a bool, which `isinstance(s, int)` admits
+    if type(s) is int:
         return Fraction(s)
     if not isinstance(s, str):
         raise ValidationError(f"coordinate {s!r} must be a string or integer")

@@ -4,15 +4,20 @@ The primary solver is a bidirectional best-first search with the admissible
 edge-difference lower bound (each flip replaces exactly one edge, so at least
 |edges(t1) - edges(t2)| flips are needed).  It and flip-graph enumeration run
 on a per-call flip kernel whose state is the sorted tuple of integer edge
-ids plus, per edge, the id of its opposite edge (the edge its flip would
-insert); a flip updates five entries of that state in place of rebuilding
-it from the triangles.  A state is known by an exact edge bitmask, so
-duplicate children cost an integer lookup, and canonical bytes are built
-once per kept state.  Enumeration numbers its nodes densely as they are
-found and returns each node's edges as a sorted tuple of the kernel's
-shared `(u, v)` pairs.  `Triangulation` stays the type at the API boundary,
-and witnesses are replayed through `Triangulation.apply_flip`.  A plain BFS
-and a triangulation counter serve as oracles in the tests.
+ids plus, per edge, its flip: the id `a` of its opposite edge (the edge its
+flip would insert) when the flip is legal, `~a` when it is not; a flip
+updates five entries of that state, and decides the legality of each
+changed entry once, in place of rebuilding the state from the triangles
+and testing every edge again.  A state is known by an exact edge bitmask,
+so duplicate children cost an integer lookup, and canonical bytes are
+built once per kept state.  Enumeration numbers its nodes densely as they
+are found and builds no key: its `FlipGraph` reports its node and flip
+counts from the dense index form, and builds the canonical keys and each
+node's edges as a sorted tuple of the kernel's shared `(u, v)` pairs only
+when `nodes` or `adjacency` is first read.  `Triangulation` stays the type
+at the API boundary, and witnesses are replayed through
+`Triangulation.apply_flip`.  A plain BFS and a triangulation counter serve
+as oracles in the tests.
 """
 
 from __future__ import annotations
@@ -113,15 +118,20 @@ class _FlipKernel:
 
     A state is a triple `(mask, ids, opp)`.  `ids` holds the edge ids
     `u * n + v` (u < v), sorted, which sort like the `(u, v)` pairs.
-    `opp[i]` is the id of the edge joining the two apexes of `ids[i]`, the
-    edge a flip of `ids[i]` would insert, or -1 for an edge with one
-    triangle, which is never flipped.  A flip moves one id and changes the
-    opposite edges of the quadrilateral's four sides (`quad_sides`), so no
-    state is rebuilt from its triangles.  `mask`, the exact identity, has
-    one bit per edge met, handed out densely by `_register`; a flip of `r`
-    to `a` toggles `bit[r] ^ bit[a]`.  `key` builds the bytes of
-    `Triangulation.canonical_key`, once per kept state, never per child.
-    Convexity depends only on the geometry, so it is memoised per flip.
+    `opp[i]` carries the flip of `ids[i]` and its legality: the id `a` of
+    the edge joining the two apexes (the edge the flip would insert) when
+    the quadrilateral is strictly convex, `~a` when it is not (`a >= 1`, so
+    `~a <= -2`), and -1 for an edge with one triangle, which is never
+    flipped.  A flip moves one id and changes the opposite edges of the
+    quadrilateral's four sides (`quad_sides`), so no state is rebuilt from
+    its triangles, and legality is decided once, when an entry is written;
+    the inserted edge's entry is the removed edge, legal because it undoes
+    a legal flip.  `mask`, the exact identity, has one bit per edge of a
+    state passed to `state` or inserted by a legal flip, handed out densely
+    by `_register`; a flip of `r` to `a` toggles `bit[r] ^ bit[a]`.
+    `_key` builds the bytes of `Triangulation.canonical_key` from `tokens`,
+    once per kept state, never per child.  Convexity depends only on the
+    geometry, so it is memoised per flip.
     """
 
     def __init__(self, domain):
@@ -130,8 +140,8 @@ class _FlipKernel:
         self.bit: dict[int, int] = {}           # edge id -> its mask bit
         self.tokens: dict[int, bytes] = {}      # edge id -> b"u,v"
         self.pairs: dict[int, tuple[int, int]] = {}   # edge id -> (u, v)
-        # removed id * n**2 + inserted id -> the flip is legal
-        self.convex: dict[int, bool] = {}
+        # removed id * n**2 + inserted id -> its `opp` entry, a or ~a
+        self.entry: dict[int, int] = {}
 
     def _register(self, i: int) -> None:
         u, v = self.pairs[i] = divmod(i, self.n)
@@ -140,6 +150,22 @@ class _FlipKernel:
 
     def _id(self, x: int, y: int) -> int:
         return x * self.n + y if x < y else y * self.n + x
+
+    def _opp(self, r: int, a: int) -> int:
+        """The `opp` entry of edge `r` whose flip would insert `a`: `a` if
+        the flip is convex, else `~a`."""
+        k = r * self.n * self.n + a
+        o = self.entry.get(k)
+        if o is None:
+            if flip_is_convex(self.domain, *self.pairs[r],
+                              *divmod(a, self.n)):
+                o = a
+                if a not in self.bit:
+                    self._register(a)
+            else:
+                o = ~a
+            self.entry[k] = o
+        return o
 
     def state(self, t: Triangulation):
         """The `(mask, ids, opp)` state of a triangulation."""
@@ -151,55 +177,42 @@ class _FlipKernel:
                 self._register(i)
             mask |= self.bit[i]
             aps = apexes.get(self.pairs[i], ())
-            opp.append(self._id(*aps) if len(aps) == 2 else -1)
+            opp.append(self._opp(i, self._id(*aps)) if len(aps) == 2 else -1)
         return mask, ids, tuple(opp)
-
-    def key(self, ids) -> bytes:
-        """The `Triangulation.canonical_key` of a state's ids."""
-        return b";".join(map(self.tokens.__getitem__, ids))
 
     def move(self, r: int, a: int) -> FlipMove:
         return FlipMove(self.pairs[r], self.pairs[a])
 
-    def flips(self, ids, opp):
+    @staticmethod
+    def flips(ids, opp):
         """(index of the removed id, inserted id) for every legal flip, in
         the order of `Triangulation.legal_flips`."""
-        nn, convex = self.n * self.n, self.convex
-        out = []
-        for i, a in enumerate(opp):
-            if a < 0:
-                continue
-            r = ids[i]
-            legal = convex.get(r * nn + a)
-            if legal is None:
-                legal = convex[r * nn + a] = flip_is_convex(
-                    self.domain, *self.pairs[r], *divmod(a, self.n))
-                if a not in self.bit:
-                    self._register(a)
-            if legal:
-                out.append((i, a))
-        return out
+        return [(i, a) for i, a in enumerate(opp) if a >= 0]
 
     def child(self, ids, opp, i: int, a: int):
         """The `(ids, opp)` state after a flip from `flips`: the removed
         edge becomes the inserted edge's opposite edge, and each two-sided
         side of the quadrilateral swaps one apex."""
         r = ids[i]
+        ids, opp = list(ids), list(opp)
+        del ids[i], opp[i]
         j = bisect_left(ids, a)
-        if j <= i:
-            ids = ids[:j] + (a,) + ids[j:i] + ids[i + 1:]
-            opp = [*opp[:j], r, *opp[j:i], *opp[i + 1:]]
-        else:
-            ids = ids[:i] + ids[i + 1:j] + (a,) + ids[j:]
-            opp = [*opp[:i], *opp[i + 1:j], r, *opp[j:]]
+        ids.insert(j, a)
+        opp.insert(j, r)
         n = self.n
         for (p, q), old, new in quad_sides(divmod(r, n), divmod(a, n)):
-            k = bisect_left(ids, p * n + q)
+            s = p * n + q
+            k = bisect_left(ids, s)
             o = opp[k]
-            if o >= 0:
-                w, z = divmod(o, n)
-                opp[k] = self._id(z if w == old else w, new)
-        return ids, tuple(opp)
+            if o != -1:
+                w, z = divmod(o if o >= 0 else ~o, n)
+                opp[k] = self._opp(s, self._id(z if w == old else w, new))
+        return tuple(ids), tuple(opp)
+
+
+def _key(tokens: dict[int, bytes], ids) -> bytes:
+    """The `Triangulation.canonical_key` of a state's ids."""
+    return b";".join(map(tokens.__getitem__, ids))
 
 
 def exact_distance(t1: Triangulation, t2: Triangulation,
@@ -272,8 +285,8 @@ def exact_distance(t1: Triangulation, t2: Triangulation,
             ids_new, opp_new = kernel.child(ids, opp, i, a)
             states[m_new] = (ids_new, opp_new, h_new)
             parent[m_new] = (mask, r, a)
-            heapq.heappush(side["open"],
-                           (g_new + h_new, kernel.key(ids_new), m_new))
+            heapq.heappush(side["open"], (g_new + h_new,
+                                          _key(kernel.tokens, ids_new), m_new))
             if m_new in other_g:
                 total = g_new + other_g[m_new]
                 if best is None or total < best[0]:
@@ -303,14 +316,51 @@ def exact_distance(t1: Triangulation, t2: Triangulation,
 
 
 class FlipGraph:
-    """Complete flip graph of a domain: nodes are canonical keys."""
+    """Complete flip graph of a domain: nodes are canonical keys.
 
-    def __init__(self, nodes, adjacency):
-        self.nodes = nodes                    # key -> sorted tuple of edges
-        self.adjacency = adjacency            # key -> sorted list of keys
+    Enumeration hands over the index form it builds: each node's edge ids
+    in the order the nodes were found, the node indices in expansion order
+    and their neighbours' indices, with the kernel's `tokens` and `pairs`.
+    `len` and `flip_count` are read from it; `nodes` and `adjacency` are
+    built from it on first access of either, and the index form goes.
+    """
+
+    def __init__(self, found, expanded, neighbours, tokens, pairs):
+        self._index = (found, expanded, neighbours, tokens, pairs)
+        self._nodes = self._adjacency = None
+        self._len = len(found)
+        self.flip_count = sum(map(len, neighbours)) // 2
 
     def __len__(self):
-        return len(self.nodes)
+        return self._len
+
+    def _build(self):
+        found, expanded, neighbours, tokens, pairs = self._index
+        self._index = None
+        keys = [_key(tokens, ids) for ids in found]
+        # each node's ids give way in place to the shared (u, v) pairs
+        pair = pairs.__getitem__
+        for j, ids in enumerate(found):
+            found[j] = tuple(map(pair, ids))
+        self._nodes = dict(zip(keys, found))
+        self._adjacency = {keys[node]: sorted(map(keys.__getitem__, nbrs))
+                           for node, nbrs in zip(expanded, neighbours)}
+
+    @property
+    def nodes(self) -> dict[bytes, tuple]:
+        """Canonical key -> the edges as a sorted tuple of `(u, v)` pairs,
+        in the order the nodes were found."""
+        if self._nodes is None:
+            self._build()
+        return self._nodes
+
+    @property
+    def adjacency(self) -> dict[bytes, list[bytes]]:
+        """Canonical key -> its neighbours' keys, sorted, in the order the
+        nodes were expanded."""
+        if self._adjacency is None:
+            self._build()
+        return self._adjacency
 
     def bfs_distances(self, source_key: bytes) -> dict[bytes, int]:
         dist = {source_key: 0}
@@ -333,8 +383,9 @@ def enumerate_flip_graph(seed: Triangulation, cap: int = 10 ** 6) -> FlipGraph:
     A node's value is its edges as a sorted tuple of `(u, v)` pairs; build a
     `Triangulation` from it where one is needed.  Nodes are kept in the
     order they were found and adjacency in the order nodes were expanded.
-    Raises CapExceededError beyond `cap` nodes, and ValidationError for a
-    `cap` below 1.
+    No canonical key is built here: the graph builds them when `nodes` or
+    `adjacency` is first read.  Raises CapExceededError beyond `cap` nodes,
+    and ValidationError for a `cap` below 1.
     """
     if cap < 1:
         raise ValidationError(f"cap must be positive, got {cap}")
@@ -342,12 +393,11 @@ def enumerate_flip_graph(seed: Triangulation, cap: int = 10 ** 6) -> FlipGraph:
     bit = kernel.bit
     mask, ids, opp = kernel.state(seed)
     # a node gets a dense index when it is found, so the adjacency holds
-    # small ints, not masks; `index` goes before the keys are built, and
-    # each node's ids give way in place to its shared (u, v) pairs
+    # small ints, not masks
     index = {mask: 0}                         # mask -> node index
     found = [ids]                             # node ids, in discovery order
     expanded: list[int] = []                  # node indices, in expansion order
-    adjacency: list[list[int]] = []           # their neighbours, likewise
+    neighbours: list[list[int]] = []          # their neighbours, likewise
     stack = [(mask, ids, opp, 0)]
     while stack:
         mask, ids, opp, node = stack.pop()
@@ -365,16 +415,8 @@ def enumerate_flip_graph(seed: Triangulation, cap: int = 10 ** 6) -> FlipGraph:
                 stack.append((m_new, ids_new, opp_new, j))
             nbrs.append(j)
         expanded.append(node)
-        adjacency.append(nbrs)
-    del index
-    keys = [kernel.key(ids) for ids in found]
-    pairs = kernel.pairs.__getitem__
-    for j, ids in enumerate(found):
-        found[j] = tuple(map(pairs, ids))
-    return FlipGraph(
-        dict(zip(keys, found)),
-        {keys[node]: sorted(map(keys.__getitem__, nbrs))
-         for node, nbrs in zip(expanded, adjacency)})
+        neighbours.append(nbrs)
+    return FlipGraph(found, expanded, neighbours, kernel.tokens, kernel.pairs)
 
 
 def greedy_upper_bound(t1: Triangulation, t2: Triangulation,

@@ -61,11 +61,11 @@ def write(path, text):
     return str(path)
 
 
-def channel_instance_doc():
+def channel_instance_doc(n=7):
     ch = build_channel((pt(-60, 40), pt(-60, -40)), (pt(60, 40), pt(60, -40)),
-                       Fraction(1, 160))
+                       Fraction(1, 160), n=n)
     region = channel_region(ch)
-    upper, lower = list(range(7)), list(range(7, 14))
+    upper, lower = list(range(n)), list(range(n, 2 * n))
     base = set(region.mandatory_edges)
     t1 = Triangulation(region, base | left_edges(upper, lower))
     t2 = Triangulation(region, base | right_edges(upper, lower))
@@ -376,6 +376,15 @@ def test_enumerate_pentagon(tmp_path, capsys):
     assert main(["enumerate", "--instance", str(path), "--cap", "3"]) == 4
 
 
+def test_enumerate_h9_counts(tmp_path, capsys):
+    # the counts printed without building a key match the pinned H_9 graph
+    path = tmp_path / "h9.json"
+    instanceio.save(channel_instance_doc(9), path)
+    assert main(["enumerate", "--instance", str(path), "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["nodes"], out["edges"]) == (12870, 51480)
+
+
 def test_render_instance_without_triangulation(tmp_path):
     region = PolygonalRegion([pt(0, 0), pt(4, 0), pt(0, 4)], [0, 1, 2])
     path = tmp_path / "bare.json"
@@ -473,6 +482,16 @@ def test_instance_coordinate_with_exponent_exits_2(tmp_path, capsys):
                                 "t2": [[0, 1], [1, 2], [0, 2]]}))
     assert main(["distance", "--instance", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: bad coordinate '1e5'")
+
+
+def test_instance_boolean_coordinate_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"points": [["0", "0"], [True, "0"],
+                                           ["0", True]],
+                                "t1": [[0, 1], [1, 2], [0, 2]],
+                                "t2": [[0, 1], [1, 2], [0, 2]]}))
+    assert main(["distance", "--instance", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: coordinate True must be")
 
 
 @pytest.mark.parametrize("bad", [{"outer": ["a", 1, 2]},

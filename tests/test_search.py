@@ -6,12 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from flipdist import instanceio
+from flipdist import instanceio, search
 from flipdist.errors import CapExceededError
 from flipdist.gadgets import build_channel, channel_triangulations
 from flipdist.geometry import pt
 from flipdist.search import (
-    FlipScript, _FlipKernel, bfs_distance, count_polygon_triangulations,
+    FlipScript, bfs_distance, count_polygon_triangulations,
     enumerate_flip_graph, exact_distance, greedy_upper_bound, lower_bound,
 )
 from flipdist.triangulation import (
@@ -219,15 +219,18 @@ def test_h7_search_is_pinned():
 
 def test_bytes_keys_built_once_per_kept_state(monkeypatch):
     # states are told apart by their edge masks; canonical bytes are built
-    # only for kept states: one per node when enumerating, one per heap push
-    # when searching (a key per generated child was about 8 per expansion)
+    # only for kept states: one per node on the first read of the graph's
+    # nodes and none while enumerating, one per heap push when searching
+    # (a key per generated child was about 8 per expansion)
     built = []
-    key = _FlipKernel.key
-    monkeypatch.setattr(_FlipKernel, "key",
-                        lambda self, ids: built.append(ids) or key(self, ids))
+    key = search._key
+    monkeypatch.setattr(
+        search, "_key", lambda tokens, ids: built.append(ids) or key(tokens, ids))
     t_left, t_right = channel_pair(7)
     graph = enumerate_flip_graph(t_left)
-    assert len(built) == len(graph) == 924
+    assert built == []
+    assert len(graph.nodes) == len(graph) == len(built) == 924
+    assert len(graph.nodes) == len(graph.adjacency) == len(built) == 924
     built.clear()
     res = exact_distance(t_left, t_right)
     assert res.nodes_expanded == 1346

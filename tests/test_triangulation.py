@@ -9,12 +9,12 @@ from flipdist.errors import DomainMismatchError, IllegalFlipError, ValidationErr
 from flipdist.gadgets import build_channel, channel_region, channel_triangulations
 from flipdist.geometry import pt
 from flipdist.reduction import region_to_pointset
-from flipdist.search import (_FlipKernel, bfs_distance, enumerate_flip_graph,
-                             exact_distance)
+from flipdist.search import (_FlipKernel, _key, bfs_distance,
+                             enumerate_flip_graph, exact_distance)
 from flipdist.triangulation import (
     FlipMove, PointSet, PolygonalRegion, Triangulation, canonical_cycle,
     derive_triangles, ear_clip_triangulation, edge, edge_difference,
-    triangle_apexes, validate,
+    flip_is_convex, triangle_apexes, validate,
 )
 from flipdist import instanceio
 from oracles import (canonical_cycle_all_rotations, flip_graph_by_triangulations,
@@ -315,6 +315,9 @@ def test_flip_graph_matches_closure_oracle(seed):
     assert validate(t).ok
     graph = enumerate_flip_graph(t)
     nodes, adjacency = flip_graph_by_triangulations(t)
+    # the counts come from the index form, before any key is built
+    assert (len(graph), graph.flip_count) == \
+        (len(nodes), sum(map(len, adjacency.values())) // 2)
     assert list(graph.nodes.items()) == list(nodes.items())
     assert list(graph.adjacency.items()) == list(adjacency.items())
     for key, edges in graph.nodes.items():
@@ -451,13 +454,20 @@ def test_carried_apexes_match_face_walk(differential_seeds, seed):
 @pytest.mark.parametrize("seed", WALK_SEEDS)
 def test_kernel_state_matches_fresh_state(differential_seeds, seed):
     # a random flip walk on the search kernel: the carried (mask, ids, opp)
-    # state equals the one built afresh from the edges alone, and the bytes
-    # key of the carried ids is the canonical key
+    # state equals the one built afresh from the edges alone, the sign of
+    # each carried flip is its convexity, the bytes key of the carried ids
+    # is the canonical key, and a flip followed by its reverse is the
+    # identity
     t = differential_seeds[seed]
     kernel = _FlipKernel(t.domain)
     mask, ids, opp = kernel.state(t)
     rng = random.Random(seed)
     for _ in range(60):
+        for r, o in zip(ids, opp):
+            if o != -1:
+                a = o if o >= 0 else ~o
+                assert (o >= 0) == flip_is_convex(
+                    t.domain, *kernel.pairs[r], *divmod(a, kernel.n))
         flips = kernel.flips(ids, opp)
         moves = [kernel.move(ids[i], a) for i, a in flips]
         assert moves == t.legal_flips()
@@ -465,13 +475,19 @@ def test_kernel_state_matches_fresh_state(differential_seeds, seed):
             break
         k = rng.randrange(len(flips))
         i, a = flips[k]
-        mask ^= kernel.bit[ids[i]] ^ kernel.bit[a]
-        ids, opp = kernel.child(ids, opp, i, a)
+        r = ids[i]
+        child_mask = mask ^ kernel.bit[r] ^ kernel.bit[a]
+        child_ids, child_opp = kernel.child(ids, opp, i, a)
+        j = child_ids.index(a)
+        assert child_opp[j] == r
+        assert (child_mask ^ kernel.bit[a] ^ kernel.bit[r],
+                *kernel.child(child_ids, child_opp, j, r)) == (mask, ids, opp)
+        mask, ids, opp = child_mask, child_ids, child_opp
         removed, inserted = moves[k]
         t = Triangulation(t.domain, (t.edges - {removed}) | {inserted})
         fresh_mask, fresh_ids, fresh_opp = kernel.state(t)
         assert mask == fresh_mask
-        assert kernel.key(ids) == t.canonical_key()
+        assert _key(kernel.tokens, ids) == t.canonical_key()
         assert (ids, opp) == (fresh_ids, fresh_opp)
 
 
