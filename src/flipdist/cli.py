@@ -89,14 +89,16 @@ def cmd_distance(args) -> int:
     if res.exceeds_budget:
         _emit(args, {"distance": None, "exceeds_budget": True,
                      "nodes_expanded": res.nodes_expanded,
-                     "frontier_peak": res.frontier_peak},
+                     "frontier_peak": res.frontier_peak,
+                     "states_recorded": res.states_recorded},
               f"EXCEEDS_BUDGET (> {args.budget})")
         return 4
     if args.witness:
         _write(args.witness, instanceio.script_dumps(res.script))
     _emit(args, {"distance": res.distance, "exceeds_budget": False,
                  "nodes_expanded": res.nodes_expanded,
-                 "frontier_peak": res.frontier_peak},
+                 "frontier_peak": res.frontier_peak,
+                 "states_recorded": res.states_recorded},
           f"distance = {res.distance}  (nodes expanded: {res.nodes_expanded})")
     return 0
 

@@ -18,14 +18,26 @@ when `nodes` or `adjacency` is first read.  `Triangulation` stays the type
 at the API boundary, and witnesses are replayed through
 `Triangulation.apply_flip`.  A plain BFS and a triangulation counter serve
 as oracles in the tests.
+
+Each side of the search keeps one record per state it has reached, an int
+`g * W + move` keyed by the mask: `g` is the best known number of flips
+from that side's start, and `move` packs the flip that reached the state
+(`r * n**2 + a + 1` for a flip of `r` to `a`, 0 at the start; `W = n**4 +
+1` exceeds every move).  The witness is unwound from the meet by decoding
+each move and toggling its two bits back out of the mask, so no parent
+pointer, closed set or separate `g` map is kept.  The edge-difference
+bound is consistent, since one flip changes it by at most 1, so each side
+expands each state at its final `g` and never reopens one: a recorded
+state is closed exactly when it is no longer in the side's open-state dict,
+and a heap entry whose mask is not there is stale.
 """
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heappop, heappush
 from typing import Optional
 
 from .errors import (CapExceededError, DomainMismatchError, IllegalFlipError,
@@ -68,6 +80,7 @@ class SearchResult:
     script: Optional[FlipScript]
     nodes_expanded: int
     frontier_peak: int
+    states_recorded: int
 
     @property
     def exceeds_budget(self) -> bool:
@@ -131,7 +144,14 @@ class _FlipKernel:
     by `_register`; a flip of `r` to `a` toggles `bit[r] ^ bit[a]`.
     `_key` builds the bytes of `Triangulation.canonical_key` from `tokens`,
     once per kept state, never per child.  Convexity depends only on the
-    geometry, so it is memoised per flip.
+    geometry, so it is memoised per flip, in `entry`.
+
+    The legal flips of a state are its entries `opp[i] >= 0`, in the order
+    of `Triangulation.legal_flips`; the search and the enumeration scan
+    `opp` for them, and call `child` only for a child they keep.  The
+    search records the flip of `r` to `a` that reached a kept child as
+    `r * n**2 + a`: `move(r, a)` turns it back into a `FlipMove`, and
+    `bit[r] ^ bit[a]` takes the child's mask back to its parent's.
     """
 
     def __init__(self, domain):
@@ -183,30 +203,30 @@ class _FlipKernel:
     def move(self, r: int, a: int) -> FlipMove:
         return FlipMove(self.pairs[r], self.pairs[a])
 
-    @staticmethod
-    def flips(ids, opp):
-        """(index of the removed id, inserted id) for every legal flip, in
-        the order of `Triangulation.legal_flips`."""
-        return [(i, a) for i, a in enumerate(opp) if a >= 0]
-
     def child(self, ids, opp, i: int, a: int):
-        """The `(ids, opp)` state after a flip from `flips`: the removed
-        edge becomes the inserted edge's opposite edge, and each two-sided
-        side of the quadrilateral swaps one apex."""
+        """The `(ids, opp)` state after the legal flip of `ids[i]` to `a`
+        (`opp[i] == a >= 0`): the removed edge becomes the inserted edge's
+        opposite edge, and each two-sided side of the quadrilateral swaps
+        one apex."""
+        n, entry = self.n, self.entry
+        nn = n * n
         r = ids[i]
         ids, opp = list(ids), list(opp)
         del ids[i], opp[i]
         j = bisect_left(ids, a)
         ids.insert(j, a)
         opp.insert(j, r)
-        n = self.n
         for (p, q), old, new in quad_sides(divmod(r, n), divmod(a, n)):
             s = p * n + q
             k = bisect_left(ids, s)
             o = opp[k]
             if o != -1:
                 w, z = divmod(o if o >= 0 else ~o, n)
-                opp[k] = self._opp(s, self._id(z if w == old else w, new))
+                if w == old:
+                    w = z
+                b = w * n + new if w < new else new * n + w
+                o = entry.get(s * nn + b)
+                opp[k] = self._opp(s, b) if o is None else o
         return tuple(ids), tuple(opp)
 
 
@@ -229,90 +249,98 @@ def exact_distance(t1: Triangulation, t2: Triangulation,
         raise ValidationError(f"budget must be nonnegative, got {budget}")
     k1, k2 = t1.canonical_key(), t2.canonical_key()
     if k1 == k2:
-        return SearchResult(0, FlipScript(k1, ()), 0, 0)
+        return SearchResult(0, FlipScript(k1, ()), 0, 0, 0)
 
     kernel = _FlipKernel(t1.domain)
-    starts = [(*kernel.state(t1), k1, lower_bound(t1, t2)),
-              (*kernel.state(t2), k2, lower_bound(t2, t1))]
-    # a side's heap of (f, key, mask) and, by mask, its g values, closed
-    # states, open states (ids, opposite edges, bound) and parents
-    sides = [{"target": frozenset(starts[1 - s][1]), "open": [(h, k, m)],
-              "g": {m: 0}, "closed": set(), "state": {m: (ids, opp, h)},
-              "parent": {m: None}}
-             for s, (m, ids, opp, k, h) in enumerate(starts)]
-    bit = kernel.bit
+    bit, tokens, child = kernel.bit, kernel.tokens, kernel.child
+    nn = kernel.n * kernel.n
+    W = nn * nn + 1      # a record is g * W + move, with move < W
+    m1, ids1, opp1 = kernel.state(t1)
+    m2, ids2, opp2 = kernel.state(t2)
+    h1, h2 = lower_bound(t1, t2), lower_bound(t2, t1)
+    # each side: its heap of (f, key, mask), its records, its open states
+    # mask -> (ids, opp, bound), and the other side's start edges
+    heap_f, rec_f, open_f, target_f = \
+        [(h1, k1, m1)], {m1: 0}, {m1: (ids1, opp1, h1)}, frozenset(ids2)
+    heap_b, rec_b, open_b, target_b = \
+        [(h2, k2, m2)], {m2: 0}, {m2: (ids2, opp2, h2)}, frozenset(ids1)
 
-    best = None          # (total length, meet mask)
+    best = meet = None   # shortest meet length found so far, and its mask
     expanded = 0
     peak = 2
 
-    while sides[0]["open"] and sides[1]["open"]:
-        fmins = []
-        for side in sides:
-            while side["open"] and side["open"][0][2] in side["closed"]:
-                heapq.heappop(side["open"])
-            fmins.append(side["open"][0][0] if side["open"] else None)
-        if fmins[0] is None or fmins[1] is None:
+    while True:
+        # a heap entry is stale once its mask has been expanded
+        while heap_f and heap_f[0][2] not in open_f:
+            heappop(heap_f)
+        while heap_b and heap_b[0][2] not in open_b:
+            heappop(heap_b)
+        if not heap_f or not heap_b:
             break
-        if best is not None and best[0] <= max(fmins):
+        fmax = max(heap_f[0][0], heap_b[0][0])
+        if best is not None and best <= fmax:
             break
         # any undiscovered solution of length L satisfies fminF <= L and
         # fminB <= L, so one frontier past the budget rules out length <= budget
-        if (best is None or best[0] > budget) and max(fmins) > budget:
-            return SearchResult(None, None, expanded, peak)
+        if (best is None or best > budget) and fmax > budget:
+            break
 
-        side_idx = 0 if len(sides[0]["open"]) <= len(sides[1]["open"]) else 1
-        side = sides[side_idx]
-        other_g = sides[1 - side_idx]["g"]
-
-        _, _, mask = heapq.heappop(side["open"])
-        if mask in side["closed"]:
-            continue
-        side["closed"].add(mask)
+        if len(heap_f) <= len(heap_b):
+            heap, rec, states, target, other = \
+                heap_f, rec_f, open_f, target_f, rec_b
+        else:
+            heap, rec, states, target, other = \
+                heap_b, rec_b, open_b, target_b, rec_f
+        mask = heappop(heap)[2]
+        ids, opp, h = states.pop(mask)
         expanded += 1
-        # a closed state is never expanded again, so its state can go
-        ids, opp, h = side["state"].pop(mask)
-        g, states, parent = side["g"], side["state"], side["parent"]
-        target = side["target"]
-        g_new = g[mask] + 1
-        for i, a in kernel.flips(ids, opp):
+        g_new = rec[mask] // W + 1
+        base = g_new * W + 1
+        limit = base + W - 1     # a record below it has g <= g_new
+        for i, a in enumerate(opp):
+            if a < 0:
+                continue
             r = ids[i]
             m_new = mask ^ bit[r] ^ bit[a]
-            if m_new in g and g[m_new] <= g_new:
+            if rec.get(m_new, limit) < limit:
                 continue
-            g[m_new] = g_new
+            rec[m_new] = base + r * nn + a
             h_new = h - (r not in target) + (a not in target)
-            ids_new, opp_new = kernel.child(ids, opp, i, a)
+            ids_new, opp_new = child(ids, opp, i, a)
             states[m_new] = (ids_new, opp_new, h_new)
-            parent[m_new] = (mask, r, a)
-            heapq.heappush(side["open"], (g_new + h_new,
-                                          _key(kernel.tokens, ids_new), m_new))
-            if m_new in other_g:
-                total = g_new + other_g[m_new]
-                if best is None or total < best[0]:
-                    best = (total, m_new)
-        peak = max(peak, len(sides[0]["open"]) + len(sides[1]["open"]))
+            heappush(heap, (g_new + h_new, _key(tokens, ids_new), m_new))
+            o = other.get(m_new)
+            if o is not None:
+                total = g_new + o // W
+                if best is None or total < best:
+                    best, meet = total, m_new
+        peak = max(peak, len(heap_f) + len(heap_b))
 
-    if best is None or best[0] > budget:
-        return SearchResult(None, None, expanded, peak)
+    states_recorded = len(rec_f) + len(rec_b)
+    if best is None or best > budget:
+        return SearchResult(None, None, expanded, peak, states_recorded)
 
-    # stitch the witness: forward start -> meet, then reversed backward moves
-    def unwind(side, mask):
+    # stitch the witness: forward start -> meet, then reversed backward
+    # moves; a record's move undoes to its parent's mask
+    def unwind(rec, mask):
         moves = []
-        while side["parent"][mask] is not None:
-            mask, r, a = side["parent"][mask]
+        move = rec[mask] % W
+        while move:
+            r, a = divmod(move - 1, nn)
             moves.append(kernel.move(r, a))
+            mask ^= bit[r] ^ bit[a]
+            move = rec[mask] % W
         moves.reverse()
         return moves
 
-    forward = unwind(sides[0], best[1])
-    backward = unwind(sides[1], best[1])
+    forward = unwind(rec_f, meet)
+    backward = unwind(rec_b, meet)
     moves = forward + [m.reverse() for m in reversed(backward)]
     script = FlipScript(k1, tuple(moves))
     end = script.replay(t1)
-    if end.canonical_key() != k2 or len(moves) != best[0]:
+    if end.canonical_key() != k2 or len(moves) != best:
         raise AssertionError("witness script does not certify the distance")
-    return SearchResult(best[0], script, expanded, peak)
+    return SearchResult(best, script, expanded, peak, states_recorded)
 
 
 class FlipGraph:
@@ -402,7 +430,9 @@ def enumerate_flip_graph(seed: Triangulation, cap: int = 10 ** 6) -> FlipGraph:
     while stack:
         mask, ids, opp, node = stack.pop()
         nbrs = []
-        for i, a in kernel.flips(ids, opp):
+        for i, a in enumerate(opp):
+            if a < 0:
+                continue
             m_new = mask ^ bit[ids[i]] ^ bit[a]
             j = index.get(m_new)
             if j is None:

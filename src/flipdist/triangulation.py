@@ -420,8 +420,10 @@ def quad_sides(removed: Edge, inserted: Edge):
     """
     u, v = removed
     x, y = inserted
-    return ((edge(u, x), v, y), (edge(x, v), u, y),
-            (edge(v, y), u, x), (edge(y, u), v, x))
+    return (((u, x) if u < x else (x, u), v, y),
+            ((x, v) if x < v else (v, x), u, y),
+            ((v, y) if v < y else (y, v), u, x),
+            ((y, u) if y < u else (u, y), v, x))
 
 
 def triangle_apexes(triangles) -> dict[Edge, list[int]]:

@@ -306,14 +306,14 @@ def test_distance_on_channel_instance(tmp_path, capsys):
 
 
 def test_distance_json_reports_search_statistics(tmp_path, capsys):
-    # --json carries the expansion count and the frontier peak of the
-    # search, within and past the budget
+    # --json carries the expansion count, the frontier peak and the number
+    # of states the two sides recorded, within and past the budget
     path = tmp_path / "channel.json"
     instanceio.save(channel_instance_doc(), path)
     assert main(["distance", "--instance", str(path), "--json"]) == 0
     assert json.loads(capsys.readouterr().out) == {
         "distance": 36, "exceeds_budget": False, "nodes_expanded": 1346,
-        "frontier_peak": 149}
+        "frontier_peak": 149, "states_recorded": 1446}
     assert main(["distance", "--instance", str(path), "--budget", "35",
                  "--json"]) == 4
     out = json.loads(capsys.readouterr().out)

@@ -1,9 +1,10 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from flipdist import gadgets
+from flipdist import gadgets, instanceio
 from flipdist.errors import InfeasibleSagError
 from flipdist.gadgets import (
     Channel, blocking_set, build_channel, canonical_capped_edges,
@@ -84,17 +85,31 @@ def capped_setup(cap_near=None, cap_far=None, n=7):
     return region, upper, lower, t_left, t_right
 
 
+# SHA-256 of the capped H_7 left->right witness file, the benchmark's
+# small `search` query
+CAPPED_H7_WITNESS_SHA256 = \
+    "3419693d0200a5eca0830620ca9e995258dce4a2d17e0e38da43607615e9445f"
+
+
 def test_property_capped_channel_distance_24():
+    # pinned as (distance, nodes_expanded, frontier_peak), so that a change
+    # to the expansion order or the tie-breaks shows
     region, upper, lower, t_left, t_right = capped_setup(cap_near=pt(-80, 0))
     assert validate(t_left).ok and validate(t_right).ok
     res = exact_distance(t_left, t_right)
-    assert res.distance == 24
+    assert (res.distance, res.nodes_expanded, res.frontier_peak) == \
+        (24, 1019, 420)
+    witness = instanceio.script_dumps(res.script).encode("ascii")
+    assert hashlib.sha256(witness).hexdigest() == CAPPED_H7_WITNESS_SHA256
     cap = 14
     t_canon = Triangulation(region, set(region.mandatory_edges)
                             | canonical_capped_edges(upper, lower, cap))
     assert validate(t_canon).ok
-    assert exact_distance(t_left, t_canon).distance == 12
-    assert exact_distance(t_right, t_canon).distance == 12
+    for t in (t_left, t_right):
+        res = exact_distance(t, t_canon)
+        assert (res.distance, res.nodes_expanded, res.frontier_peak) == \
+            (12, 12, 14)
+        assert res.script.replay(t).canonical_key() == t_canon.canonical_key()
 
 
 def test_explicit_12_move_script_reaches_canonical():

@@ -185,7 +185,18 @@ def test_random_nonagon_oracle_equivalence():
         dist = graph.bfs_distances(k1)
         for k2 in keys:
             res = exact_distance(reps[k1], reps[k2])
-            assert res.distance == dist[k2]
+            d = dist[k2]
+            assert res.distance == d
+            if d == 0:
+                continue
+            # one flip short of the distance the budget is exceeded; at the
+            # distance the witness unwound from the two sides' records
+            # replays to the target
+            assert exact_distance(reps[k1], reps[k2],
+                                  budget=d - 1).exceeds_budget
+            res = exact_distance(reps[k1], reps[k2], budget=d)
+            assert res.distance == len(res.script) == d
+            assert res.script.replay(reps[k1]).canonical_key() == k2
 
 
 def test_greedy_cap_exceeded():
@@ -287,6 +298,22 @@ def test_h8_enumeration_memory():
     for key, edges in graph.nodes.items():
         assert type(edges) is tuple and list(edges) == sorted(edges)
         assert Triangulation(t_left.domain, edges).canonical_key() == key
+
+
+def test_h8_search_memory():
+    # a searched state is one packed record `g * W + move` per side, plus
+    # its heap entry and, while open, its state: about 200 B per expansion
+    # at the traced peak, where g values, closed sets and parent tuples
+    # took about 340 B
+    t_left, t_right = channel_pair(8)
+    tracemalloc.start()
+    try:
+        res = exact_distance(t_left, t_right)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.distance == len(res.script) == 49
+    assert peak < 250 * res.nodes_expanded, peak / res.nodes_expanded
 
 
 @pytest.mark.slow

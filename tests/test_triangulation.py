@@ -468,7 +468,7 @@ def test_kernel_state_matches_fresh_state(differential_seeds, seed):
                 a = o if o >= 0 else ~o
                 assert (o >= 0) == flip_is_convex(
                     t.domain, *kernel.pairs[r], *divmod(a, kernel.n))
-        flips = kernel.flips(ids, opp)
+        flips = [(i, a) for i, a in enumerate(opp) if a >= 0]
         moves = [kernel.move(ids[i], a) for i, a in flips]
         assert moves == t.legal_flips()
         if not flips:
