@@ -1,7 +1,7 @@
 """Command-line surface for the reduction pipeline and flip-distance tools.
 
-Exit codes: 0 ok, 2 validation failure, 3 infeasible geometry, 4 search or
-enumeration budget exceeded, 5 I/O failure.
+Exit codes: 0 ok, 2 validation failure, 3 infeasible geometry, 4 search,
+enumeration or vertex-cover budget exceeded, 5 I/O failure.
 """
 
 from __future__ import annotations

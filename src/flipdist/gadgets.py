@@ -20,9 +20,9 @@ from typing import Optional, Sequence
 
 from .errors import (EmptyFeasibleRegionError, IllegalFlipError,
                      InfeasibleSagError, SharpVertexError, ValidationError)
-from .geometry import (ConvexRegion, HalfPlane, Point2, angular_key,
-                       halfplane_shift, halfplane_through, interior_point,
-                       orientation, polygon_signed_area2)
+from .geometry import (ConvexRegion, HalfPlane, Point2, halfplane_shift,
+                       halfplane_through, interior_point, orientation,
+                       polygon_signed_area2, sorted_ccw)
 from .triangulation import (Edge, FlipMove, PolygonalRegion, Triangulation,
                             edge, validate)
 
@@ -482,7 +482,7 @@ def _perimeter_walk(center: Point2, half: Fraction,
         + [(t, name) for t, name, _ in walk_pts])
     corner_points = {name: p for _, name, p in walk_pts}
 
-    ordered = sorted(stubs, key=lambda s: angular_key(s.direction))
+    ordered = sorted_ccw(stubs, lambda s: s.direction)
     arcs = {}
     pos_of = {name: i for i, (_, name) in enumerate(events)}
     names = [name for _, name in events]
@@ -581,7 +581,7 @@ def _build_degree2(v: Point2, half_side: Fraction,
 
 def _build_degree3(v: Point2, half_side: Fraction,
                    stubs: Sequence[ChannelStub]) -> VertexGadget:
-    ordered = sorted(stubs, key=lambda s: angular_key(s.direction))
+    ordered = sorted_ccw(stubs, lambda s: s.direction)
     for a, b in zip(ordered, ordered[1:] + ordered[:1]):
         cr = a.direction.cross(b.direction)
         if cr < 0 or (cr == 0 and a.direction.dot(b.direction) < 0):

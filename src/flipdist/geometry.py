@@ -3,23 +3,28 @@
 Every predicate here is decided by an integer or rational sign computation;
 there is no floating point anywhere.  The kernel predicates (`orientation`,
 `on_segment`, `segments_properly_cross`, `segments_share_interior`,
-`point_in_cycle`, `angular_key`), the segment sweep `touching_pairs` and
-`polygon_signed_area2` read points as plain `(x, y)` pairs by index, so one
-implementation serves both coordinate types: `Point2` values with
-`fractions.Fraction` coordinates, and the integer-grid tuples that the
-triangulation domains scale their points to.  Constructions stay
-error-free, and their bit growth can be audited with `coord_bits`.
+`point_in_cycle`, the counterclockwise order `ccw_compare`), the segment
+sweep `touching_pairs` and `polygon_signed_area2` read points as plain
+`(x, y)` pairs by index, so one implementation serves both coordinate
+types: `Point2` values with `fractions.Fraction` coordinates, and the
+integer-grid tuples that the triangulation domains scale their points to.
+None of them divides, so on grid tuples they run in integers alone.
+Constructions stay error-free, and their bit growth can be audited with
+`coord_bits`.
 
 Feasible regions are intersections of open half-planes only: a
-`ConvexRegion` is decided by one Fourier-Motzkin pass, whose sample is the
+`ConvexRegion` is decided by one Fourier-Motzkin pass on integer rows (each
+half-plane scaled by the LCM of its denominators), whose sample is the
 deterministic, dyadic point strictly inside it that `interior_point`
-returns.
+returns.  Only the two bounds handed to `_between` per coordinate become
+`Fraction`s.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, floor
+from functools import cmp_to_key
+from math import ceil, floor, lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import EmptyRegionError
@@ -171,14 +176,30 @@ def point_in_cycle(q, cycle) -> int:
     return 1 if inside else -1
 
 
-def angular_key(d):
-    """Sort key ordering directions `(x, y)` counterclockwise from +x."""
-    x, y = d
-    half = 0 if (y > 0 or (y == 0 and x > 0)) else 1
-    # within a half-turn the angle grows with -x/y; the axis point comes first
-    if y == 0:
-        return (half, 0, Fraction(0))
-    return (half, 1, Fraction(-x, y))
+def ccw_compare(d, e) -> int:
+    """-1, 0 or +1 as direction `(x, y)` d comes before, together with or
+    after e, counterclockwise from +x.
+
+    Directions in the half-turn [0, pi) come before those in [pi, 2 pi);
+    within one half-turn d comes first iff d x e > 0, and the two are
+    together iff they point the same way.  No division: integer directions
+    stay integer.
+    """
+    hd = 0 if d[1] > 0 or (d[1] == 0 and d[0] > 0) else 1
+    he = 0 if e[1] > 0 or (e[1] == 0 and e[0] > 0) else 1
+    if hd != he:
+        return hd - he
+    c = d[0] * e[1] - d[1] * e[0]
+    return (c < 0) - (c > 0)
+
+
+def sorted_ccw(items, direction) -> list:
+    """`items` in counterclockwise order of `direction(item)` from +x;
+    items with the same direction keep their input order."""
+    dirs = [direction(item) for item in items]
+    order = sorted(range(len(dirs)),
+                   key=cmp_to_key(lambda i, j: ccw_compare(dirs[i], dirs[j])))
+    return [items[i] for i in order]
 
 
 def is_strictly_convex_quad(a: Point2, b: Point2, c: Point2, d: Point2) -> bool:
@@ -284,40 +305,79 @@ def _between(lo: Optional[Fraction], hi: Optional[Fraction]) -> Optional[Fractio
     return q
 
 
-def _fourier_motzkin_point(constraints: Sequence[HalfPlane]) -> Optional[Point2]:
-    """A point inside every open half-plane, or None when they share none.
+def _row(h: HalfPlane) -> tuple[int, int, int]:
+    """h scaled by the positive LCM of its denominators: an integer row
+    (a, b, c) of the same open half-plane."""
+    a, b, c = h
+    m = lcm(a.denominator, b.denominator, c.denominator)
+    return (a.numerator * (m // a.denominator),
+            b.numerator * (m // b.denominator),
+            c.numerator * (m // c.denominator))
+
+
+def _inside_rows(rows, x, y) -> bool:
+    """True iff the rational point (x, y) satisfies a*x + b*y + c > 0 for
+    every integer row, decided in integers over the common denominator."""
+    xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+    return all(a * xn * yd + b * yn * xd + c * xd * yd > 0
+               for a, b, c in rows)
+
+
+def _tightest(bounds, sign: int):
+    """The largest (sign 1) or smallest (sign -1) of `(num, den)` pairs,
+    den > 0, compared by cross-multiplication; the first one on a tie, and
+    None when there is none."""
+    best = None
+    for n, d in bounds:
+        if best is None or sign * (n * best[1] - best[0] * d) > 0:
+            best = (n, d)
+    return best
+
+
+def _between_bounds(lowers, uppers) -> Optional[Fraction]:
+    """`_between` the largest lower and the smallest upper `(num, den)`
+    bound; only these two become `Fraction`s."""
+    lo, hi = _tightest(lowers, 1), _tightest(uppers, -1)
+    return _between(None if lo is None else Fraction(*lo),
+                    None if hi is None else Fraction(*hi))
+
+
+def _fourier_motzkin_point(rows) -> Optional[Point2]:
+    """A point inside every open half-plane a*x + b*y + c > 0 of the
+    integer rows, or None when they share none.
 
     Classic two-variable Fourier-Motzkin elimination: x is eliminated by
     combining each lower bound on it with each upper bound, y is chosen
     strictly inside its derived bounds, and x strictly inside its bounds at
-    that y.
+    that y.  Every combination stays an integer row, and every bound a
+    `(num, den)` pair with den > 0; only the chosen bounds become
+    `Fraction`s, for `_between`.
     """
-    lowers = [h for h in constraints if h.a > 0]   # x > (-c - b*y)/a
-    uppers = [h for h in constraints if h.a < 0]   # x < (-c - b*y)/a
-    derived = [(h.b, h.c) for h in constraints if h.a == 0]
-    for lo in lowers:
-        for up in uppers:
-            # (-up.a)*lo + lo.a*up, both multipliers positive
-            derived.append((-up.a * lo.b + lo.a * up.b,
-                            -up.a * lo.c + lo.a * up.c))
+    lowers = [r for r in rows if r[0] > 0]   # x > (-c - b*y)/a
+    uppers = [r for r in rows if r[0] < 0]   # x < (-c - b*y)/a
+    derived = [(b, c) for a, b, c in rows if a == 0]
+    for la, lb, lc in lowers:
+        for ua, ub, uc in uppers:
+            # (-ua)*lower + la*upper, both multipliers positive
+            derived.append((la * ub - ua * lb, la * uc - ua * lc))
     if any(b == 0 and c <= 0 for b, c in derived):
         return None
-    y = _between(max((-c / b for b, c in derived if b > 0), default=None),
-                 min((-c / b for b, c in derived if b < 0), default=None))
+    y = _between_bounds(((-c, b) for b, c in derived if b > 0),
+                        ((c, -b) for b, c in derived if b < 0))
     if y is None:
         return None
-    x = _between(max(((-h.c - h.b * y) / h.a for h in lowers), default=None),
-                 min(((-h.c - h.b * y) / h.a for h in uppers), default=None))
+    yn, yd = y.numerator, y.denominator
+    x = _between_bounds(((-c * yd - b * yn, a * yd) for a, b, c in lowers),
+                        ((c * yd + b * yn, -a * yd) for a, b, c in uppers))
     if x is None:
         return None
-    p = Point2(x, y)
-    assert all(h.contains(p) for h in constraints)
-    return p
+    assert _inside_rows(rows, x, y)
+    return Point2(x, y)
 
 
 class ConvexRegion:
     """Intersection of open half-planes, kept as given with `Fraction`
-    coefficients.
+    coefficients, and as integer rows (see `_row`) for every computation.
 
     Construction runs one Fourier-Motzkin pass; its sample point decides
     whether the region is nonempty.  The elimination projects exactly, so a
@@ -328,24 +388,25 @@ class ConvexRegion:
     def __init__(self, halfplanes: Sequence[HalfPlane]):
         if not halfplanes:
             raise ValueError("need at least one half-plane")
-        self.halfplanes = tuple(HalfPlane(*map(Fraction, h))
-                                for h in halfplanes)
-        self._interior_sample = _fourier_motzkin_point(self.halfplanes)
+        self.halfplanes = tuple(
+            HalfPlane(*(v if type(v) is Fraction else Fraction(v) for v in h))
+            for h in halfplanes)
+        self.rows = tuple(map(_row, self.halfplanes))
+        self._interior_sample = _fourier_motzkin_point(self.rows)
 
     @property
     def has_interior(self) -> bool:
         return self._interior_sample is not None
 
     def contains(self, p: Point2) -> bool:
-        return all(h.contains(p) for h in self.halfplanes)
+        return _inside_rows(self.rows, p.x, p.y)
 
     def is_subset_of(self, other: "ConvexRegion") -> bool:
         """Exact containment: self lies in {h > 0} iff self meets no point
         of {h < 0}, since an open region touching the line h = 0 also holds
         points just beyond it."""
-        return all(_fourier_motzkin_point(
-            self.halfplanes + (HalfPlane(-h.a, -h.b, -h.c),)) is None
-            for h in other.halfplanes)
+        return all(_fourier_motzkin_point(self.rows + ((-a, -b, -c),)) is None
+                   for a, b, c in other.rows)
 
 
 def interior_point(region: ConvexRegion) -> Point2:

@@ -22,10 +22,9 @@ from .gadgets import (Channel, ChannelStub, VertexGadget, blocking_set,
                       capped_transform_moves, capped_transform_replays,
                       channel_mouths, inner_box, left_edges, reverse_moves,
                       right_edges)
-from .geometry import (ConvexRegion, Point2, angular_key,
-                       coord_bits, floor_log2, halfplane_through,
-                       interior_point, orientation, polygon_signed_area2,
-                       touching_pairs)
+from .geometry import (ConvexRegion, Point2, coord_bits, floor_log2,
+                       halfplane_through, interior_point, orientation,
+                       polygon_signed_area2, sorted_ccw, touching_pairs)
 from .instanceio import InstanceDoc
 from .search import FlipScript
 from .triangulation import (Edge, FlipMove, PolygonalRegion, PointSet,
@@ -57,8 +56,7 @@ class PlanarGraphDrawing:
         return self.pos[w] - self.pos[v]
 
     def neighbors_ccw(self, v) -> list[int]:
-        return sorted(self.adj[v],
-                      key=lambda w: angular_key(self.direction(v, w)))
+        return sorted_ccw(self.adj[v], lambda w: self.direction(v, w))
 
     def faces(self) -> list[list[tuple[int, int]]]:
         """Face cycles as dart lists, faces on the left of each dart."""

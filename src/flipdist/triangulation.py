@@ -12,9 +12,9 @@ from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import DomainMismatchError, IllegalFlipError, ValidationError
-from .geometry import (Point2, angular_key, on_segment, orientation,
-                       point_in_cycle, polygon_signed_area2,
-                       segments_share_interior, touching_pairs)
+from .geometry import (Point2, on_segment, orientation, point_in_cycle,
+                       polygon_signed_area2, segments_share_interior,
+                       sorted_ccw, touching_pairs)
 
 Edge = tuple[int, int]
 Triangle = tuple[int, int, int]
@@ -52,7 +52,6 @@ class _DomainBase:
                [p.y.denominator for p in self.points]
         scale = lcm(*dens) if dens else 1
         self.ipoints = [(int(p.x * scale), int(p.y * scale)) for p in self.points]
-        self.ipoints2 = [(2 * x, 2 * y) for x, y in self.ipoints]
         if len(set(self.ipoints)) != len(self.ipoints):
             raise ValidationError("points are not pairwise distinct")
 
@@ -114,6 +113,9 @@ class PolygonalRegion(_DomainBase):
             raise ValidationError("two-vertex holes are not polygons")
         self._check_structure()
         self.boundary_cycles = [list(self.outer)] + [list(h) for h in self.poly_holes]
+        # each boundary vertex's (previous, next) neighbours along its cycle
+        self._corners = {c[k]: (c[k - 1], c[(k + 1) % len(c)])
+                         for c in self.boundary_cycles for k in range(len(c))}
         self.mandatory_edges = frozenset(
             edge(c[i], c[(i + 1) % len(c)])
             for c in self.boundary_cycles for i in range(len(c)))
@@ -165,40 +167,51 @@ class PolygonalRegion(_DomainBase):
             i, j = touching[0]
             raise ValidationError(
                 f"point {point_holes[j - len(segs)]} lies on boundary edge {segs[i]}")
-        # the points are pairwise distinct and no two boundaries touch, so
-        # a hole lies wholly inside or wholly outside the outer cycle, and
-        # one vertex locates it
-        outer2 = [self.ipoints2[i] for i in self.outer]
+        self._check_nesting()
+
+    def _check_nesting(self):
+        """Every hole strictly inside the outer boundary, no polygonal hole
+        inside an earlier one, and no point hole inside a polygonal hole.
+
+        The points are pairwise distinct and no two boundaries touch, so a
+        hole lies wholly inside or wholly outside any other cycle, and one
+        vertex locates it.  A point strictly inside a hole is strictly
+        inside the hole's bounding box, so only such points are located.
+        """
+        ip = self.ipoints
+        outer = [ip[i] for i in self.outer]
         for h in list(self.poly_holes) + [[p] for p in self.point_holes]:
-            if point_in_cycle(self.ipoints2[h[0]], outer2) <= 0:
+            if point_in_cycle(ip[h[0]], outer) <= 0:
                 raise ValidationError(
                     f"hole vertex {h[0]} is not strictly inside the outer boundary")
         for hi, h1 in enumerate(self.poly_holes):
-            cyc2 = [self.ipoints2[i] for i in h1]
+            cyc = [ip[i] for i in h1]
+            xs, ys = [x for x, _ in cyc], [y for _, y in cyc]
+            x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
+
+            def inside(k):
+                x, y = ip[k]
+                return x_lo < x < x_hi and y_lo < y < y_hi \
+                    and point_in_cycle((x, y), cyc) > 0
+
             for h2 in self.poly_holes[hi + 1:]:
-                if point_in_cycle(self.ipoints2[h2[0]], cyc2) > 0:
+                if inside(h2[0]):
                     raise ValidationError("nested holes")
             for p in self.point_holes:
-                if point_in_cycle(self.ipoints2[p], cyc2) > 0:
+                if inside(p):
                     raise ValidationError(f"point hole {p} inside a polygonal hole")
-
-    def point_location(self, q2) -> int:
-        """+1 strictly inside the region, 0 on a boundary, -1 outside."""
-        loc = point_in_cycle(q2, [self.ipoints2[i] for i in self.outer])
-        if loc <= 0:
-            return loc
-        for h in self.poly_holes:
-            hl = point_in_cycle(q2, [self.ipoints2[i] for i in h])
-            if hl == 0:
-                return 0
-            if hl > 0:
-                return -1
-        return 1
 
     def segment_inside(self, i: int, j: int) -> bool:
         """True iff segment ij can be an edge of a triangulation of the
-        region: a boundary edge, or an open segment in the region's interior
-        that touches no boundary edge and passes through no other point."""
+        region: a boundary edge, or an open segment in the region's interior.
+
+        The open segment must touch no boundary edge and pass through no
+        point hole; a boundary vertex inside it would touch that vertex's
+        own edges.  It then lies wholly inside the region or wholly outside,
+        and its start decides which: it leaves `i` strictly inside the
+        boundary's corner at `i` (darts keep the region on their left), and
+        from a point hole every direction leads inside.
+        """
         if edge(i, j) in self.mandatory_edges:
             return True
         ip = self.ipoints
@@ -206,9 +219,18 @@ class PolygonalRegion(_DomainBase):
         for u, v in self.mandatory_edges:
             if segments_share_interior(a, b, ip[u], ip[v]):
                 return False
-        if not super().segment_inside(i, j):
-            return False
-        return self.point_location((a[0] + b[0], a[1] + b[1])) > 0
+        for k in self.point_holes:
+            if on_segment(ip[k], a, b, closed=False):
+                return False
+        corner = self._corners.get(i)
+        if corner is None:
+            return True
+        prev, nxt = ip[corner[0]], ip[corner[1]]
+        left_of_out = orientation(a, nxt, b) > 0
+        left_of_in = orientation(prev, a, b) > 0
+        if orientation(prev, a, nxt) >= 0:      # convex or straight corner
+            return left_of_out and left_of_in
+        return left_of_out or left_of_in
 
 
 def hull_cycle(ipoints) -> list[int]:
@@ -307,10 +329,10 @@ def _sorted_rotations(domain, edges) -> dict[int, list[int]]:
 
     def around(v):
         vx, vy = ip[v]
-        # overlapping directions fall back to the neighbour index
-        return lambda w: (angular_key((ip[w][0] - vx, ip[w][1] - vy)), w)
+        return lambda w: (ip[w][0] - vx, ip[w][1] - vy)
 
-    return {v: sorted(ws, key=around(v)) for v, ws in adj.items()}
+    # overlapping directions fall back to the neighbour index
+    return {v: sorted_ccw(sorted(ws), around(v)) for v, ws in adj.items()}
 
 
 def walk_faces(rotation, edges) -> list[list[int]]:

@@ -42,15 +42,15 @@ def is_cover(g: Graph, cover) -> tuple[bool, Optional[tuple]]:
     return True, None
 
 
-def exact_vc(g: Graph, cap: int = 40) -> tuple[int, frozenset]:
+def exact_vc(g: Graph, cap: int = 10 ** 5) -> tuple[int, frozenset]:
     """Minimum vertex cover size and a witness, by branch and bound.
 
     Branches on a max-degree vertex (take it, or take its whole
-    neighborhood) with degree-1 reduction; graphs above `cap` vertices are
-    refused.
+    neighborhood) with degree-1 reduction, depth first with the first
+    branch explored first.  The search visits at most `cap` branch nodes
+    and raises `CapExceededError` on the next one.  An explicit stack keeps
+    deep searches off the interpreter's recursion limit.
     """
-    if g.n > cap:
-        raise CapExceededError(f"graph has {g.n} > {cap} vertices")
     adj: dict = {v: set() for v in g.vertices}
     for u, v in g.edges:
         adj[u].add(v)
@@ -59,11 +59,25 @@ def exact_vc(g: Graph, cap: int = 40) -> tuple[int, frozenset]:
     best_size = g.n + 1
     best_set: frozenset = frozenset()
 
-    def solve(live_adj, chosen):
-        nonlocal best_size, best_set
-        # degree-1 reduction: taking the neighbor is always at least as good
-        live_adj = {v: set(ns) for v, ns in live_adj.items() if ns}
-        chosen = set(chosen)
+    def without(live_adj, rm):
+        out = {x: set(ns) for x, ns in live_adj.items()}
+        for x in rm:
+            for w in out.get(x, ()):
+                out[w].discard(x)
+            out.pop(x, None)
+        return {x: ns for x, ns in out.items() if ns}
+
+    stack = [(adj, set())]
+    nodes = 0
+    while stack:
+        live_adj, chosen = stack.pop()
+        nodes += 1
+        if nodes > cap:
+            raise CapExceededError(
+                f"vertex cover search spent its budget of {cap} branch nodes "
+                f"on a graph of {g.n} vertices")
+        # degree-1 reduction: taking the neighbor is always at least as good;
+        # every stacked node owns its sets, so they are reduced in place
         changed = True
         while changed:
             changed = False
@@ -83,7 +97,7 @@ def exact_vc(g: Graph, cap: int = 40) -> tuple[int, frozenset]:
             if len(chosen) < best_size:
                 best_size = len(chosen)
                 best_set = frozenset(chosen)
-            return
+            continue
         # lower bound from a greedy matching
         m = 0
         used = set()
@@ -97,22 +111,14 @@ def exact_vc(g: Graph, cap: int = 40) -> tuple[int, frozenset]:
                     m += 1
                     break
         if len(chosen) + m >= best_size:
-            return
+            continue
         v = max(sorted(live_adj), key=lambda x: len(live_adj[x]))
-
-        def without(rm):
-            out = {x: set(ns) for x, ns in live_adj.items()}
-            for x in rm:
-                for w in out.get(x, ()):
-                    out[w].discard(x)
-                out.pop(x, None)
-            return {x: ns for x, ns in out.items() if ns}
-
-        solve(without({v}), chosen | {v})
         nbrs = set(live_adj[v])
-        solve(without(nbrs | {v}), chosen | nbrs)
+        # popped last: the neighbourhood branch runs after the whole
+        # subtree of the branch that takes v
+        stack.append((without(live_adj, nbrs | {v}), chosen | nbrs))
+        stack.append((without(live_adj, {v}), chosen | {v}))
 
-    solve(adj, set())
     ok, _ = is_cover(g, best_set)
     assert ok
     return best_size, best_set

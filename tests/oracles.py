@@ -7,7 +7,9 @@ from typing import NamedTuple
 import networkx as nx
 
 from flipdist.errors import Not3ConnectedError, NotPlanarError, ValidationError
-from flipdist.geometry import (Point2, orientation, polygon_signed_area2,
+from flipdist.geometry import (HalfPlane, Point2, _between, on_segment,
+                               orientation, point_in_cycle,
+                               polygon_signed_area2, segments_share_interior,
                                touching_pairs)
 from flipdist.triangulation import (Edge, ValidationReport, canonical_cycle,
                                     derive_triangles, edge, triangle_apexes)
@@ -331,3 +333,102 @@ def flip_graph_by_triangulations(seed):
                 stack.append(t_new)
         adjacency[t.canonical_key()] = sorted(nbrs)
     return nodes, adjacency
+
+
+def angular_key(d):
+    """The oracle of `geometry.ccw_compare`: a sort key ordering directions
+    `(x, y)` counterclockwise from +x, by half-turn and then by the
+    `Fraction` -x/y, which grows with the angle within a half-turn."""
+    x, y = d
+    half = 0 if (y > 0 or (y == 0 and x > 0)) else 1
+    if y == 0:
+        return (half, 0, Fraction(0))
+    return (half, 1, Fraction(-x, y))
+
+
+def fourier_motzkin_on_fractions(constraints):
+    """The oracle of `geometry._fourier_motzkin_point` on `HalfPlane`s:
+    the same elimination with every coefficient and bound a `Fraction`."""
+    lowers = [h for h in constraints if h.a > 0]
+    uppers = [h for h in constraints if h.a < 0]
+    derived = [(h.b, h.c) for h in constraints if h.a == 0]
+    for lo in lowers:
+        for up in uppers:
+            derived.append((-up.a * lo.b + lo.a * up.b,
+                            -up.a * lo.c + lo.a * up.c))
+    if any(b == 0 and c <= 0 for b, c in derived):
+        return None
+    y = _between(max((-c / b for b, c in derived if b > 0), default=None),
+                 min((-c / b for b, c in derived if b < 0), default=None))
+    if y is None:
+        return None
+    x = _between(max(((-h.c - h.b * y) / h.a for h in lowers), default=None),
+                 min(((-h.c - h.b * y) / h.a for h in uppers), default=None))
+    if x is None:
+        return None
+    p = Point2(x, y)
+    assert all(h.contains(p) for h in constraints)
+    return p
+
+
+def is_subset_on_fractions(inner, outer) -> bool:
+    """The oracle of `ConvexRegion.is_subset_of` on two regions' `Fraction`
+    half-planes: inner meets no open complement {h < 0} of outer's."""
+    return all(fourier_motzkin_on_fractions(
+        tuple(inner) + (HalfPlane(-h.a, -h.b, -h.c),)) is None
+        for h in outer)
+
+
+def point_location(region, q2) -> int:
+    """+1 strictly inside the region, 0 on a boundary, -1 outside, for a
+    point `q2` on the region's grid doubled."""
+    def doubled(cycle):
+        return [(2 * region.ipoints[i][0], 2 * region.ipoints[i][1])
+                for i in cycle]
+
+    loc = point_in_cycle(q2, doubled(region.outer))
+    if loc <= 0:
+        return loc
+    for h in region.poly_holes:
+        hl = point_in_cycle(q2, doubled(h))
+        if hl == 0:
+            return 0
+        if hl > 0:
+            return -1
+    return 1
+
+
+def segment_inside_by_midpoint(region, i, j) -> bool:
+    """The oracle of `PolygonalRegion.segment_inside`: a boundary edge, or
+    an open segment that touches no boundary edge, holds no point of the
+    region and has its midpoint strictly inside, by `point_location`."""
+    if edge(i, j) in region.mandatory_edges:
+        return True
+    ip = region.ipoints
+    a, b = ip[i], ip[j]
+    for u, v in region.mandatory_edges:
+        if segments_share_interior(a, b, ip[u], ip[v]):
+            return False
+    if any(on_segment(p, a, b, closed=False) for p in ip):
+        return False
+    return point_location(region, (a[0] + b[0], a[1] + b[1])) > 0
+
+
+def check_nesting_unfiltered(region):
+    """The oracle of `PolygonalRegion._check_nesting`: the same checks and
+    messages, locating every query point with `point_in_cycle` and no
+    bounding-box filter."""
+    ip = region.ipoints
+    outer = [ip[i] for i in region.outer]
+    for h in list(region.poly_holes) + [[p] for p in region.point_holes]:
+        if point_in_cycle(ip[h[0]], outer) <= 0:
+            raise ValidationError(
+                f"hole vertex {h[0]} is not strictly inside the outer boundary")
+    for hi, h1 in enumerate(region.poly_holes):
+        cyc = [ip[i] for i in h1]
+        for h2 in region.poly_holes[hi + 1:]:
+            if point_in_cycle(ip[h2[0]], cyc) > 0:
+                raise ValidationError("nested holes")
+        for p in region.point_holes:
+            if point_in_cycle(ip[p], cyc) > 0:
+                raise ValidationError(f"point hole {p} inside a polygonal hole")

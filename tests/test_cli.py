@@ -134,15 +134,13 @@ def prism_graph_text(n):
                      + ["outer " + " ".join(map(str, range(n)))]) + "\n"
 
 
-def prism_pipeline(tmp_path, capsys, n):
-    """`vc`, `reduce` at the minimum cover size, `script` and `verify` on
-    the n-prism; returns the reduce and verify --json outputs."""
-    text = prism_graph_text(n)
-    g = write(tmp_path / f"prism{n}.txt", text)
+def graph_pipeline(tmp_path, capsys, text):
+    """`vc`, `reduce` at the minimum cover size, `script` and `verify` on a
+    graph file; returns the cover size and the reduce and verify --json
+    outputs."""
+    g = write(tmp_path / "graph.txt", text)
     assert main(["vc", "--graph", g, "--json"]) == 0
     k = json.loads(capsys.readouterr().out)["size"]
-    ids, _, edges, _ = instanceio.parse_graph_text(text)
-    assert k == brute_force_vc(Graph(ids, edges))[0]
     inst, script = tmp_path / "inst.json", tmp_path / "script.json"
     assert main(["reduce", "--graph", g, "--k", str(k), "--out", str(inst),
                  "--json"]) == 0
@@ -156,7 +154,47 @@ def prism_pipeline(tmp_path, capsys, n):
     assert (out["verdict"], out["length"], out["threshold"]) == \
         ("PASS", threshold, threshold)
     assert not out["over_threshold"]
+    return k, acc, out
+
+
+def prism_pipeline(tmp_path, capsys, n):
+    """`graph_pipeline` on the n-prism, with the cover size checked by
+    brute force; returns the reduce and verify --json outputs."""
+    text = prism_graph_text(n)
+    k, acc, out = graph_pipeline(tmp_path, capsys, text)
+    ids, _, edges, _ = instanceio.parse_graph_text(text)
+    assert k == brute_force_vc(Graph(ids, edges))[0]
     return acc, out
+
+
+# More of the paper's family (cubic, planar, 3-connected), with no outer
+# line: the least face under `canonical_cycle` is the outer face.
+DODECAHEDRON_EDGES = (
+    [(i, (i + 1) % 5) for i in range(5)]                 # outer pentagon
+    + [(i, 5 + 2 * i) for i in range(5)]
+    + [(5 + j, 5 + (j + 1) % 10) for j in range(10)]     # middle 10-cycle
+    + [(6 + 2 * i, 15 + i) for i in range(5)]
+    + [(15 + i, 15 + (i + 1) % 5) for i in range(5)])    # inner pentagon
+# K4 truncated: K4 edge e = (v, w) ends at vertices 2e (near v) and 2e + 1
+# (near w); each K4 vertex becomes the triangle of its three ends
+TRUNCATED_TETRAHEDRON_EDGES = [
+    (0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11),    # the K4 edges
+    (0, 2), (0, 4), (2, 4), (1, 6), (1, 8), (6, 8),      # the four triangles
+    (3, 7), (3, 10), (7, 10), (5, 9), (5, 11), (9, 11)]
+
+
+@pytest.mark.parametrize("edges, k, length", [
+    (TRUNCATED_TETRAHEDRON_EDGES, 8, 868),
+    (DODECAHEDRON_EDGES, 12, 1154),
+], ids=["truncated_tetrahedron", "dodecahedron"])
+def test_reduce_family_passes_at_threshold(tmp_path, capsys, edges, k, length):
+    n = 1 + max(max(e) for e in edges)
+    assert sorted(v for e in edges for v in e) == \
+        sorted(3 * list(range(n)))                        # cubic
+    text = "\n".join([f"v {v}" for v in range(n)]
+                     + [f"e {u} {v}" for u, v in edges]) + "\n"
+    got_k, _, out = graph_pipeline(tmp_path, capsys, text)
+    assert (got_k, out["length"]) == (k, length)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

@@ -2,19 +2,21 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flipdist.errors import EmptyRegionError
 from flipdist.geometry import (
     CCW, COLLINEAR, CW, ConvexRegion, HalfPlane, Point2, _between,
-    coord_bits, floor_log2, halfplane_through, interior_point,
+    ccw_compare, coord_bits, floor_log2, halfplane_through, interior_point,
     is_strictly_convex_quad, on_segment, orientation, pt,
-    segments_properly_cross, segments_share_interior, touching_pairs,
+    segments_properly_cross, segments_share_interior, sorted_ccw,
+    touching_pairs,
 )
 
-from oracles import (SidedHalfPlane, coarsest_dyadic_by_scan,
+from oracles import (SidedHalfPlane, angular_key, coarsest_dyadic_by_scan,
+                     fourier_motzkin_on_fractions,
                      fourier_motzkin_with_strictness,
-                     is_subset_by_closed_complement)
+                     is_subset_by_closed_complement, is_subset_on_fractions)
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=64)
 points = st.builds(Point2, rationals, rationals)
@@ -266,6 +268,91 @@ def test_redundant_halfplanes_change_no_answer(first, first_picks,
     superset = other.is_subset_of(region)
     assert other.is_subset_of(padded) == superset
     assert other_padded.is_subset_of(region) == superset
+
+
+# rational half-planes, zero rows (a = b = 0) included, with parallel and
+# opposite copies, so that empty, unbounded and degenerate systems are common
+small = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3, 5]))
+rational_halfplanes = st.builds(HalfPlane, small, small, small)
+
+
+@st.composite
+def rational_systems(draw):
+    system = draw(st.lists(rational_halfplanes, min_size=1, max_size=6))
+    for i, k, d in draw(st.lists(st.tuples(
+            st.integers(0, 5), st.sampled_from([-2, Fraction(-1, 3), 1, 3]),
+            small), max_size=3)):
+        a, b, c = system[i % len(system)]
+        system.append(HalfPlane(k * a, k * b, k * c + d))
+    return system
+
+
+@settings(max_examples=200)
+@given(rational_systems(), rational_systems())
+@example([HalfPlane(Fraction(0), Fraction(0), Fraction(1))],
+         [HalfPlane(Fraction(0), Fraction(0), Fraction(0))])
+@example([HalfPlane(Fraction(1, 3), Fraction(0), Fraction(1, 5)),
+          HalfPlane(Fraction(-2, 7), Fraction(0), Fraction(1, 5))],
+         [HalfPlane(Fraction(1, 6), Fraction(1, 4), Fraction(0))])
+def test_integer_rows_match_fraction_elimination(first, second):
+    """The elimination on integer rows picks the same sample, or the same
+    None, as the one on `Fraction` coefficients, and decides containment
+    the same way."""
+    region, other = ConvexRegion(first), ConvexRegion(second)
+    assert region._interior_sample == \
+        fourier_motzkin_on_fractions(region.halfplanes)
+    assert region.is_subset_of(other) == \
+        is_subset_on_fractions(region.halfplanes, other.halfplanes)
+
+
+def test_convex_region_builds_no_fraction_per_pair(count_fractions):
+    # k lower and k upper bounds on x, and on y, with distinct denominators:
+    # the sample is (0, 0) for every k, and only the bounds handed to
+    # `_between` become `Fraction`s, so the count does not grow with the
+    # k^2 pairs that the elimination combines
+    def system(k):
+        out = []
+        for j in range(1, k + 1):
+            s = Fraction(1, j + 2)
+            out += [HalfPlane(s, Fraction(0), s * j),
+                    HalfPlane(-s, Fraction(0), s * j),
+                    HalfPlane(Fraction(0), s, s * j),
+                    HalfPlane(Fraction(0), -s, s * j)]
+        return out
+
+    counts = []
+    for k in (1, 4, 16):
+        halfplanes = system(k)
+        with count_fractions() as built:
+            region = ConvexRegion(halfplanes)
+        assert interior_point(region) == pt(0, 0)
+        counts.append(len(built))
+    assert counts[0] == counts[1] == counts[2] <= 30, counts
+
+
+# integer directions on a small grid (axis, opposite and repeated ones
+# are common), and the same directions as `Point2` with rational scales
+directions = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(
+    lambda d: d != (0, 0))
+rational_directions = st.builds(
+    lambda d, s: Point2(d[0] * s, d[1] * s), directions,
+    st.sampled_from([Fraction(1, 7), Fraction(2, 3), Fraction(1), Fraction(5)]))
+
+
+@settings(max_examples=200)
+@given(st.one_of(st.lists(directions, max_size=12),
+                 st.lists(rational_directions, max_size=12)))
+@example([(1, 0), (-1, 0), (0, 1), (0, -1), (1, 0), (2, 0), (-3, 0)])
+def test_ccw_order_matches_fraction_keys(dirs):
+    """`sorted_ccw` orders like a stable sort on the `Fraction` angular
+    key, and `ccw_compare` agrees with the keys on every pair."""
+    order = sorted_ccw(list(range(len(dirs))), dirs.__getitem__)
+    assert order == sorted(range(len(dirs)),
+                           key=lambda i: angular_key(dirs[i]))
+    for d in dirs:
+        for e in dirs:
+            kd, ke = angular_key(d), angular_key(e)
+            assert ccw_compare(d, e) == (kd > ke) - (kd < ke)
 
 
 bounds = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 from flipdist import instanceio, triangulation
 from flipdist.errors import (IllegalScriptError, Not3ConnectedError,
                              NotACoverError, NotPlanarError, ValidationError)
-from flipdist.gadgets import blocking_set, channel_mouths
+from flipdist.gadgets import (Channel, blocking_set, channel_mouths,
+                              channel_region)
 from flipdist.geometry import orientation, pt, touching_pairs
 from flipdist.reduction import (ReductionInstance, _embedding,
                                 _shear_off_diagonals, audit_script,
@@ -16,10 +18,11 @@ from flipdist.reduction import (ReductionInstance, _embedding,
                                 region_to_pointset)
 from flipdist.search import FlipScript, exact_distance, lower_bound
 from flipdist.triangulation import (FlipMove, Triangulation, canonical_cycle,
-                                    edge, hull_cycle, validate)
+                                    derive_triangles, edge, hull_cycle,
+                                    validate)
 from flipdist.vertexcover import Graph, exact_vc
 
-from oracles import embedding_faces_by_networkx
+from oracles import embedding_faces_by_networkx, segment_inside_by_midpoint
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 PRISM_EDGES = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
@@ -234,6 +237,53 @@ def test_validate_runs_no_sweep_on_valid_k4(k4_instance, monkeypatch):
     inst = k4_instance[0]
     assert validate(inst.t1).ok and validate(inst.t2).ok
     assert calls == []
+
+
+def test_segment_inside_matches_midpoint_oracle(c3_instance, k4_instance):
+    """The corner test agrees with the midpoint location on every ordered
+    pair of every channel region of the C3 and K4 instances, open and with
+    each recorded cap, near, far and both; and on the K4 region's edges,
+    taken from their larger end, and sampled pairs, where point holes and
+    polygonal holes are met."""
+    checked = 0
+    for inst in (c3_instance, k4_instance[0]):
+        pts = inst.region.points
+        for (u, w), rec in sorted(inst.channels.items()):
+            ch = Channel(tuple(pts[i] for i in rec.upper),
+                         tuple(pts[i] for i in rec.lower))
+            near, far = pts[rec.caps[u]], pts[rec.caps[w]]
+            for caps in ({}, {"cap_near": near}, {"cap_far": far},
+                         {"cap_near": near, "cap_far": far}):
+                region = channel_region(ch, **caps)
+                n = len(region.points)
+                for i in range(n):
+                    for j in range(n):
+                        if i != j:
+                            assert region.segment_inside(i, j) == \
+                                segment_inside_by_midpoint(region, i, j), \
+                                ((u, w), caps, i, j)
+                            checked += 1
+    inst = k4_instance[0]
+    region = inst.region
+    n = len(region.points)
+    rng = random.Random(17)
+    pairs = [e[::-1] for e in sorted(inst.t1.edges)] + \
+        [tuple(rng.sample(range(n), 2)) for _ in range(600)]
+    inside = 0
+    for i, j in pairs:
+        got = region.segment_inside(i, j)
+        assert got == segment_inside_by_midpoint(region, i, j), (i, j)
+        inside += got
+    assert checked > 10000 and inside > len(inst.t1.edges)
+
+
+def test_derive_triangles_builds_no_fraction(k4_instance, count_fractions):
+    # the angular order at every vertex is decided on integer directions
+    inst = k4_instance[0]
+    with count_fractions() as built:
+        triangles = derive_triangles(inst.region, inst.t1.edges)
+    assert built == []
+    assert len(triangles) == inst.region.expected_triangle_count
 
 
 def test_gadget_audit_blocking_sets(c3_instance, k4_instance):

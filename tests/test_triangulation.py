@@ -1,13 +1,14 @@
 import random
 from collections import defaultdict
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from flipdist.errors import DomainMismatchError, IllegalFlipError, ValidationError
 from flipdist.gadgets import build_channel, channel_region, channel_triangulations
-from flipdist.geometry import pt
+from flipdist.geometry import orientation, pt
 from flipdist.reduction import region_to_pointset
 from flipdist.search import (_FlipKernel, _key, bfs_distance,
                              enumerate_flip_graph, exact_distance)
@@ -17,7 +18,8 @@ from flipdist.triangulation import (
     flip_is_convex, triangle_apexes, validate,
 )
 from flipdist import instanceio
-from oracles import (canonical_cycle_all_rotations, flip_graph_by_triangulations,
+from oracles import (canonical_cycle_all_rotations, check_nesting_unfiltered,
+                     flip_graph_by_triangulations, segment_inside_by_midpoint,
                      validate_by_segments, validate_with_sweep)
 
 
@@ -242,6 +244,60 @@ def test_region_error_messages(extra, holes, message):
     assert str(exc.value) == message
 
 
+def region_outcome(points, outer, holes):
+    """The `ValidationError` message of building the region, or None."""
+    try:
+        PolygonalRegion(points, outer, holes)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+# triangles scaled about four centres, so that nested and disjoint holes
+# are common; each fills 3/8 of its bounding box.  Point holes sit off the
+# integer grid, so they never repeat a vertex.
+triangles = st.lists(st.tuples(st.sampled_from([4, 8]), st.sampled_from([4, 8]),
+                               st.integers(1, 3)),
+                     max_size=3, unique=True).map(
+    lambda ts: [[(cx - r, cy - r), (cx, cy + r), (cx + r, cy)]
+                for cx, cy, r in ts])
+dots = st.lists(st.tuples(st.integers(1, 10), st.integers(1, 10)),
+                max_size=3, unique=True).map(
+    lambda ds: [(Fraction(2 * x + 1, 2), Fraction(2 * y + 1, 2))
+                for x, y in ds])
+
+
+@settings(max_examples=200)
+@given(triangles, dots)
+@example([[(2, 2), (10, 2), (6, 10)], [(5, 4), (7, 4), (6, 6)]], [])
+@example([[(2, 2), (10, 2), (6, 10)]], [(6, 4)])
+@example([[(2, 2), (10, 2), (6, 10)]], [(3, 9), (1, 1)])
+@example([[(14, 2), (20, 2), (17, 6)]], [])
+@example([], [(13, 13)])
+@example([[(2, 2), (10, 2), (2, 10)], [(9, 9), (9, 11), (11, 9)]], [(9, 7)])
+@example([[(2, 2), (10, 2), (6, 10)]], [(6, Fraction(19, 2))])
+@example([[(2, 2), (10, 2), (2, 10)]], [(Fraction(5, 2), 5)])
+def test_nesting_check_matches_unfiltered_oracle(tris, dots):
+    """The bounding-box filter changes no answer: triangular holes and
+    point holes in a 12 x 12 square, nested, inside a hole's box but not
+    the hole, or outside the square, give the same message (or none) as
+    the oracle that locates every point."""
+    points = [pt(0, 0), pt(12, 0), pt(12, 12), pt(0, 12)]
+    holes = []
+    for tri_pts in tris:
+        if orientation(*tri_pts) > 0:        # holes run clockwise
+            tri_pts = tri_pts[::-1]
+        holes.append(list(range(len(points), len(points) + 3)))
+        points += [pt(x, y) for x, y in tri_pts]
+    for x, y in dots:
+        holes.append([len(points)])
+        points.append(pt(x, y))
+    got = region_outcome(points, [0, 1, 2, 3], holes)
+    with mock.patch.object(PolygonalRegion, "_check_nesting",
+                           check_nesting_unfiltered):
+        assert region_outcome(points, [0, 1, 2, 3], holes) == got
+
+
 # a square and a triangle inside it with non-integer coordinates, so the
 # orientation is read on the scaled grid, not on the given points
 THIRDS = [pt(Fraction(1, 3), Fraction(1, 7)), pt(Fraction(10, 3), Fraction(1, 7)),
@@ -303,6 +359,9 @@ def test_segment_inside_matches_flip_graph(seed, triangulations, diagonals):
               if region.segment_inside(i, j)} - region.mandatory_edges
     assert len(graph) == triangulations and len(used) == diagonals
     assert inside == used
+    assert all(region.segment_inside(i, j)
+               == segment_inside_by_midpoint(region, i, j)
+               for i in range(n) for j in range(n) if i != j)
 
 
 @pytest.mark.parametrize("seed", [s[0] for s in SMALL_SEEDS]

@@ -48,9 +48,26 @@ def test_agrees_with_brute_force():
         assert exact_vc(g)[0] == brute_force_vc(g)[0]
 
 
+def prism_graph(n):
+    return Graph(range(2 * n), [(i, (i + 1) % n) for i in range(n)]
+                 + [(n + i, n + (i + 1) % n) for i in range(n)]
+                 + [(i, n + i) for i in range(n)])
+
+
 def test_cap():
-    with pytest.raises(CapExceededError):
-        exact_vc(Graph(range(50), [(0, 1)]), cap=40)
+    # `cap` bounds branch nodes, not vertices: a 50-vertex graph with one
+    # edge takes one node, and K4 needs more than one
+    assert exact_vc(Graph(range(50), [(0, 1)]), cap=1)[0] == 1
+    with pytest.raises(CapExceededError, match="budget of 1 branch nodes"):
+        exact_vc(complete_graph(4), cap=1)
+
+
+def test_30_prism_cover():
+    # 60 vertices, well past the old 40-vertex refusal; the prism of an
+    # even cycle is bipartite, so the cover is half the vertices
+    g = prism_graph(30)
+    size, witness = exact_vc(g)
+    assert size == 30 and is_cover(g, witness)[0]
 
 
 def test_prism_cover():
