@@ -22,7 +22,13 @@ class DomainMismatchError(FlipdistError):
 
 
 class IllegalFlipError(FlipdistError):
+    """A flip is not legal; `index` is its position in a replayed script."""
+
     exit_code = 2
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class IllegalScriptError(FlipdistError):

@@ -10,6 +10,10 @@ Vertex gadgets place four points C, D, E, F around a graph vertex so that a
 convex quadrilateral CDEF with diagonal CE (the lock) separates each incident
 channel from its designated potential cap, with per-channel two-flip capping
 scripts.
+
+Visibility inside a channel and the blocking sets of caps are decided by
+straight walks in a triangulation (`triangulation.walk_segment`), which
+visit only the triangles a segment crosses.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .geometry import (ConvexRegion, HalfPlane, Point2, halfplane_shift,
                        halfplane_through, interior_point, orientation,
                        polygon_signed_area2, sorted_ccw)
 from .triangulation import (Edge, FlipMove, PolygonalRegion, Triangulation,
-                            edge, validate)
+                            edge, validate, walk_segment)
 
 
 # ---------------------------------------------------------------------------
@@ -131,15 +135,16 @@ def capped_transform_replays(ch: Channel, cap: Point2, far_end: bool) -> bool:
 
 
 def channel_invariant_report(ch: Channel) -> list[str]:
-    """Violated channel invariants (empty list = valid channel)."""
+    """Violated channel invariants (empty list = valid channel): strictly
+    reflex chains, and every vertex of one chain sees every vertex of the
+    other, decided by one `walk_segment` per pair in the left-inclined
+    triangulation, which must be valid."""
     out: list[str] = []
     n = ch.n
     try:
-        region = channel_region(ch)
+        _, t_left, _ = channel_triangulations(ch)
     except ValidationError as exc:
         return [f"channel polygon invalid: {exc}"]
-    upper_idx = list(range(n))
-    lower_idx = list(range(n, 2 * n))
     cx = sum((p.x for p in ch.upper + ch.lower), Fraction(0)) / (2 * n)
     cy = sum((p.y for p in ch.upper + ch.lower), Fraction(0)) / (2 * n)
 
@@ -156,9 +161,16 @@ def channel_invariant_report(ch: Channel) -> list[str]:
     if not reflex(ch.lower):
         out.append("lower chain is not strictly reflex toward the interior")
 
-    for i in upper_idx:
-        for j in lower_idx:
-            if not region.segment_inside(i, j):
+    # every chain pair sees each other iff the left fan, whose edges are
+    # such pairs, is a triangulation and every walk in it passes
+    violations = validate(t_left).violations
+    if violations:
+        out.append(f"left-inclined triangulation invalid: {violations[0]}")
+        return out
+    for i in range(n):
+        for j in range(n, 2 * n):
+            walk = walk_segment(t_left, i, j)
+            if walk is None or walk[1]:
                 out.append(f"chain vertices {i} and {j} do not see each other")
                 return out
     return out
@@ -285,33 +297,21 @@ def channel_mouths(upper: Sequence[Point2], lower: Sequence[Point2],
 # ---------------------------------------------------------------------------
 # cap blocking sets
 
-def edges_crossing_segment(t: Triangulation, p: int, q: int) -> set[Edge]:
-    """Triangulation edges properly crossing the open segment p-q.
-
-    Every point's side of line pq is computed once; only an edge whose
-    endpoints lie strictly on opposite sides can cross, and only such an
-    edge has p and q tested against its own line.
-    """
-    ip = t.domain.ipoints
-    a, b = ip[p], ip[q]
-    side = [orientation(a, b, c) for c in ip]
-    out = set()
-    for (u, v) in t.edges:
-        if side[u] * side[v] < 0:
-            c, d = ip[u], ip[v]
-            if orientation(c, d, a) * orientation(c, d, b) < 0:
-                out.add((u, v))
-    return out
-
-
 def blocking_set(t: Triangulation, cap: int, gate: Edge) -> set[Edge]:
     """Edges separating a potential cap from a channel gate.
 
     These are exactly the edges that must be flipped away before the cap
-    triangle over the gate can exist.
+    triangle over the gate can exist: the edges crossed by the segments
+    from the cap to the gate's two ends, found by walking `t` from the cap.
+    A segment that leaves the domain raises `ValidationError`.
     """
-    a, b = gate
-    return edges_crossing_segment(t, cap, a) | edges_crossing_segment(t, cap, b)
+    found: set[Edge] = set()
+    for end in gate:
+        walk = walk_segment(t, cap, end)
+        if walk is None:
+            raise ValidationError(f"segment {(cap, end)} leaves the domain")
+        found.update(walk[0])
+    return found
 
 
 # ---------------------------------------------------------------------------

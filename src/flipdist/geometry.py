@@ -106,10 +106,12 @@ def segments_share_interior(a, b, c, d) -> bool:
     crossing, an endpoint of one inside the other, or a collinear overlap."""
     o1 = orientation(a, b, c)
     o2 = orientation(a, b, d)
+    if o1 == o2 != 0:       # c and d strictly on one side of line ab
+        return False
     o3 = orientation(c, d, a)
     o4 = orientation(c, d, b)
     if o1 and o2 and o3 and o4:
-        return o1 != o2 and o3 != o4
+        return o3 != o4
     # an endpoint on the other segment's line, and not one of its ends
     if (o1 == 0 and c != a and c != b and _in_box(c, a, b)) \
             or (o2 == 0 and d != a and d != b and _in_box(d, a, b)) \

@@ -5,6 +5,12 @@ Tutte embedding), replaces sharp outer vertices by 3-vertex chains, then turns
 every edge into a channel and every vertex into a lock gadget, producing a
 polygonal region with two triangulations whose flip distance encodes vertex
 cover via the threshold 2*k' + 28*|E'|.
+
+The assembled instance is audited exactly: both triangulations are
+validated, and each cap's blocking set is found by walking t1 from the cap
+(`gadgets.blocking_set`).  A script is audited by one in-place replay from
+t1; edges enter only by insertion, so a channel is found capped by looking
+up each inserted edge's partner cap edge.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import (EmptyFeasibleRegionError, EmptyRegionError,
-                     IllegalFlipError, IllegalScriptError, InfeasibleSagError,
+                     IllegalScriptError, InfeasibleSagError,
                      InvalidOuterFaceError, Not3ConnectedError, NotACoverError,
                      NotPlanarError, SharpVertexError, ValidationError)
 from .gadgets import (Channel, ChannelStub, VertexGadget, blocking_set,
@@ -1098,34 +1104,35 @@ def cover_to_script(inst: ReductionInstance, cover) -> FlipScript:
 
 def audit_script(inst: ReductionInstance, script: FlipScript) -> AccountingReport:
     """Replay a script from t1 and extract the lemma accounting: the set of
-    gadgets ever unlocked and the channels never capped."""
+    gadgets ever unlocked and the channels never capped.  The replay is
+    one in-place `FlipScript.replay`, which checks each inserted edge
+    against its partner cap edges."""
     t = inst.t1
     if script.start_key != t.canonical_key():
         raise IllegalScriptError("script does not start at t1", index=-1)
     locks = {inst.gadgets[v].lock: v for v in inst.gadgets}
-    cap_pairs = []
+    unlocked: set[int] = set()
+    capped: set[tuple[int, int]] = set()
+    # each cap edge, with the channel it caps and the other edge it needs;
+    # edges enter only by insertion, so only an inserted edge can cap
+    partners: dict[Edge, list[tuple[tuple[int, int], Edge]]] = {}
     for key, rec in inst.channels.items():
         for v, cap in rec.caps.items():
             a, b = rec.gates[v]
-            cap_pairs.append((key, edge(cap, a), edge(cap, b)))
-    unlocked: set[int] = set()
-    capped: set[tuple[int, int]] = set()
-
-    def scan(edges):
-        for key, ea, eb in cap_pairs:
-            if key not in capped and ea in edges and eb in edges:
+            ea, eb = edge(cap, a), edge(cap, b)
+            if ea in t.edges and eb in t.edges:
                 capped.add(key)
+            partners.setdefault(ea, []).append((key, eb))
+            partners.setdefault(eb, []).append((key, ea))
 
-    scan(t.edges)
-    for i, m in enumerate(script.moves):
-        try:
-            t = t.apply_flip(m)
-        except IllegalFlipError as exc:
-            raise IllegalScriptError(f"move {i} ({m}) is illegal",
-                                     index=i) from exc
+    def on_flip(m, edges):
         if m.removed in locks:
             unlocked.add(locks[m.removed])
-        scan(t.edges)
+        for key, other in partners.get(m.inserted, ()):
+            if other in edges:
+                capped.add(key)
+
+    t = script.replay(t, on_flip)
     if t.edges != inst.t2.edges:
         raise IllegalScriptError("script does not end at t2",
                                  index=len(script.moves))

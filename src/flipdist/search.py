@@ -15,8 +15,8 @@ are found and builds no key: its `FlipGraph` reports its node and flip
 counts from the dense index form, and builds the canonical keys and each
 node's edges as a sorted tuple of the kernel's shared `(u, v)` pairs only
 when `nodes` or `adjacency` is first read.  `Triangulation` stays the type
-at the API boundary, and witnesses are replayed through
-`Triangulation.apply_flip`.  A plain BFS and a triangulation counter serve
+at the API boundary, and witnesses are replayed by the one in-place
+`triangulation.replay`.  A plain BFS and a triangulation counter serve
 as oracles in the tests.
 
 Each side of the search keeps one record per state it has reached, an int
@@ -44,7 +44,7 @@ from .errors import (CapExceededError, DomainMismatchError, IllegalFlipError,
                      IllegalScriptError, ValidationError)
 from .geometry import on_segment, point_in_cycle, segments_share_interior
 from .triangulation import (FlipMove, Triangulation, flip_is_convex,
-                            quad_sides)
+                            quad_sides, replay)
 
 
 @dataclass(frozen=True)
@@ -59,19 +59,19 @@ class FlipScript:
         return FlipScript(end.canonical_key(),
                           tuple(m.reverse() for m in reversed(self.moves)))
 
-    def replay(self, start: Triangulation) -> Triangulation:
-        """Apply all moves, verifying legality; raises IllegalScriptError."""
+    def replay(self, start: Triangulation, on_flip=None) -> Triangulation:
+        """Apply all moves, verifying legality, by one in-place
+        `triangulation.replay` (which hands `on_flip` each flip); raises
+        IllegalScriptError."""
         if start.canonical_key() != self.start_key:
             raise IllegalScriptError("script does not start at this triangulation",
                                      index=-1)
-        t = start
-        for i, m in enumerate(self.moves):
-            try:
-                t = t.apply_flip(m)
-            except IllegalFlipError as exc:
-                raise IllegalScriptError(f"move {i} ({m}) is illegal",
-                                         index=i) from exc
-        return t
+        try:
+            return replay(start, self.moves, on_flip)
+        except IllegalFlipError as exc:
+            i = exc.index
+            raise IllegalScriptError(f"move {i} ({self.moves[i]}) is illegal",
+                                     index=i) from exc
 
 
 @dataclass

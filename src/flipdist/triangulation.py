@@ -4,17 +4,23 @@ edge-set triangulations over them with flip legality and validation.
 Domains scale their rational coordinates to a shared integer grid once at
 construction; every predicate after that runs the `geometry` kernel on
 integer tuples, which keeps exactness and makes validation and search cheap.
+A region decides hole nesting by one sweep of rays over its boundary edges.
+
+Every query here does work in proportion to what it touches: `replay`
+applies a script in place on one copy of the edges and apexes, and
+`walk_segment` walks from a vertex through only the triangles a segment
+crosses.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import DomainMismatchError, IllegalFlipError, ValidationError
-from .geometry import (Point2, on_segment, orientation, point_in_cycle,
-                       polygon_signed_area2, segments_share_interior,
-                       sorted_ccw, touching_pairs)
+from .geometry import (Point2, on_segment, orientation, polygon_signed_area2,
+                       segments_share_interior, sorted_ccw, touching_pairs)
 
 Edge = tuple[int, int]
 Triangle = tuple[int, int, int]
@@ -51,7 +57,10 @@ class _DomainBase:
         dens = [p.x.denominator for p in self.points] + \
                [p.y.denominator for p in self.points]
         scale = lcm(*dens) if dens else 1
-        self.ipoints = [(int(p.x * scale), int(p.y * scale)) for p in self.points]
+        # every denominator divides the scale, so no Fraction is built
+        self.ipoints = [(p.x.numerator * (scale // p.x.denominator),
+                         p.y.numerator * (scale // p.y.denominator))
+                        for p in self.points]
         if len(set(self.ipoints)) != len(self.ipoints):
             raise ValidationError("points are not pairwise distinct")
 
@@ -170,36 +179,49 @@ class PolygonalRegion(_DomainBase):
         self._check_nesting()
 
     def _check_nesting(self):
-        """Every hole strictly inside the outer boundary, no polygonal hole
-        inside an earlier one, and no point hole inside a polygonal hole.
+        """Every hole strictly inside the outer boundary, and no hole inside
+        a polygonal hole.
 
         The points are pairwise distinct and no two boundaries touch, so a
-        hole lies wholly inside or wholly outside any other cycle, and one
-        vertex locates it.  A point strictly inside a hole is strictly
-        inside the hole's bounding box, so only such points are located.
+        hole lies wholly inside or wholly outside any other cycle, and its
+        first vertex, which lies on no boundary, locates it.  One sweep
+        over the non-horizontal boundary edges casts a ray toward +x from
+        each such vertex and counts, per cycle, the edges it crosses, with
+        `point_in_cycle`'s half-open rule: an edge counts for a vertex whose
+        height lies in [low end, high end), strictly left of the edge going
+        up or strictly right of it going down.  The vertices are sorted by
+        height, so an edge meets only the vertices in its slab.
         """
         ip = self.ipoints
-        outer = [ip[i] for i in self.outer]
-        for h in list(self.poly_holes) + [[p] for p in self.point_holes]:
-            if point_in_cycle(ip[h[0]], outer) <= 0:
+        cycles = [self.outer] + self.poly_holes
+        holes = self.poly_holes + [(p,) for p in self.point_holes]
+        order = sorted(range(len(holes)), key=lambda k: ip[holes[k][0]][1])
+        heights = [ip[holes[k][0]][1] for k in order]
+        odd: set[tuple[int, int]] = set()   # (hole, cycle), crossed oddly
+        for ci, c in enumerate(cycles):
+            for a, b in zip(c, c[1:] + c[:1]):
+                pa, pb = ip[a], ip[b]
+                if pa[1] == pb[1]:
+                    continue
+                up = pa[1] < pb[1]
+                lo, hi = (pa[1], pb[1]) if up else (pb[1], pa[1])
+                want = 1 if up else -1
+                for k in order[bisect_left(heights, lo):
+                               bisect_left(heights, hi)]:
+                    if orientation(pa, pb, ip[holes[k][0]]) == want:
+                        odd ^= {(k, ci)}
+        for k, h in enumerate(holes):
+            if (k, 0) not in odd:
                 raise ValidationError(
                     f"hole vertex {h[0]} is not strictly inside the outer boundary")
-        for hi, h1 in enumerate(self.poly_holes):
-            cyc = [ip[i] for i in h1]
-            xs, ys = [x for x, _ in cyc], [y for _, y in cyc]
-            x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
-
-            def inside(k):
-                x, y = ip[k]
-                return x_lo < x < x_hi and y_lo < y < y_hi \
-                    and point_in_cycle((x, y), cyc) > 0
-
-            for h2 in self.poly_holes[hi + 1:]:
-                if inside(h2[0]):
-                    raise ValidationError("nested holes")
-            for p in self.point_holes:
-                if inside(p):
-                    raise ValidationError(f"point hole {p} inside a polygonal hole")
+        n_poly = len(self.poly_holes)
+        for ci in range(1, n_poly + 1):
+            if any((k, ci) in odd for k in range(n_poly) if k != ci - 1):
+                raise ValidationError("nested holes")
+            for k in range(n_poly, len(holes)):
+                if (k, ci) in odd:
+                    raise ValidationError(
+                        f"point hole {holes[k][0]} inside a polygonal hole")
 
     def segment_inside(self, i: int, j: int) -> bool:
         """True iff segment ij can be an edge of a triangulation of the
@@ -461,13 +483,14 @@ def triangle_apexes(triangles) -> dict[Edge, list[int]]:
 class Triangulation:
     """Immutable edge-set triangulation over a shared domain."""
 
-    __slots__ = ("domain", "edges", "_triangles", "_apexes")
+    __slots__ = ("domain", "edges", "_triangles", "_apexes", "_neighbours")
 
     def __init__(self, domain, edges):
         self.domain = domain
         self.edges = frozenset(edge(u, v) for u, v in edges)
         self._triangles: Optional[frozenset[Triangle]] = None
         self._apexes: Optional[dict[Edge, list[int]]] = None
+        self._neighbours: Optional[dict[int, list[int]]] = None
 
     @property
     def triangles(self) -> frozenset[Triangle]:
@@ -479,6 +502,16 @@ class Triangulation:
         if self._apexes is None:
             self._apexes = triangle_apexes(self.triangles)
         return self._apexes
+
+    def neighbours(self) -> dict[int, list[int]]:
+        """Every vertex's neighbours, listed once per triangulation."""
+        if self._neighbours is None:
+            nbrs: dict[int, list[int]] = {}
+            for u, v in self.edges:
+                nbrs.setdefault(u, []).append(v)
+                nbrs.setdefault(v, []).append(u)
+            self._neighbours = nbrs
+        return self._neighbours
 
     def canonical_key(self) -> bytes:
         return ";".join(f"{u},{v}" for u, v in sorted(self.edges)).encode("ascii")
@@ -494,37 +527,118 @@ class Triangulation:
         out.sort()
         return out
 
-    def flip_is_legal(self, move: FlipMove) -> bool:
-        aps = self.edge_apexes().get(move.removed)
-        if aps is None or len(aps) != 2:
-            return False
-        if edge(*aps) != move.inserted:
-            return False
-        return flip_is_convex(self.domain, *move.removed, *aps)
-
     def apply_flip(self, move: FlipMove) -> "Triangulation":
-        if not self.flip_is_legal(move):
-            raise IllegalFlipError(f"illegal flip {move}")
+        return replay(self, (move,))
+
+    def apply_script(self, moves) -> "Triangulation":
+        return replay(self, moves)
+
+
+def replay(t: Triangulation, moves, on_flip=None) -> Triangulation:
+    """The triangulation that `moves` lead to from `t`, which stays as it is.
+
+    The edge set and the apex map are copied once and then updated in
+    place.  A move is legal when its removed edge has two apexes, its
+    inserted edge joins them and the quadrilateral is strictly convex
+    (`flip_is_convex`); the apexes then change through `quad_sides`, and
+    the edges are already normalised, so no face walk and no `edge()` pass
+    runs.  An illegal move raises `IllegalFlipError` carrying its index.
+    When given, `on_flip(move, edges)` sees the live edge set after each
+    flip.
+    """
+    domain = t.domain
+    edges = set(t.edges)
+    apexes = dict(t.edge_apexes())
+    for i, move in enumerate(moves):
         removed, inserted = move
-        # the apexes move with the flip: five entries change, and the
-        # edges are already normalised, so no face walk and no `edge()` pass
-        apexes = self.edge_apexes().copy()
+        aps = apexes.get(removed)
+        if aps is None or len(aps) != 2 or edge(*aps) != inserted \
+                or not flip_is_convex(domain, *removed, *aps):
+            raise IllegalFlipError(f"illegal flip {move}", index=i)
         del apexes[removed]
         apexes[inserted] = list(removed)
         for side, old, new in quad_sides(removed, inserted):
             apexes[side] = [new if w == old else w for w in apexes[side]]
-        child = Triangulation.__new__(Triangulation)
-        child.domain = self.domain
-        child.edges = (self.edges - {removed}) | {inserted}
-        child._triangles = None
-        child._apexes = apexes
-        return child
+        edges.discard(removed)
+        edges.add(inserted)
+        if on_flip is not None:
+            on_flip(move, edges)
+    out = Triangulation.__new__(Triangulation)
+    out.domain = domain
+    out.edges = frozenset(edges)
+    out._triangles = None
+    out._apexes = apexes
+    out._neighbours = None
+    return out
 
-    def apply_script(self, moves) -> "Triangulation":
-        t = self
-        for m in moves:
-            t = t.apply_flip(m)
-        return t
+
+def walk_segment(t: Triangulation, p: int, q: int):
+    """The straight walk from vertex p toward vertex q (Devillers, Pion and
+    Teillaud, "Walking in a triangulation", IJFCS 2002).
+
+    Returns `(crossed, met)`: the edges whose interiors the open segment pq
+    crosses and the vertices that lie inside it, each in the order met; or
+    None when the segment leaves the domain.  The walk visits only the
+    triangles the segment passes through.  From a vertex it rotates
+    through the vertex's triangles for the one whose corner holds the
+    direction to q, with one orientation per neighbour and at most two
+    more; then it crosses one edge per step, with one orientation for the
+    apex beyond.  From a vertex inside the segment it carries on the same
+    way; at a boundary edge (one triangle) it would leave the domain.  `t`
+    must be a valid triangulation.
+    """
+    orient = t.domain.orient
+    ip = t.domain.ipoints
+    apexes = t.edge_apexes()
+    nbrs = t.neighbours()
+    qx, qy = ip[q]
+    crossed: list[Edge] = []
+    met: list[int] = []
+    v = p
+    while True:
+        vx, vy = ip[v]
+        side = {}
+        for w in nbrs[v]:
+            s = side[w] = orient(v, w, q)
+            wx, wy = ip[w]
+            if s == 0 and (wx - vx) * (qx - vx) + (wy - vy) * (qy - vy) > 0:
+                break               # w lies on the segment: q, or inside it
+        else:
+            w = None
+        if w == q:
+            return crossed, met
+        if w is not None:
+            met.append(w)
+            v = w
+            continue
+        # q's direction lies strictly inside the corner at v of a triangle
+        # (v, right, left), counterclockwise; the corner opposite it has
+        # the same signs but turns clockwise
+        corner = next(((a, b) for a in nbrs[v] if side[a] > 0
+                       for b in apexes[edge(v, a)]
+                       if side[b] < 0 and orient(v, a, b) > 0), None)
+        if corner is None:
+            return None             # the segment leaves the domain at v
+        right, left = corner
+        prev = v
+        while True:
+            e = edge(left, right)
+            crossed.append(e)
+            aps = apexes[e]
+            if len(aps) < 2:
+                return None         # a boundary edge: it leaves the domain
+            c = aps[1] if aps[0] == prev else aps[0]
+            if c == q:
+                return crossed, met
+            s = orient(v, q, c)
+            if s > 0:
+                left, prev = c, left
+            elif s < 0:
+                right, prev = c, right
+            else:
+                met.append(c)
+                v = c
+                break
 
 
 def edge_difference(t1: Triangulation, t2: Triangulation):
@@ -575,7 +689,7 @@ def validate(t: Triangulation) -> ValidationReport:
 
     count_ok = len(t.edges) == domain.expected_edge_count
     if report.ok and count_ok:
-        certificate = _certificate(domain, t.edges)
+        certificate = _certificate(t)
         if not certificate:
             return report
 
@@ -597,12 +711,14 @@ def validate(t: Triangulation) -> ValidationReport:
     return report
 
 
-def _certificate(domain, edges) -> list[str]:
+def _certificate(t: Triangulation) -> list[str]:
     """The violations of `validate`'s local certificate, for edges that are
     in range, include the boundary, use every point and have the maximal
-    count."""
+    count.  It reads `t`'s triangles and apexes, which `t` keeps, so a
+    replay from a validated triangulation does not derive them again."""
+    domain = t.domain
     try:
-        tris = derive_triangles(domain, edges)
+        tris = t.triangles
     except ValidationError as exc:
         return [str(exc)]
     out = []
@@ -612,11 +728,11 @@ def _certificate(domain, edges) -> list[str]:
     ip = domain.ipoints
     area2 = sum(abs(polygon_signed_area2((ip[a], ip[b], ip[c])))
                 for a, b, c in tris)
-    apexes = triangle_apexes(tris)
+    apexes = t.edge_apexes()
     darts = {edge(a, b): (a, b) for c in domain.boundary_cycles
              for a, b in zip(c, c[1:] + c[:1])}
     orient = domain.orient
-    for e in edges:
+    for e in t.edges:
         aps = apexes.get(e, [])
         dart = darts.get(e)
         want = 1 if dart else 2

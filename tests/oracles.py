@@ -6,13 +6,17 @@ from typing import NamedTuple
 
 import networkx as nx
 
-from flipdist.errors import Not3ConnectedError, NotPlanarError, ValidationError
-from flipdist.geometry import (HalfPlane, Point2, _between, on_segment,
-                               orientation, point_in_cycle,
-                               polygon_signed_area2, segments_share_interior,
-                               touching_pairs)
-from flipdist.triangulation import (Edge, ValidationReport, canonical_cycle,
-                                    derive_triangles, edge, triangle_apexes)
+from flipdist.errors import (IllegalFlipError, Not3ConnectedError,
+                             NotPlanarError, ValidationError)
+from flipdist.gadgets import channel_region
+from flipdist.geometry import (HalfPlane, Point2, _between, _collinear_overlap,
+                               _in_box, on_segment, orientation,
+                               point_in_cycle, polygon_signed_area2,
+                               segments_share_interior, touching_pairs)
+from flipdist.triangulation import (Edge, Triangulation, ValidationReport,
+                                    canonical_cycle, derive_triangles, edge,
+                                    flip_is_convex, quad_sides,
+                                    triangle_apexes)
 
 
 def validate_by_segments(t) -> ValidationReport:
@@ -154,9 +158,29 @@ def canonical_cycle_all_rotations(cycle) -> tuple:
     return best
 
 
+def edges_crossing_segment(t, p, q) -> set:
+    """The oracle of `triangulation.walk_segment`'s crossed edges: every
+    edge of t properly crossing the open segment p-q, by a scan.
+
+    Every point's side of line pq is computed once; only an edge whose
+    endpoints lie strictly on opposite sides can cross, and only such an
+    edge has p and q tested against its own line.
+    """
+    ip = t.domain.ipoints
+    a, b = ip[p], ip[q]
+    side = [orientation(a, b, c) for c in ip]
+    out = set()
+    for (u, v) in t.edges:
+        if side[u] * side[v] < 0:
+            c, d = ip[u], ip[v]
+            if orientation(c, d, a) * orientation(c, d, b) < 0:
+                out.add((u, v))
+    return out
+
+
 def edges_crossing_segment_four_tests(t, p, q) -> set:
-    """The oracle of `gadgets.edges_crossing_segment`: the four orientation
-    tests of a proper crossing on every edge not incident to p or q."""
+    """The oracle of `edges_crossing_segment`: the four orientation tests
+    of a proper crossing on every edge not incident to p or q."""
     ip = t.domain.ipoints
     a, b = ip[p], ip[q]
     out = set()
@@ -414,21 +438,93 @@ def segment_inside_by_midpoint(region, i, j) -> bool:
     return point_location(region, (a[0] + b[0], a[1] + b[1])) > 0
 
 
+def segment_in_domain_by_pieces(region, p, q) -> bool:
+    """The oracle of `triangulation.walk_segment` staying in the domain:
+    the points on the closed segment pq, in order along it, cut it into
+    pieces, and each piece must pass `PolygonalRegion.segment_inside`."""
+    ip = region.ipoints
+    a, b = ip[p], ip[q]
+    on = sorted((k for k in range(len(ip)) if on_segment(ip[k], a, b)),
+                key=lambda k: abs(ip[k][0] - a[0]) + abs(ip[k][1] - a[1]))
+    return all(region.segment_inside(u, v) for u, v in zip(on, on[1:]))
+
+
 def check_nesting_unfiltered(region):
     """The oracle of `PolygonalRegion._check_nesting`: the same checks and
-    messages, locating every query point with `point_in_cycle` and no
-    bounding-box filter."""
+    messages, locating every hole's first vertex with `point_in_cycle`
+    against every other cycle, each pair of holes both ways."""
     ip = region.ipoints
     outer = [ip[i] for i in region.outer]
     for h in list(region.poly_holes) + [[p] for p in region.point_holes]:
         if point_in_cycle(ip[h[0]], outer) <= 0:
             raise ValidationError(
                 f"hole vertex {h[0]} is not strictly inside the outer boundary")
-    for hi, h1 in enumerate(region.poly_holes):
+    for h1 in region.poly_holes:
         cyc = [ip[i] for i in h1]
-        for h2 in region.poly_holes[hi + 1:]:
-            if point_in_cycle(ip[h2[0]], cyc) > 0:
+        for h2 in region.poly_holes:
+            if h2 is not h1 and point_in_cycle(ip[h2[0]], cyc) > 0:
                 raise ValidationError("nested holes")
         for p in region.point_holes:
             if point_in_cycle(ip[p], cyc) > 0:
                 raise ValidationError(f"point hole {p} inside a polygonal hole")
+
+
+def segments_share_interior_four_orientations(a, b, c, d) -> bool:
+    """The oracle of `geometry.segments_share_interior`: all four
+    orientations first, then the endpoint and collinear cases."""
+    o1 = orientation(a, b, c)
+    o2 = orientation(a, b, d)
+    o3 = orientation(c, d, a)
+    o4 = orientation(c, d, b)
+    if o1 and o2 and o3 and o4:
+        return o1 != o2 and o3 != o4
+    if (o1 == 0 and c != a and c != b and _in_box(c, a, b)) \
+            or (o2 == 0 and d != a and d != b and _in_box(d, a, b)) \
+            or (o3 == 0 and a != c and a != d and _in_box(a, c, d)) \
+            or (o4 == 0 and b != c and b != d and _in_box(b, c, d)):
+        return True
+    return o1 == o2 == o3 == o4 == 0 and _collinear_overlap(a, b, c, d)
+
+
+def chain_pair_blocked_by_segments(ch):
+    """The oracle of `gadgets.channel_invariant_report`'s visibility check:
+    the first chain pair (i, j), upper then lower, that fails
+    `PolygonalRegion.segment_inside` in the channel's own region, or None
+    when every pair sees each other."""
+    region = channel_region(ch)
+    n = ch.n
+    for i in range(n):
+        for j in range(n, 2 * n):
+            if not region.segment_inside(i, j):
+                return i, j
+    return None
+
+
+def apply_flip_by_copy(t, move):
+    """The oracle of `triangulation.replay` for one move: a new
+    triangulation with a fresh copy of the apex map, five entries changed."""
+    removed, inserted = move
+    aps = t.edge_apexes().get(removed)
+    if aps is None or len(aps) != 2 or edge(*aps) != inserted \
+            or not flip_is_convex(t.domain, *removed, *aps):
+        raise IllegalFlipError(f"illegal flip {move}")
+    apexes = t.edge_apexes().copy()
+    del apexes[removed]
+    apexes[inserted] = list(removed)
+    for side, old, new in quad_sides(removed, inserted):
+        apexes[side] = [new if w == old else w for w in apexes[side]]
+    child = Triangulation(t.domain, (t.edges - {removed}) | {inserted})
+    child._apexes = apexes
+    return child
+
+
+def replay_by_copies(t, moves):
+    """The oracle of `triangulation.replay`: the chain of
+    `apply_flip_by_copy` calls, one triangulation per move.  Returns the
+    end, or the index of the first illegal move."""
+    for i, m in enumerate(moves):
+        try:
+            t = apply_flip_by_copy(t, m)
+        except IllegalFlipError:
+            return i
+    return t

@@ -217,6 +217,14 @@ def test_reduce_large_prism_passes_at_threshold(tmp_path, capsys, n, length):
     assert out["length"] == length
 
 
+@pytest.mark.slow
+def test_reduce_20_prism_passes_at_threshold(tmp_path, capsys):
+    # `graph_pipeline`, not `prism_pipeline`: a brute-force cover check on
+    # 40 vertices would try 2^40 subsets
+    k, acc, out = graph_pipeline(tmp_path, capsys, prism_graph_text(20))
+    assert (k, acc["channel_count"], out["length"]) == (20, 100, 2880)
+
+
 def test_reduce_rejects_nonplanar(tmp_path, capsys):
     text = "\n".join([f"v {i}" for i in range(5)]
                      + [f"e {i} {j}" for i in range(5) for j in range(i + 1, 5)])

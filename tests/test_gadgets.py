@@ -4,19 +4,21 @@ from fractions import Fraction
 
 import pytest
 
-from flipdist import gadgets, instanceio
-from flipdist.errors import InfeasibleSagError
+from flipdist import instanceio, triangulation
+from flipdist.errors import InfeasibleSagError, ValidationError
 from flipdist.gadgets import (
     Channel, blocking_set, build_channel, canonical_capped_edges,
-    capped_transform_moves, channel_mouths, channel_region,
-    channel_triangulations, edges_crossing_segment, left_to_canonical_moves,
+    capped_transform_moves, channel_invariant_report, channel_mouths,
+    channel_region,
+    channel_triangulations, left_to_canonical_moves,
     left_edges, right_edges, right_to_canonical_moves,
 )
 from flipdist.geometry import on_segment, orientation, pt
 from flipdist.search import (bfs_distance, count_polygon_triangulations,
                              enumerate_flip_graph, exact_distance)
 from flipdist.triangulation import PolygonalRegion, Triangulation, edge, validate
-from oracles import edges_crossing_segment_four_tests
+from oracles import (chain_pair_blocked_by_segments, edges_crossing_segment,
+                     edges_crossing_segment_four_tests)
 
 
 def figure_channel(n=7, sag=Fraction(1, 160)):
@@ -34,6 +36,74 @@ def test_build_channel_invariants():
     for i in range(7):
         for j in range(7, 14):
             assert region.segment_inside(i, j)
+
+
+def sagged_channel(sag, n=7, jitter=None):
+    """Chains along y = 40 and y = -40, each interior vertex displaced
+    toward the axis by sag * i * (n-1-i) (away from it for sag < 0) and,
+    with a `random.Random`, by a small random offset; no check is made."""
+    def chain(y, sign):
+        pts = []
+        for i in range(n):
+            dx, dy = (jitter.randint(-3, 3), jitter.randint(-3, 3)) \
+                if jitter else (0, 0)
+            pts.append(pt(-60 + Fraction(120 * i, n - 1) + dx,
+                          y - sign * sag * i * (n - 1 - i) + dy))
+        return tuple(pts)
+    return Channel(chain(40, 1), chain(-40, -1))
+
+
+def test_channel_report_matches_pairwise_oracle(c3_instance):
+    """The walks decide visibility as the pairwise `segment_inside` loop
+    does: with the left fan valid they name its first blocked pair, and
+    the fan is invalid only when some pair is blocked.  Channels: the C3
+    instance's, one whose blocked pair runs through a vertex, and sagged
+    ones that pass, bulge outward, pinch shut or cross, with and without
+    random offsets."""
+    pts = c3_instance.region.points
+    channels = [Channel(tuple(pts[i] for i in rec.upper),
+                        tuple(pts[i] for i in rec.lower))
+                for rec in c3_instance.channels.values()]
+    # upper[2] and lower[0] are collinear with lower[1], which the walk
+    # meets after crossing two edges
+    channels.append(Channel((pt(0, 7), pt(5, 7), pt(9, 5)),
+                            (pt(1, 1), pt(3, 2), pt(9, 1))))
+    rng = random.Random(5)
+    for sag in (Fraction(-2), Fraction(1, 160), Fraction(1), Fraction(2),
+                Fraction(3), Fraction(4), Fraction(9, 2), Fraction(5)):
+        channels.append(sagged_channel(sag))
+        channels += [sagged_channel(sag, jitter=rng) for _ in range(12)]
+    outcomes = set()
+    for ch in channels:
+        report = channel_invariant_report(ch)
+        try:
+            blocked = chain_pair_blocked_by_segments(ch)
+        except ValidationError:
+            assert report[0].startswith("channel polygon invalid")
+            outcomes.add("polygon")
+            continue
+        seen = [m for m in report if "see each other" in m
+                or m.startswith("left-inclined triangulation invalid")]
+        if blocked is None:
+            assert seen == []
+            outcomes.add("sees")
+        elif seen[0].startswith("left-inclined"):
+            assert len(seen) == 1
+            outcomes.add("fan")
+        else:
+            i, j = blocked
+            assert seen == [f"chain vertices {i} and {j} do not see each other"]
+            outcomes.add("pair")
+    assert outcomes == {"polygon", "sees", "fan", "pair"}
+
+
+def test_blocking_set_names_a_segment_that_leaves_the_domain():
+    # the chord between the ends of a sagging chain passes outside the
+    # channel, so the walk along it stops at a boundary edge
+    _, t_left, _ = channel_triangulations(figure_channel())
+    with pytest.raises(ValidationError,
+                       match=r"segment \(0, 6\) leaves the domain"):
+        blocking_set(t_left, 0, (6, 13))
 
 
 def test_build_channel_rejects_zero_sag():
@@ -264,12 +334,15 @@ def test_crossing_scan_matches_four_test_oracle(c3_instance):
             edges_crossing_segment_four_tests(t, p, q)
 
 
-def test_blocking_set_orients_each_point_once(c3_instance, monkeypatch):
-    """`blocking_set` makes at most one orientation call per point and
-    segment, plus two per edge whose endpoints straddle the segment's line."""
+def test_blocking_set_walk_cost_is_local(c3_instance, monkeypatch):
+    """`blocking_set` walks from the cap: each of its two walks makes one
+    orientation call per neighbour of the cap, at most two more to pick the
+    cap's triangle, and at most one per crossed edge, so at most
+    2 * (deg(cap) + |found| + 2) calls however many edges t has."""
     inst = c3_instance
     t = inst.t1
-    ip = t.domain.ipoints
+    nbrs = t.neighbours()
+    t.edge_apexes()
     calls = []
 
     def counted(p, q, r):
@@ -280,17 +353,11 @@ def test_blocking_set_orients_each_point_once(c3_instance, monkeypatch):
     for rec in inst.channels.values():
         for v, cap in rec.caps.items():
             gate = edge(*rec.gates[v])
-            bound = 0
-            for end in gate:
-                a, b = ip[cap], ip[end]
-                straddling = sum(1 for u, w in t.edges
-                                 if orientation(a, b, ip[u])
-                                 * orientation(a, b, ip[w]) < 0)
-                bound += len(ip) + 2 * straddling
             calls.clear()
             with monkeypatch.context() as m:
-                m.setattr(gadgets, "orientation", counted)
-                blocking_set(t, cap, gate)
-            assert 0 < len(calls) <= bound
+                m.setattr(triangulation, "orientation", counted)
+                found = blocking_set(t, cap, gate)
+            bound = 2 * (len(nbrs[cap]) + len(found) + 2)
+            assert 0 < len(calls) <= bound < len(t.edges) // 4
             checked += 1
     assert checked == 6

@@ -16,7 +16,8 @@ from flipdist.geometry import (
 from oracles import (SidedHalfPlane, angular_key, coarsest_dyadic_by_scan,
                      fourier_motzkin_on_fractions,
                      fourier_motzkin_with_strictness,
-                     is_subset_by_closed_complement, is_subset_on_fractions)
+                     is_subset_by_closed_complement, is_subset_on_fractions,
+                     segments_share_interior_four_orientations)
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=64)
 points = st.builds(Point2, rationals, rationals)
@@ -106,6 +107,26 @@ def test_segments_share_interior():
     # a shared endpoint alone, collinear or not, is no interior contact
     assert not segments_share_interior(pt(0, 0), pt(1, 0), pt(1, 0), pt(2, 0))
     assert not segments_share_interior(pt(0, 0), pt(1, 0), pt(0, 0), pt(0, 1))
+
+
+# integer points on a 5 x 5 grid: collinear, touching and shared-endpoint
+# pairs of segments are common
+grid_points = st.tuples(st.integers(0, 4), st.integers(0, 4))
+
+
+@settings(max_examples=500)
+@given(grid_points, grid_points, grid_points, grid_points)
+@example((0, 0), (2, 2), (0, 2), (2, 0))       # proper crossing
+@example((0, 0), (2, 0), (1, 0), (1, 1))       # endpoint inside the other
+@example((0, 0), (2, 0), (1, 0), (3, 0))       # collinear overlap
+@example((0, 0), (1, 0), (1, 0), (2, 0))       # collinear, shared end
+@example((0, 0), (1, 0), (2, 0), (3, 0))       # collinear, apart
+@example((0, 0), (2, 0), (1, 1), (3, 1))       # one side of line ab
+def test_segments_share_interior_matches_four_orientation_oracle(a, b, c, d):
+    # the early exit, when c and d lie strictly on one side of line ab,
+    # changes no answer, on zero-length segments (point holes) too
+    assert segments_share_interior(a, b, c, d) == \
+        segments_share_interior_four_orientations(a, b, c, d)
 
 
 def test_strictly_convex_quad():

@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -9,7 +10,7 @@ from flipdist.errors import (IllegalScriptError, Not3ConnectedError,
                              NotACoverError, NotPlanarError, ValidationError)
 from flipdist.gadgets import (Channel, blocking_set, channel_mouths,
                               channel_region)
-from flipdist.geometry import orientation, pt, touching_pairs
+from flipdist.geometry import on_segment, orientation, pt, touching_pairs
 from flipdist.reduction import (ReductionInstance, _embedding,
                                 _shear_off_diagonals, audit_script,
                                 build_instance, convex_drawing,
@@ -19,10 +20,11 @@ from flipdist.reduction import (ReductionInstance, _embedding,
 from flipdist.search import FlipScript, exact_distance, lower_bound
 from flipdist.triangulation import (FlipMove, Triangulation, canonical_cycle,
                                     derive_triangles, edge, hull_cycle,
-                                    validate)
+                                    validate, walk_segment)
 from flipdist.vertexcover import Graph, exact_vc
 
-from oracles import embedding_faces_by_networkx, segment_inside_by_midpoint
+from oracles import (edges_crossing_segment, embedding_faces_by_networkx,
+                     segment_in_domain_by_pieces, segment_inside_by_midpoint)
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 PRISM_EDGES = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
@@ -275,6 +277,63 @@ def test_segment_inside_matches_midpoint_oracle(c3_instance, k4_instance):
         assert got == segment_inside_by_midpoint(region, i, j), (i, j)
         inside += got
     assert checked > 10000 and inside > len(inst.t1.edges)
+
+
+def test_walk_matches_crossing_scan_on_k4(k4_instance):
+    """On every ordered pair of points of the K4 region, in t1 and in t2,
+    a walk that stays in the domain crosses exactly the edges the scan
+    finds, and the vertices it meets lie inside the segment; some of these
+    segments run through vertices."""
+    inst = k4_instance[0]
+    ip = inst.region.ipoints
+    n = len(ip)
+    inside = through = 0
+    for t in (inst.t1, inst.t2):
+        for p in range(n):
+            for q in range(n):
+                walk = walk_segment(t, p, q) if p != q else None
+                if walk is None:
+                    continue
+                crossed, met = walk
+                assert len(set(crossed)) == len(crossed)
+                assert set(crossed) == edges_crossing_segment(t, p, q)
+                assert all(on_segment(ip[w], ip[p], ip[q], closed=False)
+                           for w in met)
+                inside += 1
+                through += bool(met)
+    assert inside == 2 * 3628 and through == 2 * 172
+
+
+def test_walk_visibility_matches_segment_inside_on_k4(k4_instance):
+    """Every ordered pair of points of the K4 region sees each other iff
+    the walk in t1 stays in the domain and meets no vertex; on a sample
+    and on every pair through a vertex, the walk leaves the domain iff a
+    piece of the segment between the points on it fails `segment_inside`."""
+    inst = k4_instance[0]
+    region, t = inst.region, inst.t1
+    n = len(region.points)
+    walks = {(p, q): walk_segment(t, p, q)
+             for p in range(n) for q in range(n) if p != q}
+    assert len(walks) == 61256
+    for (p, q), walk in walks.items():
+        assert (walk is not None and not walk[1]) == \
+            region.segment_inside(p, q), (p, q)
+    rng = random.Random(29)
+    sample = rng.sample(sorted(walks), 1500) + \
+        [pq for pq, walk in walks.items() if walk is not None and walk[1]]
+    for p, q in sample:
+        assert (walks[p, q] is not None) == \
+            segment_in_domain_by_pieces(region, p, q), (p, q)
+
+
+def test_grid_scaling_builds_no_fraction_on_k4(k4_instance, count_fractions):
+    region = k4_instance[0].region
+    scale = lcm(*(c.denominator for p in region.points for c in p))
+    want = [(int(p.x * scale), int(p.y * scale)) for p in region.points]
+    assert region.ipoints == want
+    with count_fractions() as built:
+        region._setup_grid()
+    assert built == [] and region.ipoints == want
 
 
 def test_derive_triangles_builds_no_fraction(k4_instance, count_fractions):

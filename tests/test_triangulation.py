@@ -1,10 +1,12 @@
 import random
 from collections import defaultdict
 from fractions import Fraction
+from math import lcm
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import (HealthCheck, example, given, settings,
+                        strategies as st)
 
 from flipdist.errors import DomainMismatchError, IllegalFlipError, ValidationError
 from flipdist.gadgets import build_channel, channel_region, channel_triangulations
@@ -15,11 +17,12 @@ from flipdist.search import (_FlipKernel, _key, bfs_distance,
 from flipdist.triangulation import (
     FlipMove, PointSet, PolygonalRegion, Triangulation, canonical_cycle,
     derive_triangles, ear_clip_triangulation, edge, edge_difference,
-    flip_is_convex, triangle_apexes, validate,
+    flip_is_convex, replay, triangle_apexes, validate, walk_segment,
 )
 from flipdist import instanceio
-from oracles import (canonical_cycle_all_rotations, check_nesting_unfiltered,
-                     flip_graph_by_triangulations, segment_inside_by_midpoint,
+from oracles import (apply_flip_by_copy, canonical_cycle_all_rotations,
+                     check_nesting_unfiltered, flip_graph_by_triangulations,
+                     replay_by_copies, segment_inside_by_midpoint,
                      validate_by_segments, validate_with_sweep)
 
 
@@ -278,10 +281,10 @@ dots = st.lists(st.tuples(st.integers(1, 10), st.integers(1, 10)),
 @example([[(2, 2), (10, 2), (6, 10)]], [(6, Fraction(19, 2))])
 @example([[(2, 2), (10, 2), (2, 10)]], [(Fraction(5, 2), 5)])
 def test_nesting_check_matches_unfiltered_oracle(tris, dots):
-    """The bounding-box filter changes no answer: triangular holes and
-    point holes in a 12 x 12 square, nested, inside a hole's box but not
-    the hole, or outside the square, give the same message (or none) as
-    the oracle that locates every point."""
+    """The sweep changes no answer: triangular holes and point holes in a
+    12 x 12 square, nested, inside a hole's box but not the hole, or
+    outside the square, give the same message (or none) as the oracle that
+    locates every hole's first vertex against every other cycle."""
     points = [pt(0, 0), pt(12, 0), pt(12, 12), pt(0, 12)]
     holes = []
     for tri_pts in tris:
@@ -296,6 +299,37 @@ def test_nesting_check_matches_unfiltered_oracle(tris, dots):
     with mock.patch.object(PolygonalRegion, "_check_nesting",
                            check_nesting_unfiltered):
         assert region_outcome(points, [0, 1, 2, 3], holes) == got
+
+
+@pytest.mark.parametrize("inner_first", [True, False])
+def test_nested_square_holes_rejected_in_either_order(inner_first):
+    # the square (4,4)-(6,6) inside the square (2,2)-(8,8), both clockwise
+    # holes of a 10 x 10 square: nesting is found whichever comes first
+    inner = [pt(4, 4), pt(4, 6), pt(6, 6), pt(6, 4)]
+    outer = [pt(2, 2), pt(2, 8), pt(8, 8), pt(8, 2)]
+    holes = inner + outer if inner_first else outer + inner
+    points = [pt(0, 0), pt(10, 0), pt(10, 10), pt(0, 10)] + holes
+    cycles = [[4, 5, 6, 7], [8, 9, 10, 11]]
+    assert region_outcome(points, [0, 1, 2, 3], cycles) == "nested holes"
+    with mock.patch.object(PolygonalRegion, "_check_nesting",
+                           check_nesting_unfiltered):
+        assert region_outcome(points, [0, 1, 2, 3], cycles) == "nested holes"
+
+
+@settings(max_examples=100,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(st.fractions(-50, 50, max_denominator=1000),
+                          st.fractions(-50, 50, max_denominator=1000)),
+                min_size=1, max_size=12, unique=True))
+def test_grid_scaling_builds_no_fraction(count_fractions, coords):
+    # integer scaling gives the grid that Fraction products gave
+    region = PolygonalRegion.__new__(PolygonalRegion)
+    region.points = tuple(pt(x, y) for x, y in coords)
+    scale = lcm(*(c.denominator for p in region.points for c in p))
+    want = [(int(p.x * scale), int(p.y * scale)) for p in region.points]
+    with count_fractions() as built:
+        region._setup_grid()
+    assert built == [] and region.ipoints == want
 
 
 # a square and a triangle inside it with non-integer coordinates, so the
@@ -508,6 +542,69 @@ def test_carried_apexes_match_face_walk(differential_seeds, seed):
         t = t.apply_flip(rng.choice(moves))
         fresh = triangle_apexes(derive_triangles(t.domain, t.edges))
         assert sorted_apexes(t.edge_apexes()) == sorted_apexes(fresh)
+
+
+def test_walk_carries_on_from_a_vertex_met_mid_segment():
+    # from (0,0) toward (4,4) the walk crosses edge (5, 6) and then meets
+    # the centre (2,2) as the apex beyond it; from (4,4) it meets the
+    # centre at once, along an edge
+    ps = PointSet([pt(0, 0), pt(4, 0), pt(4, 4), pt(0, 4), pt(2, 2),
+                   pt(1, 2), pt(2, 1)])
+    t = Triangulation(ps, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 6), (0, 5),
+                           (5, 6), (4, 6), (4, 5), (1, 6), (1, 4), (2, 4),
+                           (3, 5), (3, 4)])
+    assert validate(t).ok
+    assert walk_segment(t, 0, 2) == ([(5, 6)], [4])
+    assert walk_segment(t, 2, 0) == ([(5, 6)], [4])
+    assert walk_segment(t, 0, 4) == ([(5, 6)], [])
+    assert not ps.segment_inside(0, 2) and ps.segment_inside(0, 4)
+
+
+def illegal_moves(t):
+    """Moves that are illegal in t: every flip of a non-convex
+    quadrilateral, a legal flip's removed edge 'flipped' to itself, and a
+    boundary edge flipped to a legal flip's inserted edge."""
+    apexes = t.edge_apexes()
+    out = [FlipMove(e, edge(*aps)) for e, aps in sorted(apexes.items())
+           if len(aps) == 2 and not flip_is_convex(t.domain, *e, *aps)]
+    legal = t.legal_flips()
+    if legal:
+        out.append(FlipMove(legal[0].removed, legal[0].removed))
+        out.append(FlipMove(min(t.domain.mandatory_edges), legal[0].inserted))
+    return out
+
+
+@pytest.mark.parametrize("seed", WALK_SEEDS + ["c3_pointset"])
+def test_replay_matches_apply_flip_chain(differential_seeds, seed):
+    # a random script of legal flips: the in-place replay ends where the
+    # chain of copying flips ends, with the same apexes, and leaves its
+    # start as it was; with an illegal move spliced in, both stop there
+    t = differential_seeds[seed]
+    start_edges, start_apexes = t.edges, sorted_apexes(t.edge_apexes())
+    rng = random.Random(seed)
+    moves, states, cur = [], [t], t
+    for _ in range(40):
+        legal = cur.legal_flips()
+        if not legal:
+            break
+        moves.append(rng.choice(legal))
+        cur = apply_flip_by_copy(cur, moves[-1])
+        states.append(cur)
+    end = replay(t, moves)
+    assert end.edges == replay_by_copies(t, moves).edges == cur.edges
+    assert sorted_apexes(end.edge_apexes()) == sorted_apexes(cur.edge_apexes())
+    assert t.apply_script(moves).edges == end.edges
+    assert (t.edges, sorted_apexes(t.edge_apexes())) == \
+        (start_edges, start_apexes)
+    spliced = 0
+    for k in sorted(rng.sample(range(len(states)), min(6, len(states)))):
+        for bad in illegal_moves(states[k])[:3]:
+            script = moves[:k] + [bad] + moves[k:]
+            with pytest.raises(IllegalFlipError) as exc:
+                replay(t, script)
+            assert exc.value.index == replay_by_copies(t, script) == k
+            spliced += 1
+    assert spliced > 0
 
 
 @pytest.mark.parametrize("seed", WALK_SEEDS)
