@@ -8,8 +8,7 @@ from .errors import (CapExceededError, DomainMismatchError,
                      InvalidOuterFaceError, Not3ConnectedError, NotACoverError,
                      NotPlanarError, SharpVertexError, ValidationError)
 from .geometry import (CCW, COLLINEAR, CW, ConvexRegion, HalfPlane, Point2,
-                       coord_bits, interior_point, is_strictly_convex_quad,
-                       orientation, pt, segments_properly_cross)
+                       coord_bits, interior_point, orientation, pt)
 from .triangulation import (FlipMove, PointSet, PolygonalRegion, Triangulation,
                             edge, edge_difference, validate)
 from .search import (FlipScript, SearchResult, bfs_distance,

@@ -8,13 +8,9 @@ class FlipdistError(Exception):
 
 
 class ValidationError(FlipdistError):
-    """An object violates a structural invariant; `report` lists violations."""
+    """An object violates a structural invariant."""
 
     exit_code = 2
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report or [message]
 
 
 class DomainMismatchError(FlipdistError):
@@ -54,13 +50,9 @@ class SharpVertexError(FlipdistError):
 
 
 class EmptyFeasibleRegionError(FlipdistError):
-    """A gadget point has no admissible placement; `constraints` names the set."""
+    """A gadget point has no admissible placement."""
 
     exit_code = 3
-
-    def __init__(self, message, constraints=None):
-        super().__init__(message)
-        self.constraints = constraints
 
 
 class NotPlanarError(FlipdistError):
@@ -76,13 +68,9 @@ class InvalidOuterFaceError(FlipdistError):
 
 
 class NotACoverError(FlipdistError):
-    """`edge` is a witness edge left uncovered."""
+    """A graph edge is left uncovered."""
 
     exit_code = 2
-
-    def __init__(self, message, edge=None):
-        super().__init__(message)
-        self.edge = edge
 
 
 class CapExceededError(FlipdistError):

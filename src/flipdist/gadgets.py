@@ -26,7 +26,7 @@ from .errors import (EmptyFeasibleRegionError, IllegalFlipError,
                      InfeasibleSagError, SharpVertexError, ValidationError)
 from .geometry import (ConvexRegion, HalfPlane, Point2, halfplane_shift,
                        halfplane_through, interior_point, orientation,
-                       polygon_signed_area2, sorted_ccw)
+                       polygon_signed_area2, sorted_ccw, turn_reaches_pi)
 from .triangulation import (Edge, FlipMove, PolygonalRegion, Triangulation,
                             edge, validate, walk_segment)
 
@@ -420,8 +420,7 @@ def _place(name: str, halfplanes, fallbacks=()) -> Point2:
         if region.has_interior:
             return interior_point(region)
     raise EmptyFeasibleRegionError(
-        f"no admissible placement for gadget point {name}",
-        constraints=list(halfplanes))
+        f"no admissible placement for gadget point {name}")
 
 
 def _perimeter_walk(center: Point2, half: Fraction,
@@ -582,11 +581,10 @@ def _build_degree2(v: Point2, half_side: Fraction,
 def _build_degree3(v: Point2, half_side: Fraction,
                    stubs: Sequence[ChannelStub]) -> VertexGadget:
     ordered = sorted_ccw(stubs, lambda s: s.direction)
-    for a, b in zip(ordered, ordered[1:] + ordered[:1]):
-        cr = a.direction.cross(b.direction)
-        if cr < 0 or (cr == 0 and a.direction.dot(b.direction) < 0):
-            raise SharpVertexError(
-                "degree-3 vertex has an incident angle of at least pi")
+    if any(turn_reaches_pi(a.direction, b.direction)
+           for a, b in zip(ordered, ordered[1:] + ordered[:1])):
+        raise SharpVertexError(
+            "degree-3 vertex has an incident angle of at least pi")
     # role rotation is combinatorially free; take the first that admits a
     # placement (tight angular slivers can starve individual rotations)
     last_error = None

@@ -2,8 +2,8 @@
 
 Every predicate here is decided by an integer or rational sign computation;
 there is no floating point anywhere.  The kernel predicates (`orientation`,
-`on_segment`, `segments_properly_cross`, `segments_share_interior`,
-`point_in_cycle`, the counterclockwise order `ccw_compare`), the segment
+`on_segment`, `segments_share_interior`, `point_in_cycle`, the
+counterclockwise order `ccw_compare` and `turn_reaches_pi`), the segment
 sweep `touching_pairs` and `polygon_signed_area2` read points as plain
 `(x, y)` pairs by index, so one implementation serves both coordinate
 types: `Point2` values with `fractions.Fraction` coordinates, and the
@@ -87,20 +87,6 @@ def on_segment(p, a, b, closed: bool = True) -> bool:
     return orientation(a, b, p) == COLLINEAR and _in_box(p, a, b)
 
 
-def segments_properly_cross(a, b, c, d) -> bool:
-    """True iff open segments ab and cd share a point interior to both."""
-    o1 = orientation(a, b, c)
-    o2 = orientation(a, b, d)
-    o3 = orientation(c, d, a)
-    o4 = orientation(c, d, b)
-    if o1 != o2 and o3 != o4 and o1 != COLLINEAR and o2 != COLLINEAR \
-            and o3 != COLLINEAR and o4 != COLLINEAR:
-        return True
-    if o1 == o2 == COLLINEAR:
-        return _collinear_overlap(a, b, c, d)
-    return False
-
-
 def segments_share_interior(a, b, c, d) -> bool:
     """True iff segments ab and cd meet beyond shared endpoints: a proper
     crossing, an endpoint of one inside the other, or a collinear overlap."""
@@ -137,7 +123,8 @@ def touching_pairs(points, segments) -> list[tuple[int, int]]:
     pairs = []
     for k, i in enumerate(order):
         _, x_hi, y_lo, y_hi = boxes[i]
-        for j in order[k + 1:]:
+        for m in range(k + 1, len(order)):
+            j = order[m]
             box = boxes[j]
             if box[0] > x_hi:
                 break
@@ -204,12 +191,12 @@ def sorted_ccw(items, direction) -> list:
     return [items[i] for i in order]
 
 
-def is_strictly_convex_quad(a: Point2, b: Point2, c: Point2, d: Point2) -> bool:
-    """True iff a,b,c,d in this cyclic order form a strictly convex quad."""
-    quad = (a, b, c, d)
-    signs = {orientation(quad[i], quad[(i + 1) % 4], quad[(i + 2) % 4])
-             for i in range(4)}
-    return signs == {CCW} or signs == {CW}
+def turn_reaches_pi(d, e) -> bool:
+    """True iff the counterclockwise turn from direction d to direction e
+    is at least pi: the gap between consecutive directions around a vertex
+    that makes an incident angle of at least pi."""
+    c = d[0] * e[1] - d[1] * e[0]
+    return c < 0 or (c == 0 and d[0] * e[0] + d[1] * e[1] < 0)
 
 
 def polygon_signed_area2(points):

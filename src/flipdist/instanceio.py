@@ -68,7 +68,7 @@ def instance_to_dict(doc: InstanceDoc) -> dict:
     out: dict = {
         "points": [[frac_to_str(p.x), frac_to_str(p.y)] for p in domain.points],
     }
-    if isinstance(domain, PolygonalRegion):
+    if not isinstance(domain, PointSet):
         out["outer"] = list(domain.outer)
         out["holes"] = [list(h) for h in domain.holes]
     if doc.edges is not None:

@@ -30,7 +30,8 @@ from .gadgets import (Channel, ChannelStub, VertexGadget, blocking_set,
                       right_edges)
 from .geometry import (ConvexRegion, Point2, coord_bits, floor_log2,
                        halfplane_through, interior_point, orientation,
-                       polygon_signed_area2, sorted_ccw, touching_pairs)
+                       polygon_signed_area2, sorted_ccw, touching_pairs,
+                       turn_reaches_pi)
 from .instanceio import InstanceDoc
 from .search import FlipScript
 from .triangulation import (Edge, FlipMove, PolygonalRegion, PointSet,
@@ -76,24 +77,17 @@ class PlanarGraphDrawing:
         """Vertices with an incident angle of at least pi.
 
         Degree-3 vertices are sharp when a gap between consecutive edge
-        directions reaches pi; degree-2 vertices only at exactly pi.
+        directions reaches pi; degree-2 vertices only at exactly pi, where
+        both gaps do.
         """
         out = []
         for v in self.pos:
             dirs = [self.direction(v, w) for w in self.neighbors_ccw(v)]
-            k = len(dirs)
-            if k <= 1:
+            if len(dirs) <= 1:
                 continue
-            if k == 2:
-                if dirs[0].cross(dirs[1]) == 0 and dirs[0].dot(dirs[1]) < 0:
-                    out.append(v)
-                continue
-            for i in range(k):
-                a, b = dirs[i], dirs[(i + 1) % k]
-                cr = a.cross(b)
-                if cr < 0 or (cr == 0 and a.dot(b) < 0):
-                    out.append(v)
-                    break
+            gaps = map(turn_reaches_pi, dirs, dirs[1:] + dirs[:1])
+            if (all if len(dirs) == 2 else any)(gaps):
+                out.append(v)
         return out
 
 
@@ -852,9 +846,7 @@ def build_instance(drawing: PlanarGraphDrawing, k_input: int,
         for u in drawing.adj[failed_at]:
             scale[edge(failed_at, u)] /= 2
     else:
-        raise EmptyFeasibleRegionError(
-            f"vertex {failed_at}: {last_exc}",
-            constraints=getattr(last_exc, "constraints", None))
+        raise EmptyFeasibleRegionError(f"vertex {failed_at}: {last_exc}")
 
     # channels with reflex chains; sag halved until the mouth audit passes
     channel_obj: dict[tuple[int, int], Channel] = {}
@@ -1080,7 +1072,7 @@ def cover_to_script(inst: ReductionInstance, cover) -> FlipScript:
             f"cover names vertices {sorted(unknown)} that are not in the graph")
     for key in inst.graph_edges:
         if not (set(key) & cover):
-            raise NotACoverError(f"edge {key} is uncovered", edge=key)
+            raise NotACoverError(f"edge {key} is uncovered")
     moves: list[FlipMove] = []
     for v in sorted(cover):
         g = inst.gadgets[v]

@@ -17,7 +17,7 @@ def _fmt(x: Fraction) -> str:
     return f"{float(x):.3f}"
 
 
-def render_instance_svg(doc: InstanceDoc, show_triangles: bool = True) -> str:
+def render_instance_svg(doc: InstanceDoc) -> str:
     domain = doc.domain
     tri_source = doc.t1 or doc.edges
     pts = domain.points
@@ -46,7 +46,7 @@ def render_instance_svg(doc: InstanceDoc, show_triangles: bool = True) -> str:
         for c in doc.gadget_metadata.get("channels", ()):
             caps.update(c["caps"].values())
 
-    if show_triangles and tri_source is not None:
+    if tri_source is not None:
         lines.append('<g fill="#dce9f5" stroke="none" class="triangles">')
         for a, b, c in sorted(tri_source.triangles):
             pa, pb, pc = xy(a), xy(b), xy(c)

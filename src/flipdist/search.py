@@ -1,23 +1,23 @@
 """Exact flip-distance search and flip-graph enumeration.
 
 The primary solver is a bidirectional best-first search with the admissible
-edge-difference lower bound (each flip replaces exactly one edge, so at least
-|edges(t1) - edges(t2)| flips are needed).  It and flip-graph enumeration run
-on a per-call flip kernel whose state is the sorted tuple of integer edge
-ids plus, per edge, its flip: the id `a` of its opposite edge (the edge its
-flip would insert) when the flip is legal, `~a` when it is not; a flip
-updates five entries of that state, and decides the legality of each
-changed entry once, in place of rebuilding the state from the triangles
-and testing every edge again.  A state is known by an exact edge bitmask,
-so duplicate children cost an integer lookup, and canonical bytes are
-built once per kept state.  Enumeration numbers its nodes densely as they
-are found and builds no key: its `FlipGraph` reports its node and flip
-counts from the dense index form, and builds the canonical keys and each
-node's edges as a sorted tuple of the kernel's shared `(u, v)` pairs only
-when `nodes` or `adjacency` is first read.  `Triangulation` stays the type
-at the API boundary, and witnesses are replayed by the one in-place
-`triangulation.replay`.  A plain BFS and a triangulation counter serve
-as oracles in the tests.
+edge-difference lower bound (each flip replaces exactly one edge, so at
+least |edges(t1) - edges(t2)| flips are needed).  It, flip-graph enumeration
+and the greedy upper bound run on a per-call flip kernel whose state is the
+sorted tuple of integer edge ids plus, per edge, its flip: the id `a` of its
+opposite edge (the edge its flip would insert) when the flip is legal, `~a`
+when it is not; a flip updates five entries of that state, and decides the
+legality of each changed entry once, in place of rebuilding the state from
+the triangles and testing every edge again.  A state is known by an exact
+edge bitmask, so duplicate children cost an integer lookup, and canonical
+bytes are built once per kept state.  Enumeration numbers its nodes densely
+as they are found and builds no key: its `FlipGraph` reports its node and
+flip counts from the dense index form, and builds the canonical keys and
+each node's edges as a sorted tuple of the kernel's shared `(u, v)` pairs
+only when `nodes` or `adjacency` is first read.  `Triangulation` stays the
+type at the API boundary, and witnesses are replayed by the one in-place
+`triangulation.replay`.  A plain BFS and a triangulation counter serve as
+oracles in the tests.
 
 Each side of the search keeps one record per state it has reached, an int
 `g * W + move` keyed by the mask: `g` is the best known number of flips
@@ -147,11 +147,11 @@ class _FlipKernel:
     geometry, so it is memoised per flip, in `entry`.
 
     The legal flips of a state are its entries `opp[i] >= 0`, in the order
-    of `Triangulation.legal_flips`; the search and the enumeration scan
-    `opp` for them, and call `child` only for a child they keep.  The
-    search records the flip of `r` to `a` that reached a kept child as
-    `r * n**2 + a`: `move(r, a)` turns it back into a `FlipMove`, and
-    `bit[r] ^ bit[a]` takes the child's mask back to its parent's.
+    of `Triangulation.legal_flips`; the search, the enumeration and the
+    greedy walk scan `opp` for them, and call `child` only for a child they
+    keep.  The search records the flip of `r` to `a` that reached a kept
+    child as `r * n**2 + a`: `move(r, a)` turns it back into a `FlipMove`,
+    and `bit[r] ^ bit[a]` takes the child's mask back to its parent's.
     """
 
     def __init__(self, domain):
@@ -453,41 +453,40 @@ def greedy_upper_bound(t1: Triangulation, t2: Triangulation,
                        move_cap: Optional[int] = None) -> FlipScript:
     """Heuristic script from t1 to t2: prefer flips that create target edges.
 
-    Hill-climbs on the edge difference with deterministic tie-breaking and a
-    seen-state guard for plateau escapes.  No approximation guarantee is
-    claimed beyond convex polygons; raises CapExceededError past the cap.
+    Hill-climbs on the edge difference with deterministic tie-breaking (the
+    flip's `FlipMove` order) and a seen-state guard for plateau escapes,
+    on the flip kernel: a candidate's state is its mask, and only the flip
+    taken builds a child.  No approximation guarantee is claimed beyond
+    convex polygons; raises CapExceededError past the cap.
     """
     if t1.domain != t2.domain:
         raise DomainMismatchError("triangulations live on different domains")
     if move_cap is None:
         move_cap = 8 * len(t1.domain.points) ** 2 + 64
-    target = t2.edges
-    goal = t2.canonical_key()
-    t = t1
-    seen = {t1.canonical_key()}
+    kernel = _FlipKernel(t1.domain)
+    bit = kernel.bit
+    goal, target, _ = kernel.state(t2)
+    target = frozenset(target)
+    mask, ids, opp = kernel.state(t1)
+    seen = {mask}
     moves: list[FlipMove] = []
-    while t.canonical_key() != goal:
+    while mask != goal:
         if len(moves) >= move_cap:
             raise CapExceededError(f"no script within {move_cap} moves")
-        candidates = []
-        for m in t.legal_flips():
-            score = (1 if m.inserted in target else 0) - \
-                    (1 if m.removed in target else 0)
-            candidates.append((-score, m))
-        candidates.sort()
-        stepped = False
-        for _, m in candidates:
-            t_new = t.apply_flip(m)
-            k = t_new.canonical_key()
-            if k in seen:
-                continue
-            seen.add(k)
-            moves.append(m)
-            t = t_new
-            stepped = True
-            break
-        if not stepped:
+        # a flip that inserts a target edge first, one that removes one
+        # last; ids sort like the edges, so ties go by the removed edge
+        for _, i in sorted(((ids[i] in target) - (a in target), i)
+                           for i, a in enumerate(opp) if a >= 0):
+            r, a = ids[i], opp[i]
+            m_new = mask ^ bit[r] ^ bit[a]
+            if m_new not in seen:
+                break
+        else:
             raise CapExceededError("greedy walk ran out of unvisited states")
+        seen.add(m_new)
+        moves.append(kernel.move(r, a))
+        mask = m_new
+        ids, opp = kernel.child(ids, opp, i, a)
     return FlipScript(t1.canonical_key(), tuple(moves))
 
 

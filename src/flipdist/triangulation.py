@@ -1,5 +1,6 @@
-"""Triangulation domains (point sets, polygonal regions with holes) and
-edge-set triangulations over them with flip legality and validation.
+"""Triangulation domains (polygonal regions with holes, and point sets as
+the regions their convex hulls bound) and edge-set triangulations over them
+with flip legality and validation.
 
 Domains scale their rational coordinates to a shared integer grid once at
 construction; every predicate after that runs the `geometry` kernel on
@@ -67,16 +68,6 @@ class _DomainBase:
     def orient(self, i: int, j: int, k: int) -> int:
         return orientation(self.ipoints[i], self.ipoints[j], self.ipoints[k])
 
-    def segment_inside(self, i: int, j: int) -> bool:
-        """True iff segment ij can be an edge of a triangulation of the
-        domain: its open interior passes through no other point.  A point
-        set's convex hull holds every segment between its points."""
-        a, b = self.ipoints[i], self.ipoints[j]
-        for p in self.ipoints:
-            if on_segment(p, a, b, closed=False):
-                return False
-        return True
-
     def __eq__(self, other):
         return type(self) is type(other) and self._key() == other._key()
 
@@ -86,40 +77,20 @@ class _DomainBase:
     __hash__ = None  # type: ignore[assignment]
 
 
-class PointSet(_DomainBase):
-    """Finite planar point set; triangulations cover its convex hull."""
-
-    def __init__(self, points: Sequence[Point2]):
-        self.points = tuple(points)
-        if len(self.points) < 3:
-            raise ValidationError("point set needs at least 3 points")
-        self._setup_grid()
-        cycle = hull_cycle(self.ipoints)
-        self.boundary_cycles = [cycle]
-        self.mandatory_edges = frozenset(
-            edge(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle)))
-        b = len(cycle)
-        self.expected_edge_count = 3 * len(self.points) - b - 3
-        self.expected_triangle_count = 2 * len(self.points) - b - 2
-        self.area2 = polygon_signed_area2([self.ipoints[i] for i in cycle])
-
-    def _key(self):
-        return self.points
-
-
 class PolygonalRegion(_DomainBase):
     """Simple polygon with polygonal holes; one-vertex holes are points."""
 
     def __init__(self, points: Sequence[Point2], outer: Sequence[int],
                  holes: Sequence[Sequence[int]] = ()):
         self.points = tuple(points)
+        self._setup_grid()
+        self._set_boundary(outer, holes)
+
+    def _set_boundary(self, outer, holes):
         self.outer = tuple(outer)
         self.holes = tuple(tuple(h) for h in holes)
-        self._setup_grid()
         self.poly_holes = [h for h in self.holes if len(h) >= 3]
         self.point_holes = [h[0] for h in self.holes if len(h) == 1]
-        if any(len(h) == 2 for h in self.holes):
-            raise ValidationError("two-vertex holes are not polygons")
         self._check_structure()
         self.boundary_cycles = [list(self.outer)] + [list(h) for h in self.poly_holes]
         # each boundary vertex's (previous, next) neighbours along its cycle
@@ -140,6 +111,8 @@ class PolygonalRegion(_DomainBase):
         return (self.points, self.outer, self.holes)
 
     def _check_structure(self):
+        if any(len(h) == 2 for h in self.holes):
+            raise ValidationError("two-vertex holes are not polygons")
         seen: set[int] = set()
         for idx in list(self.outer) + [i for h in self.holes for i in h]:
             if not 0 <= idx < len(self.points):
@@ -253,6 +226,26 @@ class PolygonalRegion(_DomainBase):
         if orientation(prev, a, nxt) >= 0:      # convex or straight corner
             return left_of_out and left_of_in
         return left_of_out or left_of_in
+
+
+class PointSet(PolygonalRegion):
+    """Finite planar point set: the region its convex hull bounds, with
+    every point off the hull a point hole, so triangulations cover the
+    hull and use every point."""
+
+    def __init__(self, points: Sequence[Point2]):
+        self.points = tuple(points)
+        if len(self.points) < 3:
+            raise ValidationError("point set needs at least 3 points")
+        self._setup_grid()
+        outer = hull_cycle(self.ipoints)
+        on_hull = set(outer)
+        self._set_boundary(outer, [(k,) for k in range(len(self.points))
+                                   if k not in on_hull])
+
+    def _check_structure(self):
+        """Nothing to check: the hull cycle and the point holes are
+        computed from distinct points, not read from input."""
 
 
 def hull_cycle(ipoints) -> list[int]:

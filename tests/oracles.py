@@ -6,17 +6,19 @@ from typing import NamedTuple
 
 import networkx as nx
 
-from flipdist.errors import (IllegalFlipError, Not3ConnectedError,
-                             NotPlanarError, ValidationError)
+from flipdist.errors import (CapExceededError, IllegalFlipError,
+                             Not3ConnectedError, NotPlanarError,
+                             ValidationError)
 from flipdist.gadgets import channel_region
 from flipdist.geometry import (HalfPlane, Point2, _between, _collinear_overlap,
                                _in_box, on_segment, orientation,
                                point_in_cycle, polygon_signed_area2,
                                segments_share_interior, touching_pairs)
+from flipdist.search import FlipScript
 from flipdist.triangulation import (Edge, Triangulation, ValidationReport,
-                                    canonical_cycle, derive_triangles, edge,
-                                    flip_is_convex, quad_sides,
-                                    triangle_apexes)
+                                    _DomainBase, canonical_cycle,
+                                    derive_triangles, edge, flip_is_convex,
+                                    hull_cycle, quad_sides, triangle_apexes)
 
 
 def validate_by_segments(t) -> ValidationReport:
@@ -528,3 +530,54 @@ def replay_by_copies(t, moves):
         except IllegalFlipError:
             return i
     return t
+
+
+class PointSetByFormulas(_DomainBase):
+    """The oracle of `PointSet`: a domain of its own whose boundary, counts
+    and area come from the point-set formulas over the hull cycle, and whose
+    `segment_inside` scans every point for one inside the open segment."""
+
+    def __init__(self, points):
+        self.points = tuple(points)
+        self._setup_grid()
+        cycle = hull_cycle(self.ipoints)
+        self.boundary_cycles = [cycle]
+        self.mandatory_edges = frozenset(
+            edge(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle)))
+        b = len(cycle)
+        self.expected_edge_count = 3 * len(self.points) - b - 3
+        self.expected_triangle_count = 2 * len(self.points) - b - 2
+        self.area2 = polygon_signed_area2([self.ipoints[i] for i in cycle])
+
+    def segment_inside(self, i, j) -> bool:
+        a, b = self.ipoints[i], self.ipoints[j]
+        return not any(on_segment(p, a, b, closed=False) for p in self.ipoints)
+
+
+def greedy_by_triangulations(t1, t2, move_cap=None) -> FlipScript:
+    """The oracle of `search.greedy_upper_bound`: the same hill-climb on
+    `Triangulation`s, building the child of every candidate flip with
+    `apply_flip` until one reaches an unseen canonical key."""
+    if move_cap is None:
+        move_cap = 8 * len(t1.domain.points) ** 2 + 64
+    target = t2.edges
+    goal = t2.canonical_key()
+    t = t1
+    seen = {t1.canonical_key()}
+    moves = []
+    while t.canonical_key() != goal:
+        if len(moves) >= move_cap:
+            raise CapExceededError(f"no script within {move_cap} moves")
+        candidates = sorted(((m.removed in target) - (m.inserted in target), m)
+                            for m in t.legal_flips())
+        for _, m in candidates:
+            t_new = t.apply_flip(m)
+            k = t_new.canonical_key()
+            if k not in seen:
+                seen.add(k)
+                moves.append(m)
+                t = t_new
+                break
+        else:
+            raise CapExceededError("greedy walk ran out of unvisited states")
+    return FlipScript(t1.canonical_key(), tuple(moves))

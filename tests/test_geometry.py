@@ -8,10 +8,10 @@ from flipdist.errors import EmptyRegionError
 from flipdist.geometry import (
     CCW, COLLINEAR, CW, ConvexRegion, HalfPlane, Point2, _between,
     ccw_compare, coord_bits, floor_log2, halfplane_through, interior_point,
-    is_strictly_convex_quad, on_segment, orientation, pt,
-    segments_properly_cross, segments_share_interior, sorted_ccw,
-    touching_pairs,
+    on_segment, orientation, pt, segments_share_interior, sorted_ccw,
+    touching_pairs, turn_reaches_pi,
 )
+from flipdist.triangulation import PointSet, flip_is_convex
 
 from oracles import (SidedHalfPlane, angular_key, coarsest_dyadic_by_scan,
                      fourier_motzkin_on_fractions,
@@ -59,25 +59,26 @@ def test_kernel_agrees_on_point2_and_grid_tuples(a, b, c, d):
         assert on_segment(a, b, c, closed) == on_segment(ia, ib, ic, closed)
     assert segments_share_interior(a, b, c, d) == \
         segments_share_interior(ia, ib, ic, id_)
-    assert segments_properly_cross(a, b, c, d) == \
-        segments_properly_cross(ia, ib, ic, id_)
 
 
 @st.composite
 def grid_segments(draw):
     """Points of a 4x4 integer grid and segments between them; collinear
-    points, shared endpoints and repeated segments are common."""
+    points, shared endpoints, repeated segments and zero-length segments
+    `(k, k)`, as a region passes its point holes, are common."""
     pts = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
                         min_size=2, max_size=8, unique=True))
     index = st.integers(0, len(pts) - 1)
-    segs = draw(st.lists(st.tuples(index, index).filter(lambda s: s[0] != s[1]),
-                         max_size=12))
+    segs = draw(st.lists(st.tuples(index, index), max_size=12))
     return pts, segs
 
 
 @given(grid_segments())
 @example(([(0, 0), (2, 0), (1, 0), (3, 0), (1, 1)],
           [(0, 1), (2, 3), (0, 1), (1, 0), (0, 2), (4, 2), (2, 4)]))
+# point holes: inside a segment, at its end, off it, and one twice
+@example(([(0, 0), (2, 0), (1, 0), (1, 1)],
+          [(0, 1), (2, 2), (0, 0), (3, 3), (2, 2), (3, 2)]))
 def test_touching_pairs_matches_all_pairs(case):
     pts, segs = case
     brute = [(i, j) for i in range(len(segs)) for j in range(i + 1, len(segs))
@@ -90,23 +91,19 @@ def test_touching_pairs_matches_all_pairs(case):
     assert touching_pairs(by_label, [(f"p{u}", f"p{v}") for u, v in segs]) == brute
 
 
-def test_segments_properly_cross():
-    assert segments_properly_cross(pt(0, 0), pt(2, 2), pt(0, 2), pt(2, 0))
-    assert not segments_properly_cross(pt(0, 0), pt(1, 0), pt(1, 0), pt(2, 0))
-    assert not segments_properly_cross(pt(0, 0), pt(1, 0), pt(0, 1), pt(1, 1))
-    # collinear overlap counts as interior sharing
-    assert segments_properly_cross(pt(0, 0), pt(2, 0), pt(1, 0), pt(3, 0))
-    assert not segments_properly_cross(pt(0, 0), pt(1, 0), pt(2, 0), pt(3, 0))
-
-
 def test_segments_share_interior():
     assert segments_share_interior(pt(0, 0), pt(2, 2), pt(0, 2), pt(2, 0))
     # an endpoint inside the other segment, and identical segments
     assert segments_share_interior(pt(0, 0), pt(2, 0), pt(1, 0), pt(1, 1))
     assert segments_share_interior(pt(0, 0), pt(2, 0), pt(2, 0), pt(0, 0))
+    # a collinear overlap
+    assert segments_share_interior(pt(0, 0), pt(2, 0), pt(1, 0), pt(3, 0))
     # a shared endpoint alone, collinear or not, is no interior contact
     assert not segments_share_interior(pt(0, 0), pt(1, 0), pt(1, 0), pt(2, 0))
     assert not segments_share_interior(pt(0, 0), pt(1, 0), pt(0, 0), pt(0, 1))
+    # parallel apart, and collinear apart
+    assert not segments_share_interior(pt(0, 0), pt(1, 0), pt(0, 1), pt(1, 1))
+    assert not segments_share_interior(pt(0, 0), pt(1, 0), pt(2, 0), pt(3, 0))
 
 
 # integer points on a 5 x 5 grid: collinear, touching and shared-endpoint
@@ -130,14 +127,27 @@ def test_segments_share_interior_matches_four_orientation_oracle(a, b, c, d):
 
 
 def test_strictly_convex_quad():
-    assert is_strictly_convex_quad(pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1))
+    def convex(a, b, c, d):
+        # the quadrilateral a, b, c, d around the flip of diagonal ac to bd
+        return flip_is_convex(PointSet([a, b, c, d]), 0, 2, 1, 3)
+
+    assert convex(pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1))
     # reflex at the third vertex
-    assert not is_strictly_convex_quad(
+    assert not convex(
         pt(0, 0), pt(2, 0), Point2(Fraction(1), Fraction(1, 2)), pt(1, 2))
     # collinear triple
-    assert not is_strictly_convex_quad(pt(0, 0), pt(1, 0), pt(2, 0), pt(1, 1))
+    assert not convex(pt(0, 0), pt(1, 0), pt(2, 0), pt(1, 1))
     # clockwise order is accepted too
-    assert is_strictly_convex_quad(pt(0, 1), pt(1, 1), pt(1, 0), pt(0, 0))
+    assert convex(pt(0, 1), pt(1, 1), pt(1, 0), pt(0, 0))
+
+
+def test_turn_reaches_pi():
+    # counterclockwise turns of a quarter, a half and three quarters
+    assert not turn_reaches_pi(pt(1, 0), pt(0, 1))
+    assert turn_reaches_pi(pt(1, 0), pt(-1, 0))
+    assert turn_reaches_pi(pt(0, 1), pt(1, 0))
+    # the same direction is no turn; integer pairs work too
+    assert not turn_reaches_pi((2, 2), (1, 1))
 
 
 def _strip(a, b, c):

@@ -9,14 +9,16 @@ import pytest
 from flipdist import instanceio, search
 from flipdist.errors import CapExceededError
 from flipdist.gadgets import build_channel, channel_triangulations
-from flipdist.geometry import pt
+from flipdist.geometry import pt, segments_share_interior
 from flipdist.search import (
     FlipScript, bfs_distance, count_polygon_triangulations,
     enumerate_flip_graph, exact_distance, greedy_upper_bound, lower_bound,
 )
 from flipdist.triangulation import (
-    FlipMove, PolygonalRegion, Triangulation, edge, validate,
+    FlipMove, PointSet, PolygonalRegion, Triangulation, edge, validate,
 )
+
+from oracles import greedy_by_triangulations
 
 
 def convex_polygon_region(n):
@@ -204,6 +206,70 @@ def test_greedy_cap_exceeded():
     t1, t2 = fan(region, 0), fan(region, 3)
     with pytest.raises(CapExceededError):
         greedy_upper_bound(t1, t2, move_cap=1)
+
+
+def point_set_seed(ps):
+    """A triangulation of a point set: every segment in index order that
+    lies inside and touches no segment kept before it, a maximal plane
+    edge set."""
+    ip = ps.ipoints
+    kept = []
+    for u, v in itertools.combinations(range(len(ip)), 2):
+        if ps.segment_inside(u, v) and not any(
+                segments_share_interior(ip[u], ip[v], ip[a], ip[b])
+                for a, b in kept):
+            kept.append((u, v))
+    t = Triangulation(ps, kept)
+    assert validate(t).ok
+    return t
+
+
+def greedy_seeds():
+    """A convex octagon, a point set with collinear hull points and
+    interior points, and a square with a point hole."""
+    octagon = convex_polygon_region(8)
+    ps = PointSet([pt(0, 0), pt(3, 0), pt(6, 0), pt(6, 6), pt(0, 6),
+                   pt(0, 3), pt(2, 2), pt(4, 3), pt(3, 5)])
+    holed = PolygonalRegion([pt(0, 0), pt(6, 0), pt(7, 4), pt(3, 7),
+                             pt(-1, 4), pt(3, 3)], range(5), [[5]])
+    return [fan(octagon, 0), point_set_seed(ps),
+            Triangulation(holed, list(holed.mandatory_edges)
+                          + [(k, 5) for k in range(5)])]
+
+
+@pytest.mark.parametrize("seed", greedy_seeds(),
+                         ids=["octagon", "point_set", "point_hole"])
+def test_greedy_matches_triangulation_oracle(seed, monkeypatch):
+    """The greedy walk on the flip kernel takes the same flips as the old
+    walk over `Triangulation`s, which built every candidate's child, and
+    fails the same way under a small move cap; it calls neither
+    `legal_flips` nor `apply_flip`."""
+    graph = enumerate_flip_graph(seed)
+    keys = sorted(graph.nodes)
+    rng = random.Random(19)
+    pairs = [rng.sample(keys, 2) for _ in range(25)]
+    reps = {k: Triangulation(seed.domain, graph.nodes[k])
+            for pair in pairs for k in pair}
+    expected = {}
+    for ka, kb in pairs:
+        ta, tb = reps[ka], reps[kb]
+        script = expected[ka, kb] = greedy_by_triangulations(ta, tb)
+        with pytest.raises(CapExceededError) as exc:
+            greedy_by_triangulations(ta, tb, move_cap=len(script) - 1)
+        expected[ka, kb, "cap"] = str(exc.value)
+
+    def banned(*args):
+        raise AssertionError("greedy built a Triangulation per flip")
+
+    monkeypatch.setattr(Triangulation, "legal_flips", banned)
+    monkeypatch.setattr(Triangulation, "apply_flip", banned)
+    for ka, kb in pairs:
+        ta, tb = reps[ka], reps[kb]
+        script = greedy_upper_bound(ta, tb)
+        assert script == expected[ka, kb]
+        with pytest.raises(CapExceededError) as exc:
+            greedy_upper_bound(ta, tb, move_cap=len(script) - 1)
+        assert str(exc.value) == expected[ka, kb, "cap"]
 
 
 def channel_pair(n):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import defaultdict
 from fractions import Fraction
@@ -5,7 +6,7 @@ from math import lcm
 from unittest import mock
 
 import pytest
-from hypothesis import (HealthCheck, example, given, settings,
+from hypothesis import (HealthCheck, assume, example, given, settings,
                         strategies as st)
 
 from flipdist.errors import DomainMismatchError, IllegalFlipError, ValidationError
@@ -20,7 +21,8 @@ from flipdist.triangulation import (
     flip_is_convex, replay, triangle_apexes, validate, walk_segment,
 )
 from flipdist import instanceio
-from oracles import (apply_flip_by_copy, canonical_cycle_all_rotations,
+from oracles import (PointSetByFormulas, apply_flip_by_copy,
+                     canonical_cycle_all_rotations,
                      check_nesting_unfiltered, flip_graph_by_triangulations,
                      replay_by_copies, segment_inside_by_midpoint,
                      validate_by_segments, validate_with_sweep)
@@ -165,6 +167,37 @@ def test_point_set_collinear_hull_points_mandatory():
     assert (0, 2) not in ps.mandatory_edges
     t = Triangulation(ps, [(0, 1), (1, 2), (0, 3), (2, 3), (1, 3)])
     assert validate(t).ok
+
+
+@st.composite
+def grid_point_sets(draw):
+    """Distinct points of a 5x5 integer grid, not all on one line: hull
+    sides holding several points, and interior points, are common."""
+    pts = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                        min_size=3, max_size=12, unique=True))
+    assume(any(orientation(pts[0], pts[1], p) for p in pts[2:]))
+    return [pt(x, y) for x, y in pts]
+
+
+@settings(max_examples=150)
+@given(grid_point_sets())
+@example([pt(0, 0), pt(2, 0), pt(4, 0), pt(0, 4), pt(1, 1), pt(2, 2)])
+def test_point_set_region_matches_formulas(pts):
+    """A point set as the region its hull bounds, each other point a point
+    hole, has the boundary, counts and area of the point-set formulas and
+    the `segment_inside` of a scan over every point, on every pair; its
+    computed boundary passes the structure check it skips."""
+    ps, oracle = PointSet(pts), PointSetByFormulas(pts)
+    assert ps.boundary_cycles == oracle.boundary_cycles
+    assert ps.mandatory_edges == oracle.mandatory_edges
+    assert (ps.expected_edge_count, ps.expected_triangle_count, ps.area2) \
+        == (oracle.expected_edge_count, oracle.expected_triangle_count,
+            oracle.area2)
+    for i, j in itertools.permutations(range(len(pts)), 2):
+        assert ps.segment_inside(i, j) == oracle.segment_inside(i, j), (i, j)
+    region = PolygonalRegion(pts, ps.outer, ps.holes)
+    assert region.mandatory_edges == ps.mandatory_edges
+    assert region.expected_edge_count == ps.expected_edge_count
 
 
 def point_hole_square():
