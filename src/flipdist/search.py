@@ -11,13 +11,18 @@ legality of each changed entry once, in place of rebuilding the state from
 the triangles and testing every edge again.  A state is known by an exact
 edge bitmask, so duplicate children cost an integer lookup, and canonical
 bytes are built once per kept state.  Enumeration numbers its nodes densely
-as they are found and builds no key: its `FlipGraph` reports its node and
-flip counts from the dense index form, and builds the canonical keys and
-each node's edges as a sorted tuple of the kernel's shared `(u, v)` pairs
-only when `nodes` or `adjacency` is first read.  `Triangulation` stays the
-type at the API boundary, and witnesses are replayed by the one in-place
-`triangulation.replay`.  A plain BFS and a triangulation counter serve as
-oracles in the tests.
+as they are found and builds no key.  As in reverse search (Avis and
+Fukuda), a node is recovered from its parent and one flip: enumeration
+keeps a node as its mask, its parent's index and that flip, and all
+neighbour indices in one flat array, and a found node waits on the stack
+as its parent's state and the flip, its own state built when it is
+popped.  Its `FlipGraph` reports its node and flip counts from this index
+form, and builds the canonical keys and each node's edges, a sorted tuple
+of the kernel's shared `(u, v)` pairs rebuilt from its parent's by one
+flip, only when `nodes` or `adjacency` is first read.  `Triangulation`
+stays the type at the API boundary, and witnesses are replayed by the one
+in-place `triangulation.replay`.  A plain BFS and a triangulation counter
+serve as oracles in the tests.
 
 Each side of the search keeps one record per state it has reached, an int
 `g * W + move` keyed by the mask: `g` is the best known number of flips
@@ -34,10 +39,12 @@ and a heap entry whose mask is not there is stale.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from array import array
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
+from itertools import chain
 from typing import Optional
 
 from .errors import (CapExceededError, DomainMismatchError, IllegalFlipError,
@@ -230,9 +237,10 @@ class _FlipKernel:
         return tuple(ids), tuple(opp)
 
 
-def _key(tokens: dict[int, bytes], ids) -> bytes:
-    """The `Triangulation.canonical_key` of a state's ids."""
-    return b";".join(map(tokens.__getitem__, ids))
+def _key(tokens: dict, edges) -> bytes:
+    """The `Triangulation.canonical_key` of a state's sorted edges, given
+    as ids or as `(u, v)` pairs with `tokens` keyed alike."""
+    return b";".join(map(tokens.__getitem__, edges))
 
 
 def exact_distance(t1: Triangulation, t2: Triangulation,
@@ -346,33 +354,52 @@ def exact_distance(t1: Triangulation, t2: Triangulation,
 class FlipGraph:
     """Complete flip graph of a domain: nodes are canonical keys.
 
-    Enumeration hands over the index form it builds: each node's edge ids
-    in the order the nodes were found, the node indices in expansion order
-    and their neighbours' indices, with the kernel's `tokens` and `pairs`.
-    `len` and `flip_count` are read from it; `nodes` and `adjacency` are
-    built from it on first access of either, and the index form goes.
+    Enumeration hands over the index form it builds: the seed's edge ids,
+    and for every later node, in the order the nodes were found, the index
+    of the node whose flip found it with that flip's removed and inserted
+    edge ids; then the node indices in expansion order, the end offset of
+    each one's neighbours in one flat array of neighbour indices, and the
+    kernel's `tokens` and `pairs`.  `len` and `flip_count` are read from
+    it; `nodes` and `adjacency` are built from it on first access of
+    either, and the index form goes.
     """
 
-    def __init__(self, found, expanded, neighbours, tokens, pairs):
-        self._index = (found, expanded, neighbours, tokens, pairs)
+    def __init__(self, seed_ids, parent, removed, inserted, expanded, ends,
+                 neighbours, tokens, pairs):
+        self._index = (seed_ids, parent, removed, inserted, expanded, ends,
+                       neighbours, tokens, pairs)
         self._nodes = self._adjacency = None
-        self._len = len(found)
-        self.flip_count = sum(map(len, neighbours)) // 2
+        self._len = len(parent) + 1
+        self.flip_count = len(neighbours) // 2
 
     def __len__(self):
         return self._len
 
     def _build(self):
-        found, expanded, neighbours, tokens, pairs = self._index
+        (seed_ids, parent, removed, inserted, expanded, ends, neighbours,
+         tokens, pairs) = self._index
         self._index = None
-        keys = [_key(tokens, ids) for ids in found]
-        # each node's ids give way in place to the shared (u, v) pairs
+        # a parent is found before its children, so each node's edges are
+        # its parent's with one flip applied; the shared (u, v) pairs sort
+        # like the ids
         pair = pairs.__getitem__
-        for j, ids in enumerate(found):
-            found[j] = tuple(map(pair, ids))
+        found = [tuple(map(pair, seed_ids))]
+        for p, r, a in zip(parent, removed, inserted):
+            edges = list(found[p])
+            del edges[bisect_left(edges, pair(r))]
+            insort(edges, pair(a))
+            found.append(tuple(edges))
+        # each array goes once it has been read, so none is held at the peak
+        del parent, removed, inserted
+        # the keys are joined from the edges' tokens, keyed here by pair
+        tokens = {pair(i): token for i, token in tokens.items()}
+        keys = [_key(tokens, edges) for edges in found]
+        key = keys.__getitem__
+        self._adjacency = {
+            keys[node]: sorted(map(key, neighbours[start:end]))
+            for node, start, end in zip(expanded, chain((0,), ends), ends)}
+        del expanded, ends, neighbours
         self._nodes = dict(zip(keys, found))
-        self._adjacency = {keys[node]: sorted(map(keys.__getitem__, nbrs))
-                           for node, nbrs in zip(expanded, neighbours)}
 
     @property
     def nodes(self) -> dict[bytes, tuple]:
@@ -411,42 +438,54 @@ def enumerate_flip_graph(seed: Triangulation, cap: int = 10 ** 6) -> FlipGraph:
     A node's value is its edges as a sorted tuple of `(u, v)` pairs; build a
     `Triangulation` from it where one is needed.  Nodes are kept in the
     order they were found and adjacency in the order nodes were expanded.
-    No canonical key is built here: the graph builds them when `nodes` or
+    A node is found by a depth-first search on the flip kernel and kept as
+    its mask, the index of the node whose flip found it and that flip; its
+    state is built from its parent's when it is popped to be expanded.  No
+    canonical key is built here: the graph builds them when `nodes` or
     `adjacency` is first read.  Raises CapExceededError beyond `cap` nodes,
     and ValidationError for a `cap` below 1.
     """
     if cap < 1:
         raise ValidationError(f"cap must be positive, got {cap}")
     kernel = _FlipKernel(seed.domain)
-    bit = kernel.bit
-    mask, ids, opp = kernel.state(seed)
+    bit, child = kernel.bit, kernel.child
+    mask, seed_ids, opp = kernel.state(seed)
     # a node gets a dense index when it is found, so the adjacency holds
-    # small ints, not masks
+    # small ints, not masks; edge ids reach n**2, past 32 bits on large
+    # point sets, hence 64-bit arrays, unsigned since CPython stores those
+    # items without parsing a format string for each
     index = {mask: 0}                         # mask -> node index
-    found = [ids]                             # node ids, in discovery order
-    expanded: list[int] = []                  # node indices, in expansion order
-    neighbours: list[list[int]] = []          # their neighbours, likewise
-    stack = [(mask, ids, opp, 0)]
+    parent, removed, inserted = array("Q"), array("Q"), array("Q")
+    expanded = array("Q")                     # node indices, in expansion order
+    ends = array("Q")                         # their neighbours' end offsets
+    neighbours = array("Q")                   # all neighbours, flat
+    # a pending node is its parent's state, the flip of `ids[i]` to `a`
+    # that found it, its mask and its index; i == -1 marks the seed
+    stack = [(seed_ids, opp, -1, 0, mask, 0)]
     while stack:
-        mask, ids, opp, node = stack.pop()
-        nbrs = []
+        ids, opp, i, a, mask, node = stack.pop()
+        if i >= 0:
+            ids, opp = child(ids, opp, i, a)
         for i, a in enumerate(opp):
             if a < 0:
                 continue
-            m_new = mask ^ bit[ids[i]] ^ bit[a]
+            r = ids[i]
+            m_new = mask ^ bit[r] ^ bit[a]
             j = index.get(m_new)
             if j is None:
-                if len(found) >= cap:
+                if len(index) >= cap:
                     raise CapExceededError(
                         f"flip graph exceeds the {cap}-node cap")
-                j = index[m_new] = len(found)
-                ids_new, opp_new = kernel.child(ids, opp, i, a)
-                found.append(ids_new)
-                stack.append((m_new, ids_new, opp_new, j))
-            nbrs.append(j)
+                j = index[m_new] = len(index)
+                parent.append(node)
+                removed.append(r)
+                inserted.append(a)
+                stack.append((ids, opp, i, a, m_new, j))
+            neighbours.append(j)
         expanded.append(node)
-        neighbours.append(nbrs)
-    return FlipGraph(found, expanded, neighbours, kernel.tokens, kernel.pairs)
+        ends.append(len(neighbours))
+    return FlipGraph(seed_ids, parent, removed, inserted, expanded, ends,
+                     neighbours, kernel.tokens, kernel.pairs)
 
 
 def greedy_upper_bound(t1: Triangulation, t2: Triangulation,

@@ -250,34 +250,30 @@ class PointSet(PolygonalRegion):
 
 def hull_cycle(ipoints) -> list[int]:
     """Convex hull cycle (CCW) listing every point on the hull boundary;
-    raises ValidationError when all points are collinear."""
-    idx = sorted(range(len(ipoints)), key=lambda i: ipoints[i])
+    raises ValidationError when all points are collinear.
+
+    Andrew's monotone chain that keeps collinear points: a point is popped
+    only for a strict right turn, so each chain lists the points on its
+    sides in order.  Points sort by x, then y, so a vertical side at the
+    left end falls to the upper chain and one at the right end to the
+    lower chain.  Only when all points are collinear do both chains hold
+    every point."""
+    idx = sorted(range(len(ipoints)), key=ipoints.__getitem__)
 
     def build(seq):
         out: list[int] = []
         for i in seq:
             while len(out) >= 2 and orientation(
-                    ipoints[out[-2]], ipoints[out[-1]], ipoints[i]) <= 0:
+                    ipoints[out[-2]], ipoints[out[-1]], ipoints[i]) < 0:
                 out.pop()
             out.append(i)
         return out
 
     lower = build(idx)
     upper = build(reversed(idx))
-    corners = lower[:-1] + upper[:-1]
-    if len(corners) < 3:
+    if len(lower) == len(upper) == len(idx):
         raise ValidationError("all points are collinear")
-    cycle: list[int] = []
-    corner_set = set(corners)
-    for k in range(len(corners)):
-        a, b = corners[k], corners[(k + 1) % len(corners)]
-        onway = [i for i in range(len(ipoints)) if i not in corner_set
-                 and on_segment(ipoints[i], ipoints[a], ipoints[b], closed=False)]
-        onway.sort(key=lambda i: (abs(ipoints[i][0] - ipoints[a][0]),
-                                  abs(ipoints[i][1] - ipoints[a][1])))
-        cycle.append(a)
-        cycle.extend(onway)
-    return cycle
+    return lower[:-1] + upper[:-1]
 
 
 def ear_clip_with_triangles(domain, cycle: Sequence[int]):

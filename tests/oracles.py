@@ -18,7 +18,7 @@ from flipdist.search import FlipScript
 from flipdist.triangulation import (Edge, Triangulation, ValidationReport,
                                     _DomainBase, canonical_cycle,
                                     derive_triangles, edge, flip_is_convex,
-                                    hull_cycle, quad_sides, triangle_apexes)
+                                    quad_sides, triangle_apexes)
 
 
 def validate_by_segments(t) -> ValidationReport:
@@ -532,6 +532,40 @@ def replay_by_copies(t, moves):
     return t
 
 
+def hull_cycle_by_scans(ipoints) -> list[int]:
+    """The oracle of `triangulation.hull_cycle`: the strict monotone-chain
+    corners, then, per hull side, every point found on it by an
+    `on_segment` scan over all points, sorted by its distance from the
+    side's first corner; O(corners · n)."""
+    idx = sorted(range(len(ipoints)), key=lambda i: ipoints[i])
+
+    def build(seq):
+        out: list[int] = []
+        for i in seq:
+            while len(out) >= 2 and orientation(
+                    ipoints[out[-2]], ipoints[out[-1]], ipoints[i]) <= 0:
+                out.pop()
+            out.append(i)
+        return out
+
+    lower = build(idx)
+    upper = build(reversed(idx))
+    corners = lower[:-1] + upper[:-1]
+    if len(corners) < 3:
+        raise ValidationError("all points are collinear")
+    cycle: list[int] = []
+    corner_set = set(corners)
+    for k in range(len(corners)):
+        a, b = corners[k], corners[(k + 1) % len(corners)]
+        onway = [i for i in range(len(ipoints)) if i not in corner_set
+                 and on_segment(ipoints[i], ipoints[a], ipoints[b], closed=False)]
+        onway.sort(key=lambda i: (abs(ipoints[i][0] - ipoints[a][0]),
+                                  abs(ipoints[i][1] - ipoints[a][1])))
+        cycle.append(a)
+        cycle.extend(onway)
+    return cycle
+
+
 class PointSetByFormulas(_DomainBase):
     """The oracle of `PointSet`: a domain of its own whose boundary, counts
     and area come from the point-set formulas over the hull cycle, and whose
@@ -540,7 +574,7 @@ class PointSetByFormulas(_DomainBase):
     def __init__(self, points):
         self.points = tuple(points)
         self._setup_grid()
-        cycle = hull_cycle(self.ipoints)
+        cycle = hull_cycle_by_scans(self.ipoints)
         self.boundary_cycles = [cycle]
         self.mandatory_edges = frozenset(
             edge(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle)))

@@ -316,6 +316,32 @@ def test_reduce_pointset(tmp_path, capsys):
     assert validate(doc.t1).ok and validate(doc.t2).ok
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--multiplicity", "3"], "--multiplicity needs --pointset"),
+    (["--pointset", "--multiplicity", "0"],
+     "multiplicity must be at least 1, got 0"),
+    (["--pointset", "--multiplicity", "-2"],
+     "multiplicity must be at least 1, got -2"),
+])
+def test_reduce_bad_multiplicity_exits_2_before_building(
+        tmp_path, capsys, monkeypatch, flags, message):
+    # the flag is checked before the graph is read or anything is built
+    import flipdist.cli as cli
+
+    def banned(*args, **kwargs):
+        raise AssertionError("reduce built before checking --multiplicity")
+
+    for name in ("_load_graph", "drawing_from_coords", "convex_drawing",
+                 "build_instance", "region_to_pointset"):
+        monkeypatch.setattr(cli, name, banned)
+    g = write(tmp_path / "c3.txt", C3_GRAPH)
+    out = tmp_path / "inst.json"
+    assert main(["reduce", "--graph", g, "--k", "2", *flags,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_script_and_verify(tmp_path, capsys):
     g = write(tmp_path / "c3.txt", C3_GRAPH)
     inst_path = tmp_path / "inst.json"
@@ -429,6 +455,19 @@ def test_enumerate_h9_counts(tmp_path, capsys):
     assert main(["enumerate", "--instance", str(path), "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert (out["nodes"], out["edges"]) == (12870, 51480)
+
+
+def test_enumerate_cap_admits_exactly_the_graph(tmp_path, capsys):
+    # H_7 has 924 triangulations: a cap of 924 admits them all, and a cap
+    # one lower exits 4
+    path = tmp_path / "h7.json"
+    instanceio.save(channel_instance_doc(7), path)
+    assert main(["enumerate", "--instance", str(path), "--cap", "924",
+                 "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["nodes"] == 924
+    assert main(["enumerate", "--instance", str(path), "--cap", "923"]) == 4
+    assert capsys.readouterr().err == \
+        "error: flip graph exceeds the 923-node cap\n"
 
 
 def test_render_instance_without_triangulation(tmp_path):

@@ -349,9 +349,13 @@ def test_h9_enumeration_is_pinned():
 
 
 def test_h8_enumeration_memory():
-    # a node is held as a dense index, a key and a tuple of the kernel's
-    # shared (u, v) pairs, not as a mask and a frozenset: about 1,000 B a
-    # node at the traced peak, where frozensets took about 3,500 B
+    # a node is held as its mask in the one mask -> index dict, its parent's
+    # index and the flip that found it, and its share of one flat
+    # neighbour array; a node found but not yet expanded is its parent's
+    # state and that flip, and its own state is built when it is popped:
+    # about 330 B a node at the traced peak, where a tuple of edge ids per
+    # node, a neighbour list per node and a built state per pending node
+    # took about 640 B
     t_left, _ = channel_pair(8)
     tracemalloc.start()
     try:
@@ -360,10 +364,41 @@ def test_h8_enumeration_memory():
     finally:
         tracemalloc.stop()
     assert len(graph) == 3432
-    assert peak < 2000 * len(graph), peak / len(graph)
+    assert peak < 400 * len(graph), peak / len(graph)
     for key, edges in graph.nodes.items():
         assert type(edges) is tuple and list(edges) == sorted(edges)
         assert Triangulation(t_left.domain, edges).canonical_key() == key
+
+
+def test_h8_enumeration_and_first_read_memory():
+    # the traced peak over the enumeration and the first read of `nodes`,
+    # which builds every key, edge tuple and neighbour list: each node's
+    # edges are rebuilt from its parent's and the index form goes as it is
+    # read, about 770 B a node, where the parent kept about 900
+    t_left, _ = channel_pair(8)
+    tracemalloc.start()
+    try:
+        graph = enumerate_flip_graph(t_left)
+        nodes = graph.nodes
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(nodes) == len(graph.adjacency) == 3432
+    assert peak < 1000 * len(graph), peak / len(graph)
+
+
+def test_h7_enumeration_cap_and_child_calls(monkeypatch):
+    # the cap admits exactly the graph's nodes, and a child state is built
+    # once for each node after the seed
+    t_left, _ = channel_pair(7)
+    calls = []
+    child = search._FlipKernel.child
+    monkeypatch.setattr(search._FlipKernel, "child",
+                        lambda *args: calls.append(None) or child(*args))
+    graph = enumerate_flip_graph(t_left, cap=924)
+    assert len(graph) == 924 and len(calls) == len(graph) - 1
+    with pytest.raises(CapExceededError, match="exceeds the 923-node cap"):
+        enumerate_flip_graph(t_left, cap=len(graph) - 1)
 
 
 def test_h8_search_memory():

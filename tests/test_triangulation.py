@@ -9,7 +9,8 @@ import pytest
 from hypothesis import (HealthCheck, assume, example, given, settings,
                         strategies as st)
 
-from flipdist.errors import DomainMismatchError, IllegalFlipError, ValidationError
+from flipdist.errors import (CapExceededError, DomainMismatchError,
+                             IllegalFlipError, ValidationError)
 from flipdist.gadgets import build_channel, channel_region, channel_triangulations
 from flipdist.geometry import orientation, pt
 from flipdist.reduction import region_to_pointset
@@ -18,13 +19,14 @@ from flipdist.search import (_FlipKernel, _key, bfs_distance,
 from flipdist.triangulation import (
     FlipMove, PointSet, PolygonalRegion, Triangulation, canonical_cycle,
     derive_triangles, ear_clip_triangulation, edge, edge_difference,
-    flip_is_convex, replay, triangle_apexes, validate, walk_segment,
+    flip_is_convex, hull_cycle, replay, triangle_apexes, validate,
+    walk_segment,
 )
 from flipdist import instanceio
 from oracles import (PointSetByFormulas, apply_flip_by_copy,
                      canonical_cycle_all_rotations,
                      check_nesting_unfiltered, flip_graph_by_triangulations,
-                     replay_by_copies, segment_inside_by_midpoint,
+                     hull_cycle_by_scans, replay_by_copies, segment_inside_by_midpoint,
                      validate_by_segments, validate_with_sweep)
 
 
@@ -198,6 +200,28 @@ def test_point_set_region_matches_formulas(pts):
     region = PolygonalRegion(pts, ps.outer, ps.holes)
     assert region.mandatory_edges == ps.mandatory_edges
     assert region.expected_edge_count == ps.expected_edge_count
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                min_size=1, max_size=14, unique=True))
+@example([(0, 0), (0, 2), (0, 4), (2, 0), (4, 0), (4, 2), (4, 4), (2, 4)])
+@example([(0, 0), (0, 1), (0, 3), (3, 1), (3, 2), (3, 4), (1, 2)])
+@example([(1, 0), (1, 1), (1, 3)])
+@example([(0, 0), (1, 1), (2, 2), (4, 4)])
+def test_hull_cycle_matches_scan_oracle(pts):
+    """On points of a 5x5 grid, where hull sides holding several points and
+    vertical sides at both ends are common, the one-pass monotone chain
+    lists the cycle of the per-side `on_segment` scans, and both reject a
+    set whose points all lie on one line."""
+    try:
+        want = hull_cycle_by_scans(pts)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError, match=str(exc)):
+            hull_cycle(pts)
+        assert all(orientation(pts[0], pts[1], p) == 0 for p in pts[2:])
+        return
+    assert hull_cycle(pts) == want
 
 
 def point_hole_square():
@@ -429,6 +453,24 @@ def test_segment_inside_matches_flip_graph(seed, triangulations, diagonals):
     assert all(region.segment_inside(i, j)
                == segment_inside_by_midpoint(region, i, j)
                for i in range(n) for j in range(n) if i != j)
+
+
+@pytest.mark.parametrize("seed, triangulations",
+                         [s[:2] for s in SMALL_SEEDS if s[1] > 1])
+def test_enumeration_cap_admits_exactly_the_graph(seed, triangulations,
+                                                  monkeypatch):
+    # a cap of the node count succeeds, one lower raises, and each node
+    # after the seed has its state built once
+    t = seed()
+    calls = []
+    child = _FlipKernel.child
+    monkeypatch.setattr(_FlipKernel, "child",
+                        lambda *args: calls.append(None) or child(*args))
+    graph = enumerate_flip_graph(t, cap=triangulations)
+    assert len(graph) == triangulations
+    assert len(calls) == triangulations - 1
+    with pytest.raises(CapExceededError):
+        enumerate_flip_graph(t, cap=triangulations - 1)
 
 
 @pytest.mark.parametrize("seed", [s[0] for s in SMALL_SEEDS]
