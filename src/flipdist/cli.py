@@ -1,7 +1,8 @@
 """Command-line surface for the reduction pipeline and flip-distance tools.
 
-Exit codes: 0 ok, 2 validation failure, 3 infeasible geometry, 4 search,
-enumeration or vertex-cover budget exceeded, 5 I/O failure.
+Exit codes: 0 ok, 2 validation failure, 3 infeasible geometry, 4 search
+budget or state cap, enumeration cap or vertex-cover budget exceeded, 5 I/O
+failure.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .triangulation import validate
 from .vertexcover import Graph, exact_vc, is_cover
 
 EXIT_CODES = "exit codes: 0 ok, 2 validation, 3 infeasible geometry, " \
-    "4 budget, 5 I/O"
+    "4 budget or cap exceeded, 5 I/O"
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -92,13 +93,16 @@ def cmd_distance(args) -> int:
         rep = validate(t)
         if not rep.ok:
             raise FlipdistError(f"{name} invalid: {rep.violations[:3]}")
-    res = exact_distance(t1, t2, budget=args.budget)
+    res = exact_distance(t1, t2, budget=args.budget,
+                         max_states=args.max_states)
     if res.exceeds_budget:
         _emit(args, {"distance": None, "exceeds_budget": True,
+                     "reason": res.reason,
                      "nodes_expanded": res.nodes_expanded,
                      "frontier_peak": res.frontier_peak,
                      "states_recorded": res.states_recorded},
-              f"EXCEEDS_BUDGET (> {args.budget})")
+              f"EXCEEDS_BUDGET (> {args.budget})" if res.reason == "budget"
+              else f"EXCEEDS_STATES (> {args.max_states} states recorded)")
         return 4
     if args.witness:
         _write(args.witness, instanceio.script_dumps(res.script))
@@ -210,6 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
                        epilog=EXIT_CODES)
     p.add_argument("--instance", required=True)
     p.add_argument("--budget", type=int, default=10 ** 6)
+    p.add_argument("--max-states", type=int, default=2 * 10 ** 6,
+                   help="exit 4 once the search has recorded more than this "
+                        "many states (default 2,000,000)")
     p.add_argument("--witness", help="write the witness script here")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_distance)
@@ -247,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--cap", type=int, default=10 ** 6,
                    help="exit 4 past this many triangulations; each one "
-                        "kept costs about 350 traced bytes")
+                        "kept costs about 300 traced bytes")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_enumerate)
     return parser

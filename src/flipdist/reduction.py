@@ -371,6 +371,7 @@ def eliminate_sharp(drawing: PlanarGraphDrawing):
     next_id = max(pos) + 1
     t_count = 0
     cycle = list(outer)
+    origin = {}                      # chain vertex -> the vertex it replaced
 
     for v in [u for u in outer if u in sharp]:
         if drawing.degree(v) != 3:
@@ -394,11 +395,12 @@ def eliminate_sharp(drawing: PlanarGraphDrawing):
                 break
         if placed is None:
             raise SharpVertexError(f"could not replace sharp vertex {v}")
-        (v1, v2, v3), new_pos, new_edges = placed
+        chain, new_pos, new_edges = placed
         pos.pop(v)
         pos.update(new_pos)
         edges = new_edges
-        cycle[i:i + 1] = [v1, v2, v3]
+        cycle[i:i + 1] = chain
+        origin.update(dict.fromkeys(chain, v))
         next_id += 3
         t_count += 1
 
@@ -407,11 +409,24 @@ def eliminate_sharp(drawing: PlanarGraphDrawing):
         raise SharpVertexError(
             f"replacement left sharp vertices {out.sharp_vertices()}")
     _audit_plane(out)
+    if canonical_cycle(cycle) not in {canonical_cycle([u for u, _ in f])
+                                      for f in out.faces()}:
+        # name the first step of the cycle that is not an edge
+        a, b = next(((a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1])
+                     if (min(a, b), max(a, b)) not in edges), cycle[:2])
+        chain = f", in the chain of sharp vertex {origin[b]}" \
+            if b in origin else ""
+        raise SharpVertexError(
+            f"the outer cycle is not a face of the drawing at vertex {b} "
+            f"(after {a}){chain}")
     return out, t_count
 
 
 def _place_chain(pos, edges, v, u_prev, u_next, u_in, t, next_id, pre_sharp):
-    """Try one chain placement scale; None when the local audit fails."""
+    """Try one chain placement scale; None when the local audit fails.
+
+    Returns the chain's three ids in their order along the outer cycle,
+    from `u_prev` to `u_next`, with the new positions and edges."""
     p = pos[v]
     v1, v2, v3 = next_id, next_id + 1, next_id + 2
     d_in = pos[u_in] - p
@@ -447,7 +462,8 @@ def _place_chain(pos, edges, v, u_prev, u_next, u_in, t, next_id, pre_sharp):
                       ((v1, ua), (v3, ub), (v1, u_in), (v1, v2), (v2, v3))}
         if _chain_audit(pos, new_pos, new_edges, (v, u_prev, u_next, u_in),
                         pre_sharp):
-            return (v1, v2, v3), new_pos, new_edges
+            return ((v1, v2, v3) if ua == u_prev else (v3, v2, v1),
+                    new_pos, new_edges)
     return None
 
 

@@ -3,38 +3,41 @@
 The primary solver is a bidirectional best-first search with the admissible
 edge-difference lower bound (each flip replaces exactly one edge, so at
 least |edges(t1) - edges(t2)| flips are needed).  It, flip-graph enumeration
-and the greedy upper bound run on a per-call flip kernel whose state is the
-sorted tuple of integer edge ids plus, per edge, its flip: the id `a` of its
-opposite edge (the edge its flip would insert) when the flip is legal, `~a`
-when it is not; a flip updates five entries of that state, and decides the
-legality of each changed entry once, in place of rebuilding the state from
-the triangles and testing every edge again.  A state is known by an exact
-edge bitmask, so duplicate children cost an integer lookup, and canonical
-bytes are built once per kept state.  Enumeration numbers its nodes densely
-as they are found and builds no key.  As in reverse search (Avis and
-Fukuda), a node is recovered from its parent and one flip: enumeration
-keeps a node as its mask, its parent's index and that flip, and all
-neighbour indices in one flat array, and a found node waits on the stack
-as its parent's state and the flip, its own state built when it is
-popped.  Its `FlipGraph` reports its node and flip counts from this index
-form, and builds the canonical keys and each node's edges, a sorted tuple
-of the kernel's shared `(u, v)` pairs rebuilt from its parent's by one
-flip, only when `nodes` or `adjacency` is first read.  `Triangulation`
-stays the type at the API boundary, and witnesses are replayed by the one
-in-place `triangulation.replay`.  A plain BFS and a triangulation counter
-serve as oracles in the tests.
+and the greedy upper bound run on a per-call flip kernel (`_FlipKernel`):
+a state holds only the diagonals, each with its flip as an index into the
+kernel's flip table, a flip updates at most five entries of a state with
+no rebuild from the triangles, and a state is known by an exact bitmask
+of its diagonals, so a duplicate child costs one xor and an integer
+lookup.  The search breaks ties on a key that orders exactly as the
+canonical key (`_heap_key`), spliced from the parent's for each kept
+child.  Enumeration numbers its nodes densely as they are found and builds
+no key.  As in reverse search (Avis and Fukuda), a node is recovered from
+its parent and one flip: enumeration keeps a node as its mask, its
+parent's index and that flip's index, and all neighbour indices in one
+flat array, and a found node waits on the stack as its parent's state and
+the flip, its own state built when it is popped.  Its `FlipGraph` reports
+its node and flip counts from this index form, and builds the canonical
+keys and each node's edges, a sorted tuple of the kernel's shared `(u, v)`
+pairs rebuilt from its parent's by one flip, only when `nodes` or
+`adjacency` is first read.  `Triangulation` stays the type at the API
+boundary, and witnesses are replayed by the one in-place
+`triangulation.replay`.  A plain BFS and a triangulation counter serve as
+oracles in the tests.
 
 Each side of the search keeps one record per state it has reached, an int
-`g * W + move` keyed by the mask: `g` is the best known number of flips
-from that side's start, and `move` packs the flip that reached the state
-(`r * n**2 + a + 1` for a flip of `r` to `a`, 0 at the start; `W = n**4 +
-1` exceeds every move).  The witness is unwound from the meet by decoding
-each move and toggling its two bits back out of the mask, so no parent
+`g * W + f + 1` keyed by the mask: `g` is the best known number of flips
+from that side's start, and `f` the index of the flip that reached the
+state (the record is `g * W` at the start; `W = n**4 + 1` exceeds every
+flip index plus one).  The witness is unwound from the meet by decoding
+each flip and xoring its delta back out of the mask, so no parent
 pointer, closed set or separate `g` map is kept.  The edge-difference
 bound is consistent, since one flip changes it by at most 1, so each side
 expands each state at its final `g` and never reopens one: a recorded
 state is closed exactly when it is no longer in the side's open-state dict,
-and a heap entry whose mask is not there is stale.
+and a heap entry whose mask is not there is stale.  The open states do not
+hold keys: a popped heap entry carries its own.  A cap on the records of
+both sides together, checked once per expansion, bounds the search's
+memory.
 """
 
 from __future__ import annotations
@@ -88,6 +91,9 @@ class SearchResult:
     nodes_expanded: int
     frontier_peak: int
     states_recorded: int
+    # why no distance was returned: "budget" (the distance exceeds the
+    # budget) or "states" (the state cap was reached); None with a distance
+    reason: Optional[str] = None
 
     @property
     def exceeds_budget(self) -> bool:
@@ -136,105 +142,164 @@ class _FlipKernel:
     """The flip relation of one domain, for the length of one search or
     enumeration call.
 
-    A state is a triple `(mask, ids, opp)`.  `ids` holds the edge ids
-    `u * n + v` (u < v), sorted, which sort like the `(u, v)` pairs.
-    `opp[i]` carries the flip of `ids[i]` and its legality: the id `a` of
-    the edge joining the two apexes (the edge the flip would insert) when
-    the quadrilateral is strictly convex, `~a` when it is not (`a >= 1`, so
-    `~a <= -2`), and -1 for an edge with one triangle, which is never
-    flipped.  A flip moves one id and changes the opposite edges of the
-    quadrilateral's four sides (`quad_sides`), so no state is rebuilt from
-    its triangles, and legality is decided once, when an entry is written;
-    the inserted edge's entry is the removed edge, legal because it undoes
-    a legal flip.  `mask`, the exact identity, has one bit per edge of a
-    state passed to `state` or inserted by a legal flip, handed out densely
-    by `_register`; a flip of `r` to `a` toggles `bit[r] ^ bit[a]`.
-    `_key` builds the bytes of `Triangulation.canonical_key` from `tokens`,
-    once per kept state, never per child.  Convexity depends only on the
-    geometry, so it is memoised per flip, in `entry`.
+    Every triangulation of the domain has its boundary edges, each with one
+    triangle, and only its diagonals, each with two, can flip; the kernel
+    holds the boundary once, as the sorted tuple `boundary` of edge ids
+    `u * n + v` (u < v), which sort like the `(u, v)` pairs.  A state is a
+    triple `(mask, ids, opp)`: `ids` holds the diagonals' ids, sorted, and
+    `opp[i]` the flip of `ids[i]`: its flip index `f >= 0` when the
+    quadrilateral around `ids[i]` is strictly convex, else `~a`, with `a`
+    the id of the edge joining the two apexes (`a >= 1`, so `~a <= -2`).
+
+    The flip table gives each convex flip of `r` to `a` a dense index `f`
+    the first time `_opp` meets it, and its reverse the index `f ^ 1`.  Per
+    index it keeps the mask delta `bit[r] ^ bit[a]`, the removed and
+    inserted ids, the quadrilateral's sides that are diagonals, each with
+    the apex it loses, the one it gains (`quad_sides`) and the entries it
+    has taken after the flip, keyed by its entry before, and what `splice`
+    needs.  `mask`, the exact identity, has one bit per diagonal
+    of a state passed to `state` or inserted by a convex flip, so a flip
+    turns it into `mask ^ delta[f]`.  A flip moves one id, takes the entry
+    `f ^ 1`, and changes the opposite edges of its diagonal sides, so no
+    state is rebuilt from its triangles, and legality is decided once per
+    flip: convexity depends only on the geometry, so it is memoised in
+    `entry`.
 
     The legal flips of a state are its entries `opp[i] >= 0`, in the order
     of `Triangulation.legal_flips`; the search, the enumeration and the
     greedy walk scan `opp` for them, and call `child` only for a child they
-    keep.  The search records the flip of `r` to `a` that reached a kept
-    child as `r * n**2 + a`: `move(r, a)` turns it back into a `FlipMove`,
-    and `bit[r] ^ bit[a]` takes the child's mask back to its parent's.
+    keep.
     """
 
     def __init__(self, domain):
         self.domain = domain
-        self.n = len(domain.points)
-        self.bit: dict[int, int] = {}           # edge id -> its mask bit
+        n = self.n = len(domain.points)
+        self.nn = n * n
+        self.bit: dict[int, int] = {}           # diagonal id -> its mask bit
         self.tokens: dict[int, bytes] = {}      # edge id -> b"u,v"
         self.pairs: dict[int, tuple[int, int]] = {}   # edge id -> (u, v)
-        # removed id * n**2 + inserted id -> its `opp` entry, a or ~a
+        # removed id * n**2 + inserted id -> its `opp` entry, f or ~a
         self.entry: dict[int, int] = {}
+        # the flip table, by flip index
+        self.delta: list[int] = []
+        self.removed: list[int] = []
+        self.inserted: list[int] = []
+        # per diagonal side: (side id, apex lost, apex gained, its entry
+        # before the flip -> its entry after)
+        self.sides: list[tuple] = []
+        # (boundary ids below r, boundary ids below a, a's padded token)
+        self.splices: list[tuple[int, int, bytes]] = []
+        # the widest token "u,v" padded to this width keeps one pad byte
+        self.width = 2 * len(str(n - 1)) + 2
+        self.boundary = tuple(sorted(u * n + v
+                                     for u, v in domain.mandatory_edges))
+        for i in self.boundary:
+            self._name(i)
 
-    def _register(self, i: int) -> None:
+    def _name(self, i: int) -> None:
         u, v = self.pairs[i] = divmod(i, self.n)
         self.tokens[i] = f"{u},{v}".encode("ascii")
+
+    def _register(self, i: int) -> None:
+        self._name(i)
         self.bit[i] = 1 << len(self.bit)
 
     def _id(self, x: int, y: int) -> int:
         return x * self.n + y if x < y else y * self.n + x
 
     def _opp(self, r: int, a: int) -> int:
-        """The `opp` entry of edge `r` whose flip would insert `a`: `a` if
-        the flip is convex, else `~a`."""
-        k = r * self.n * self.n + a
+        """The `opp` entry of diagonal `r` whose flip would insert `a`: the
+        flip's index if its quadrilateral is convex, else `~a`."""
+        k = r * self.nn + a
         o = self.entry.get(k)
         if o is None:
             if flip_is_convex(self.domain, *self.pairs[r],
                               *divmod(a, self.n)):
-                o = a
                 if a not in self.bit:
                     self._register(a)
+                o = len(self.removed)
+                self._add_flip(r, a)
+                self._add_flip(a, r)
+                self.entry[a * self.nn + r] = o ^ 1
             else:
                 o = ~a
             self.entry[k] = o
         return o
 
+    def _add_flip(self, r: int, a: int) -> None:
+        n, boundary = self.n, self.boundary
+        self.delta.append(self.bit[r] ^ self.bit[a])
+        self.removed.append(r)
+        self.inserted.append(a)
+        self.sides.append(tuple(
+            (p * n + q, old, new, {})
+            for (p, q), old, new in quad_sides(self.pairs[r], self.pairs[a])
+            if p * n + q not in boundary))
+        self.splices.append((bisect_left(boundary, r),
+                             bisect_left(boundary, a),
+                             self.tokens[a].ljust(self.width, b";")))
+
     def state(self, t: Triangulation):
-        """The `(mask, ids, opp)` state of a triangulation."""
+        """The `(mask, ids, opp)` state of a triangulation of the domain.
+        Its triangles hold the boundary cycles as faces and every other
+        face is a triangle, so each diagonal has two apexes."""
         apexes = t.edge_apexes()
-        ids = tuple(sorted(u * self.n + v for u, v in t.edges))
+        ids = sorted(u * self.n + v
+                     for u, v in t.edges - self.domain.mandatory_edges)
         mask, opp = 0, []
         for i in ids:
             if i not in self.bit:
                 self._register(i)
             mask |= self.bit[i]
-            aps = apexes.get(self.pairs[i], ())
-            opp.append(self._opp(i, self._id(*aps)) if len(aps) == 2 else -1)
-        return mask, ids, tuple(opp)
+            opp.append(self._opp(i, self._id(*apexes[self.pairs[i]])))
+        return mask, tuple(ids), tuple(opp)
 
-    def move(self, r: int, a: int) -> FlipMove:
-        return FlipMove(self.pairs[r], self.pairs[a])
+    def edges(self, ids) -> list[int]:
+        """The sorted ids of all edges of the state with diagonals `ids`."""
+        return sorted(self.boundary + ids)
 
-    def child(self, ids, opp, i: int, a: int):
-        """The `(ids, opp)` state after the legal flip of `ids[i]` to `a`
-        (`opp[i] == a >= 0`): the removed edge becomes the inserted edge's
-        opposite edge, and each two-sided side of the quadrilateral swaps
-        one apex."""
-        n, entry = self.n, self.entry
-        nn = n * n
-        r = ids[i]
+    def move(self, f: int) -> FlipMove:
+        return FlipMove(self.pairs[self.removed[f]],
+                        self.pairs[self.inserted[f]])
+
+    def child(self, ids, opp, i: int, f: int):
+        """`(ids, opp, j)` after the legal flip `f` of `ids[i]` (`opp[i] ==
+        f`), with `j` the slot of the inserted edge, whose entry is `f ^ 1`;
+        each diagonal side of the quadrilateral swaps one apex, and its new
+        entry, a function of its old one, is memoised per flip and side."""
+        n, inserted = self.n, self.inserted
+        a = inserted[f]
         ids, opp = list(ids), list(opp)
         del ids[i], opp[i]
         j = bisect_left(ids, a)
         ids.insert(j, a)
-        opp.insert(j, r)
-        for (p, q), old, new in quad_sides(divmod(r, n), divmod(a, n)):
-            s = p * n + q
+        opp.insert(j, f ^ 1)
+        for s, old, new, after in self.sides[f]:
             k = bisect_left(ids, s)
             o = opp[k]
-            if o != -1:
-                w, z = divmod(o if o >= 0 else ~o, n)
+            e = after.get(o)
+            if e is None:
+                w, z = divmod(inserted[o] if o >= 0 else ~o, n)
                 if w == old:
                     w = z
-                b = w * n + new if w < new else new * n + w
-                o = entry.get(s * nn + b)
-                opp[k] = self._opp(s, b) if o is None else o
-        return tuple(ids), tuple(opp)
+                e = after[o] = self._opp(
+                    s, w * n + new if w < new else new * n + w)
+            opp[k] = e
+        return tuple(ids), tuple(opp), j
+
+    def splice(self, body: bytes, last: bytes, i: int, j: int, f: int):
+        """The `_heap_key` of the child that the flip `f` of `ids[i]` makes
+        from a state keyed `(body, last)`, given the inserted edge's slot
+        `j` in the child: one block goes and one comes.  Only a flip that
+        moves the last token splices the whole key and splits it again."""
+        below_r, below_a, token = self.splices[f]
+        w = self.width
+        p, q = (i + below_r) * w, (j + below_a) * w
+        whole = len(body) <= max(p, q)
+        s = body + last.ljust(w, b";") if whole else body
+        s = (s[:p] + s[p + w:q + w] + token + s[q + w:] if p <= q
+             else s[:q] + token + s[q:p] + s[p + w:])
+        return (s[:-w], s[-w:].rstrip(b";")) if whole else (s, last)
 
 
 def _key(tokens: dict, edges) -> bytes:
@@ -243,11 +308,27 @@ def _key(tokens: dict, edges) -> bytes:
     return b";".join(map(tokens.__getitem__, edges))
 
 
+def _heap_key(tokens, width: int) -> tuple[bytes, bytes]:
+    """The search's tie-break key `(body, last)` of a state's sorted edge
+    tokens: every token but the last padded with ";" to `width` and joined
+    into `body`, and the last token as it is.
+
+    It orders exactly as the canonical key does.  A token holds no ";",
+    and ";" sorts above the digits, so a padded token compares with
+    another as it does followed by the key's ";"; the last token ends the
+    key, and bytes order puts b"7,8" below b"7,80", as the key's end does.
+    """
+    return b"".join(t.ljust(width, b";") for t in tokens[:-1]), tokens[-1]
+
+
 def exact_distance(t1: Triangulation, t2: Triangulation,
-                   budget: int = 10 ** 9) -> SearchResult:
+                   budget: int = 10 ** 9,
+                   max_states: Optional[int] = None) -> SearchResult:
     """Exact flip distance by bidirectional A* with the edge-difference bound.
 
-    Returns EXCEEDS_BUDGET (distance None) when the distance is > budget.
+    Returns no distance when the distance is > budget (`reason` "budget"),
+    or when the two sides together have recorded more than `max_states`
+    states (`reason` "states"; checked once per expansion).
     Deterministic: ties break on canonical keys and the two frontiers
     alternate by size.
     """
@@ -255,33 +336,41 @@ def exact_distance(t1: Triangulation, t2: Triangulation,
         raise DomainMismatchError("triangulations live on different domains")
     if budget < 0:
         raise ValidationError(f"budget must be nonnegative, got {budget}")
+    if max_states is not None and max_states < 1:
+        raise ValidationError(
+            f"max_states must be positive, got {max_states}")
     k1, k2 = t1.canonical_key(), t2.canonical_key()
     if k1 == k2:
         return SearchResult(0, FlipScript(k1, ()), 0, 0, 0)
 
     kernel = _FlipKernel(t1.domain)
-    bit, tokens, child = kernel.bit, kernel.tokens, kernel.child
-    nn = kernel.n * kernel.n
-    W = nn * nn + 1      # a record is g * W + move, with move < W
+    delta, removed, inserted = kernel.delta, kernel.removed, kernel.inserted
+    child, splice = kernel.child, kernel.splice
+    W = kernel.nn ** 2 + 1   # a record is g * W + f + 1, with f < n**4
+    cap = float("inf") if max_states is None else max_states
     m1, ids1, opp1 = kernel.state(t1)
     m2, ids2, opp2 = kernel.state(t2)
     h1, h2 = lower_bound(t1, t2), lower_bound(t2, t1)
-    # each side: its heap of (f, key, mask), its records, its open states
-    # mask -> (ids, opp, bound), and the other side's start edges
+    tokens, width = kernel.tokens, kernel.width
+    b1, l1 = _heap_key([tokens[e] for e in kernel.edges(ids1)], width)
+    b2, l2 = _heap_key([tokens[e] for e in kernel.edges(ids2)], width)
+    # each side: its heap of (g + h, body, last, mask), its records, its
+    # open states mask -> (ids, opp, h), and the other side's start diagonals
     heap_f, rec_f, open_f, target_f = \
-        [(h1, k1, m1)], {m1: 0}, {m1: (ids1, opp1, h1)}, frozenset(ids2)
+        [(h1, b1, l1, m1)], {m1: 0}, {m1: (ids1, opp1, h1)}, frozenset(ids2)
     heap_b, rec_b, open_b, target_b = \
-        [(h2, k2, m2)], {m2: 0}, {m2: (ids2, opp2, h2)}, frozenset(ids1)
+        [(h2, b2, l2, m2)], {m2: 0}, {m2: (ids2, opp2, h2)}, frozenset(ids1)
 
     best = meet = None   # shortest meet length found so far, and its mask
     expanded = 0
     peak = 2
+    reason = "budget"
 
     while True:
         # a heap entry is stale once its mask has been expanded
-        while heap_f and heap_f[0][2] not in open_f:
+        while heap_f and heap_f[0][3] not in open_f:
             heappop(heap_f)
-        while heap_b and heap_b[0][2] not in open_b:
+        while heap_b and heap_b[0][3] not in open_b:
             heappop(heap_b)
         if not heap_f or not heap_b:
             break
@@ -292,6 +381,9 @@ def exact_distance(t1: Triangulation, t2: Triangulation,
         # fminB <= L, so one frontier past the budget rules out length <= budget
         if (best is None or best > budget) and fmax > budget:
             break
+        if len(rec_f) + len(rec_b) > cap:
+            best, reason = None, "states"
+            break
 
         if len(heap_f) <= len(heap_b):
             heap, rec, states, target, other = \
@@ -299,24 +391,24 @@ def exact_distance(t1: Triangulation, t2: Triangulation,
         else:
             heap, rec, states, target, other = \
                 heap_b, rec_b, open_b, target_b, rec_f
-        mask = heappop(heap)[2]
+        _, body, last, mask = heappop(heap)
         ids, opp, h = states.pop(mask)
         expanded += 1
         g_new = rec[mask] // W + 1
         base = g_new * W + 1
         limit = base + W - 1     # a record below it has g <= g_new
-        for i, a in enumerate(opp):
-            if a < 0:
+        for i, f in enumerate(opp):
+            if f < 0:
                 continue
-            r = ids[i]
-            m_new = mask ^ bit[r] ^ bit[a]
+            m_new = mask ^ delta[f]
             if rec.get(m_new, limit) < limit:
                 continue
-            rec[m_new] = base + r * nn + a
-            h_new = h - (r not in target) + (a not in target)
-            ids_new, opp_new = child(ids, opp, i, a)
+            rec[m_new] = base + f
+            h_new = h - (removed[f] not in target) + (inserted[f] not in target)
+            ids_new, opp_new, j = child(ids, opp, i, f)
             states[m_new] = (ids_new, opp_new, h_new)
-            heappush(heap, (g_new + h_new, _key(tokens, ids_new), m_new))
+            heappush(heap, (g_new + h_new, *splice(body, last, i, j, f),
+                            m_new))
             o = other.get(m_new)
             if o is not None:
                 total = g_new + o // W
@@ -326,17 +418,17 @@ def exact_distance(t1: Triangulation, t2: Triangulation,
 
     states_recorded = len(rec_f) + len(rec_b)
     if best is None or best > budget:
-        return SearchResult(None, None, expanded, peak, states_recorded)
+        return SearchResult(None, None, expanded, peak, states_recorded,
+                            reason)
 
     # stitch the witness: forward start -> meet, then reversed backward
-    # moves; a record's move undoes to its parent's mask
+    # moves; a record's flip undoes to its parent's mask
     def unwind(rec, mask):
         moves = []
         move = rec[mask] % W
         while move:
-            r, a = divmod(move - 1, nn)
-            moves.append(kernel.move(r, a))
-            mask ^= bit[r] ^ bit[a]
+            moves.append(kernel.move(move - 1))
+            mask ^= delta[move - 1]
             move = rec[mask] % W
         moves.reverse()
         return moves
@@ -356,18 +448,18 @@ class FlipGraph:
 
     Enumeration hands over the index form it builds: the seed's edge ids,
     and for every later node, in the order the nodes were found, the index
-    of the node whose flip found it with that flip's removed and inserted
-    edge ids; then the node indices in expansion order, the end offset of
-    each one's neighbours in one flat array of neighbour indices, and the
-    kernel's `tokens` and `pairs`.  `len` and `flip_count` are read from
-    it; `nodes` and `adjacency` are built from it on first access of
-    either, and the index form goes.
+    of the node whose flip found it and that flip's index; then the node
+    indices in expansion order, the end offset of each one's neighbours in
+    one flat array of neighbour indices, and the kernel's removed and
+    inserted ids by flip index, `tokens` and `pairs`.  `len` and
+    `flip_count` are read from it; `nodes` and `adjacency` are built from
+    it on first access of either, and the index form goes.
     """
 
-    def __init__(self, seed_ids, parent, removed, inserted, expanded, ends,
-                 neighbours, tokens, pairs):
-        self._index = (seed_ids, parent, removed, inserted, expanded, ends,
-                       neighbours, tokens, pairs)
+    def __init__(self, seed_ids, parent, flips, expanded, ends, neighbours,
+                 removed, inserted, tokens, pairs):
+        self._index = (seed_ids, parent, flips, expanded, ends, neighbours,
+                       removed, inserted, tokens, pairs)
         self._nodes = self._adjacency = None
         self._len = len(parent) + 1
         self.flip_count = len(neighbours) // 2
@@ -376,21 +468,21 @@ class FlipGraph:
         return self._len
 
     def _build(self):
-        (seed_ids, parent, removed, inserted, expanded, ends, neighbours,
-         tokens, pairs) = self._index
+        (seed_ids, parent, flips, expanded, ends, neighbours, removed,
+         inserted, tokens, pairs) = self._index
         self._index = None
         # a parent is found before its children, so each node's edges are
         # its parent's with one flip applied; the shared (u, v) pairs sort
         # like the ids
         pair = pairs.__getitem__
         found = [tuple(map(pair, seed_ids))]
-        for p, r, a in zip(parent, removed, inserted):
+        for p, f in zip(parent, flips):
             edges = list(found[p])
-            del edges[bisect_left(edges, pair(r))]
-            insort(edges, pair(a))
+            del edges[bisect_left(edges, pair(removed[f]))]
+            insort(edges, pair(inserted[f]))
             found.append(tuple(edges))
         # each array goes once it has been read, so none is held at the peak
-        del parent, removed, inserted
+        del parent, flips
         # the keys are joined from the edges' tokens, keyed here by pair
         tokens = {pair(i): token for i, token in tokens.items()}
         keys = [_key(tokens, edges) for edges in found]
@@ -439,38 +531,37 @@ def enumerate_flip_graph(seed: Triangulation, cap: int = 10 ** 6) -> FlipGraph:
     `Triangulation` from it where one is needed.  Nodes are kept in the
     order they were found and adjacency in the order nodes were expanded.
     A node is found by a depth-first search on the flip kernel and kept as
-    its mask, the index of the node whose flip found it and that flip; its
-    state is built from its parent's when it is popped to be expanded.  No
-    canonical key is built here: the graph builds them when `nodes` or
-    `adjacency` is first read.  Raises CapExceededError beyond `cap` nodes,
-    and ValidationError for a `cap` below 1.
+    its mask, the index of the node whose flip found it and that flip's
+    index; its state is built from its parent's when it is popped to be
+    expanded.  No canonical key is built here: the graph builds them when
+    `nodes` or `adjacency` is first read.  Raises CapExceededError beyond
+    `cap` nodes, and ValidationError for a `cap` below 1.
     """
     if cap < 1:
         raise ValidationError(f"cap must be positive, got {cap}")
     kernel = _FlipKernel(seed.domain)
-    bit, child = kernel.bit, kernel.child
-    mask, seed_ids, opp = kernel.state(seed)
+    delta, child = kernel.delta, kernel.child
+    mask, ids, opp = kernel.state(seed)
     # a node gets a dense index when it is found, so the adjacency holds
-    # small ints, not masks; edge ids reach n**2, past 32 bits on large
-    # point sets, hence 64-bit arrays, unsigned since CPython stores those
-    # items without parsing a format string for each
+    # small ints, not masks; 64-bit arrays, unsigned since CPython stores
+    # those items without parsing a format string for each
     index = {mask: 0}                         # mask -> node index
-    parent, removed, inserted = array("Q"), array("Q"), array("Q")
+    parent, flips = array("Q"), array("Q")    # per node after the seed
     expanded = array("Q")                     # node indices, in expansion order
     ends = array("Q")                         # their neighbours' end offsets
     neighbours = array("Q")                   # all neighbours, flat
-    # a pending node is its parent's state, the flip of `ids[i]` to `a`
-    # that found it, its mask and its index; i == -1 marks the seed
-    stack = [(seed_ids, opp, -1, 0, mask, 0)]
+    # a pending node is its parent's state, the flip `f` of `ids[i]` that
+    # found it, its mask and its index; i == -1 marks the seed
+    stack = [(ids, opp, -1, 0, mask, 0)]
+    seed_ids = kernel.edges(ids)
     while stack:
-        ids, opp, i, a, mask, node = stack.pop()
+        ids, opp, i, f, mask, node = stack.pop()
         if i >= 0:
-            ids, opp = child(ids, opp, i, a)
-        for i, a in enumerate(opp):
-            if a < 0:
+            ids, opp, _ = child(ids, opp, i, f)
+        for i, f in enumerate(opp):
+            if f < 0:
                 continue
-            r = ids[i]
-            m_new = mask ^ bit[r] ^ bit[a]
+            m_new = mask ^ delta[f]
             j = index.get(m_new)
             if j is None:
                 if len(index) >= cap:
@@ -478,14 +569,14 @@ def enumerate_flip_graph(seed: Triangulation, cap: int = 10 ** 6) -> FlipGraph:
                         f"flip graph exceeds the {cap}-node cap")
                 j = index[m_new] = len(index)
                 parent.append(node)
-                removed.append(r)
-                inserted.append(a)
-                stack.append((ids, opp, i, a, m_new, j))
+                flips.append(f)
+                stack.append((ids, opp, i, f, m_new, j))
             neighbours.append(j)
         expanded.append(node)
         ends.append(len(neighbours))
-    return FlipGraph(seed_ids, parent, removed, inserted, expanded, ends,
-                     neighbours, kernel.tokens, kernel.pairs)
+    return FlipGraph(seed_ids, parent, flips, expanded, ends, neighbours,
+                     kernel.removed, kernel.inserted, kernel.tokens,
+                     kernel.pairs)
 
 
 def greedy_upper_bound(t1: Triangulation, t2: Triangulation,
@@ -503,7 +594,7 @@ def greedy_upper_bound(t1: Triangulation, t2: Triangulation,
     if move_cap is None:
         move_cap = 8 * len(t1.domain.points) ** 2 + 64
     kernel = _FlipKernel(t1.domain)
-    bit = kernel.bit
+    delta, inserted = kernel.delta, kernel.inserted
     goal, target, _ = kernel.state(t2)
     target = frozenset(target)
     mask, ids, opp = kernel.state(t1)
@@ -514,18 +605,18 @@ def greedy_upper_bound(t1: Triangulation, t2: Triangulation,
             raise CapExceededError(f"no script within {move_cap} moves")
         # a flip that inserts a target edge first, one that removes one
         # last; ids sort like the edges, so ties go by the removed edge
-        for _, i in sorted(((ids[i] in target) - (a in target), i)
-                           for i, a in enumerate(opp) if a >= 0):
-            r, a = ids[i], opp[i]
-            m_new = mask ^ bit[r] ^ bit[a]
+        for _, i in sorted(((ids[i] in target) - (inserted[f] in target), i)
+                           for i, f in enumerate(opp) if f >= 0):
+            f = opp[i]
+            m_new = mask ^ delta[f]
             if m_new not in seen:
                 break
         else:
             raise CapExceededError("greedy walk ran out of unvisited states")
         seen.add(m_new)
-        moves.append(kernel.move(r, a))
+        moves.append(kernel.move(f))
         mask = m_new
-        ids, opp = kernel.child(ids, opp, i, a)
+        ids, opp, _ = kernel.child(ids, opp, i, f)
     return FlipScript(t1.canonical_key(), tuple(moves))
 
 

@@ -20,8 +20,8 @@ from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import DomainMismatchError, IllegalFlipError, ValidationError
-from .geometry import (Point2, on_segment, orientation, polygon_signed_area2,
-                       segments_share_interior, sorted_ccw, touching_pairs)
+from .geometry import (Point2, orientation, polygon_signed_area2, sorted_ccw,
+                       touching_pairs)
 
 Edge = tuple[int, int]
 Triangle = tuple[int, int, int]
@@ -93,9 +93,6 @@ class PolygonalRegion(_DomainBase):
         self.point_holes = [h[0] for h in self.holes if len(h) == 1]
         self._check_structure()
         self.boundary_cycles = [list(self.outer)] + [list(h) for h in self.poly_holes]
-        # each boundary vertex's (previous, next) neighbours along its cycle
-        self._corners = {c[k]: (c[k - 1], c[(k + 1) % len(c)])
-                         for c in self.boundary_cycles for k in range(len(c))}
         self.mandatory_edges = frozenset(
             edge(c[i], c[(i + 1) % len(c)])
             for c in self.boundary_cycles for i in range(len(c)))
@@ -195,37 +192,6 @@ class PolygonalRegion(_DomainBase):
                 if (k, ci) in odd:
                     raise ValidationError(
                         f"point hole {holes[k][0]} inside a polygonal hole")
-
-    def segment_inside(self, i: int, j: int) -> bool:
-        """True iff segment ij can be an edge of a triangulation of the
-        region: a boundary edge, or an open segment in the region's interior.
-
-        The open segment must touch no boundary edge and pass through no
-        point hole; a boundary vertex inside it would touch that vertex's
-        own edges.  It then lies wholly inside the region or wholly outside,
-        and its start decides which: it leaves `i` strictly inside the
-        boundary's corner at `i` (darts keep the region on their left), and
-        from a point hole every direction leads inside.
-        """
-        if edge(i, j) in self.mandatory_edges:
-            return True
-        ip = self.ipoints
-        a, b = ip[i], ip[j]
-        for u, v in self.mandatory_edges:
-            if segments_share_interior(a, b, ip[u], ip[v]):
-                return False
-        for k in self.point_holes:
-            if on_segment(ip[k], a, b, closed=False):
-                return False
-        corner = self._corners.get(i)
-        if corner is None:
-            return True
-        prev, nxt = ip[corner[0]], ip[corner[1]]
-        left_of_out = orientation(a, nxt, b) > 0
-        left_of_in = orientation(prev, a, b) > 0
-        if orientation(prev, a, nxt) >= 0:      # convex or straight corner
-            return left_of_out and left_of_in
-        return left_of_out or left_of_in
 
 
 class PointSet(PolygonalRegion):

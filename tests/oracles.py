@@ -23,7 +23,7 @@ from flipdist.triangulation import (Edge, Triangulation, ValidationReport,
 
 def validate_by_segments(t) -> ValidationReport:
     """The O(E·n) oracle of `triangulation.validate`: every non-boundary
-    edge must pass `domain.segment_inside`, which tests it against every
+    edge must pass `segment_inside`, which tests it against every
     boundary edge and every point, before the faces are counted."""
     report = ValidationReport()
     domain = t.domain
@@ -44,7 +44,7 @@ def validate_by_segments(t) -> ValidationReport:
     # boundary edges hold no point by construction (a hull cycle lists every
     # point on the hull, and PolygonalRegion rejects points on its boundary)
     for e in t.edges:
-        if e not in domain.mandatory_edges and not domain.segment_inside(*e):
+        if e not in domain.mandatory_edges and not segment_inside(domain, *e):
             report.add(f"edge {e} does not lie inside the domain")
 
     all_edges = sorted(t.edges)
@@ -424,8 +424,42 @@ def point_location(region, q2) -> int:
     return 1
 
 
+def segment_inside(region, i: int, j: int) -> bool:
+    """True iff segment ij can be an edge of a triangulation of the
+    region: a boundary edge, or an open segment in the region's interior.
+
+    The open segment must touch no boundary edge and pass through no
+    point hole; a boundary vertex inside it would touch that vertex's
+    own edges.  It then lies wholly inside the region or wholly outside,
+    and its start decides which: it leaves `i` strictly inside the
+    boundary's corner at `i` (darts keep the region on their left), and
+    from a point hole every direction leads inside.
+    """
+    if edge(i, j) in region.mandatory_edges:
+        return True
+    ip = region.ipoints
+    a, b = ip[i], ip[j]
+    for u, v in region.mandatory_edges:
+        if segments_share_interior(a, b, ip[u], ip[v]):
+            return False
+    for k in region.point_holes:
+        if on_segment(ip[k], a, b, closed=False):
+            return False
+    corner = next(((c[k - 1], c[(k + 1) % len(c)])
+                   for c in region.boundary_cycles
+                   for k in range(len(c)) if c[k] == i), None)
+    if corner is None:
+        return True
+    prev, nxt = ip[corner[0]], ip[corner[1]]
+    left_of_out = orientation(a, nxt, b) > 0
+    left_of_in = orientation(prev, a, b) > 0
+    if orientation(prev, a, nxt) >= 0:      # convex or straight corner
+        return left_of_out and left_of_in
+    return left_of_out or left_of_in
+
+
 def segment_inside_by_midpoint(region, i, j) -> bool:
-    """The oracle of `PolygonalRegion.segment_inside`: a boundary edge, or
+    """The oracle of `segment_inside`: a boundary edge, or
     an open segment that touches no boundary edge, holds no point of the
     region and has its midpoint strictly inside, by `point_location`."""
     if edge(i, j) in region.mandatory_edges:
@@ -443,12 +477,12 @@ def segment_inside_by_midpoint(region, i, j) -> bool:
 def segment_in_domain_by_pieces(region, p, q) -> bool:
     """The oracle of `triangulation.walk_segment` staying in the domain:
     the points on the closed segment pq, in order along it, cut it into
-    pieces, and each piece must pass `PolygonalRegion.segment_inside`."""
+    pieces, and each piece must pass `segment_inside`."""
     ip = region.ipoints
     a, b = ip[p], ip[q]
     on = sorted((k for k in range(len(ip)) if on_segment(ip[k], a, b)),
                 key=lambda k: abs(ip[k][0] - a[0]) + abs(ip[k][1] - a[1]))
-    return all(region.segment_inside(u, v) for u, v in zip(on, on[1:]))
+    return all(segment_inside(region, u, v) for u, v in zip(on, on[1:]))
 
 
 def check_nesting_unfiltered(region):
@@ -491,13 +525,13 @@ def segments_share_interior_four_orientations(a, b, c, d) -> bool:
 def chain_pair_blocked_by_segments(ch):
     """The oracle of `gadgets.channel_invariant_report`'s visibility check:
     the first chain pair (i, j), upper then lower, that fails
-    `PolygonalRegion.segment_inside` in the channel's own region, or None
+    `segment_inside` in the channel's own region, or None
     when every pair sees each other."""
     region = channel_region(ch)
     n = ch.n
     for i in range(n):
         for j in range(n, 2 * n):
-            if not region.segment_inside(i, j):
+            if not segment_inside(region, i, j):
                 return i, j
     return None
 

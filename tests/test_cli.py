@@ -225,6 +225,17 @@ def test_reduce_20_prism_passes_at_threshold(tmp_path, capsys):
     assert (k, acc["channel_count"], out["length"]) == (20, 100, 2880)
 
 
+@pytest.mark.slow
+def test_reduce_20_prism_with_a_4_face_outer_passes(tmp_path, capsys):
+    # the chain of vertex 1 is placed with its first vertex next to 21, so
+    # it must be spliced into the outer cycle reversed; spliced as placed,
+    # the next chain could not be placed and `reduce` exited 3
+    text = prism_graph_text(20).replace(
+        "outer " + " ".join(map(str, range(20))), "outer 0 1 21 20")
+    k, acc, out = graph_pipeline(tmp_path, capsys, text)
+    assert (k, acc["channel_count"], out["length"]) == (20, 68, 1952)
+
+
 def test_reduce_rejects_nonplanar(tmp_path, capsys):
     text = "\n".join([f"v {i}" for i in range(5)]
                      + [f"e {i} {j}" for i in range(5) for j in range(i + 1, 5)])
@@ -391,6 +402,32 @@ def test_distance_json_reports_search_statistics(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["exceeds_budget"] and out["distance"] is None
     assert 0 < out["nodes_expanded"] <= 1346 and out["frontier_peak"] > 2
+
+
+def test_distance_state_cap(tmp_path, capsys):
+    # past the cap on recorded states the search stops with exit 4 and says
+    # why; the depth budget gives the other reason, and a cap below 1 is a
+    # validation error
+    path = tmp_path / "channel.json"
+    instanceio.save(channel_instance_doc(), path)
+    assert main(["distance", "--instance", str(path), "--max-states", "100",
+                 "--json"]) == 4
+    out = json.loads(capsys.readouterr().out)
+    assert (out["distance"], out["exceeds_budget"], out["reason"]) == \
+        (None, True, "states")
+    assert 100 < out["states_recorded"] < 1446
+    assert main(["distance", "--instance", str(path), "--max-states", "100"]) \
+        == 4
+    assert capsys.readouterr().out.startswith("EXCEEDS_STATES (> 100 ")
+    assert main(["distance", "--instance", str(path), "--budget", "35",
+                 "--json"]) == 4
+    assert json.loads(capsys.readouterr().out)["reason"] == "budget"
+    assert main(["distance", "--instance", str(path), "--max-states", "1446",
+                 "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["distance"] == 36
+    assert main(["distance", "--instance", str(path), "--max-states", "0"]) \
+        == 2
+    assert "max_states must be positive" in capsys.readouterr().err
 
 
 def test_distance_identical(tmp_path, capsys):

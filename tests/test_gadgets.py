@@ -18,7 +18,7 @@ from flipdist.search import (bfs_distance, count_polygon_triangulations,
                              enumerate_flip_graph, exact_distance)
 from flipdist.triangulation import PolygonalRegion, Triangulation, edge, validate
 from oracles import (chain_pair_blocked_by_segments, edges_crossing_segment,
-                     edges_crossing_segment_four_tests)
+                     edges_crossing_segment_four_tests, segment_inside)
 
 
 def figure_channel(n=7, sag=Fraction(1, 160)):
@@ -35,7 +35,7 @@ def test_build_channel_invariants():
     # complete bipartite visibility: every upper vertex sees every lower one
     for i in range(7):
         for j in range(7, 14):
-            assert region.segment_inside(i, j)
+            assert segment_inside(region, i, j)
 
 
 def sagged_channel(sag, n=7, jitter=None):
@@ -250,14 +250,14 @@ def test_mouths_nesting_and_visibility():
     # a capping vertex sees all 14 channel vertices
     region = channel_region(ch, cap_near=cap)
     for v in range(14):
-        assert region.segment_inside(14, v)
+        assert segment_inside(region, 14, v)
     # a vertex outside the wide mouth sees only the near end vertices
     outside = pt(-70, 50)
     assert not m.wide.contains(outside)
     pts2 = list(ch.upper) + list(ch.lower) + [outside]
     cycle = [14] + list(range(7)) + list(range(13, 6, -1))
     region2 = PolygonalRegion(pts2, list(reversed(cycle)))
-    seen = [v for v in range(14) if region2.segment_inside(14, v)]
+    seen = [v for v in range(14) if segment_inside(region2, 14, v)]
     # past the wide mouth it cannot look down the upper chain, so it can
     # never become an apex for an interior upper-chain edge
     assert [v for v in seen if v < 7] == [0]

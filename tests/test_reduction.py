@@ -5,9 +5,10 @@ from math import lcm
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from flipdist import instanceio, triangulation
+from flipdist import instanceio, reduction, triangulation
 from flipdist.errors import (IllegalScriptError, Not3ConnectedError,
-                             NotACoverError, NotPlanarError, ValidationError)
+                             NotACoverError, NotPlanarError,
+                             SharpVertexError, ValidationError)
 from flipdist.gadgets import (Channel, blocking_set, channel_mouths,
                               channel_region)
 from flipdist.geometry import on_segment, orientation, pt, touching_pairs
@@ -24,7 +25,8 @@ from flipdist.triangulation import (FlipMove, Triangulation, canonical_cycle,
 from flipdist.vertexcover import Graph, exact_vc
 
 from oracles import (edges_crossing_segment, embedding_faces_by_networkx,
-                     segment_in_domain_by_pieces, segment_inside_by_midpoint)
+                     segment_in_domain_by_pieces, segment_inside,
+                     segment_inside_by_midpoint)
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 PRISM_EDGES = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
@@ -190,6 +192,45 @@ def test_shear_clears_diagonal_edges():
     assert (inst.threshold, validate(inst.t1).ok) == (348, True)
 
 
+def prism_edges(n):
+    """The prism C_n x K2: cycles 0..n-1 and n..2n-1, spoke i to n + i."""
+    return ([(i, (i + 1) % n) for i in range(n)]
+            + [(n + i, n + (i + 1) % n) for i in range(n)]
+            + [(i, n + i) for i in range(n)])
+
+
+def test_eliminate_sharp_keeps_the_outer_cycle_a_face():
+    # with a 4-face outer, one chain on the 10-prism is placed with its
+    # first vertex next to the following outer vertex, so the chain is
+    # spliced into the cycle reversed; the cycle is still a face, in order
+    d = convex_drawing(list(range(20)), prism_edges(10), outer=[0, 1, 11, 10])
+    d2, t = eliminate_sharp(d)
+    assert t == 4 and len(d2.outer_face) == 12
+    faces = {canonical_cycle([u for u, _ in f]) for f in d2.faces()}
+    assert canonical_cycle(d2.outer_face) in faces
+
+
+def test_eliminate_sharp_refuses_an_outer_cycle_off_the_faces(monkeypatch):
+    # the last of K4's three chains spliced into the cycle reversed: the
+    # cycle is no face of the drawing, and the error names where it breaks
+    place = reduction._place_chain
+
+    def reversed_last(*args):
+        placed = place(*args)
+        if placed is None or args[2] != 2:
+            return placed
+        chain, new_pos, new_edges = placed
+        return chain[::-1], new_pos, new_edges
+
+    monkeypatch.setattr(reduction, "_place_chain", reversed_last)
+    d = convex_drawing([0, 1, 2, 3], K4_EDGES, outer=[0, 1, 2])
+    with pytest.raises(SharpVertexError, match="not a face of the drawing "
+                       "at vertex 12 .after 9., in the chain of sharp "
+                       "vertex 2") as exc:
+        eliminate_sharp(d)
+    assert exc.value.exit_code == 3
+
+
 def test_eliminate_sharp_identity_when_clean():
     pos = {0: pt(0, 0), 1: pt(1200, 0), 2: pt(600, 1000)}
     d = drawing_from_coords(pos, [(0, 1), (1, 2), (0, 2)])
@@ -261,7 +302,7 @@ def test_segment_inside_matches_midpoint_oracle(c3_instance, k4_instance):
                 for i in range(n):
                     for j in range(n):
                         if i != j:
-                            assert region.segment_inside(i, j) == \
+                            assert segment_inside(region, i, j) == \
                                 segment_inside_by_midpoint(region, i, j), \
                                 ((u, w), caps, i, j)
                             checked += 1
@@ -273,7 +314,7 @@ def test_segment_inside_matches_midpoint_oracle(c3_instance, k4_instance):
         [tuple(rng.sample(range(n), 2)) for _ in range(600)]
     inside = 0
     for i, j in pairs:
-        got = region.segment_inside(i, j)
+        got = segment_inside(region, i, j)
         assert got == segment_inside_by_midpoint(region, i, j), (i, j)
         inside += got
     assert checked > 10000 and inside > len(inst.t1.edges)
@@ -317,7 +358,7 @@ def test_walk_visibility_matches_segment_inside_on_k4(k4_instance):
     assert len(walks) == 61256
     for (p, q), walk in walks.items():
         assert (walk is not None and not walk[1]) == \
-            region.segment_inside(p, q), (p, q)
+            segment_inside(region, p, q), (p, q)
     rng = random.Random(29)
     sample = rng.sample(sorted(walks), 1500) + \
         [pq for pq, walk in walks.items() if walk is not None and walk[1]]

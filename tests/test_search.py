@@ -18,7 +18,7 @@ from flipdist.triangulation import (
     FlipMove, PointSet, PolygonalRegion, Triangulation, edge, validate,
 )
 
-from oracles import greedy_by_triangulations
+from oracles import greedy_by_triangulations, segment_inside
 
 
 def convex_polygon_region(n):
@@ -215,7 +215,7 @@ def point_set_seed(ps):
     ip = ps.ipoints
     kept = []
     for u, v in itertools.combinations(range(len(ip)), 2):
-        if ps.segment_inside(u, v) and not any(
+        if segment_inside(ps, u, v) and not any(
                 segments_share_interior(ip[u], ip[v], ip[a], ip[b])
                 for a, b in kept):
             kept.append((u, v))
@@ -297,21 +297,25 @@ def test_h7_search_is_pinned():
 def test_bytes_keys_built_once_per_kept_state(monkeypatch):
     # states are told apart by their edge masks; canonical bytes are built
     # only for kept states: one per node on the first read of the graph's
-    # nodes and none while enumerating, one per heap push when searching
-    # (a key per generated child was about 8 per expansion)
-    built = []
-    key = search._key
+    # nodes and none while enumerating.  The search joins a whole heap key
+    # only for its two starts: each kept child's key is spliced from its
+    # parent's, and no canonical key is joined at all
+    built, joined = [], []
+    key, heap_key = search._key, search._heap_key
     monkeypatch.setattr(
         search, "_key", lambda tokens, ids: built.append(ids) or key(tokens, ids))
+    monkeypatch.setattr(
+        search, "_heap_key",
+        lambda tokens, width: joined.append(tokens) or heap_key(tokens, width))
     t_left, t_right = channel_pair(7)
     graph = enumerate_flip_graph(t_left)
-    assert built == []
+    assert built == [] and joined == []
     assert len(graph.nodes) == len(graph) == len(built) == 924
     assert len(graph.nodes) == len(graph.adjacency) == len(built) == 924
     built.clear()
     res = exact_distance(t_left, t_right)
-    assert res.nodes_expanded == 1346
-    assert res.nodes_expanded <= len(built) <= 2 * res.nodes_expanded + 2
+    assert (res.nodes_expanded, res.states_recorded) == (1346, 1446)
+    assert built == [] and len(joined) == 2
 
 
 # the answers of the benchmark's `search` and `enumerate` workloads on H_9

@@ -14,7 +14,7 @@ from flipdist.errors import (CapExceededError, DomainMismatchError,
 from flipdist.gadgets import build_channel, channel_region, channel_triangulations
 from flipdist.geometry import orientation, pt
 from flipdist.reduction import region_to_pointset
-from flipdist.search import (_FlipKernel, _key, bfs_distance,
+from flipdist.search import (_FlipKernel, _heap_key, _key, bfs_distance,
                              enumerate_flip_graph, exact_distance)
 from flipdist.triangulation import (
     FlipMove, PointSet, PolygonalRegion, Triangulation, canonical_cycle,
@@ -26,8 +26,9 @@ from flipdist import instanceio
 from oracles import (PointSetByFormulas, apply_flip_by_copy,
                      canonical_cycle_all_rotations,
                      check_nesting_unfiltered, flip_graph_by_triangulations,
-                     hull_cycle_by_scans, replay_by_copies, segment_inside_by_midpoint,
-                     validate_by_segments, validate_with_sweep)
+                     hull_cycle_by_scans, replay_by_copies, segment_inside,
+                     segment_inside_by_midpoint, validate_by_segments,
+                     validate_with_sweep)
 
 
 def convex_polygon_region(n):
@@ -196,7 +197,7 @@ def test_point_set_region_matches_formulas(pts):
         == (oracle.expected_edge_count, oracle.expected_triangle_count,
             oracle.area2)
     for i, j in itertools.permutations(range(len(pts)), 2):
-        assert ps.segment_inside(i, j) == oracle.segment_inside(i, j), (i, j)
+        assert segment_inside(ps, i, j) == oracle.segment_inside(i, j), (i, j)
     region = PolygonalRegion(pts, ps.outer, ps.holes)
     assert region.mandatory_edges == ps.mandatory_edges
     assert region.expected_edge_count == ps.expected_edge_count
@@ -447,10 +448,10 @@ def test_segment_inside_matches_flip_graph(seed, triangulations, diagonals):
     used = set().union(*graph.nodes.values()) - region.mandatory_edges
     n = len(region.points)
     inside = {(i, j) for i in range(n) for j in range(i + 1, n)
-              if region.segment_inside(i, j)} - region.mandatory_edges
+              if segment_inside(region, i, j)} - region.mandatory_edges
     assert len(graph) == triangulations and len(used) == diagonals
     assert inside == used
-    assert all(region.segment_inside(i, j)
+    assert all(segment_inside(region, i, j)
                == segment_inside_by_midpoint(region, i, j)
                for i in range(n) for j in range(n) if i != j)
 
@@ -632,7 +633,7 @@ def test_walk_carries_on_from_a_vertex_met_mid_segment():
     assert walk_segment(t, 0, 2) == ([(5, 6)], [4])
     assert walk_segment(t, 2, 0) == ([(5, 6)], [4])
     assert walk_segment(t, 0, 4) == ([(5, 6)], [])
-    assert not ps.segment_inside(0, 2) and ps.segment_inside(0, 4)
+    assert not segment_inside(ps, 0, 2) and segment_inside(ps, 0, 4)
 
 
 def illegal_moves(t):
@@ -684,42 +685,105 @@ def test_replay_matches_apply_flip_chain(differential_seeds, seed):
 
 @pytest.mark.parametrize("seed", WALK_SEEDS)
 def test_kernel_state_matches_fresh_state(differential_seeds, seed):
-    # a random flip walk on the search kernel: the carried (mask, ids, opp)
-    # state equals the one built afresh from the edges alone, the sign of
-    # each carried flip is its convexity, the bytes key of the carried ids
-    # is the canonical key, and a flip followed by its reverse is the
-    # identity
+    # a random flip walk on the search kernel, whose state holds only the
+    # diagonals: the carried (mask, ids, opp) state equals the one built
+    # afresh from the edges alone, an entry is a flip index exactly when
+    # its quadrilateral is convex, the legal flips come in the order of
+    # `legal_flips`, a flip followed by its reverse is the identity, and
+    # the bytes key of the full edge ids is the canonical key
     t = differential_seeds[seed]
     kernel = _FlipKernel(t.domain)
     mask, ids, opp = kernel.state(t)
     rng = random.Random(seed)
     for _ in range(60):
+        apexes = t.edge_apexes()
         for r, o in zip(ids, opp):
-            if o != -1:
-                a = o if o >= 0 else ~o
-                assert (o >= 0) == flip_is_convex(
-                    t.domain, *kernel.pairs[r], *divmod(a, kernel.n))
-        flips = [(i, a) for i, a in enumerate(opp) if a >= 0]
-        moves = [kernel.move(ids[i], a) for i, a in flips]
+            aps = apexes[kernel.pairs[r]]
+            a = kernel.inserted[o] if o >= 0 else ~o
+            assert divmod(a, kernel.n) == edge(*aps)
+            assert (o >= 0) == flip_is_convex(t.domain, *kernel.pairs[r], *aps)
+            if o >= 0:
+                assert kernel.removed[o] == r
+                assert kernel.delta[o] == kernel.bit[r] ^ kernel.bit[a]
+        flips = [(i, f) for i, f in enumerate(opp) if f >= 0]
+        moves = [kernel.move(f) for _, f in flips]
         assert moves == t.legal_flips()
         if not flips:
             break
         k = rng.randrange(len(flips))
-        i, a = flips[k]
-        r = ids[i]
-        child_mask = mask ^ kernel.bit[r] ^ kernel.bit[a]
-        child_ids, child_opp = kernel.child(ids, opp, i, a)
-        j = child_ids.index(a)
-        assert child_opp[j] == r
-        assert (child_mask ^ kernel.bit[a] ^ kernel.bit[r],
-                *kernel.child(child_ids, child_opp, j, r)) == (mask, ids, opp)
+        i, f = flips[k]
+        child_mask = mask ^ kernel.delta[f]
+        child_ids, child_opp, j = kernel.child(ids, opp, i, f)
+        assert (child_ids[j], child_opp[j]) == (kernel.inserted[f], f ^ 1)
+        assert (child_mask ^ kernel.delta[f ^ 1],
+                *kernel.child(child_ids, child_opp, j, f ^ 1)) == \
+            (mask, ids, opp, i)
         mask, ids, opp = child_mask, child_ids, child_opp
-        removed, inserted = moves[k]
-        t = Triangulation(t.domain, (t.edges - {removed}) | {inserted})
-        fresh_mask, fresh_ids, fresh_opp = kernel.state(t)
-        assert mask == fresh_mask
-        assert _key(kernel.tokens, ids) == t.canonical_key()
-        assert (ids, opp) == (fresh_ids, fresh_opp)
+        t = swapped(t, *moves[k])
+        assert (mask, ids, opp) == kernel.state(t)
+        assert _key(kernel.tokens, kernel.edges(ids)) == t.canonical_key()
+
+
+def spliced_keys_walk(t, seed):
+    """A random flip walk on the kernel: every legal child's spliced heap
+    key equals the one joined from its edges, and the keys met order as
+    their canonical keys do.  Returns how many splices moved the last
+    token."""
+    kernel = _FlipKernel(t.domain)
+    tokens, width = kernel.tokens, kernel.width
+
+    def joined(ids):
+        return _heap_key([tokens[e] for e in kernel.edges(ids)], width)
+
+    _, ids, opp = kernel.state(t)
+    key = joined(ids)
+    seen = {t.canonical_key(): key}
+    moved_last = 0
+    rng = random.Random(seed)
+    for _ in range(60):
+        children = []
+        for i, f in enumerate(opp):
+            if f < 0:
+                continue
+            child_ids, child_opp, j = kernel.child(ids, opp, i, f)
+            child_key = kernel.splice(*key, i, j, f)
+            assert child_key == joined(child_ids)
+            moved_last += child_key[1] != key[1]
+            seen[_key(tokens, kernel.edges(child_ids))] = child_key
+            children.append((child_ids, child_opp, child_key))
+        if not children:
+            break
+        ids, opp, key = rng.choice(children)
+    assert len(set(seen.values())) == len(seen)
+    assert sorted(seen.values()) == [seen[k] for k in sorted(seen)]
+    return moved_last
+
+
+@pytest.mark.parametrize("seed", WALK_SEEDS)
+def test_spliced_keys_order_as_canonical_keys(differential_seeds, seed):
+    spliced_keys_walk(differential_seeds[seed], seed)
+
+
+def test_spliced_keys_move_the_last_token():
+    # a convex hexagon labelled out of boundary order, so that its largest
+    # edge (4, 5) is a diagonal and flips move the last token
+    order = [0, 3, 1, 4, 2, 5]
+    corners = convex_polygon_region(6).points
+    points = [corners[order.index(k)] for k in range(6)]
+    region = PolygonalRegion(points, order)
+    t = Triangulation(region, ear_clip_triangulation(region, region.outer))
+    assert spliced_keys_walk(t, "hexagon") > 0
+
+
+def test_heap_key_end_of_key_prefix():
+    # "7,8" is a decimal prefix of "7,80": in the middle of a key the
+    # separator ";" puts it above, at the key's end it sorts below
+    for head, tail in [([b"0,1", b"7,8"], [b"0,1", b"7,80"]),
+                       ([b"7,8", b"9,9"], [b"7,80", b"9,9"]),
+                       ([b"7,8", b"7,80"], [b"7,80", b"7,9"])]:
+        canonical = (b";".join(head) < b";".join(tail))
+        assert (_heap_key(head, 6) < _heap_key(tail, 6)) == canonical
+        assert (_heap_key(tail, 6) < _heap_key(head, 6)) == (not canonical)
 
 
 def swapped(t, removed, inserted):
