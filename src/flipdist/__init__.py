@@ -10,7 +10,7 @@ from .errors import (CapExceededError, DomainMismatchError,
 from .geometry import (CCW, COLLINEAR, CW, ConvexRegion, HalfPlane, Point2,
                        coord_bits, interior_point, orientation, pt)
 from .triangulation import (FlipMove, PointSet, PolygonalRegion, Triangulation,
-                            edge, edge_difference, validate)
+                            edge, validate)
 from .search import (FlipScript, SearchResult, bfs_distance,
                      count_polygon_triangulations, enumerate_flip_graph,
                      exact_distance, greedy_upper_bound, lower_bound)

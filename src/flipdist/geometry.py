@@ -1,20 +1,22 @@
 """Exact planar primitives: the one predicate kernel of flipdist.
 
-Every predicate here is decided by an integer or rational sign computation;
-there is no floating point anywhere.  The kernel predicates (`orientation`,
+Every predicate here is decided by an integer sign computation; there is
+no floating point anywhere.  The kernel predicates (`orientation`,
 `on_segment`, `segments_share_interior`, `point_in_cycle`, the
 counterclockwise order `ccw_compare` and `turn_reaches_pi`), the segment
 sweep `touching_pairs` and `polygon_signed_area2` read points as plain
 `(x, y)` pairs by index, so one implementation serves both coordinate
-types: `Point2` values with `fractions.Fraction` coordinates, and the
-integer-grid tuples that the triangulation domains scale their points to.
-None of them divides, so on grid tuples they run in integers alone.
-Constructions stay error-free, and their bit growth can be audited with
-`coord_bits`.
+types: the integer-grid tuples that the triangulation domains scale their
+points to, and `Point2` values with `fractions.Fraction` coordinates.  None
+of them divides, and on `Point2` input each call first scales its points
+by one positive common denominator (`on_grid`), so every sign is decided
+in integers alone, with no `Fraction` arithmetic.  Constructions stay
+error-free, and their bit growth can be audited with `coord_bits`.
 
-Feasible regions are intersections of open half-planes only: a
-`ConvexRegion` is decided by one Fourier-Motzkin pass on integer rows (each
-half-plane scaled by the LCM of its denominators), whose sample is the
+Feasible regions are intersections of open half-planes only.  A half-plane
+from `halfplane_through` has integer coefficients, and its side of a
+rational point is decided by cross-multiplication.  A `ConvexRegion` is
+decided by one Fourier-Motzkin pass on integer rows, whose sample is the
 deterministic, dyadic point strictly inside it that `interior_point`
 returns.  Only the two bounds handed to `_between` per coordinate become
 `Fraction`s.
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cmp_to_key
-from math import ceil, floor, lcm
+from math import ceil, floor, gcd, lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import EmptyRegionError
@@ -62,8 +64,21 @@ def pt(x, y) -> Point2:
     return Point2(Fraction(x), Fraction(y))
 
 
+def on_grid(points) -> tuple[list[tuple[int, int]], int]:
+    """The `(x, y)` pairs of a sequence, with rational or integer
+    coordinates, times their least common denominator m: integer pairs,
+    and m.  One scale for both axes keeps every orientation, coordinate
+    order, equality and dot-product sign of the input."""
+    ratios = [(x.as_integer_ratio(), y.as_integer_ratio()) for x, y in points]
+    m = lcm(*[d for xy in ratios for _, d in xy])
+    return [(xn * (m // xd), yn * (m // yd))
+            for (xn, xd), (yn, yd) in ratios], m
+
+
 def orientation(p, q, r) -> int:
     """Sign of the turn p->q->r: CCW (+1), CW (-1) or COLLINEAR (0)."""
+    if type(p) is Point2:
+        (p, q, r), _ = on_grid((p, q, r))
     v = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
     return (v > 0) - (v < 0)
 
@@ -115,6 +130,10 @@ def touching_pairs(points, segments) -> list[tuple[int, int]]:
     A sweep over the segments' x-extents, with a y-extent filter, limits
     the exact test to pairs whose bounding boxes meet.
     """
+    if segments and type(points[segments[0][0]]) is Point2:
+        keys = list({k for s in segments for k in s})
+        grid, _ = on_grid([points[k] for k in keys])
+        points = dict(zip(keys, grid))
     boxes = []
     for u, v in segments:
         (x1, y1), (x2, y2) = points[u], points[v]
@@ -174,6 +193,8 @@ def ccw_compare(d, e) -> int:
     together iff they point the same way.  No division: integer directions
     stay integer.
     """
+    if type(d) is Point2:
+        (d, e), _ = on_grid((d, e))
     hd = 0 if d[1] > 0 or (d[1] == 0 and d[0] > 0) else 1
     he = 0 if e[1] > 0 or (e[1] == 0 and e[0] > 0) else 1
     if hd != he:
@@ -186,6 +207,8 @@ def sorted_ccw(items, direction) -> list:
     """`items` in counterclockwise order of `direction(item)` from +x;
     items with the same direction keep their input order."""
     dirs = [direction(item) for item in items]
+    if dirs and type(dirs[0]) is Point2:
+        dirs, _ = on_grid(dirs)
     order = sorted(range(len(dirs)),
                    key=cmp_to_key(lambda i, j: ccw_compare(dirs[i], dirs[j])))
     return [items[i] for i in order]
@@ -195,6 +218,8 @@ def turn_reaches_pi(d, e) -> bool:
     """True iff the counterclockwise turn from direction d to direction e
     is at least pi: the gap between consecutive directions around a vertex
     that makes an incident angle of at least pi."""
+    if type(d) is Point2:
+        (d, e), _ = on_grid((d, e))
     c = d[0] * e[1] - d[1] * e[0]
     return c < 0 or (c == 0 and d[0] * e[0] + d[1] * e[1] < 0)
 
@@ -202,7 +227,11 @@ def turn_reaches_pi(d, e) -> bool:
 def polygon_signed_area2(points):
     """Twice the signed area of the polygon `points` lists in order as
     `(x, y)` pairs; positive for counterclockwise cycles.  Exact: an integer
-    on grid tuples, a Fraction on `Point2` values."""
+    on grid tuples; on `Point2` values the integer sum over their common
+    denominator m, as a Fraction over m * m."""
+    if points and type(points[0]) is Point2:
+        grid, m = on_grid(points)
+        return Fraction(polygon_signed_area2(grid), m * m)
     total = 0
     n = len(points)
     for i in range(n):
@@ -221,16 +250,25 @@ def coord_bits(value) -> int:
 
 
 class HalfPlane(NamedTuple):
-    """Open half-plane {p : a*x + b*y + c > 0}."""
+    """Open half-plane {p : a*x + b*y + c > 0}.
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
+    `halfplane_through` makes integer coefficients; rational ones work as
+    well.  `value` decides a rational point's side by cross-multiplication,
+    so on integer coefficients it builds no `Fraction`.
+    """
 
-    def value(self, p: Point2) -> Fraction:
-        return self.a * p.x + self.b * p.y + self.c
+    a: int
+    b: int
+    c: int
 
-    def contains(self, p: Point2) -> bool:
+    def value(self, p) -> int:
+        """a*x + b*y + c at p times the positive product of p's
+        coordinate denominators: its sign is the side p lies on."""
+        a, b, c = self
+        (xn, xd), (yn, yd) = p[0].as_integer_ratio(), p[1].as_integer_ratio()
+        return a * xn * yd + b * yn * xd + c * xd * yd
+
+    def contains(self, p) -> bool:
         return self.value(p) > 0
 
 
@@ -239,23 +277,27 @@ def halfplane_through(p: Point2, q: Point2, inside: Point2,
     """Open half-plane bounded by line pq, oriented by a sample point.
 
     With contains_inside=True the half-plane contains `inside`; otherwise it is
-    the opposite side.  `inside` must be strictly off the line.
+    the opposite side.  `inside` must be strictly off the line.  The
+    coefficients are integers with no common factor: the line through p and
+    q scaled by their common denominator m, its row (a, b, c) over the
+    scaled points taken with a and b times m, divided by its gcd.
     """
-    a = -(q.y - p.y)
-    b = q.x - p.x
-    c = -(a * p.x + b * p.y)
-    h = HalfPlane(a, b, c)
-    v = h.value(inside)
+    ((px, py), (qx, qy)), m = on_grid((p, q))
+    a, b, c = (py - qy) * m, (qx - px) * m, px * qy - py * qx
+    v = HalfPlane(a, b, c).value(inside)
     if v == 0:
         raise ValueError("sample point lies on the boundary line")
-    if (v > 0) != contains_inside:
-        h = HalfPlane(-a, -b, -c)
-    return h
+    g = gcd(a, b, c) if (v > 0) == contains_inside else -gcd(a, b, c)
+    return HalfPlane(a // g, b // g, c // g)
 
 
 def halfplane_shift(h: HalfPlane, offset: Point2) -> HalfPlane:
-    """Translate a half-plane by a vector (the boundary line moves with it)."""
-    return HalfPlane(h.a, h.b, h.c - (h.a * offset.x + h.b * offset.y))
+    """Translate a half-plane by a vector (the boundary line moves with it),
+    scaled by the offset's common denominator m: integer coefficients stay
+    integer."""
+    ((ox, oy),), m = on_grid((offset,))
+    a, b, c = h
+    return HalfPlane(a * m, b * m, c * m - a * ox - b * oy)
 
 
 def floor_log2(x: Fraction) -> int:
@@ -295,8 +337,9 @@ def _between(lo: Optional[Fraction], hi: Optional[Fraction]) -> Optional[Fractio
 
 
 def _row(h: HalfPlane) -> tuple[int, int, int]:
-    """h scaled by the positive LCM of its denominators: an integer row
-    (a, b, c) of the same open half-plane."""
+    """h scaled by the positive LCM of its coefficients' denominators (1 on
+    integer coefficients): an integer row (a, b, c) of the same open
+    half-plane."""
     a, b, c = h
     m = lcm(a.denominator, b.denominator, c.denominator)
     return (a.numerator * (m // a.denominator),
@@ -304,12 +347,10 @@ def _row(h: HalfPlane) -> tuple[int, int, int]:
             c.numerator * (m // c.denominator))
 
 
-def _inside_rows(rows, x, y) -> bool:
-    """True iff the rational point (x, y) satisfies a*x + b*y + c > 0 for
-    every integer row, decided in integers over the common denominator."""
-    xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
-    return all(a * xn * yd + b * yn * xd + c * xd * yd > 0
-               for a, b, c in rows)
+def _inside_rows(rows, p) -> bool:
+    """True iff the rational point p satisfies a*x + b*y + c > 0 for every
+    integer row (see `HalfPlane.value`)."""
+    return all(HalfPlane.value(r, p) > 0 for r in rows)
 
 
 def _tightest(bounds, sign: int):
@@ -360,13 +401,14 @@ def _fourier_motzkin_point(rows) -> Optional[Point2]:
                         ((c * yd + b * yn, -a * yd) for a, b, c in uppers))
     if x is None:
         return None
-    assert _inside_rows(rows, x, y)
-    return Point2(x, y)
+    p = Point2(x, y)
+    assert _inside_rows(rows, p)
+    return p
 
 
 class ConvexRegion:
-    """Intersection of open half-planes, kept as given with `Fraction`
-    coefficients, and as integer rows (see `_row`) for every computation.
+    """Intersection of open half-planes, kept as integer rows (see `_row`):
+    integer coefficients as they are, rational ones over their LCM.
 
     Construction runs one Fourier-Motzkin pass; its sample point decides
     whether the region is nonempty.  The elimination projects exactly, so a
@@ -377,10 +419,7 @@ class ConvexRegion:
     def __init__(self, halfplanes: Sequence[HalfPlane]):
         if not halfplanes:
             raise ValueError("need at least one half-plane")
-        self.halfplanes = tuple(
-            HalfPlane(*(v if type(v) is Fraction else Fraction(v) for v in h))
-            for h in halfplanes)
-        self.rows = tuple(map(_row, self.halfplanes))
+        self.rows = tuple(map(_row, halfplanes))
         self._interior_sample = _fourier_motzkin_point(self.rows)
 
     @property
@@ -388,7 +427,7 @@ class ConvexRegion:
         return self._interior_sample is not None
 
     def contains(self, p: Point2) -> bool:
-        return _inside_rows(self.rows, p.x, p.y)
+        return _inside_rows(self.rows, p)
 
     def is_subset_of(self, other: "ConvexRegion") -> bool:
         """Exact containment: self lies in {h > 0} iff self meets no point

@@ -383,8 +383,7 @@ def eliminate_sharp(drawing: PlanarGraphDrawing):
         current_nbrs = {a if b == v else b for a, b in edges if v in (a, b)}
         u_in = next(w for w in sorted(current_nbrs)
                     if w not in (u_prev, u_next))
-        pre_sharp = set(PlanarGraphDrawing(
-            pos=pos, edges=sorted(edges), outer_face=[]).sharp_vertices())
+        pre_sharp = _sharp_among(pos, edges, {u_prev, u_next, u_in})
         placed = None
         for shrink in range(10):
             t = Fraction(1, 8 * (1 << shrink))
@@ -467,20 +466,40 @@ def _place_chain(pos, edges, v, u_prev, u_next, u_in, t, next_id, pre_sharp):
     return None
 
 
+def _sharp_among(pos, edges, watch: set) -> set:
+    """The sharp vertices of `watch`: a vertex's sharpness reads only its
+    own edges, so a drawing of the edges incident to `watch` decides it."""
+    local = [e for e in edges if e[0] in watch or e[1] in watch]
+    probe = PlanarGraphDrawing(pos={k: pos[k] for e in local for k in e},
+                               edges=local, outer_face=[])
+    return watch & set(probe.sharp_vertices())
+
+
 def _chain_audit(pos, new_pos, new_edges, touched, pre_sharp) -> bool:
-    allpos = {**{k: v for k, v in pos.items() if k != touched[0]}, **new_pos}
+    """True iff the chain `new_pos` keeps the drawing plane, is not sharp,
+    and makes none of `touched[1:]` newly sharp (`pre_sharp` lists the ones
+    sharp before).  Only the new edges can cross, so they are tested
+    against the edges whose bounding boxes meet theirs."""
+    allpos = {**pos, **new_pos}
     new_ids = set(new_pos)
-    segs = sorted(new_edges)
+    fresh = [e for e in new_edges if e[0] in new_ids or e[1] in new_ids]
+    xs = [allpos[k].x for e in fresh for k in e]
+    ys = [allpos[k].y for e in fresh for k in e]
+    x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
+    near = []
+    for e in new_edges:
+        (ax, ay), (bx, by) = allpos[e[0]], allpos[e[1]]
+        if e not in fresh and max(ax, bx) >= x_lo and min(ax, bx) <= x_hi \
+                and max(ay, by) >= y_lo and min(ay, by) <= y_hi:
+            near.append(e)
+    segs = fresh + near
     for i, j in touching_pairs(allpos, segs):
         e, f = set(segs[i]), set(segs[j])
         if new_ids & (e | f) and not e & f:
             return False
     # the chain must be non-sharp and no neighbor may become newly sharp
-    probe = PlanarGraphDrawing(pos=allpos, edges=segs, outer_face=[])
-    bad = set(probe.sharp_vertices())
-    if bad & new_ids:
-        return False
-    return not ((bad & set(touched[1:])) - pre_sharp)
+    bad = _sharp_among(allpos, new_edges, new_ids | set(touched[1:]))
+    return not (bad & new_ids or bad - pre_sharp)
 
 
 def _audit_plane(drawing: PlanarGraphDrawing):

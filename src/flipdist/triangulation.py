@@ -16,12 +16,11 @@ crosses.
 from __future__ import annotations
 
 from bisect import bisect_left
-from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import DomainMismatchError, IllegalFlipError, ValidationError
-from .geometry import (Point2, orientation, polygon_signed_area2, sorted_ccw,
-                       touching_pairs)
+from .errors import IllegalFlipError, ValidationError
+from .geometry import (Point2, on_grid, orientation, polygon_signed_area2,
+                       sorted_ccw, touching_pairs)
 
 Edge = tuple[int, int]
 Triangle = tuple[int, int, int]
@@ -55,13 +54,7 @@ class _DomainBase:
     points: tuple[Point2, ...]
 
     def _setup_grid(self):
-        dens = [p.x.denominator for p in self.points] + \
-               [p.y.denominator for p in self.points]
-        scale = lcm(*dens) if dens else 1
-        # every denominator divides the scale, so no Fraction is built
-        self.ipoints = [(p.x.numerator * (scale // p.x.denominator),
-                         p.y.numerator * (scale // p.y.denominator))
-                        for p in self.points]
+        self.ipoints, _ = on_grid(self.points)
         if len(set(self.ipoints)) != len(self.ipoints):
             raise ValidationError("points are not pairwise distinct")
 
@@ -594,12 +587,6 @@ def walk_segment(t: Triangulation, p: int, q: int):
                 met.append(c)
                 v = c
                 break
-
-
-def edge_difference(t1: Triangulation, t2: Triangulation):
-    if t1.domain != t2.domain:
-        raise DomainMismatchError("triangulations live on different domains")
-    return (t1.edges - t2.edges, t2.edges - t1.edges)
 
 
 def validate(t: Triangulation) -> ValidationReport:

@@ -6,14 +6,15 @@ from typing import NamedTuple
 
 import networkx as nx
 
-from flipdist.errors import (CapExceededError, IllegalFlipError,
-                             Not3ConnectedError, NotPlanarError,
-                             ValidationError)
+from flipdist.errors import (CapExceededError, DomainMismatchError,
+                             IllegalFlipError, Not3ConnectedError,
+                             NotPlanarError, ValidationError)
 from flipdist.gadgets import channel_region
 from flipdist.geometry import (HalfPlane, Point2, _between, _collinear_overlap,
                                _in_box, on_segment, orientation,
                                point_in_cycle, polygon_signed_area2,
                                segments_share_interior, touching_pairs)
+from flipdist.reduction import PlanarGraphDrawing
 from flipdist.search import FlipScript
 from flipdist.triangulation import (Edge, Triangulation, ValidationReport,
                                     _DomainBase, canonical_cycle,
@@ -393,7 +394,7 @@ def fourier_motzkin_on_fractions(constraints):
     if x is None:
         return None
     p = Point2(x, y)
-    assert all(h.contains(p) for h in constraints)
+    assert all(side_by_fractions(h, p) > 0 for h in constraints)
     return p
 
 
@@ -505,13 +506,14 @@ def check_nesting_unfiltered(region):
                 raise ValidationError(f"point hole {p} inside a polygonal hole")
 
 
-def segments_share_interior_four_orientations(a, b, c, d) -> bool:
+def segments_share_interior_four_orientations(a, b, c, d,
+                                              orient=orientation) -> bool:
     """The oracle of `geometry.segments_share_interior`: all four
     orientations first, then the endpoint and collinear cases."""
-    o1 = orientation(a, b, c)
-    o2 = orientation(a, b, d)
-    o3 = orientation(c, d, a)
-    o4 = orientation(c, d, b)
+    o1 = orient(a, b, c)
+    o2 = orient(a, b, d)
+    o3 = orient(c, d, a)
+    o4 = orient(c, d, b)
     if o1 and o2 and o3 and o4:
         return o1 != o2 and o3 != o4
     if (o1 == 0 and c != a and c != b and _in_box(c, a, b)) \
@@ -649,3 +651,82 @@ def greedy_by_triangulations(t1, t2, move_cap=None) -> FlipScript:
         else:
             raise CapExceededError("greedy walk ran out of unvisited states")
     return FlipScript(t1.canonical_key(), tuple(moves))
+
+
+# ---------------------------------------------------------------------------
+# `Fraction` arithmetic: the oracles of the integer-decided predicates on
+# `Point2` values, computed as written, with every intermediate a `Fraction`
+
+def _sign(v) -> int:
+    return (v > 0) - (v < 0)
+
+
+def orientation_by_fractions(p, q, r) -> int:
+    """The oracle of `geometry.orientation` on `Point2`s."""
+    return _sign((q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x))
+
+
+def area2_by_fractions(points) -> Fraction:
+    """The oracle of `geometry.polygon_signed_area2` on `Point2`s."""
+    return sum((p.x * q.y - p.y * q.x
+                for p, q in zip(points, points[1:] + points[:1])), Fraction(0))
+
+
+def side_by_fractions(h, p) -> int:
+    """The oracle of the sign of `HalfPlane.value`."""
+    return _sign(Fraction(h.a) * p.x + Fraction(h.b) * p.y + Fraction(h.c))
+
+
+def halfplane_through_by_fractions(p, q, inside, contains_inside=True):
+    """The oracle of `geometry.halfplane_through`: the line's row with
+    `Fraction` coefficients, negated when `inside` is on the wrong side."""
+    a = p.y - q.y
+    b = q.x - p.x
+    c = -(a * p.x + b * p.y)
+    v = side_by_fractions(HalfPlane(a, b, c), inside)
+    if v == 0:
+        raise ValueError("sample point lies on the boundary line")
+    return HalfPlane(a, b, c) if (v > 0) == contains_inside \
+        else HalfPlane(-a, -b, -c)
+
+
+def touching_pairs_by_fractions(points, segments) -> list[tuple[int, int]]:
+    """The oracle of `geometry.touching_pairs` on `Point2`s: every pair,
+    tested with `Fraction` orientations."""
+    return [(i, j) for i in range(len(segments))
+            for j in range(i + 1, len(segments))
+            if segments_share_interior_four_orientations(
+                points[segments[i][0]], points[segments[i][1]],
+                points[segments[j][0]], points[segments[j][1]],
+                orient=orientation_by_fractions)]
+
+
+def turn_reaches_pi_by_fractions(d, e) -> bool:
+    """The oracle of `geometry.turn_reaches_pi` on `Point2`s."""
+    c = d.x * e.y - d.y * e.x
+    return c < 0 or (c == 0 and d.x * e.x + d.y * e.y < 0)
+
+
+def chain_audit_by_whole_drawing(pos, new_pos, new_edges, touched,
+                                 pre_sharp) -> bool:
+    """The oracle of `reduction._chain_audit`: every pair of the drawing's
+    edges is swept, and the sharp vertices of the whole drawing found."""
+    allpos = {**{k: v for k, v in pos.items() if k != touched[0]}, **new_pos}
+    new_ids = set(new_pos)
+    segs = sorted(new_edges)
+    for i, j in touching_pairs(allpos, segs):
+        e, f = set(segs[i]), set(segs[j])
+        if new_ids & (e | f) and not e & f:
+            return False
+    probe = PlanarGraphDrawing(pos=allpos, edges=segs, outer_face=[])
+    bad = set(probe.sharp_vertices())
+    if bad & new_ids:
+        return False
+    return not ((bad & set(touched[1:])) - pre_sharp)
+
+
+def edge_difference(t1, t2):
+    """The edges only t1 has and the edges only t2 has."""
+    if t1.domain != t2.domain:
+        raise DomainMismatchError("triangulations live on different domains")
+    return (t1.edges - t2.edges, t2.edges - t1.edges)

@@ -267,7 +267,7 @@ def test_mouths_nesting_and_visibility():
 def test_edge_difference_left_right():
     ch = figure_channel()
     _, t_left, t_right = channel_triangulations(ch)
-    from flipdist.triangulation import edge_difference
+    from oracles import edge_difference
     only_l, only_r = edge_difference(t_left, t_right)
     assert len(only_l) == len(only_r) == 11
 

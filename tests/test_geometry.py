@@ -1,23 +1,27 @@
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from flipdist.errors import EmptyRegionError
 from flipdist.geometry import (
     CCW, COLLINEAR, CW, ConvexRegion, HalfPlane, Point2, _between,
     ccw_compare, coord_bits, floor_log2, halfplane_through, interior_point,
-    on_segment, orientation, pt, segments_share_interior, sorted_ccw,
-    touching_pairs, turn_reaches_pi,
+    on_segment, orientation, polygon_signed_area2, pt,
+    segments_share_interior, sorted_ccw, touching_pairs, turn_reaches_pi,
 )
 from flipdist.triangulation import PointSet, flip_is_convex
 
-from oracles import (SidedHalfPlane, angular_key, coarsest_dyadic_by_scan,
-                     fourier_motzkin_on_fractions,
+from oracles import (SidedHalfPlane, angular_key, area2_by_fractions,
+                     coarsest_dyadic_by_scan, fourier_motzkin_on_fractions,
                      fourier_motzkin_with_strictness,
+                     halfplane_through_by_fractions,
                      is_subset_by_closed_complement, is_subset_on_fractions,
-                     segments_share_interior_four_orientations)
+                     orientation_by_fractions,
+                     segments_share_interior_four_orientations,
+                     side_by_fractions, touching_pairs_by_fractions,
+                     turn_reaches_pi_by_fractions)
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=64)
 points = st.builds(Point2, rationals, rationals)
@@ -247,7 +251,9 @@ def test_open_solver_matches_strictness_aware_oracle(first, second):
     coarsest dyadic in the middle half of its bounds, found by the oracle's
     downward scan over powers of two, or the integer past a lone bound."""
     region, other = ConvexRegion(first), ConvexRegion(second)
-    sided = [SidedHalfPlane(h.a, h.b, h.c) for h in region.halfplanes]
+    first = [HalfPlane(*map(Fraction, h)) for h in first]
+    second = [HalfPlane(*map(Fraction, h)) for h in second]
+    sided = [SidedHalfPlane(h.a, h.b, h.c) for h in first]
     expected = fourier_motzkin_with_strictness(sided)
     assert region._interior_sample == expected
     if expected is None:
@@ -257,7 +263,7 @@ def test_open_solver_matches_strictness_aware_oracle(first, second):
         assert interior_point(region) == expected
         assert dyadic(expected.x) and dyadic(expected.y)
     assert region.is_subset_of(other) == \
-        is_subset_by_closed_complement(region.halfplanes, other.halfplanes)
+        is_subset_by_closed_complement(first, second)
 
 
 # (which half-plane, positive multiple, slack): the copy k*h + d > 0 is the
@@ -330,10 +336,8 @@ def test_integer_rows_match_fraction_elimination(first, second):
     None, as the one on `Fraction` coefficients, and decides containment
     the same way."""
     region, other = ConvexRegion(first), ConvexRegion(second)
-    assert region._interior_sample == \
-        fourier_motzkin_on_fractions(region.halfplanes)
-    assert region.is_subset_of(other) == \
-        is_subset_on_fractions(region.halfplanes, other.halfplanes)
+    assert region._interior_sample == fourier_motzkin_on_fractions(first)
+    assert region.is_subset_of(other) == is_subset_on_fractions(first, second)
 
 
 def test_convex_region_builds_no_fraction_per_pair(count_fractions):
@@ -421,3 +425,110 @@ def test_coord_bits_meter():
     # the meter grows polynomially under arithmetic: product of b-bit values
     a = Fraction(3, 7) ** 8
     assert coord_bits(a) <= 8 * coord_bits(Fraction(3, 7)) + 1
+
+
+# Integer-decided predicates against `Fraction` arithmetic.  Coordinates
+# are integers or fractions with large odd denominators, so the common
+# denominator of a call is a product of unrelated ones; the lists repeat
+# points and put points on lines through others.
+odd_denominators = st.integers(0, 2 ** 20).map(lambda k: 2 * k + 1)
+wide = st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                 st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12),
+                           odd_denominators))
+wide_points = st.builds(Point2, wide, wide)
+
+
+# a failing example is shrunk but not explained: explaining traces every
+# line of the `Fraction` arithmetic and takes minutes
+differential = settings(max_examples=200, phases=[
+    p for p in Phase if p is not Phase.explain])
+point_kinds = st.sampled_from(["new", "repeat", "collinear"])
+small_odd_ratios = st.builds(Fraction, st.integers(-9, 9), odd_denominators)
+
+
+@st.composite
+def point_lists(draw, size):
+    base = draw(st.lists(wide_points, min_size=2, max_size=size))
+    pick = st.integers(0, len(base) - 1).map(base.__getitem__)
+    out = []
+    for _ in range(size):
+        kind = draw(point_kinds)
+        if kind == "new":
+            out.append(draw(wide_points))
+        elif kind == "repeat":
+            out.append(draw(pick))
+        else:
+            p, q, t = draw(pick), draw(pick), draw(small_odd_ratios)
+            out.append(p + (q - p).scale(t))
+    return out
+
+
+@differential
+@given(point_lists(5))
+def test_orientation_and_area_match_fractions(pts):
+    for p, q, r in zip(pts, pts[1:] + pts[:1], pts[2:] + pts[:2]):
+        assert orientation(p, q, r) == orientation_by_fractions(p, q, r)
+    area = polygon_signed_area2(pts)
+    assert type(area) is Fraction and area == area2_by_fractions(pts)
+
+
+@differential
+@given(point_lists(6), st.tuples(wide, wide, wide))
+def test_halfplane_sides_match_fractions(pts, coefficients):
+    p, q, inside = pts[:3]
+    h = HalfPlane(*coefficients)
+    for s in pts:
+        assert (h.value(s) > 0) - (h.value(s) < 0) == side_by_fractions(h, s)
+    for contains_inside in (True, False):
+        try:
+            slow = halfplane_through_by_fractions(p, q, inside,
+                                                  contains_inside)
+        except ValueError:
+            with pytest.raises(ValueError):
+                halfplane_through(p, q, inside, contains_inside)
+            continue
+        fast = halfplane_through(p, q, inside, contains_inside)
+        assert all(type(v) is int for v in fast) and gcd(*fast) == 1
+        for s in pts:
+            assert fast.contains(s) == (side_by_fractions(slow, s) > 0)
+            assert (fast.value(s) == 0) == (side_by_fractions(slow, s) == 0)
+
+
+@differential
+@given(point_lists(6), st.lists(st.tuples(st.integers(0, 5),
+                                          st.integers(0, 5)), max_size=8))
+def test_touching_pairs_matches_fractions(pts, segs):
+    assert touching_pairs(pts, segs) == touching_pairs_by_fractions(pts, segs)
+
+
+@differential
+@given(point_lists(6))
+def test_ccw_order_and_turns_match_fractions(pts):
+    dirs = [d for d in pts if d != (0, 0)]
+    order = sorted_ccw(list(range(len(dirs))), dirs.__getitem__)
+    assert order == sorted(range(len(dirs)),
+                           key=lambda i: angular_key(dirs[i]))
+    for d in dirs:
+        for e in dirs:
+            assert turn_reaches_pi(d, e) == turn_reaches_pi_by_fractions(d, e)
+
+
+def test_point2_predicates_build_no_fraction(count_fractions):
+    # a quadrilateral with rational corners, integer ones mixed in: its
+    # diagonals cross, its sides do not
+    a, b = Point2(Fraction(-1, 3), -1), Point2(Fraction(5, 7), Fraction(-2, 7))
+    c, d = Point2(Fraction(4, 5), Fraction(9, 11)), Point2(0, Fraction(6, 7))
+    quad, segs = [a, b, c, d], [(0, 2), (1, 3), (0, 1), (1, 2)]
+    expected = touching_pairs_by_fractions(quad, segs)
+    assert expected == [(0, 1)]
+    region = ConvexRegion([halfplane_through(a, b, c),
+                           halfplane_through(b, c, a)])
+    with count_fractions() as built:
+        turn = orientation(a, b, c)
+        h = halfplane_through(a, b, c, contains_inside=False)
+        sides = h.contains(c), h.contains(Point2(0, -2)), region.contains(d)
+        pairs = touching_pairs(quad, segs)
+        reaches = turn_reaches_pi(b, d), turn_reaches_pi(d, b)
+    assert len(built) == 0
+    assert turn == CCW and sides == (False, True, True)
+    assert pairs == expected and reaches == (False, True)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
@@ -24,7 +25,8 @@ from flipdist.triangulation import (FlipMove, Triangulation, canonical_cycle,
                                     validate, walk_segment)
 from flipdist.vertexcover import Graph, exact_vc
 
-from oracles import (edges_crossing_segment, embedding_faces_by_networkx,
+from oracles import (chain_audit_by_whole_drawing, edges_crossing_segment,
+                     embedding_faces_by_networkx,
                      segment_in_domain_by_pieces, segment_inside,
                      segment_inside_by_midpoint)
 
@@ -628,3 +630,32 @@ def test_gadget_scripts_replay_from_their_start_states(c3_instance):
 def left_edges_for(rec):
     from flipdist.gadgets import left_edges
     return left_edges(rec.upper, rec.lower)
+
+
+def test_chain_audit_agrees_with_the_whole_drawing_audit(monkeypatch):
+    # every chain placement tried on K4 and on the 10-prism with a 4-face
+    # outer, accepted or rejected, gets the same verdict from the audit of
+    # the new chain alone as from the audit of the whole drawing; so does
+    # each accepted one with an old edge added across its first chain edge
+    audit, verdicts, crossed = reduction._chain_audit, [], []
+
+    def both(pos, new_pos, new_edges, *rest):
+        args = (pos, new_pos, new_edges, *rest)
+        verdicts.append((audit(*args), chain_audit_by_whole_drawing(*args)))
+        if verdicts[-1][0]:
+            v1, v2, _ = sorted(new_pos)
+            a, b = new_pos[v1], new_pos[v2]
+            mid = a + (b - a).scale(Fraction(1, 2))
+            off = (b - a).perp().scale(Fraction(1, 4))
+            k = max(*pos, *new_pos) + 1
+            args = ({**pos, k: mid + off, k + 1: mid - off}, new_pos,
+                    new_edges | {(k, k + 1)}, *rest)
+            crossed.append((audit(*args), chain_audit_by_whole_drawing(*args)))
+        return verdicts[-1][0]
+
+    monkeypatch.setattr(reduction, "_chain_audit", both)
+    for n, edges, outer in ((4, K4_EDGES, [0, 1, 2]),
+                            (20, prism_edges(10), [0, 1, 11, 10])):
+        eliminate_sharp(convex_drawing(list(range(n)), edges, outer=outer))
+    assert set(verdicts) == {(True, True), (False, False)}
+    assert crossed and set(crossed) == {(False, False)}

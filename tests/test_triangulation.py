@@ -18,14 +18,14 @@ from flipdist.search import (_FlipKernel, _heap_key, _key, bfs_distance,
                              enumerate_flip_graph, exact_distance)
 from flipdist.triangulation import (
     FlipMove, PointSet, PolygonalRegion, Triangulation, canonical_cycle,
-    derive_triangles, ear_clip_triangulation, edge, edge_difference,
-    flip_is_convex, hull_cycle, replay, triangle_apexes, validate,
-    walk_segment,
+    derive_triangles, ear_clip_triangulation, edge, flip_is_convex,
+    hull_cycle, replay, triangle_apexes, validate, walk_segment,
 )
 from flipdist import instanceio
 from oracles import (PointSetByFormulas, apply_flip_by_copy,
                      canonical_cycle_all_rotations,
-                     check_nesting_unfiltered, flip_graph_by_triangulations,
+                     check_nesting_unfiltered, edge_difference,
+                     flip_graph_by_triangulations,
                      hull_cycle_by_scans, replay_by_copies, segment_inside,
                      segment_inside_by_midpoint, validate_by_segments,
                      validate_with_sweep)
