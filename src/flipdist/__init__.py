@@ -13,7 +13,7 @@ from .triangulation import (FlipMove, PointSet, PolygonalRegion, Triangulation,
                             edge, validate)
 from .search import (FlipScript, SearchResult, bfs_distance,
                      count_polygon_triangulations, enumerate_flip_graph,
-                     exact_distance, greedy_upper_bound, lower_bound)
+                     exact_distance, lower_bound)
 from .gadgets import (Channel, Mouths, build_channel, build_vertex_gadget,
                       blocking_set, capped_transform_moves, channel_mouths,
                       channel_region, channel_triangulations,

@@ -25,8 +25,9 @@ from typing import Optional, Sequence
 from .errors import (EmptyFeasibleRegionError, IllegalFlipError,
                      InfeasibleSagError, SharpVertexError, ValidationError)
 from .geometry import (ConvexRegion, HalfPlane, Point2, halfplane_shift,
-                       halfplane_through, interior_point, orientation,
-                       polygon_signed_area2, sorted_ccw, turn_reaches_pi)
+                       halfplane_through, interior_point, on_grid,
+                       orientation, polygon_signed_area2, sorted_ccw,
+                       turn_reaches_pi)
 from .triangulation import (Edge, FlipMove, PolygonalRegion, Triangulation,
                             edge, validate, walk_segment)
 
@@ -62,18 +63,23 @@ def build_channel(end1: tuple[Point2, Point2], end2: tuple[Point2, Point2],
     if sag <= 0:
         raise InfeasibleSagError("sag must be strictly positive")
 
+    sn, sd = sag.as_integer_ratio()
+
     def chain(p_from: Point2, p_to: Point2, other_side: Point2):
-        axis = p_to - p_from
-        perp = axis.perp()
         side = orientation(p_from, p_to, other_side)
         if side == 0:
             raise InfeasibleSagError("degenerate channel: end points collinear")
-        if side < 0:
-            perp = Point2(-perp.x, -perp.y)
+        # p_from + axis * i/(n-1) + perp * sag*i*(n-1-i), with the ends on
+        # one grid of scale m: every point is an integer pair over m * t
+        ((fx, fy), (tx, ty)), m = on_grid((p_from, p_to))
+        ax, ay = tx - fx, ty - fy
+        px, py = (-ay, ax) if side > 0 else (ay, -ax)
+        t = (n - 1) * sd
         pts = []
         for i in range(n):
-            base = p_from + axis.scale(Fraction(i, n - 1))
-            pts.append(base + perp.scale(sag * i * (n - 1 - i)))
+            k = sn * i * (n - 1 - i) * (n - 1)
+            pts.append(Point2(Fraction(fx * t + ax * i * sd + px * k, m * t),
+                              Fraction(fy * t + ay * i * sd + py * k, m * t)))
         return tuple(pts)
 
     ch = Channel(chain(a1, an, b1), chain(b1, bn, a1))
@@ -145,20 +151,23 @@ def channel_invariant_report(ch: Channel) -> list[str]:
         _, t_left, _ = channel_triangulations(ch)
     except ValidationError as exc:
         return [f"channel polygon invalid: {exc}"]
-    cx = sum((p.x for p in ch.upper + ch.lower), Fraction(0)) / (2 * n)
-    cy = sum((p.y for p in ch.upper + ch.lower), Fraction(0)) / (2 * n)
+    # the chain points on one grid, times 2n, so that the centroid is the
+    # integer sum of the grid points
+    grid, _ = on_grid(ch.upper + ch.lower)
+    centroid = (sum(x for x, _ in grid), sum(y for _, y in grid))
+    grid = [(2 * n * x, 2 * n * y) for x, y in grid]
 
     def reflex(chain_pts):
         for i in range(1, n - 1):
             s = orientation(chain_pts[i - 1], chain_pts[i + 1], chain_pts[i])
-            c = orientation(chain_pts[i - 1], chain_pts[i + 1], Point2(cx, cy))
+            c = orientation(chain_pts[i - 1], chain_pts[i + 1], centroid)
             if s == 0 or s != c:
                 return False
         return True
 
-    if not reflex(ch.upper):
+    if not reflex(grid[:n]):
         out.append("upper chain is not strictly reflex toward the interior")
-    if not reflex(ch.lower):
+    if not reflex(grid[n:]):
         out.append("lower chain is not strictly reflex toward the interior")
 
     # every chain pair sees each other iff the left fan, whose edges are

@@ -18,15 +18,15 @@ from `halfplane_through` has integer coefficients, and its side of a
 rational point is decided by cross-multiplication.  A `ConvexRegion` is
 decided by one Fourier-Motzkin pass on integer rows, whose sample is the
 deterministic, dyadic point strictly inside it that `interior_point`
-returns.  Only the two bounds handed to `_between` per coordinate become
-`Fraction`s.
+returns.  Only the sample's two coordinates become `Fraction`s: bounds stay
+`(num, den)` pairs, and `_between` picks each coordinate in integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cmp_to_key
-from math import ceil, floor, gcd, lcm
+from math import gcd, lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import EmptyRegionError
@@ -300,40 +300,52 @@ def halfplane_shift(h: HalfPlane, offset: Point2) -> HalfPlane:
     return HalfPlane(a * m, b * m, c * m - a * ox - b * oy)
 
 
-def floor_log2(x: Fraction) -> int:
-    """floor(log2(x)) of a positive x, exactly."""
-    n, d = x.numerator, x.denominator
+def floor_log2(x, d: int = 1) -> int:
+    """floor(log2(x / d)) of a positive rational x and a positive integer
+    d, exactly, from bit lengths."""
+    n, xd = x.as_integer_ratio()
+    d *= xd
     j = n.bit_length() - d.bit_length()
     if (n << -j if j < 0 else n) < (d << j if j > 0 else d):
         j -= 1
     return j
 
 
-def _between(lo: Optional[Fraction], hi: Optional[Fraction]) -> Optional[Fraction]:
-    """A dyadic value strictly between the bounds (None for no bound on a
-    side), or None when lo >= hi.
+def _between(lo, hi) -> Optional[Fraction]:
+    """A dyadic value strictly between the bounds, each a `(num, den)`
+    pair with den > 0 or None for no bound on its side; None when
+    lo >= hi.
 
     Between two bounds it is the coarsest dyadic in the middle half
     [lo + w/4, hi - w/4] of the interval, w = hi - lo: the multiple of the
     largest power of two 2^s there, s of either sign.  The middle half is
     w/2 long, so with 2^j <= w/2 < 2^(j+1) it holds a multiple of 2^j and at
     most one of 2^(j+1); either way the answer is unique.  With one bound it
-    is the integer one past it, with none 0.
+    is the integer one past it, with none 0.  All of it runs on integers
+    over the common denominator 4 * lo_den * hi_den; only the result is a
+    `Fraction`.
     """
     if lo is None:
-        return Fraction(0) if hi is None else Fraction(ceil(hi) - 1)
+        return Fraction(0) if hi is None else Fraction(-(-hi[0] // hi[1]) - 1)
     if hi is None:
-        return Fraction(floor(lo) + 1)
-    if lo >= hi:
+        return Fraction(lo[0] // lo[1] + 1)
+    (ln, ld), (hn, hd) = lo, hi
+    w = hn * ld - ln * hd               # hi - lo, times ld * hd
+    if w <= 0:
         return None
-    quarter = (hi - lo) / 4
-    a, b = lo + quarter, hi - quarter
-    step = Fraction(2) ** (floor_log2(b - a) + 1)
-    q = ceil(a / step) * step
-    if q > b:
-        step /= 2
-        q = ceil(a / step) * step
-    return q
+    den = 4 * ld * hd
+    a, b = 4 * ln * hd + w, 4 * hn * ld - w     # the middle half, times den
+
+    def least_multiple(s):
+        """(num, den) of the least multiple of 2^s at or above a / den."""
+        p, r = (1 << s, 1) if s >= 0 else (1, 1 << -s)     # 2^s = p / r
+        return -(-a * r // (den * p)) * p, r
+
+    s = floor_log2(b - a, den) + 1
+    qn, qd = least_multiple(s)
+    if qn * den > b * qd:
+        qn, qd = least_multiple(s - 1)
+    return Fraction(qn, qd)
 
 
 def _row(h: HalfPlane) -> tuple[int, int, int]:
@@ -364,14 +376,6 @@ def _tightest(bounds, sign: int):
     return best
 
 
-def _between_bounds(lowers, uppers) -> Optional[Fraction]:
-    """`_between` the largest lower and the smallest upper `(num, den)`
-    bound; only these two become `Fraction`s."""
-    lo, hi = _tightest(lowers, 1), _tightest(uppers, -1)
-    return _between(None if lo is None else Fraction(*lo),
-                    None if hi is None else Fraction(*hi))
-
-
 def _fourier_motzkin_point(rows) -> Optional[Point2]:
     """A point inside every open half-plane a*x + b*y + c > 0 of the
     integer rows, or None when they share none.
@@ -380,8 +384,8 @@ def _fourier_motzkin_point(rows) -> Optional[Point2]:
     combining each lower bound on it with each upper bound, y is chosen
     strictly inside its derived bounds, and x strictly inside its bounds at
     that y.  Every combination stays an integer row, and every bound a
-    `(num, den)` pair with den > 0; only the chosen bounds become
-    `Fraction`s, for `_between`.
+    `(num, den)` pair with den > 0; only the sample's two coordinates,
+    which `_between` returns, are `Fraction`s.
     """
     lowers = [r for r in rows if r[0] > 0]   # x > (-c - b*y)/a
     uppers = [r for r in rows if r[0] < 0]   # x < (-c - b*y)/a
@@ -392,13 +396,14 @@ def _fourier_motzkin_point(rows) -> Optional[Point2]:
             derived.append((la * ub - ua * lb, la * uc - ua * lc))
     if any(b == 0 and c <= 0 for b, c in derived):
         return None
-    y = _between_bounds(((-c, b) for b, c in derived if b > 0),
-                        ((c, -b) for b, c in derived if b < 0))
+    y = _between(_tightest(((-c, b) for b, c in derived if b > 0), 1),
+                 _tightest(((c, -b) for b, c in derived if b < 0), -1))
     if y is None:
         return None
     yn, yd = y.numerator, y.denominator
-    x = _between_bounds(((-c * yd - b * yn, a * yd) for a, b, c in lowers),
-                        ((c * yd + b * yn, -a * yd) for a, b, c in uppers))
+    x = _between(
+        _tightest(((-c * yd - b * yn, a * yd) for a, b, c in lowers), 1),
+        _tightest(((c * yd + b * yn, -a * yd) for a, b, c in uppers), -1))
     if x is None:
         return None
     p = Point2(x, y)

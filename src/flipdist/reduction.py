@@ -29,9 +29,9 @@ from .gadgets import (Channel, ChannelStub, VertexGadget, blocking_set,
                       channel_mouths, inner_box, left_edges, reverse_moves,
                       right_edges)
 from .geometry import (ConvexRegion, Point2, coord_bits, floor_log2,
-                       halfplane_through, interior_point, orientation,
-                       polygon_signed_area2, sorted_ccw, touching_pairs,
-                       turn_reaches_pi)
+                       halfplane_through, interior_point, on_grid,
+                       orientation, polygon_signed_area2, sorted_ccw,
+                       touching_pairs, turn_reaches_pi)
 from .instanceio import InstanceDoc
 from .search import FlipScript
 from .triangulation import (Edge, FlipMove, PolygonalRegion, PointSet,
@@ -62,12 +62,22 @@ class PlanarGraphDrawing:
     def direction(self, v, w) -> Point2:
         return self.pos[w] - self.pos[v]
 
-    def neighbors_ccw(self, v) -> list[int]:
-        return sorted_ccw(self.adj[v], lambda w: self.direction(v, w))
+    def rotation(self):
+        """`(rot, dirs)`: each vertex's neighbours counterclockwise, and each
+        dart's direction `dirs[v][w]` on the grid of `pos` (`on_grid`); made
+        anew per call, because `eliminate_sharp` moves `pos`."""
+        grid, _ = on_grid(self.pos.values())
+        at = dict(zip(self.pos, grid))
+        dirs, rot = {}, {}
+        for v, ws in self.adj.items():
+            vx, vy = at[v]
+            dirs[v] = {w: (at[w][0] - vx, at[w][1] - vy) for w in ws}
+            rot[v] = sorted_ccw(ws, dirs[v].__getitem__)
+        return rot, dirs
 
     def faces(self) -> list[list[tuple[int, int]]]:
         """Face cycles as dart lists, faces on the left of each dart."""
-        rot = {v: self.neighbors_ccw(v) for v in self.pos}
+        rot, _ = self.rotation()
         return [list(zip(f, f[1:] + f[:1])) for f in walk_faces(rot, self.edges)]
 
     def face_area2(self, face) -> Fraction:
@@ -80,13 +90,14 @@ class PlanarGraphDrawing:
         directions reaches pi; degree-2 vertices only at exactly pi, where
         both gaps do.
         """
+        rot, dirs = self.rotation()
         out = []
-        for v in self.pos:
-            dirs = [self.direction(v, w) for w in self.neighbors_ccw(v)]
-            if len(dirs) <= 1:
+        for v, ws in rot.items():
+            around = [dirs[v][w] for w in ws]
+            if len(around) <= 1:
                 continue
-            gaps = map(turn_reaches_pi, dirs, dirs[1:] + dirs[:1])
-            if (all if len(dirs) == 2 else any)(gaps):
+            gaps = map(turn_reaches_pi, around, around[1:] + around[:1])
+            if (all if len(around) == 2 else any)(gaps):
                 out.append(v)
         return out
 
@@ -760,22 +771,24 @@ def _side_line(v: Point2, half: Fraction, side: str) -> tuple[Point2, Point2]:
     return Point2(x0, y0), Point2(x0, y1)
 
 
-def _gate_for(drawing, v, w, half, scale=Fraction(1)) -> tuple[Point2, Point2, Point2]:
+def _gate_for(drawing, dirs, v, w, half,
+              scale=Fraction(1)) -> tuple[Point2, Point2, Point2]:
     """Gate candidate (p1, left point, right point) for edge (v, w) at v.
 
     The gate half-width is a third of the distance to the nearest other
     crossing of incident edge lines (and their extensions) with the same
     square side, additionally capped at a 1/24 fraction of the square so all
     gadget feasible regions stay within the pocket.  `scale` narrows further
-    when a gadget needs more room between nearly parallel strips.
+    when a gadget needs more room between nearly parallel strips.  `dirs`
+    maps each dart to its direction.
     """
-    p1, side = _square_crossing(drawing.pos[v], drawing.direction(v, w), half)
+    p1, side = _square_crossing(drawing.pos[v], dirs[v, w], half)
     sa, sb = _side_line(drawing.pos[v], half, side)
     s_points = [sa, sb]
     for u in drawing.adj[v]:
         if u == w:
             continue
-        d = drawing.direction(v, u)
+        d = dirs[v, u]
         for dd in (d, Point2(-d.x, -d.y)):
             q, qside = _square_crossing(drawing.pos[v], dd, half)
             if qside == side:
@@ -823,11 +836,12 @@ def build_instance(drawing: PlanarGraphDrawing, k_input: int,
             f"drawing has sharp vertices {drawing.sharp_vertices()}")
 
     drawing = _shear_off_diagonals(drawing)
+    dirs = {(v, w): drawing.direction(v, w)
+            for v, ws in drawing.adj.items() for w in ws}
 
     # one square size, comfortably smaller than the shortest edge; with no
     # diagonal edge, no edge leaves a square through a corner
-    half = min(max(abs(drawing.direction(u, w).x),
-                   abs(drawing.direction(u, w).y))
+    half = min(max(abs(dirs[u, w].x), abs(dirs[u, w].y))
                for u, w in drawing.edges) / 8
 
     # gates (the narrower of the two end candidates wins per edge) and vertex
@@ -840,18 +854,18 @@ def build_instance(drawing: PlanarGraphDrawing, k_input: int,
     for attempt in range(30):
         gate_pts = {}
         for (u, w) in sorted(drawing.edges):
-            d = drawing.direction(u, w)
+            d = dirs[u, w]
             width, walls = {}, {}
             for x, y in ((u, w), (w, u)):
-                p1, left, right = _gate_for(drawing, x, y, half, scale[(u, w)])
+                p1, left, right = _gate_for(drawing, dirs, x, y, half,
+                                            scale[(u, w)])
                 width[x] = abs((left - p1).cross(d))
                 walls[x] = (left, right)
             # carry the narrower end's walls across to the other end's square
             # side, where left of (a -> b) arrives as right of (b -> a)
             a, b = (u, w) if width[u] <= width[w] else (w, u)
             left, right = walls[a]
-            _, side = _square_crossing(drawing.pos[b], drawing.direction(b, a),
-                                       half)
+            _, side = _square_crossing(drawing.pos[b], dirs[b, a], half)
             sa, sb = _side_line(drawing.pos[b], half, side)
             gate_pts[(u, w)] = {a: (left, right), b: tuple(
                 _line_intersection_points(p, d, sa, sb - sa)
@@ -866,7 +880,7 @@ def build_instance(drawing: PlanarGraphDrawing, k_input: int,
                 key = edge(v, u)
                 gl, gr = gate_pts[key][v]
                 stubs.append(ChannelStub(key=key,
-                                         direction=drawing.direction(v, u),
+                                         direction=dirs[v, u],
                                          gate_left=gl, gate_right=gr))
             try:
                 gadget_obj[v] = build_vertex_gadget(drawing.pos[v],
@@ -1133,10 +1147,15 @@ def audit_script(inst: ReductionInstance, script: FlipScript) -> AccountingRepor
     """Replay a script from t1 and extract the lemma accounting: the set of
     gadgets ever unlocked and the channels never capped.  The replay is
     one in-place `FlipScript.replay`, which checks each inserted edge
-    against its partner cap edges."""
+    against its partner cap edges; t1 must pass `validate` first, so that
+    the replay starts from its faces."""
     t = inst.t1
     if script.start_key != t.canonical_key():
         raise IllegalScriptError("script does not start at t1", index=-1)
+    rep = validate(t)
+    if not rep.ok:
+        raise ValidationError(f"t1 is not a valid triangulation: "
+                              f"{rep.violations[:3]}")
     locks = {inst.gadgets[v].lock: v for v in inst.gadgets}
     unlocked: set[int] = set()
     capped: set[tuple[int, int]] = set()

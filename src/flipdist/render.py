@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import ValidationError
 from .instanceio import InstanceDoc
-from .triangulation import edge
+from .triangulation import edge, validate
 
 
 def _fmt(x: Fraction) -> str:
@@ -18,8 +19,15 @@ def _fmt(x: Fraction) -> str:
 
 
 def render_instance_svg(doc: InstanceDoc) -> str:
+    """The instance as SVG: its domain, and the triangles and edges of
+    its t1 (or its lone triangulation), which must pass `validate`."""
     domain = doc.domain
     tri_source = doc.t1 or doc.edges
+    if tri_source is not None:
+        rep = validate(tri_source)
+        if not rep.ok:
+            raise ValidationError(
+                f"triangulation to render is invalid: {rep.violations[:3]}")
     pts = domain.points
     xs = [p.x for p in pts]
     ys = [p.y for p in pts]

@@ -2,8 +2,8 @@
 
 The primary solver is a bidirectional best-first search with the admissible
 edge-difference lower bound (each flip replaces exactly one edge, so at
-least |edges(t1) - edges(t2)| flips are needed).  It, flip-graph enumeration
-and the greedy upper bound run on a per-call flip kernel (`_FlipKernel`):
+least |edges(t1) - edges(t2)| flips are needed).  It and flip-graph
+enumeration run on a per-call flip kernel (`_FlipKernel`):
 a state holds only the diagonals, each with its flip as an index into the
 kernel's flip table, a flip updates at most five entries of a state with
 no rebuild from the triangles, and a state is known by an exact bitmask
@@ -166,9 +166,8 @@ class _FlipKernel:
     `entry`.
 
     The legal flips of a state are its entries `opp[i] >= 0`, in the order
-    of `Triangulation.legal_flips`; the search, the enumeration and the
-    greedy walk scan `opp` for them, and call `child` only for a child they
-    keep.
+    of `Triangulation.legal_flips`; the search and the enumeration scan
+    `opp` for them, and call `child` only for a child they keep.
     """
 
     def __init__(self, domain):
@@ -240,9 +239,9 @@ class _FlipKernel:
                              self.tokens[a].ljust(self.width, b";")))
 
     def state(self, t: Triangulation):
-        """The `(mask, ids, opp)` state of a triangulation of the domain.
-        Its triangles hold the boundary cycles as faces and every other
-        face is a triangle, so each diagonal has two apexes."""
+        """The `(mask, ids, opp)` state of a triangulation of the domain,
+        which must pass `validate`: its triangles are then its faces, so
+        each diagonal has two apexes."""
         apexes = t.edge_apexes()
         ids = sorted(u * self.n + v
                      for u, v in t.edges - self.domain.mandatory_edges)
@@ -577,47 +576,6 @@ def enumerate_flip_graph(seed: Triangulation, cap: int = 10 ** 6) -> FlipGraph:
     return FlipGraph(seed_ids, parent, flips, expanded, ends, neighbours,
                      kernel.removed, kernel.inserted, kernel.tokens,
                      kernel.pairs)
-
-
-def greedy_upper_bound(t1: Triangulation, t2: Triangulation,
-                       move_cap: Optional[int] = None) -> FlipScript:
-    """Heuristic script from t1 to t2: prefer flips that create target edges.
-
-    Hill-climbs on the edge difference with deterministic tie-breaking (the
-    flip's `FlipMove` order) and a seen-state guard for plateau escapes,
-    on the flip kernel: a candidate's state is its mask, and only the flip
-    taken builds a child.  No approximation guarantee is claimed beyond
-    convex polygons; raises CapExceededError past the cap.
-    """
-    if t1.domain != t2.domain:
-        raise DomainMismatchError("triangulations live on different domains")
-    if move_cap is None:
-        move_cap = 8 * len(t1.domain.points) ** 2 + 64
-    kernel = _FlipKernel(t1.domain)
-    delta, inserted = kernel.delta, kernel.inserted
-    goal, target, _ = kernel.state(t2)
-    target = frozenset(target)
-    mask, ids, opp = kernel.state(t1)
-    seen = {mask}
-    moves: list[FlipMove] = []
-    while mask != goal:
-        if len(moves) >= move_cap:
-            raise CapExceededError(f"no script within {move_cap} moves")
-        # a flip that inserts a target edge first, one that removes one
-        # last; ids sort like the edges, so ties go by the removed edge
-        for _, i in sorted(((ids[i] in target) - (inserted[f] in target), i)
-                           for i, f in enumerate(opp) if f >= 0):
-            f = opp[i]
-            m_new = mask ^ delta[f]
-            if m_new not in seen:
-                break
-        else:
-            raise CapExceededError("greedy walk ran out of unvisited states")
-        seen.add(m_new)
-        moves.append(kernel.move(f))
-        mask = m_new
-        ids, opp, _ = kernel.child(ids, opp, i, f)
-    return FlipScript(t1.canonical_key(), tuple(moves))
 
 
 def count_polygon_triangulations(domain, cycle) -> int:

@@ -7,10 +7,11 @@ construction; every predicate after that runs the `geometry` kernel on
 integer tuples, which keeps exactness and makes validation and search cheap.
 A region decides hole nesting by one sweep of rays over its boundary edges.
 
-Every query here does work in proportion to what it touches: `replay`
-applies a script in place on one copy of the edges and apexes, and
-`walk_segment` walks from a vertex through only the triangles a segment
-crosses.
+Every query here does work in proportion to what it touches: triangles
+come from the neighbours each edge's ends share, with no angular sort;
+`replay` applies a script in place on one copy of the edges and apexes,
+and `walk_segment` walks from a vertex through only the triangles a
+segment crosses.  Both run on triangulations that passed `validate`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import IllegalFlipError, ValidationError
 from .geometry import (Point2, on_grid, orientation, polygon_signed_area2,
-                       sorted_ccw, touching_pairs)
+                       touching_pairs)
 
 Edge = tuple[int, int]
 Triangle = tuple[int, int, int]
@@ -86,9 +87,11 @@ class PolygonalRegion(_DomainBase):
         self.point_holes = [h[0] for h in self.holes if len(h) == 1]
         self._check_structure()
         self.boundary_cycles = [list(self.outer)] + [list(h) for h in self.poly_holes]
-        self.mandatory_edges = frozenset(
-            edge(c[i], c[(i + 1) % len(c)])
-            for c in self.boundary_cycles for i in range(len(c)))
+        # each boundary edge with its dart along its cycle, which keeps the
+        # region on its left (outer CCW, holes CW)
+        self.boundary_darts = {edge(a, b): (a, b) for c in self.boundary_cycles
+                               for a, b in zip(c, c[1:] + c[:1])}
+        self.mandatory_edges = frozenset(self.boundary_darts)
         b = sum(len(c) for c in self.boundary_cycles)
         h = len(self.poly_holes)
         self.expected_edge_count = 3 * len(self.points) - b + 3 * h - 3
@@ -282,28 +285,8 @@ def ear_clip_with_triangles(domain, cycle: Sequence[int]):
     return edges, triangles
 
 
-def ear_clip_triangulation(domain, cycle: Sequence[int]) -> set[Edge]:
-    return ear_clip_with_triangles(domain, cycle)[0]
-
-
 # ---------------------------------------------------------------------------
-# face extraction from a plane edge set
-
-def _sorted_rotations(domain, edges) -> dict[int, list[int]]:
-    """Neighbors of every vertex in counterclockwise angular order."""
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    ip = domain.ipoints
-
-    def around(v):
-        vx, vy = ip[v]
-        return lambda w: (ip[w][0] - vx, ip[w][1] - vy)
-
-    # overlapping directions fall back to the neighbour index
-    return {v: sorted_ccw(sorted(ws), around(v)) for v, ws in adj.items()}
-
+# faces and triangles of a plane edge set
 
 def walk_faces(rotation, edges) -> list[list[int]]:
     """Face cycles of a plane graph, each with its face left of every dart.
@@ -329,11 +312,6 @@ def walk_faces(rotation, edges) -> list[list[int]]:
     return faces
 
 
-def extract_faces(domain, edges) -> list[list[int]]:
-    """All face cycles of the plane graph (edges must be non-crossing)."""
-    return walk_faces(_sorted_rotations(domain, edges), sorted(edges))
-
-
 def canonical_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
     """Rotation- and reflection-independent canonical form of a cycle: the
     least of its rotations in either direction.  The least one starts at
@@ -347,31 +325,50 @@ def canonical_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
 
 
 def derive_triangles(domain, edges) -> frozenset[Triangle]:
-    """Triangles of a triangulation given as a plane edge set.
+    """Triangles of a triangulation given as a plane edge set of `(u, v)`
+    pairs, u < v, from the neighbours the two ends of each edge share.
 
-    Matches non-triangular faces against the domain boundary cycles; anything
-    else must be a triangle, otherwise the edge set is not a triangulation.
+    One orientation per common neighbour w of u and v puts it on a side
+    of the edge.  On each side that lies in the region (not the outer side
+    of a boundary dart), the triangle's apex is the common neighbour that
+    comes first counterclockwise around the dart's tail (u for the left
+    side, v for the right), and one orientation per further candidate
+    decides it.  On a valid triangulation these are exactly its faces;
+    on any other edge set they are a family that `validate`'s certificate
+    accepts or rejects.  A common neighbour collinear with an edge raises
+    ValidationError.
     """
-    expected = {canonical_cycle(c) for c in domain.boundary_cycles}
+    ip = domain.ipoints
+    orient = domain.orient
+    darts = domain.boundary_darts
+    nbrs: dict[int, set[int]] = {}
+    for u, v in edges:
+        nbrs.setdefault(u, set()).add(v)
+        nbrs.setdefault(v, set()).add(u)
     triangles: set[Triangle] = set()
-    for face in extract_faces(domain, edges):
-        if len(face) == 3:
-            a, b, c = face
-            if domain.orient(a, b, c) == 0:
-                raise ValidationError(f"degenerate triangle face {face}")
-            key = canonical_cycle(face)
-            if key in expected:
-                expected.discard(key)
-                continue
-            triangles.add(tri(a, b, c))
-        else:
-            key = canonical_cycle(face)
-            if key in expected:
-                expected.discard(key)
+    for e in edges:
+        u, v = e
+        (ux, uy), (vx, vy) = ip[u], ip[v]
+        dx, dy = vx - ux, vy - uy
+        left = right = None
+        for w in nbrs[u] & nbrs[v]:
+            wx, wy = ip[w]
+            s = dx * (wy - uy) - dy * (wx - ux)
+            if s > 0:
+                if left is None or orient(u, w, left) > 0:
+                    left = w
+            elif s < 0:
+                if right is None or orient(v, w, right) > 0:
+                    right = w
             else:
-                raise ValidationError(f"non-triangular interior face {face}")
-    if expected:
-        raise ValidationError("boundary cycles missing from the face structure")
+                raise ValidationError(
+                    f"degenerate triangle face {tri(u, v, w)}")
+        dart = darts.get(e)
+        for w, outer_dart in ((left, (v, u)), (right, e)):
+            if w is not None and dart != outer_dart:
+                # sorted, since u < v
+                triangles.add((w, u, v) if w < u else
+                              (u, w, v) if w < v else (u, v, w))
     return frozenset(triangles)
 
 
@@ -489,10 +486,11 @@ def replay(t: Triangulation, moves, on_flip=None) -> Triangulation:
     place.  A move is legal when its removed edge has two apexes, its
     inserted edge joins them and the quadrilateral is strictly convex
     (`flip_is_convex`); the apexes then change through `quad_sides`, and
-    the edges are already normalised, so no face walk and no `edge()` pass
-    runs.  An illegal move raises `IllegalFlipError` carrying its index.
-    When given, `on_flip(move, edges)` sees the live edge set after each
-    flip.
+    the edges are already normalised, so no triangle derivation and no
+    `edge()` pass runs.  An illegal move raises `IllegalFlipError` carrying
+    its index.  When given, `on_flip(move, edges)` sees the live edge set
+    after each flip.  `t` must be a valid triangulation: its apexes are
+    those of the triangles `derive_triangles` gives it.
     """
     domain = t.domain
     edges = set(t.edges)
@@ -594,9 +592,10 @@ def validate(t: Triangulation) -> ValidationReport:
 
     The edges must be in range, include the domain's boundary edges, use
     every point and have the maximal count.  The triangles derived from them
-    must then pass a local certificate (Devillers, Liotta, Preparata and
-    Tamassia, "Checking the convexity of polytopes and the planarity of
-    subdivisions", CGTA 1998):
+    by shared neighbours (`derive_triangles`) must then pass a local
+    certificate (Devillers, Liotta, Preparata and Tamassia, "Checking the
+    convexity of polytopes and the planarity of subdivisions", CGTA 1998),
+    which proves validity whatever family of triangles the edges give it:
 
     - every triangle is non-degenerate (`derive_triangles` rejects others);
     - every non-boundary edge bounds two triangles, apexes on opposite sides;
@@ -607,11 +606,11 @@ def validate(t: Triangulation) -> ValidationReport:
     Across an edge, the number of triangles over a point then stays the same,
     except at the boundary, where it grows by one going in; it is 0 far
     away, so the triangles cover the region exactly once, and no two edges
-    can touch beyond a shared endpoint.  All of this is O(E log E) integer
-    arithmetic.  Only when a check fails does a sweep name the edges that
-    touch; those pairs, with the failed count and cover checks, are the
-    report, and the certificate's findings are reported only when the sweep
-    finds none.
+    can touch beyond a shared endpoint.  All of this is integer arithmetic
+    with no sort: one set intersection and a few orientations per edge.
+    Only when a check fails does a sweep name the edges that touch; those
+    pairs, with the failed count and cover checks, are the report, and the
+    certificate's findings are reported only when the sweep finds none.
     """
     report = ValidationReport()
     domain = t.domain
@@ -668,11 +667,12 @@ def _certificate(t: Triangulation) -> list[str]:
         out.append(f"triangle count {len(tris)} != expected "
                    f"{domain.expected_triangle_count}")
     ip = domain.ipoints
-    area2 = sum(abs(polygon_signed_area2((ip[a], ip[b], ip[c])))
-                for a, b, c in tris)
+    area2 = 0
+    for a, b, c in tris:    # twice each triangle's area, one cross product
+        (ax, ay), (bx, by), (cx, cy) = ip[a], ip[b], ip[c]
+        area2 += abs((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
     apexes = t.edge_apexes()
-    darts = {edge(a, b): (a, b) for c in domain.boundary_cycles
-             for a, b in zip(c, c[1:] + c[:1])}
+    darts = domain.boundary_darts
     orient = domain.orient
     for e in t.edges:
         aps = apexes.get(e, [])

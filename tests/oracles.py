@@ -1,4 +1,5 @@
-"""Slow reference implementations that the tests compare fast paths against."""
+"""Slow reference implementations that the tests compare fast paths
+against, and the greedy walk that only the tests use."""
 
 from fractions import Fraction
 from math import ceil, floor
@@ -10,22 +11,70 @@ from flipdist.errors import (CapExceededError, DomainMismatchError,
                              IllegalFlipError, Not3ConnectedError,
                              NotPlanarError, ValidationError)
 from flipdist.gadgets import channel_region
-from flipdist.geometry import (HalfPlane, Point2, _between, _collinear_overlap,
-                               _in_box, on_segment, orientation,
+from flipdist.geometry import (HalfPlane, Point2, _collinear_overlap,
+                               _in_box, floor_log2, on_segment, orientation,
                                point_in_cycle, polygon_signed_area2,
-                               segments_share_interior, touching_pairs)
+                               segments_share_interior, sorted_ccw,
+                               touching_pairs)
 from flipdist.reduction import PlanarGraphDrawing
-from flipdist.search import FlipScript
+from flipdist.search import FlipScript, _FlipKernel
 from flipdist.triangulation import (Edge, Triangulation, ValidationReport,
                                     _DomainBase, canonical_cycle,
                                     derive_triangles, edge, flip_is_convex,
-                                    quad_sides, triangle_apexes)
+                                    quad_sides, tri, triangle_apexes,
+                                    walk_faces)
+
+
+def sorted_rotations(domain, edges) -> dict[int, list[int]]:
+    """Neighbors of every vertex in counterclockwise angular order."""
+    adj: dict[int, list[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    ip = domain.ipoints
+
+    def around(v):
+        vx, vy = ip[v]
+        return lambda w: (ip[w][0] - vx, ip[w][1] - vy)
+
+    # overlapping directions fall back to the neighbour index
+    return {v: sorted_ccw(sorted(ws), around(v)) for v, ws in adj.items()}
+
+
+def derive_triangles_by_faces(domain, edges) -> frozenset:
+    """The oracle of `triangulation.derive_triangles`: the faces of the
+    edges' rotation system, sorted by angle around every vertex and
+    walked.  Non-triangular faces must be the domain's boundary cycles;
+    any other raises ValidationError, as does a degenerate triangle."""
+    expected = {canonical_cycle(c) for c in domain.boundary_cycles}
+    triangles = set()
+    for face in walk_faces(sorted_rotations(domain, edges), sorted(edges)):
+        if len(face) == 3:
+            a, b, c = face
+            if domain.orient(a, b, c) == 0:
+                raise ValidationError(f"degenerate triangle face {face}")
+            key = canonical_cycle(face)
+            if key in expected:
+                expected.discard(key)
+                continue
+            triangles.add(tri(a, b, c))
+        else:
+            key = canonical_cycle(face)
+            if key in expected:
+                expected.discard(key)
+            else:
+                raise ValidationError(f"non-triangular interior face {face}")
+    if expected:
+        raise ValidationError("boundary cycles missing from the face structure")
+    return frozenset(triangles)
 
 
 def validate_by_segments(t) -> ValidationReport:
     """The O(E·n) oracle of `triangulation.validate`: every non-boundary
     edge must pass `segment_inside`, which tests it against every
-    boundary edge and every point, before the faces are counted."""
+    boundary edge and every point, before the faces are counted.  The
+    triangles come from the face walk (`derive_triangles_by_faces`), so
+    nothing here shares the library's triangle derivation."""
     report = ValidationReport()
     domain = t.domain
     n = len(domain.points)
@@ -62,7 +111,7 @@ def validate_by_segments(t) -> ValidationReport:
 
     if report.ok:
         try:
-            tris = derive_triangles(domain, t.edges)
+            tris = derive_triangles_by_faces(domain, t.edges)
         except ValidationError as exc:
             report.add(str(exc))
         else:
@@ -84,7 +133,8 @@ def validate_by_segments(t) -> ValidationReport:
 def validate_with_sweep(t) -> ValidationReport:
     """The oracle of `triangulation.validate` that sweeps every pair of
     touching edges before the edge count and the local certificate, on
-    valid input too."""
+    valid input too.  It checks that order, so its certificate reads the
+    library's triangles (`derive_triangles`), as `validate`'s does."""
     report = ValidationReport()
     domain = t.domain
     n = len(domain.points)
@@ -217,7 +267,7 @@ class SidedHalfPlane(NamedTuple):
 
 
 def coarsest_dyadic_by_scan(lo, hi):
-    """The oracle of `geometry._between` on two bounds lo < hi: the powers
+    """The oracle of `between_on_fractions` on two bounds lo < hi: the powers
     of two 2^s are scanned downward from one above the bounds' size, and
     the first with a multiple in the middle half [lo + w/4, hi - w/4],
     w = hi - lo, gives the answer, so no coarser dyadic lies there."""
@@ -373,6 +423,57 @@ def angular_key(d):
     return (half, 1, Fraction(-x, y))
 
 
+def between_on_fractions(lo, hi):
+    """The oracle of `geometry._between`, on `Fraction` bounds (None for no
+    bound on a side): the coarsest dyadic in the middle half of (lo, hi),
+    its step 2^(floor_log2(w/2) + 1) halved once when no multiple of it
+    lies there, or the integer past a lone bound, or 0."""
+    if lo is None:
+        return Fraction(0) if hi is None else Fraction(ceil(hi) - 1)
+    if hi is None:
+        return Fraction(floor(lo) + 1)
+    if lo >= hi:
+        return None
+    quarter = (hi - lo) / 4
+    a, b = lo + quarter, hi - quarter
+    step = Fraction(2) ** (floor_log2(b - a) + 1)
+    q = ceil(a / step) * step
+    if q > b:
+        step /= 2
+        q = ceil(a / step) * step
+    return q
+
+
+def chain_by_point_arithmetic(p_from, p_to, other_side, sag, n):
+    """The oracle of `gadgets.build_channel`'s chains: the chain from
+    p_from to p_to bulging away from other_side, each point built with
+    `Point2` arithmetic as p_from + axis * i/(n-1) + perp * sag*i*(n-1-i)."""
+    axis = p_to - p_from
+    perp = axis.perp()
+    if orientation(p_from, p_to, other_side) < 0:
+        perp = Point2(-perp.x, -perp.y)
+    return tuple(p_from + axis.scale(Fraction(i, n - 1))
+                 + perp.scale(sag * i * (n - 1 - i)) for i in range(n))
+
+
+def reflex_report_by_fractions(ch):
+    """The oracle of `gadgets.channel_invariant_report`'s reflex checks:
+    its two messages, each chain decided against the `Fraction` centroid
+    of all chain points."""
+    pts = ch.upper + ch.lower
+    centroid = Point2(sum((p.x for p in pts), Fraction(0)) / len(pts),
+                      sum((p.y for p in pts), Fraction(0)) / len(pts))
+
+    def reflex(c):
+        return all(0 != orientation(c[i - 1], c[i + 1], c[i])
+                   == orientation(c[i - 1], c[i + 1], centroid)
+                   for i in range(1, len(c) - 1))
+
+    return [f"{name} chain is not strictly reflex toward the interior"
+            for name, c in (("upper", ch.upper), ("lower", ch.lower))
+            if not reflex(c)]
+
+
 def fourier_motzkin_on_fractions(constraints):
     """The oracle of `geometry._fourier_motzkin_point` on `HalfPlane`s:
     the same elimination with every coefficient and bound a `Fraction`."""
@@ -385,12 +486,14 @@ def fourier_motzkin_on_fractions(constraints):
                             -up.a * lo.c + lo.a * up.c))
     if any(b == 0 and c <= 0 for b, c in derived):
         return None
-    y = _between(max((-c / b for b, c in derived if b > 0), default=None),
-                 min((-c / b for b, c in derived if b < 0), default=None))
+    y = between_on_fractions(
+        max((-c / b for b, c in derived if b > 0), default=None),
+        min((-c / b for b, c in derived if b < 0), default=None))
     if y is None:
         return None
-    x = _between(max(((-h.c - h.b * y) / h.a for h in lowers), default=None),
-                 min(((-h.c - h.b * y) / h.a for h in uppers), default=None))
+    x = between_on_fractions(
+        max(((-h.c - h.b * y) / h.a for h in lowers), default=None),
+        min(((-h.c - h.b * y) / h.a for h in uppers), default=None))
     if x is None:
         return None
     p = Point2(x, y)
@@ -624,8 +727,49 @@ class PointSetByFormulas(_DomainBase):
         return not any(on_segment(p, a, b, closed=False) for p in self.ipoints)
 
 
+def greedy_upper_bound(t1, t2, move_cap=None) -> FlipScript:
+    """Heuristic script from t1 to t2, an upper bound on their flip
+    distance: prefer flips that create target edges.
+
+    Hill-climbs on the edge difference with deterministic tie-breaking (the
+    flip's `FlipMove` order) and a seen-state guard for plateau escapes,
+    on the flip kernel: a candidate's state is its mask, and only the flip
+    taken builds a child.  No approximation guarantee is claimed beyond
+    convex polygons; raises CapExceededError past the cap.
+    """
+    if t1.domain != t2.domain:
+        raise DomainMismatchError("triangulations live on different domains")
+    if move_cap is None:
+        move_cap = 8 * len(t1.domain.points) ** 2 + 64
+    kernel = _FlipKernel(t1.domain)
+    delta, inserted = kernel.delta, kernel.inserted
+    goal, target, _ = kernel.state(t2)
+    target = frozenset(target)
+    mask, ids, opp = kernel.state(t1)
+    seen = {mask}
+    moves = []
+    while mask != goal:
+        if len(moves) >= move_cap:
+            raise CapExceededError(f"no script within {move_cap} moves")
+        # a flip that inserts a target edge first, one that removes one
+        # last; ids sort like the edges, so ties go by the removed edge
+        for _, i in sorted(((ids[i] in target) - (inserted[f] in target), i)
+                           for i, f in enumerate(opp) if f >= 0):
+            f = opp[i]
+            m_new = mask ^ delta[f]
+            if m_new not in seen:
+                break
+        else:
+            raise CapExceededError("greedy walk ran out of unvisited states")
+        seen.add(m_new)
+        moves.append(kernel.move(f))
+        mask = m_new
+        ids, opp, _ = kernel.child(ids, opp, i, f)
+    return FlipScript(t1.canonical_key(), tuple(moves))
+
+
 def greedy_by_triangulations(t1, t2, move_cap=None) -> FlipScript:
-    """The oracle of `search.greedy_upper_bound`: the same hill-climb on
+    """The oracle of `greedy_upper_bound`: the same hill-climb on
     `Triangulation`s, building the child of every candidate flip with
     `apply_flip` until one reaches an unseen canonical key."""
     if move_cap is None:

@@ -18,7 +18,7 @@ from flipdist.reduction import (audit_script, build_instance, convex_drawing,
                                 region_to_pointset)
 from flipdist.search import (bfs_distance, enumerate_flip_graph, exact_distance)
 from flipdist.triangulation import (PolygonalRegion, Triangulation, edge,
-                                    ear_clip_triangulation, validate)
+                                    ear_clip_with_triangles, validate)
 from flipdist.vertexcover import Graph, exact_vc
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -218,7 +218,7 @@ def test_criterion_9_oracle_equivalence():
         pts.append(pt(Fraction(x) * f + jitter, Fraction(y) * f + jitter))
     nonagon = PolygonalRegion(pts, list(range(9)))
     seed9 = Triangulation(nonagon,
-                          ear_clip_triangulation(nonagon, list(range(9))))
+                          ear_clip_with_triangles(nonagon, list(range(9)))[0])
     graph9 = enumerate_flip_graph(seed9)
     reps9 = {k: Triangulation(nonagon, e) for k, e in graph9.nodes.items()}
     for k1 in sorted(graph9.nodes):

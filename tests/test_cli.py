@@ -106,6 +106,19 @@ def test_reduce_k4_threshold(tmp_path, capsys):
     assert sha256(out) == K4_SHA256
 
 
+def test_reduce_k4_builds_few_fractions(tmp_path, count_fractions):
+    # chain points, interior samples and drawing directions are built from
+    # integers on one grid each, so the K4 reduce builds few `Fraction`s
+    # (10,466 when each of them came from `Fraction` arithmetic)
+    g = write(tmp_path / "k4.txt", K4_GRAPH)
+    out = tmp_path / "inst.json"
+    with count_fractions() as built:
+        assert main(["reduce", "--graph", g, "--k", "3",
+                     "--out", str(out)]) == 0
+    assert sha256(out) == K4_SHA256
+    assert len(built) <= 6000, len(built)
+
+
 def test_reduce_json_prints_build_stats(tmp_path, capsys):
     # `stats` rides along in the --json output only: the instance file is
     # the same with and without --json, and carries no stats
@@ -529,6 +542,38 @@ def test_distance_capped_channel_via_cli(tmp_path, capsys):
     instanceio.save(doc, path)
     assert main(["distance", "--instance", str(path), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["distance"] == 24
+
+
+def test_verify_refuses_an_invalid_t1(tmp_path, capsys):
+    # the replay reads t1's triangles, so verify validates t1 first: a t1
+    # without one of its diagonals exits 2 however legal the script is
+    g = write(tmp_path / "c3.txt", C3_GRAPH)
+    inst_path = tmp_path / "inst.json"
+    assert main(["reduce", "--graph", g, "--k", "2",
+                 "--out", str(inst_path)]) == 0
+    doc = instanceio.load(inst_path)
+    dropped = min(doc.t1.edges - doc.domain.mandatory_edges)
+    doc.t1 = Triangulation(doc.domain, doc.t1.edges - {dropped})
+    instanceio.save(doc, inst_path)
+    script_path = tmp_path / "script.json"
+    assert main(["script", "--instance", str(inst_path),
+                 "--out", str(script_path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--instance", str(inst_path),
+                 "--script", str(script_path)]) == 2
+    assert "t1 is not a valid triangulation" in capsys.readouterr().err
+
+
+def test_render_refuses_an_invalid_triangulation(tmp_path, capsys):
+    doc = channel_instance_doc()
+    dropped = min(doc.t1.edges - doc.domain.mandatory_edges)
+    doc.t1 = Triangulation(doc.domain, doc.t1.edges - {dropped})
+    path = tmp_path / "channel.json"
+    instanceio.save(doc, path)
+    assert main(["render", "--instance", str(path),
+                 "--out", str(tmp_path / "x.svg")]) == 2
+    assert "triangulation to render is invalid" in capsys.readouterr().err
+    assert not (tmp_path / "x.svg").exists()
 
 
 def test_verify_over_threshold_flag(tmp_path, capsys):

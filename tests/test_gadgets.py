@@ -1,8 +1,10 @@
 import hashlib
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from flipdist import instanceio, triangulation
 from flipdist.errors import InfeasibleSagError, ValidationError
@@ -17,8 +19,10 @@ from flipdist.geometry import on_segment, orientation, pt
 from flipdist.search import (bfs_distance, count_polygon_triangulations,
                              enumerate_flip_graph, exact_distance)
 from flipdist.triangulation import PolygonalRegion, Triangulation, edge, validate
-from oracles import (chain_pair_blocked_by_segments, edges_crossing_segment,
-                     edges_crossing_segment_four_tests, segment_inside)
+from oracles import (chain_by_point_arithmetic, chain_pair_blocked_by_segments,
+                     edges_crossing_segment,
+                     edges_crossing_segment_four_tests,
+                     reflex_report_by_fractions, segment_inside)
 
 
 def figure_channel(n=7, sag=Fraction(1, 160)):
@@ -51,6 +55,56 @@ def sagged_channel(sag, n=7, jitter=None):
                           y - sign * sag * i * (n - 1 - i) + dy))
         return tuple(pts)
     return Channel(chain(40, 1), chain(-40, -1))
+
+
+# coordinates with odd denominators, so that the chain's grid scale is a
+# product of unrelated ones, and sags of either kind of denominator
+coordinates = st.one_of(st.integers(-200, 200),
+                        st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                                  st.integers(0, 999).map(lambda k: 2 * k + 1)))
+corners = st.builds(pt, coordinates, coordinates)
+sags = st.builds(Fraction, st.integers(1, 99), st.integers(1, 10 ** 6))
+
+
+@settings(max_examples=150,
+          phases=[p for p in Phase if p is not Phase.explain])
+@given(st.tuples(corners, corners, corners, corners), sags,
+       st.integers(3, 9))
+def test_chain_points_match_point_arithmetic(ends, sag, n):
+    """`build_channel` builds each chain point from integers on one grid,
+    with the value that `Point2` arithmetic gives; the invariant check is
+    left out here, so that every generated channel shows its chains."""
+    a1, b1, an, bn = ends
+    with mock.patch("flipdist.gadgets.channel_invariant_report",
+                    return_value=[]):
+        try:
+            ch = build_channel((a1, b1), (an, bn), sag, n=n)
+        except InfeasibleSagError:
+            assert 0 in (orientation(a1, an, b1), orientation(b1, bn, a1))
+            return
+    assert ch.upper == chain_by_point_arithmetic(a1, an, b1, sag, n)
+    assert ch.lower == chain_by_point_arithmetic(b1, bn, a1, sag, n)
+    assert all(type(c) is Fraction for p in ch.upper + ch.lower for c in p)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_reflex_checks_match_fraction_centroid(seed):
+    # sagged channels, toward the axis, away from it or flat, with jitter,
+    # moved off the origin: the integer centroid test names the chains the
+    # `Fraction` one names
+    rng = random.Random(seed)
+    for sag in (Fraction(1, 40), Fraction(-1, 40), Fraction(0),
+                Fraction(1, 7), Fraction(1, 400)):
+        ch = sagged_channel(sag, n=rng.randint(3, 8),
+                            jitter=rng if seed % 2 else None)
+        off = pt(Fraction(rng.randint(-9999, 9999), 3), rng.randint(-999, 999))
+        ch = Channel(tuple(p + off for p in ch.upper),
+                     tuple(p + off for p in ch.lower))
+        report = channel_invariant_report(ch)
+        if report and report[0].startswith("channel polygon invalid"):
+            continue
+        assert [m for m in report if "reflex" in m] == \
+            reflex_report_by_fractions(ch)
 
 
 def test_channel_report_matches_pairwise_oracle(c3_instance):

@@ -25,7 +25,8 @@ from flipdist.triangulation import (FlipMove, Triangulation, canonical_cycle,
                                     validate, walk_segment)
 from flipdist.vertexcover import Graph, exact_vc
 
-from oracles import (chain_audit_by_whole_drawing, edges_crossing_segment,
+from oracles import (chain_audit_by_whole_drawing, derive_triangles_by_faces,
+                     edges_crossing_segment,
                      embedding_faces_by_networkx,
                      segment_in_domain_by_pieces, segment_inside,
                      segment_inside_by_midpoint)
@@ -380,12 +381,21 @@ def test_grid_scaling_builds_no_fraction_on_k4(k4_instance, count_fractions):
 
 
 def test_derive_triangles_builds_no_fraction(k4_instance, count_fractions):
-    # the angular order at every vertex is decided on integer directions
+    # every side of every edge is decided on the integer grid
     inst = k4_instance[0]
     with count_fractions() as built:
         triangles = derive_triangles(inst.region, inst.t1.edges)
     assert built == []
     assert len(triangles) == inst.region.expected_triangle_count
+
+
+def test_shared_neighbours_give_the_k4_faces(k4_instance):
+    # the triangles from shared neighbours are the faces the rotation
+    # system's walk finds, on both triangulations of the K4 instance
+    inst = k4_instance[0]
+    for t in (inst.t1, inst.t2):
+        assert derive_triangles(inst.region, t.edges) == \
+            derive_triangles_by_faces(inst.region, t.edges)
 
 
 def test_gadget_audit_blocking_sets(c3_instance, k4_instance):

@@ -12,13 +12,14 @@ from flipdist.gadgets import build_channel, channel_triangulations
 from flipdist.geometry import pt, segments_share_interior
 from flipdist.search import (
     FlipScript, bfs_distance, count_polygon_triangulations,
-    enumerate_flip_graph, exact_distance, greedy_upper_bound, lower_bound,
+    enumerate_flip_graph, exact_distance, lower_bound,
 )
 from flipdist.triangulation import (
     FlipMove, PointSet, PolygonalRegion, Triangulation, edge, validate,
 )
 
-from oracles import greedy_by_triangulations, segment_inside
+from oracles import (greedy_by_triangulations, greedy_upper_bound,
+                     segment_inside)
 
 
 def convex_polygon_region(n):
@@ -176,8 +177,9 @@ def test_random_nonagon_oracle_equivalence():
         jitter = Fraction(rng.randint(-2, 2), 8)
         pts.append(pt(Fraction(x) + jitter, Fraction(y) + jitter))
     region = PolygonalRegion(pts, list(range(9)))
-    from flipdist.triangulation import ear_clip_triangulation
-    seed = Triangulation(region, ear_clip_triangulation(region, list(range(9))))
+    from flipdist.triangulation import ear_clip_with_triangles
+    seed = Triangulation(region,
+                         ear_clip_with_triangles(region, list(range(9)))[0])
     assert validate(seed).ok
     graph = enumerate_flip_graph(seed)
     assert len(graph) == count_polygon_triangulations(region, list(range(9)))

@@ -18,13 +18,14 @@ from flipdist.search import (_FlipKernel, _heap_key, _key, bfs_distance,
                              enumerate_flip_graph, exact_distance)
 from flipdist.triangulation import (
     FlipMove, PointSet, PolygonalRegion, Triangulation, canonical_cycle,
-    derive_triangles, ear_clip_triangulation, edge, flip_is_convex,
+    derive_triangles, ear_clip_with_triangles, edge, flip_is_convex,
     hull_cycle, replay, triangle_apexes, validate, walk_segment,
 )
 from flipdist import instanceio
 from oracles import (PointSetByFormulas, apply_flip_by_copy,
                      canonical_cycle_all_rotations,
-                     check_nesting_unfiltered, edge_difference,
+                     check_nesting_unfiltered, derive_triangles_by_faces,
+                     edge_difference,
                      flip_graph_by_triangulations,
                      hull_cycle_by_scans, replay_by_copies, segment_inside,
                      segment_inside_by_midpoint, validate_by_segments,
@@ -419,7 +420,8 @@ def left_small_channel():
 
 def capped_small_channel():
     region = channel_region(small_channel(), cap_near=pt(-80, 0))
-    return Triangulation(region, ear_clip_triangulation(region, region.outer))
+    edges, _ = ear_clip_with_triangles(region, region.outer)
+    return Triangulation(region, edges)
 
 
 SMALL_SEEDS = [
@@ -616,8 +618,23 @@ def test_carried_apexes_match_face_walk(differential_seeds, seed):
         if not moves:
             break
         t = t.apply_flip(rng.choice(moves))
-        fresh = triangle_apexes(derive_triangles(t.domain, t.edges))
+        fresh = triangle_apexes(derive_triangles_by_faces(t.domain, t.edges))
         assert sorted_apexes(t.edge_apexes()) == sorted_apexes(fresh)
+
+
+@pytest.mark.parametrize("seed", WALK_SEEDS + ["c3_pointset"])
+def test_shared_neighbours_give_the_faces(differential_seeds, seed):
+    # along a random flip walk, every triangulation's triangles from shared
+    # neighbours are the faces that the walk of its rotation system finds
+    t = differential_seeds[seed]
+    rng = random.Random(seed)
+    for _ in range(40):
+        assert derive_triangles(t.domain, t.edges) == \
+            derive_triangles_by_faces(t.domain, t.edges)
+        moves = t.legal_flips()
+        if not moves:
+            break
+        t = t.apply_flip(rng.choice(moves))
 
 
 def test_walk_carries_on_from_a_vertex_met_mid_segment():
@@ -771,7 +788,8 @@ def test_spliced_keys_move_the_last_token():
     corners = convex_polygon_region(6).points
     points = [corners[order.index(k)] for k in range(6)]
     region = PolygonalRegion(points, order)
-    t = Triangulation(region, ear_clip_triangulation(region, region.outer))
+    edges, _ = ear_clip_with_triangles(region, region.outer)
+    t = Triangulation(region, edges)
     assert spliced_keys_walk(t, "hexagon") > 0
 
 
