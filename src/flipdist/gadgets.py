@@ -29,7 +29,7 @@ from .geometry import (ConvexRegion, HalfPlane, Point2, halfplane_shift,
                        orientation, polygon_signed_area2, sorted_ccw,
                        turn_reaches_pi)
 from .triangulation import (Edge, FlipMove, PolygonalRegion, Triangulation,
-                            edge, validate, walk_segment)
+                            edge, replay, validate, walk_segment)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +135,7 @@ def capped_transform_replays(ch: Channel, cap: Point2, far_end: bool) -> bool:
     moves = capped_transform_moves(list(range(n)), list(range(n, 2 * n)),
                                    2 * n, cap_at_far_end=far_end)
     try:
-        return t_left.apply_script(moves).edges == t_right.edges
+        return replay(t_left, moves).edges == t_right.edges
     except IllegalFlipError:
         return False
 

@@ -52,9 +52,6 @@ class Point2(NamedTuple):
     def cross(self, other: "Point2") -> Fraction:
         return self.x * other.y - self.y * other.x
 
-    def dot(self, other: "Point2") -> Fraction:
-        return self.x * other.x + self.y * other.y
-
     def perp(self) -> "Point2":
         """s rotated by +90 degrees."""
         return Point2(-self.y, self.x)
@@ -95,10 +92,8 @@ def _collinear_overlap(a, b, c, d) -> bool:
         min(max(a[k], b[k]), max(c[k], d[k]))
 
 
-def on_segment(p, a, b, closed: bool = True) -> bool:
-    """True iff p lies on segment ab (endpoints included when closed)."""
-    if not closed and (p == a or p == b):
-        return False
+def on_segment(p, a, b) -> bool:
+    """True iff p lies on the closed segment ab."""
     return orientation(a, b, p) == COLLINEAR and _in_box(p, a, b)
 
 

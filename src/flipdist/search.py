@@ -65,10 +65,6 @@ class FlipScript:
     def __len__(self):
         return len(self.moves)
 
-    def reversed_from(self, end: Triangulation) -> "FlipScript":
-        return FlipScript(end.canonical_key(),
-                          tuple(m.reverse() for m in reversed(self.moves)))
-
     def replay(self, start: Triangulation, on_flip=None) -> Triangulation:
         """Apply all moves, verifying legality, by one in-place
         `triangulation.replay` (which hands `on_flip` each flip); raises

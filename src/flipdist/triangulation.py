@@ -7,8 +7,9 @@ construction; every predicate after that runs the `geometry` kernel on
 integer tuples, which keeps exactness and makes validation and search cheap.
 A region decides hole nesting by one sweep of rays over its boundary edges.
 
-Every query here does work in proportion to what it touches: triangles
-come from the neighbours each edge's ends share, with no angular sort;
+Every query here does work in proportion to what it touches: each edge's
+apexes come, by side, from the neighbours its ends share, with no angular
+sort, and `validate` checks that one map with no further orientation;
 `replay` applies a script in place on one copy of the edges and apexes,
 and `walk_segment` walks from a vertex through only the triangles a
 segment crosses.  Both run on triangulations that passed `validate`.
@@ -324,19 +325,19 @@ def canonical_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
                            tuple(seq[s::-1] + seq[:s:-1])))
 
 
-def derive_triangles(domain, edges) -> frozenset[Triangle]:
-    """Triangles of a triangulation given as a plane edge set of `(u, v)`
-    pairs, u < v, from the neighbours the two ends of each edge share.
+def derive_apexes(domain, edges) -> dict[Edge, list[Optional[int]]]:
+    """Each edge's apexes by side, `{(u, v): [left, right]}`, for a plane
+    edge set of `(u, v)` pairs, u < v, from the neighbours its ends share.
 
     One orientation per common neighbour w of u and v puts it on a side
-    of the edge.  On each side that lies in the region (not the outer side
-    of a boundary dart), the triangle's apex is the common neighbour that
-    comes first counterclockwise around the dart's tail (u for the left
-    side, v for the right), and one orientation per further candidate
-    decides it.  On a valid triangulation these are exactly its faces;
-    on any other edge set they are a family that `validate`'s certificate
-    accepts or rejects.  A common neighbour collinear with an edge raises
-    ValidationError.
+    of the edge.  On each side inside the region (not the outer side of a
+    boundary dart), the apex is the common neighbour that comes first
+    counterclockwise around the dart's tail (u for the left side, v for
+    the right), and one orientation per further candidate decides it; any
+    other side is None.  On a valid triangulation these are exactly its
+    faces; on any other edge set they are a family that `validate`'s
+    certificate accepts or rejects.  A common neighbour collinear with an
+    edge raises ValidationError.
     """
     ip = domain.ipoints
     orient = domain.orient
@@ -345,7 +346,7 @@ def derive_triangles(domain, edges) -> frozenset[Triangle]:
     for u, v in edges:
         nbrs.setdefault(u, set()).add(v)
         nbrs.setdefault(v, set()).add(u)
-    triangles: set[Triangle] = set()
+    apexes: dict[Edge, list[Optional[int]]] = {}
     for e in edges:
         u, v = e
         (ux, uy), (vx, vy) = ip[u], ip[v]
@@ -364,12 +365,9 @@ def derive_triangles(domain, edges) -> frozenset[Triangle]:
                 raise ValidationError(
                     f"degenerate triangle face {tri(u, v, w)}")
         dart = darts.get(e)
-        for w, outer_dart in ((left, (v, u)), (right, e)):
-            if w is not None and dart != outer_dart:
-                # sorted, since u < v
-                triangles.add((w, u, v) if w < u else
-                              (u, w, v) if w < v else (u, v, w))
-    return frozenset(triangles)
+        apexes[e] = [None if dart == (v, u) else left,
+                     None if dart == e else right]
+    return apexes
 
 
 # ---------------------------------------------------------------------------
@@ -415,37 +413,31 @@ def quad_sides(removed: Edge, inserted: Edge):
             ((y, u) if y < u else (u, y), v, x))
 
 
-def triangle_apexes(triangles) -> dict[Edge, list[int]]:
-    """Every side of the triangles, with the apexes opposite it."""
-    apexes: dict[Edge, list[int]] = {}
-    for a, b, c in triangles:
-        apexes.setdefault(edge(a, b), []).append(c)
-        apexes.setdefault(edge(a, c), []).append(b)
-        apexes.setdefault(edge(b, c), []).append(a)
-    return apexes
+def _listed(apexes) -> dict[Edge, list[int]]:
+    """A by-side apex map with its empty sides left out."""
+    return {e: [w for w in aps if w is not None] for e, aps in apexes.items()}
 
 
 class Triangulation:
     """Immutable edge-set triangulation over a shared domain."""
 
-    __slots__ = ("domain", "edges", "_triangles", "_apexes", "_neighbours")
+    __slots__ = ("domain", "edges", "_apexes", "_neighbours")
 
     def __init__(self, domain, edges):
         self.domain = domain
         self.edges = frozenset(edge(u, v) for u, v in edges)
-        self._triangles: Optional[frozenset[Triangle]] = None
         self._apexes: Optional[dict[Edge, list[int]]] = None
         self._neighbours: Optional[dict[int, list[int]]] = None
 
     @property
     def triangles(self) -> frozenset[Triangle]:
-        if self._triangles is None:
-            self._triangles = derive_triangles(self.domain, self.edges)
-        return self._triangles
+        return frozenset(tri(u, v, w)
+                         for (u, v), aps in self.edge_apexes().items()
+                         for w in aps)
 
     def edge_apexes(self) -> dict[Edge, list[int]]:
         if self._apexes is None:
-            self._apexes = triangle_apexes(self.triangles)
+            self._apexes = _listed(derive_apexes(self.domain, self.edges))
         return self._apexes
 
     def neighbours(self) -> dict[int, list[int]]:
@@ -475,9 +467,6 @@ class Triangulation:
     def apply_flip(self, move: FlipMove) -> "Triangulation":
         return replay(self, (move,))
 
-    def apply_script(self, moves) -> "Triangulation":
-        return replay(self, moves)
-
 
 def replay(t: Triangulation, moves, on_flip=None) -> Triangulation:
     """The triangulation that `moves` lead to from `t`, which stays as it is.
@@ -490,7 +479,7 @@ def replay(t: Triangulation, moves, on_flip=None) -> Triangulation:
     `edge()` pass runs.  An illegal move raises `IllegalFlipError` carrying
     its index.  When given, `on_flip(move, edges)` sees the live edge set
     after each flip.  `t` must be a valid triangulation: its apexes are
-    those of the triangles `derive_triangles` gives it.
+    those `derive_apexes` gives it.
     """
     domain = t.domain
     edges = set(t.edges)
@@ -509,12 +498,9 @@ def replay(t: Triangulation, moves, on_flip=None) -> Triangulation:
         edges.add(inserted)
         if on_flip is not None:
             on_flip(move, edges)
-    out = Triangulation.__new__(Triangulation)
-    out.domain = domain
+    out = Triangulation(domain, ())
     out.edges = frozenset(edges)
-    out._triangles = None
     out._apexes = apexes
-    out._neighbours = None
     return out
 
 
@@ -591,26 +577,32 @@ def validate(t: Triangulation) -> ValidationReport:
     """Check every Triangulation invariant; an empty report means valid.
 
     The edges must be in range, include the domain's boundary edges, use
-    every point and have the maximal count.  The triangles derived from them
-    by shared neighbours (`derive_triangles`) must then pass a local
-    certificate (Devillers, Liotta, Preparata and Tamassia, "Checking the
-    convexity of polytopes and the planarity of subdivisions", CGTA 1998),
-    which proves validity whatever family of triangles the edges give it:
+    every point and have the maximal count.  Each edge's apexes by side
+    (`derive_apexes`) must then pass a local certificate (Devillers,
+    Liotta, Preparata and Tamassia, "Checking the convexity of polytopes
+    and the planarity of subdivisions", CGTA 1998), which proves validity
+    whatever family of triangles the edges give it.  An apex w left of
+    a->b names the triangle a, b, w, counterclockwise and not degenerate
+    (`derive_apexes` rejects those); the outer side of a boundary edge
+    names none.  The checks:
 
-    - every triangle is non-degenerate (`derive_triangles` rejects others);
-    - every non-boundary edge bounds two triangles, apexes on opposite sides;
-    - every boundary edge bounds one triangle, on the region side, which is
-      left of the edge's dart along its cycle (outer CCW, holes CW);
-    - the triangles' areas sum exactly to the domain's `area2`.
+    - every side of an edge inside the region has an apex;
+    - every triangle a, b, w is derived at its other two edges too: a is
+      the apex left of b->w, and b the apex left of w->a;
+    - the triangles, counted once each, number `expected_triangle_count`,
+      and their areas sum exactly to the domain's `area2`.
 
-    Across an edge, the number of triangles over a point then stays the same,
-    except at the boundary, where it grows by one going in; it is 0 far
-    away, so the triangles cover the region exactly once, and no two edges
-    can touch beyond a shared endpoint.  All of this is integer arithmetic
-    with no sort: one set intersection and a few orientations per edge.
-    Only when a check fails does a sweep name the edges that touch; those
-    pairs, with the failed count and cover checks, are the report, and the
-    certificate's findings are reported only when the sweep finds none.
+    A triangle then holds the apex of each of its sides on its own side,
+    and a side holds one apex, so every edge bounds exactly one triangle
+    on each side inside the region and none outside.  Across an edge, the number of triangles over
+    a point then stays the same, except at the boundary, where it grows by
+    one going in; it is 0 far away, so the triangles cover the region
+    exactly once, and no two edges can touch beyond a shared endpoint.
+    All of this is integer arithmetic with no sort and no orientation
+    beyond `derive_apexes`'s.  Only when a check fails does a sweep name
+    the edges that touch; those pairs, with the failed count and cover
+    checks, are the report, and the certificate's findings are reported
+    only when the sweep finds none.
     """
     report = ValidationReport()
     domain = t.domain
@@ -655,38 +647,43 @@ def validate(t: Triangulation) -> ValidationReport:
 def _certificate(t: Triangulation) -> list[str]:
     """The violations of `validate`'s local certificate, for edges that are
     in range, include the boundary, use every point and have the maximal
-    count.  It reads `t`'s triangles and apexes, which `t` keeps, so a
-    replay from a validated triangulation does not derive them again."""
+    count.  It derives the apexes afresh; `t` keeps them if they pass and
+    it carries none (a replay's)."""
     domain = t.domain
     try:
-        tris = t.triangles
+        apexes = derive_apexes(domain, t.edges)
     except ValidationError as exc:
         return [str(exc)]
+
+    def left_of(p, q):
+        return apexes[(p, q)][0] if p < q else apexes[(q, p)][1]
+
     out = []
-    if len(tris) != domain.expected_triangle_count:
-        out.append(f"triangle count {len(tris)} != expected "
-                   f"{domain.expected_triangle_count}")
     ip = domain.ipoints
-    area2 = 0
-    for a, b, c in tris:    # twice each triangle's area, one cross product
-        (ax, ay), (bx, by), (cx, cy) = ip[a], ip[b], ip[c]
-        area2 += abs((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
-    apexes = t.edge_apexes()
     darts = domain.boundary_darts
-    orient = domain.orient
-    for e in t.edges:
-        aps = apexes.get(e, [])
-        dart = darts.get(e)
-        want = 1 if dart else 2
-        if len(aps) != want:
-            out.append(f"edge {e} bounds {len(aps)} triangles, expected {want}")
-        elif dart:
-            if orient(*dart, aps[0]) < 0:
-                out.append(f"boundary edge {e} has its triangle outside "
-                           f"the domain")
-        elif orient(*e, aps[0]) == orient(*e, aps[1]):
-            out.append(f"both triangles of edge {e} lie on one side of it")
+    count = area2 = 0
+    for e, (left, right) in apexes.items():
+        u, v = e
+        want = 1 if e in darts else 2
+        got = (left is not None) + (right is not None)
+        if got != want:
+            out.append(f"edge {e} bounds {got} triangles, expected {want}")
+        for a, b, w in ((u, v, left), (v, u, right)):
+            if w is None:
+                continue
+            if left_of(b, w) != a or left_of(w, a) != b:
+                out.append(f"triangle {tri(a, b, w)} of edge {e} is not "
+                           f"derived at its other sides")
+            if w > v:       # once per triangle, opposite its largest vertex
+                (ax, ay), (bx, by), (wx, wy) = ip[a], ip[b], ip[w]
+                count += 1
+                area2 += (bx - ax) * (wy - ay) - (by - ay) * (wx - ax)
+    if count != domain.expected_triangle_count:
+        out.append(f"triangle count {count} != expected "
+                   f"{domain.expected_triangle_count}")
     if area2 != domain.area2:
         out.append(f"triangles cover twice-area {area2}, the domain "
                    f"{domain.area2}")
+    if not out and t._apexes is None:
+        t._apexes = _listed(apexes)
     return out

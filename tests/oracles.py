@@ -19,9 +19,8 @@ from flipdist.geometry import (HalfPlane, Point2, _collinear_overlap,
 from flipdist.reduction import PlanarGraphDrawing
 from flipdist.search import FlipScript, _FlipKernel
 from flipdist.triangulation import (Edge, Triangulation, ValidationReport,
-                                    _DomainBase, canonical_cycle,
-                                    derive_triangles, edge, flip_is_convex,
-                                    quad_sides, tri, triangle_apexes,
+                                    _certificate, _DomainBase, canonical_cycle,
+                                    edge, flip_is_convex, quad_sides, tri,
                                     walk_faces)
 
 
@@ -42,8 +41,9 @@ def sorted_rotations(domain, edges) -> dict[int, list[int]]:
 
 
 def derive_triangles_by_faces(domain, edges) -> frozenset:
-    """The oracle of `triangulation.derive_triangles`: the faces of the
-    edges' rotation system, sorted by angle around every vertex and
+    """The faces that `triangulation.derive_apexes` must give, by the
+    oracle `apexes_by_side`: the triangular faces of the edges' rotation
+    system, sorted by angle around every vertex and
     walked.  Non-triangular faces must be the domain's boundary cycles;
     any other raises ValidationError, as does a degenerate triangle."""
     expected = {canonical_cycle(c) for c in domain.boundary_cycles}
@@ -67,6 +67,27 @@ def derive_triangles_by_faces(domain, edges) -> frozenset:
     if expected:
         raise ValidationError("boundary cycles missing from the face structure")
     return frozenset(triangles)
+
+
+def triangle_apexes(triangles) -> dict[Edge, list[int]]:
+    """Every side of the triangles, with the apexes opposite it."""
+    apexes: dict[Edge, list[int]] = {}
+    for a, b, c in triangles:
+        apexes.setdefault(edge(a, b), []).append(c)
+        apexes.setdefault(edge(a, c), []).append(b)
+        apexes.setdefault(edge(b, c), []).append(a)
+    return apexes
+
+
+def apexes_by_side(domain, edges, triangles) -> dict[Edge, list]:
+    """The oracle of `triangulation.derive_apexes`: every edge's apexes in
+    a family of triangles, `[left, right]`, each put on its side by its own
+    orientation; a side with none is None."""
+    apexes: dict[Edge, list] = {e: [None, None] for e in edges}
+    for a, b, c in triangles:       # sorted, so each side's pair is too
+        for u, v, w in ((a, b, c), (a, c, b), (b, c, a)):
+            apexes[(u, v)][domain.orient(u, v, w) < 0] = w
+    return apexes
 
 
 def validate_by_segments(t) -> ValidationReport:
@@ -133,8 +154,8 @@ def validate_by_segments(t) -> ValidationReport:
 def validate_with_sweep(t) -> ValidationReport:
     """The oracle of `triangulation.validate` that sweeps every pair of
     touching edges before the edge count and the local certificate, on
-    valid input too.  It checks that order, so its certificate reads the
-    library's triangles (`derive_triangles`), as `validate`'s does."""
+    valid input too.  It checks that order, so it runs the library's
+    certificate (`_certificate`) itself."""
     report = ValidationReport()
     domain = t.domain
     n = len(domain.points)
@@ -165,36 +186,7 @@ def validate_with_sweep(t) -> ValidationReport:
     if not report.ok:
         return report
 
-    try:
-        tris = derive_triangles(domain, t.edges)
-    except ValidationError as exc:
-        report.add(str(exc))
-        return report
-    if len(tris) != domain.expected_triangle_count:
-        report.add(f"triangle count {len(tris)} != expected "
-                   f"{domain.expected_triangle_count}")
-    ip = domain.ipoints
-    area2 = sum(abs(polygon_signed_area2((ip[a], ip[b], ip[c])))
-                for a, b, c in tris)
-    apexes = triangle_apexes(tris)
-    darts = {edge(a, b): (a, b) for c in domain.boundary_cycles
-             for a, b in zip(c, c[1:] + c[:1])}
-    orient = domain.orient
-    for e in t.edges:
-        aps = apexes.get(e, [])
-        dart = darts.get(e)
-        want = 1 if dart else 2
-        if len(aps) != want:
-            report.add(f"edge {e} bounds {len(aps)} triangles, expected {want}")
-        elif dart:
-            if orient(*dart, aps[0]) < 0:
-                report.add(f"boundary edge {e} has its triangle outside "
-                           f"the domain")
-        elif orient(*e, aps[0]) == orient(*e, aps[1]):
-            report.add(f"both triangles of edge {e} lie on one side of it")
-    if area2 != domain.area2:
-        report.add(f"triangles cover twice-area {area2}, the domain "
-                   f"{domain.area2}")
+    report.violations += _certificate(t)
     return report
 
 
@@ -547,7 +539,7 @@ def segment_inside(region, i: int, j: int) -> bool:
         if segments_share_interior(a, b, ip[u], ip[v]):
             return False
     for k in region.point_holes:
-        if on_segment(ip[k], a, b, closed=False):
+        if k not in (i, j) and on_segment(ip[k], a, b):
             return False
     corner = next(((c[k - 1], c[(k + 1) % len(c)])
                    for c in region.boundary_cycles
@@ -573,7 +565,7 @@ def segment_inside_by_midpoint(region, i, j) -> bool:
     for u, v in region.mandatory_edges:
         if segments_share_interior(a, b, ip[u], ip[v]):
             return False
-    if any(on_segment(p, a, b, closed=False) for p in ip):
+    if any(on_segment(ip[k], a, b) for k in range(len(ip)) if k not in (i, j)):
         return False
     return point_location(region, (a[0] + b[0], a[1] + b[1])) > 0
 
@@ -697,7 +689,7 @@ def hull_cycle_by_scans(ipoints) -> list[int]:
     for k in range(len(corners)):
         a, b = corners[k], corners[(k + 1) % len(corners)]
         onway = [i for i in range(len(ipoints)) if i not in corner_set
-                 and on_segment(ipoints[i], ipoints[a], ipoints[b], closed=False)]
+                 and on_segment(ipoints[i], ipoints[a], ipoints[b])]
         onway.sort(key=lambda i: (abs(ipoints[i][0] - ipoints[a][0]),
                                   abs(ipoints[i][1] - ipoints[a][1])))
         cycle.append(a)
@@ -724,7 +716,8 @@ class PointSetByFormulas(_DomainBase):
 
     def segment_inside(self, i, j) -> bool:
         a, b = self.ipoints[i], self.ipoints[j]
-        return not any(on_segment(p, a, b, closed=False) for p in self.ipoints)
+        return not any(on_segment(self.ipoints[k], a, b)
+                       for k in range(len(self.ipoints)) if k not in (i, j))
 
 
 def greedy_upper_bound(t1, t2, move_cap=None) -> FlipScript:

@@ -18,7 +18,7 @@ from flipdist.reduction import (audit_script, build_instance, convex_drawing,
                                 region_to_pointset)
 from flipdist.search import (bfs_distance, enumerate_flip_graph, exact_distance)
 from flipdist.triangulation import (PolygonalRegion, Triangulation, edge,
-                                    ear_clip_with_triangles, validate)
+                                    ear_clip_with_triangles, replay, validate)
 from flipdist.vertexcover import Graph, exact_vc
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -85,7 +85,7 @@ def test_criterion_3_capped_channel():
     assert exact_distance(t_right, t_canon).distance == 12
     moves = left_to_canonical_moves(upper, lower, cap_id)
     assert len(moves) == 12
-    assert t_left.apply_script(moves).edges == t_canon.edges
+    assert replay(t_left, moves).edges == t_canon.edges
     report(3, "capped channel: distance 24, canonical 12 from each side, "
               "explicit 12-move script replays onto the canonical fan")
 

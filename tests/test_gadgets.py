@@ -18,7 +18,8 @@ from flipdist.gadgets import (
 from flipdist.geometry import on_segment, orientation, pt
 from flipdist.search import (bfs_distance, count_polygon_triangulations,
                              enumerate_flip_graph, exact_distance)
-from flipdist.triangulation import PolygonalRegion, Triangulation, edge, validate
+from flipdist.triangulation import (PolygonalRegion, Triangulation, edge,
+                                    replay, validate)
 from oracles import (chain_by_point_arithmetic, chain_pair_blocked_by_segments,
                      edges_crossing_segment,
                      edges_crossing_segment_four_tests,
@@ -241,13 +242,13 @@ def test_explicit_12_move_script_reaches_canonical():
     cap = 14
     moves = left_to_canonical_moves(upper, lower, cap)
     assert len(moves) == 12
-    t = t_left.apply_script(moves)
+    t = replay(t_left, moves)
     canon = set(region.mandatory_edges) | canonical_capped_edges(upper, lower, cap)
     assert t.edges == frozenset(canon)
     moves_r = right_to_canonical_moves(upper, lower, cap)
-    assert t_right.apply_script(moves_r).edges == frozenset(canon)
+    assert replay(t_right, moves_r).edges == frozenset(canon)
     # full 24-move transform lands on the right-inclined triangulation
-    t24 = t_left.apply_script(capped_transform_moves(upper, lower, cap))
+    t24 = replay(t_left, capped_transform_moves(upper, lower, cap))
     assert t24.edges == t_right.edges
 
 
@@ -256,7 +257,7 @@ def test_capped_transform_from_far_end():
     cap = 14
     moves = capped_transform_moves(upper, lower, cap, cap_at_far_end=True)
     assert len(moves) == 24
-    assert t_left.apply_script(moves).edges == t_right.edges
+    assert replay(t_left, moves).edges == t_right.edges
     # seen from the far end the chains are mirrored: left and right swap
     u, l = list(reversed(upper)), list(reversed(lower))
     canon = set(region.mandatory_edges) | canonical_capped_edges(u, l, cap)
@@ -264,8 +265,8 @@ def test_capped_transform_from_far_end():
     from_left = right_to_canonical_moves(u, l, cap)
     from_right = left_to_canonical_moves(u, l, cap)
     assert len(from_left) == len(from_right) == 12
-    assert t_left.apply_script(from_left).edges == frozenset(canon)
-    assert t_right.apply_script(from_right).edges == frozenset(canon)
+    assert replay(t_left, from_left).edges == frozenset(canon)
+    assert replay(t_right, from_right).edges == frozenset(canon)
 
 
 def test_property_double_capped_distance_24():
@@ -380,8 +381,8 @@ def test_crossing_scan_matches_four_test_oracle(c3_instance):
     rng = random.Random(17)
     pairs = {tuple(rng.sample(range(n), 2)) for _ in range(200)}
     through = {(p, q) for p in range(n) for q in range(p + 1, n)
-               if any(on_segment(ip[r], ip[p], ip[q], closed=False)
-                      for r in range(n))}
+               if any(on_segment(ip[r], ip[p], ip[q])
+                      for r in range(n) if r not in (p, q))}
     assert through
     for p, q in pairs | through | set(t.edges):
         assert edges_crossing_segment(t, p, q) == \

@@ -66,8 +66,7 @@ def _grid_tuples(*pts):
 def test_kernel_agrees_on_point2_and_grid_tuples(a, b, c, d):
     ia, ib, ic, id_ = _grid_tuples(a, b, c, d)
     assert orientation(a, b, c) == orientation(ia, ib, ic)
-    for closed in (True, False):
-        assert on_segment(a, b, c, closed) == on_segment(ia, ib, ic, closed)
+    assert on_segment(a, b, c) == on_segment(ia, ib, ic)
     assert segments_share_interior(a, b, c, d) == \
         segments_share_interior(ia, ib, ic, id_)
 

@@ -21,11 +21,12 @@ from flipdist.reduction import (ReductionInstance, _embedding,
                                 region_to_pointset)
 from flipdist.search import FlipScript, exact_distance, lower_bound
 from flipdist.triangulation import (FlipMove, Triangulation, canonical_cycle,
-                                    derive_triangles, edge, hull_cycle,
+                                    derive_apexes, edge, hull_cycle, replay,
                                     validate, walk_segment)
 from flipdist.vertexcover import Graph, exact_vc
 
-from oracles import (chain_audit_by_whole_drawing, derive_triangles_by_faces,
+from oracles import (apexes_by_side, chain_audit_by_whole_drawing,
+                     derive_triangles_by_faces,
                      edges_crossing_segment,
                      embedding_faces_by_networkx,
                      segment_in_domain_by_pieces, segment_inside,
@@ -108,14 +109,17 @@ def plane_graphs(draw):
         return (orientation(p[a], p[b], p[c]) * orientation(p[a], p[b], p[d]) < 0
                 and orientation(p[c], p[d], p[a]) * orientation(p[c], p[d], p[b]) < 0)
 
+    def dot(a, b, c, d):    # (pts[a] - pts[b]) . (pts[c] - pts[d])
+        return (pts[a][0] - pts[b][0]) * (pts[c][0] - pts[d][0]) \
+            + (pts[a][1] - pts[b][1]) * (pts[c][1] - pts[d][1])
+
     def through_point(a, b):
-        return any(orientation(p[a], p[b], p[c]) == 0
-                   and (p[c] - p[a]).dot(p[c] - p[b]) < 0
+        return any(orientation(p[a], p[b], p[c]) == 0 and dot(c, a, c, b) < 0
                    for c in range(len(p)))
 
     edges = []
     for a, b in sorted(combinations(range(len(p)), 2),
-                       key=lambda e: (p[e[0]] - p[e[1]]).dot(p[e[0]] - p[e[1]])):
+                       key=lambda e: dot(e[0], e[1], e[0], e[1])):
         if not through_point(a, b) and not any(crosses(a, b, c, d)
                                                for c, d in edges):
             edges.append((a, b))
@@ -341,7 +345,7 @@ def test_walk_matches_crossing_scan_on_k4(k4_instance):
                 crossed, met = walk
                 assert len(set(crossed)) == len(crossed)
                 assert set(crossed) == edges_crossing_segment(t, p, q)
-                assert all(on_segment(ip[w], ip[p], ip[q], closed=False)
+                assert all(w not in (p, q) and on_segment(ip[w], ip[p], ip[q])
                            for w in met)
                 inside += 1
                 through += bool(met)
@@ -384,18 +388,40 @@ def test_derive_triangles_builds_no_fraction(k4_instance, count_fractions):
     # every side of every edge is decided on the integer grid
     inst = k4_instance[0]
     with count_fractions() as built:
-        triangles = derive_triangles(inst.region, inst.t1.edges)
+        apexes = derive_apexes(inst.region, inst.t1.edges)
     assert built == []
-    assert len(triangles) == inst.region.expected_triangle_count
+    assert sum(w is not None for aps in apexes.values() for w in aps) == \
+        3 * inst.region.expected_triangle_count
 
 
 def test_shared_neighbours_give_the_k4_faces(k4_instance):
-    # the triangles from shared neighbours are the faces the rotation
-    # system's walk finds, on both triangulations of the K4 instance
+    # the apexes from shared neighbours, side by side, are those of the
+    # faces the rotation system's walk finds, on both triangulations of
+    # the K4 instance
     inst = k4_instance[0]
     for t in (inst.t1, inst.t2):
-        assert derive_triangles(inst.region, t.edges) == \
-            derive_triangles_by_faces(inst.region, t.edges)
+        faces = derive_triangles_by_faces(inst.region, t.edges)
+        assert derive_apexes(inst.region, t.edges) == \
+            apexes_by_side(inst.region, t.edges, faces)
+        assert Triangulation(inst.region, t.edges).triangles == faces
+
+
+def test_certificate_makes_no_orientation_call(k4_instance, monkeypatch):
+    # validating K4's t1 orients only inside `derive_apexes`: the
+    # certificate reads every side off the derived map
+    inst = k4_instance[0]
+    calls = []
+
+    def counted(p, q, r):
+        calls.append(None)
+        return orientation(p, q, r)
+
+    monkeypatch.setattr(triangulation, "orientation", counted)
+    derive_apexes(inst.region, inst.t1.edges)
+    derived = len(calls)
+    calls.clear()
+    assert validate(Triangulation(inst.region, inst.t1.edges)).ok
+    assert 0 < len(calls) == derived
 
 
 def test_gadget_audit_blocking_sets(c3_instance, k4_instance):
@@ -618,18 +644,18 @@ def test_gadget_scripts_replay_from_their_start_states(c3_instance):
         canonical_half = left_to_canonical_moves(near_upper, near_lower, cap)
         assert (len(unlock), len(cap_moves), len(capped_transform),
                 len(canonical_half)) == (1, 2, 24, 12)
-        t = inst.t1.apply_script(unlock).apply_script(cap_moves)
+        t = replay(replay(inst.t1, unlock), cap_moves)
         a, b = rec.gates[vertex]
         assert edge(cap, a) in t.edges and edge(cap, b) in t.edges
-        t_half = t.apply_script(canonical_half)
+        t_half = replay(t, canonical_half)
         # a cap at the far end sees the chains reversed
         upper, lower = rec.upper, rec.lower
         if far:
             upper, lower = upper[::-1], lower[::-1]
         assert canonical_capped_edges(upper, lower, cap) <= t_half.edges
-        t2 = t.apply_script(capped_transform)
-        t2 = t2.apply_script(reverse_moves(cap_moves))
-        t2 = t2.apply_script(reverse_moves(unlock))
+        t2 = replay(t, capped_transform)
+        t2 = replay(t2, reverse_moves(cap_moves))
+        t2 = replay(t2, reverse_moves(unlock))
         # that channel now right-inclined, everything else untouched
         from flipdist.gadgets import right_edges
         assert right_edges(rec.upper, rec.lower) <= t2.edges

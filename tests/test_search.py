@@ -121,7 +121,8 @@ def test_witness_scripts_replay():
     assert len(res.script) == res.distance
     end = res.script.replay(t1)
     assert end.canonical_key() == t2.canonical_key()
-    back = res.script.reversed_from(end)
+    back = FlipScript(end.canonical_key(),
+                      tuple(m.reverse() for m in reversed(res.script.moves)))
     assert back.replay(end).canonical_key() == t1.canonical_key()
 
 
