@@ -454,9 +454,10 @@ def _perimeter_walk(center: Point2, half: Fraction,
             return 6 * half + (half - y)        # west, north to south
         raise ValidationError("point not on the square perimeter")
 
+    strips = [_strip(s, center) for s in stubs]
+
     def strictly_outside_strips(p: Point2) -> bool:
-        for s in stubs:
-            h1, h2 = _strip(s, center)
+        for h1, h2 in strips:
             if h1.value(p) > 0 and h2.value(p) > 0:
                 return False
             if h1.value(p) == 0 or h2.value(p) == 0:

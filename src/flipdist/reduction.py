@@ -55,6 +55,16 @@ class PlanarGraphDrawing:
         for u, w in self.edges:
             self.adj[u].append(w)
             self.adj[w].append(u)
+        # `pos` on its grid, each dart's direction and each vertex's
+        # neighbours counterclockwise there, once: nothing moves `pos`
+        grid, _ = on_grid(self.pos.values())
+        at = self.grid = dict(zip(self.pos, grid))
+        self.dirs, self.rot = {}, {}
+        for v, ws in self.adj.items():
+            vx, vy = at[v]
+            dirs = self.dirs[v] = {w: (at[w][0] - vx, at[w][1] - vy)
+                                   for w in ws}
+            self.rot[v] = sorted_ccw(ws, dirs.__getitem__)
 
     def degree(self, v) -> int:
         return len(self.adj[v])
@@ -62,26 +72,12 @@ class PlanarGraphDrawing:
     def direction(self, v, w) -> Point2:
         return self.pos[w] - self.pos[v]
 
-    def rotation(self):
-        """`(rot, dirs)`: each vertex's neighbours counterclockwise, and each
-        dart's direction `dirs[v][w]` on the grid of `pos` (`on_grid`); made
-        anew per call, because `eliminate_sharp` moves `pos`."""
-        grid, _ = on_grid(self.pos.values())
-        at = dict(zip(self.pos, grid))
-        dirs, rot = {}, {}
-        for v, ws in self.adj.items():
-            vx, vy = at[v]
-            dirs[v] = {w: (at[w][0] - vx, at[w][1] - vy) for w in ws}
-            rot[v] = sorted_ccw(ws, dirs[v].__getitem__)
-        return rot, dirs
-
     def faces(self) -> list[list[tuple[int, int]]]:
         """Face cycles as dart lists, faces on the left of each dart."""
-        rot, _ = self.rotation()
-        return [list(zip(f, f[1:] + f[:1])) for f in walk_faces(rot, self.edges)]
+        return [list(zip(f, f[1:] + f[:1])) for f in walk_faces(self.rot, self.edges)]
 
-    def face_area2(self, face) -> Fraction:
-        return polygon_signed_area2([self.pos[u] for u, _ in face])
+    def face_area2(self, face) -> int:
+        return polygon_signed_area2([self.grid[u] for u, _ in face])
 
     def sharp_vertices(self) -> list[int]:
         """Vertices with an incident angle of at least pi.
@@ -90,10 +86,9 @@ class PlanarGraphDrawing:
         directions reaches pi; degree-2 vertices only at exactly pi, where
         both gaps do.
         """
-        rot, dirs = self.rotation()
         out = []
-        for v, ws in rot.items():
-            around = [dirs[v][w] for w in ws]
+        for v, ws in self.rot.items():
+            around = [self.dirs[v][w] for w in ws]
             if len(around) <= 1:
                 continue
             gaps = map(turn_reaches_pi, around, around[1:] + around[:1])
@@ -328,14 +323,13 @@ def _bfs_path(adj, source, inside, targets) -> list[int]:
 
 
 def _audit_convex_faces(drawing: PlanarGraphDrawing):
+    at = drawing.grid
     for face in drawing.faces():
         cyc = [u for u, _ in face]
-        area = drawing.face_area2(face)
         n = len(cyc)
-        want = -1 if area < 0 else 1
+        want = -1 if drawing.face_area2(face) < 0 else 1
         for i in range(n):
-            p, q, r = (drawing.pos[cyc[i]], drawing.pos[cyc[(i + 1) % n]],
-                       drawing.pos[cyc[(i + 2) % n]])
+            p, q, r = at[cyc[i]], at[cyc[(i + 1) % n]], at[cyc[(i + 2) % n]]
             if orientation(p, q, r) != want:
                 raise ValidationError(
                     f"face {cyc} is not strictly convex in the drawing")
@@ -515,7 +509,7 @@ def _chain_audit(pos, new_pos, new_edges, touched, pre_sharp) -> bool:
 
 def _audit_plane(drawing: PlanarGraphDrawing):
     es = drawing.edges
-    for i, j in touching_pairs(drawing.pos, es):
+    for i, j in touching_pairs(drawing.grid, es):
         if not set(es[i]) & set(es[j]):
             raise ValidationError(f"drawing edges {es[i]} and {es[j]} cross")
 
@@ -682,8 +676,10 @@ class ReductionInstance:
 def _check_metadata(channels: dict[tuple[int, int], ChannelRecord],
                     gadgets: dict[int, GadgetRecord], n_points: int) -> None:
     """Cross-check loaded gadget metadata: every channel end has a gadget
-    record, every per-end record is keyed by an end of its channel, and
-    every point index is in range."""
+    record, both chains hold 7 points (a channel's 28 flips assume it),
+    every per-end record is keyed by exactly the channel's two ends, every
+    gate is an index pair, every cap script two moves, and every point
+    index is in range."""
     def in_range(owner, indices):
         for i in indices:
             if type(i) is not int or not 0 <= i < n_points:
@@ -696,12 +692,31 @@ def _check_metadata(channels: dict[tuple[int, int], ChannelRecord],
             if v not in gadgets:
                 raise ValidationError(f"bad gadget metadata: channel {key} "
                                       f"ends at {v!r}, which has no gadget")
+        if len(rec.upper) != 7 or len(rec.lower) != 7:
+            raise ValidationError(
+                f"bad gadget metadata: channel {key} has chains of "
+                f"{len(rec.upper)} and {len(rec.lower)} points, not 7")
         for name in ("gates", "caps", "cap_scripts", "blocking"):
-            for v in getattr(rec, name):
+            per_end = getattr(rec, name)
+            for v in per_end:
                 if v not in key:
                     raise ValidationError(
                         f"bad gadget metadata: channel {key} has {name} "
                         f"for {v}, which is not one of its ends")
+            for v in key:
+                if v not in per_end:
+                    raise ValidationError(f"bad gadget metadata: channel "
+                                          f"{key} has no {name} for {v}")
+        for v, g in rec.gates.items():
+            if len(g) != 2:
+                raise ValidationError(
+                    f"bad gadget metadata: channel {key} has gate {list(g)} "
+                    f"at {v}, not an index pair")
+        for v, ms in rec.cap_scripts.items():
+            if len(ms) != 2:
+                raise ValidationError(
+                    f"bad gadget metadata: channel {key} has a "
+                    f"{len(ms)}-move cap script at {v}, not 2")
         in_range(f"channel {key}", [
             *rec.upper, *rec.lower, *rec.caps.values(),
             *(i for g in rec.gates.values() for i in g),
@@ -806,7 +821,8 @@ def _gate_for(drawing, dirs, v, w, half,
     else:
         off = Point2(Fraction(0), delta)
     g1, g2 = p1 + off, p1 - off
-    if orientation(drawing.pos[v], drawing.pos[w], g1) > 0:
+    d = dirs[v, w]      # g1 - pos[v] is off plus a positive multiple of d
+    if (-d.y if sa.y == sb.y else d.x) > 0:     # d x off > 0: g1 is left
         return p1, g1, g2
     return p1, g2, g1
 
@@ -1028,10 +1044,9 @@ def _assemble(drawing, gadget_obj, channel_obj, k_input, t_outer):
 
     # region boundary cycles from the drawing's faces; between consecutive
     # channel walls the cycle follows the pocket arc around the square
-    faces = drawing.faces()
-    cycles = []
     outer_cycle = None
-    for face in faces:
+    holes = []
+    for face in drawing.faces():
         cyc: list[int] = []
         for i, (x, y) in enumerate(face):
             key = edge(x, y)
@@ -1044,20 +1059,14 @@ def _assemble(drawing, gadget_obj, channel_obj, k_input, t_outer):
             assert y2 == y
             arc = gadget_obj[y].arcs_ccw[(edge(y, z), edge(y, x))]
             cyc.extend(sym_maps[y][name] for name in reversed(arc))
+        # the face walk keeps the face, not the region, on its left
+        cyc.reverse()
         if drawing.face_area2(face) < 0:
             outer_cycle = cyc
         else:
-            cycles.append(cyc)
+            holes.append(cyc)
     if outer_cycle is None:
         raise ValidationError("drawing has no outer face")
-
-    if polygon_signed_area2([points[i] for i in outer_cycle]) < 0:
-        outer_cycle = list(reversed(outer_cycle))
-    holes = []
-    for cyc in cycles:
-        if polygon_signed_area2([points[i] for i in cyc]) > 0:
-            cyc = list(reversed(cyc))
-        holes.append(cyc)
     holes.extend([[gadgets[v].points[n]] for v in sorted(gadgets)
                   for n in ("C", "D", "E", "F")])
 

@@ -5,7 +5,8 @@ edge-difference lower bound (each flip replaces exactly one edge, so at
 least |edges(t1) - edges(t2)| flips are needed).  It and flip-graph
 enumeration run on a per-call flip kernel (`_FlipKernel`):
 a state holds only the diagonals, each with its flip as an index into the
-kernel's flip table, a flip updates at most five entries of a state with
+kernel's flip table, decided once by two orientations (`flip_is_convex`),
+a flip updates at most five entries of a state with
 no rebuild from the triangles, and a state is known by an exact bitmask
 of its diagonals, so a duplicate child costs one xor and an integer
 lookup.  The search breaks ties on a key that orders exactly as the

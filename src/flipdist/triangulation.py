@@ -11,8 +11,8 @@ Every query here does work in proportion to what it touches: each edge's
 apexes come, by side, from the neighbours its ends share, with no angular
 sort, and `validate` checks that one map with no further orientation;
 `replay` applies a script in place on one copy of the edges and apexes,
-and `walk_segment` walks from a vertex through only the triangles a
-segment crosses.  Both run on triangulations that passed `validate`.
+at two orientations a move, and `walk_segment` walks from a vertex through
+only the triangles a segment crosses.  Both run on valid triangulations.
 """
 
 from __future__ import annotations
@@ -86,8 +86,8 @@ class PolygonalRegion(_DomainBase):
         self.holes = tuple(tuple(h) for h in holes)
         self.poly_holes = [h for h in self.holes if len(h) >= 3]
         self.point_holes = [h[0] for h in self.holes if len(h) == 1]
-        self._check_structure()
         self.boundary_cycles = [list(self.outer)] + [list(h) for h in self.poly_holes]
+        areas = self._check_structure()
         # each boundary edge with its dart along its cycle, which keeps the
         # region on its left (outer CCW, holes CW)
         self.boundary_darts = {edge(a, b): (a, b) for c in self.boundary_cycles
@@ -98,13 +98,13 @@ class PolygonalRegion(_DomainBase):
         self.expected_edge_count = 3 * len(self.points) - b + 3 * h - 3
         self.expected_triangle_count = 2 * len(self.points) - b + 2 * h - 2
         # twice the area, exact on the grid; holes are clockwise and subtract
-        self.area2 = sum(polygon_signed_area2([self.ipoints[i] for i in c])
-                         for c in self.boundary_cycles)
+        self.area2 = sum(areas)
 
     def _key(self):
         return (self.points, self.outer, self.holes)
 
-    def _check_structure(self):
+    def _check_structure(self) -> list[int]:
+        """Check the boundaries read from input; return each cycle's area2."""
         if any(len(h) == 2 for h in self.holes):
             raise ValidationError("two-vertex holes are not polygons")
         seen: set[int] = set()
@@ -120,15 +120,16 @@ class PolygonalRegion(_DomainBase):
                 f"points {missing} belong to no boundary; list them as point holes")
         if len(self.outer) < 3:
             raise ValidationError("outer boundary needs at least 3 vertices")
-        if polygon_signed_area2([self.ipoints[i] for i in self.outer]) <= 0:
-            raise ValidationError("outer boundary must be counterclockwise")
-        for h in self.poly_holes:
-            if polygon_signed_area2([self.ipoints[i] for i in h]) >= 0:
-                raise ValidationError("hole boundaries must be clockwise")
-        cycles = [list(self.outer)] + [list(h) for h in self.poly_holes]
-        segs = [(c[i], c[(i + 1) % len(c)]) for c in cycles for i in range(len(c))]
-        point_holes = sorted(self.point_holes)
         ip = self.ipoints
+        areas = [polygon_signed_area2([ip[i] for i in c])
+                 for c in self.boundary_cycles]
+        if areas[0] <= 0:
+            raise ValidationError("outer boundary must be counterclockwise")
+        if any(a >= 0 for a in areas[1:]):
+            raise ValidationError("hole boundaries must be clockwise")
+        segs = [(c[i], c[(i + 1) % len(c)]) for c in self.boundary_cycles
+                for i in range(len(c))]
+        point_holes = sorted(self.point_holes)
         # indices are unique and cycles have 3+ vertices, so no two boundary
         # edges coincide; a cycle vertex inside a boundary edge makes its own
         # edges touch that edge.  A point hole k rides along as the
@@ -144,6 +145,7 @@ class PolygonalRegion(_DomainBase):
             raise ValidationError(
                 f"point {point_holes[j - len(segs)]} lies on boundary edge {segs[i]}")
         self._check_nesting()
+        return areas
 
     def _check_nesting(self):
         """Every hole strictly inside the outer boundary, and no hole inside
@@ -206,9 +208,10 @@ class PointSet(PolygonalRegion):
         self._set_boundary(outer, [(k,) for k in range(len(self.points))
                                    if k not in on_hull])
 
-    def _check_structure(self):
-        """Nothing to check: the hull cycle and the point holes are
-        computed from distinct points, not read from input."""
+    def _check_structure(self) -> list[int]:
+        """Nothing to check but the hull's area2: the hull cycle and the
+        point holes are computed from distinct points, not read from input."""
+        return [polygon_signed_area2([self.ipoints[i] for i in self.outer])]
 
 
 def hull_cycle(ipoints) -> list[int]:
@@ -390,11 +393,11 @@ class ValidationReport:
 
 def flip_is_convex(domain, u: int, v: int, x: int, y: int) -> bool:
     """True iff the quadrilateral u, x, v, y is strictly convex, so that the
-    diagonal uv between triangles uvx and uvy can be flipped to xy."""
-    orient = domain.orient
-    s = orient(u, x, v)
-    return s != 0 and orient(x, v, y) == s and orient(v, y, u) == s \
-        and orient(y, u, x) == s
+    diagonal uv between triangles uvx and uvy can be flipped to xy.  Every
+    apex map puts x and y strictly on opposite sides of uv (`derive_apexes`
+    raises on a collinear apex), so that holds iff u and v lie strictly on
+    opposite sides of xy."""
+    return domain.orient(x, y, u) * domain.orient(x, y, v) < 0
 
 
 def quad_sides(removed: Edge, inserted: Edge):
@@ -474,12 +477,12 @@ def replay(t: Triangulation, moves, on_flip=None) -> Triangulation:
     The edge set and the apex map are copied once and then updated in
     place.  A move is legal when its removed edge has two apexes, its
     inserted edge joins them and the quadrilateral is strictly convex
-    (`flip_is_convex`); the apexes then change through `quad_sides`, and
-    the edges are already normalised, so no triangle derivation and no
-    `edge()` pass runs.  An illegal move raises `IllegalFlipError` carrying
-    its index.  When given, `on_flip(move, edges)` sees the live edge set
-    after each flip.  `t` must be a valid triangulation: its apexes are
-    those `derive_apexes` gives it.
+    (`flip_is_convex`, two orientations); the apexes then change through
+    `quad_sides`, and the edges are already normalised, so no triangle
+    derivation and no `edge()` pass runs.  An illegal move raises
+    `IllegalFlipError` carrying its index.  When given, `on_flip(move,
+    edges)` sees the live edge set after each flip.  `t` must be a valid
+    triangulation: its apexes are those `derive_apexes` gives it.
     """
     domain = t.domain
     edges = set(t.edges)

@@ -20,8 +20,7 @@ from flipdist.reduction import PlanarGraphDrawing
 from flipdist.search import FlipScript, _FlipKernel
 from flipdist.triangulation import (Edge, Triangulation, ValidationReport,
                                     _certificate, _DomainBase, canonical_cycle,
-                                    edge, flip_is_convex, quad_sides, tri,
-                                    walk_faces)
+                                    edge, quad_sides, tri, walk_faces)
 
 
 def sorted_rotations(domain, edges) -> dict[int, list[int]]:
@@ -619,6 +618,15 @@ def segments_share_interior_four_orientations(a, b, c, d,
     return o1 == o2 == o3 == o4 == 0 and _collinear_overlap(a, b, c, d)
 
 
+def flip_is_convex_four_orientations(domain, u, v, x, y) -> bool:
+    """The oracle of `triangulation.flip_is_convex`: the quadrilateral
+    u, x, v, y turns the same strict way at all four corners."""
+    orient = domain.orient
+    s = orient(u, x, v)
+    return s != 0 and orient(x, v, y) == s and orient(v, y, u) == s \
+        and orient(y, u, x) == s
+
+
 def chain_pair_blocked_by_segments(ch):
     """The oracle of `gadgets.channel_invariant_report`'s visibility check:
     the first chain pair (i, j), upper then lower, that fails
@@ -639,7 +647,7 @@ def apply_flip_by_copy(t, move):
     removed, inserted = move
     aps = t.edge_apexes().get(removed)
     if aps is None or len(aps) != 2 or edge(*aps) != inserted \
-            or not flip_is_convex(t.domain, *removed, *aps):
+            or not flip_is_convex_four_orientations(t.domain, *removed, *aps):
         raise IllegalFlipError(f"illegal flip {move}")
     apexes = t.edge_apexes().copy()
     del apexes[removed]

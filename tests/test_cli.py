@@ -722,11 +722,50 @@ def cap_at_other_vertex(meta):
     caps["7"] = caps.pop(next(iter(caps)))
 
 
+def first_channel_end(meta, name):
+    """The first channel's record `name`, and the key of its first end."""
+    c = meta["channels"][0]
+    return c[name], str(c["edge"][0])
+
+
+def chains_of_five(meta):
+    c = meta["channels"][0]
+    c["upper"], c["lower"] = c["upper"][:5], c["lower"][:5]
+
+
+def short_lower_chain(meta):
+    meta["channels"][0]["lower"].pop()
+
+
+def drop_first_end(name):
+    def corrupt(meta):
+        per_end, end = first_channel_end(meta, name)
+        del per_end[end]
+    corrupt.__name__ = f"no_{name}_at_first_end"
+    return corrupt
+
+
+def one_index_gate(meta):
+    gates, end = first_channel_end(meta, "gates")
+    gates[end] = gates[end][:1]
+
+
+def one_move_cap_script(meta):
+    scripts, end = first_channel_end(meta, "cap_scripts")
+    scripts[end] = scripts[end][:1]
+
+
 @pytest.mark.parametrize("command", ["script", "verify"])
 @pytest.mark.parametrize("corrupt, message", [
     (no_gadgets, "has no gadget"),
     (far_upper_point, "names point 1000000"),
     (cap_at_other_vertex, "has caps for 7"),
+    (chains_of_five, "has chains of 5 and 5 points, not 7"),
+    (short_lower_chain, "has chains of 7 and 6 points, not 7"),
+    *((drop_first_end(name), f"has no {name} for 0")
+      for name in ("gates", "caps", "cap_scripts", "blocking")),
+    (one_index_gate, "not an index pair"),
+    (one_move_cap_script, "has a 1-move cap script at 0, not 2"),
 ])
 def test_inconsistent_gadget_metadata_exits_2(tmp_path, capsys, command,
                                               corrupt, message):

@@ -145,8 +145,10 @@ def test_strictly_convex_quad():
     # reflex at the third vertex
     assert not convex(
         pt(0, 0), pt(2, 0), Point2(Fraction(1), Fraction(1, 2)), pt(1, 2))
-    # collinear triple
-    assert not convex(pt(0, 0), pt(1, 0), pt(2, 0), pt(1, 1))
+    # an end of the removed edge on the inserted edge's line: a straight
+    # angle there, with the apexes still on opposite sides of the removed
+    # edge, as every apex map puts them
+    assert not convex(pt(0, 0), pt(1, 1), pt(2, 0), pt(-1, -1))
     # clockwise order is accepted too
     assert convex(pt(0, 1), pt(1, 1), pt(1, 0), pt(0, 0))
 

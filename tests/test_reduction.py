@@ -6,22 +6,24 @@ from math import lcm
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from flipdist import instanceio, reduction, triangulation
+from flipdist import geometry, instanceio, reduction, triangulation
 from flipdist.errors import (IllegalScriptError, Not3ConnectedError,
                              NotACoverError, NotPlanarError,
                              SharpVertexError, ValidationError)
 from flipdist.gadgets import (Channel, blocking_set, channel_mouths,
                               channel_region)
-from flipdist.geometry import on_segment, orientation, pt, touching_pairs
-from flipdist.reduction import (ReductionInstance, _embedding,
-                                _shear_off_diagonals, audit_script,
+from flipdist.geometry import (Point2, on_grid, on_segment, orientation,
+                               polygon_signed_area2, pt, touching_pairs)
+from flipdist.reduction import (PlanarGraphDrawing, ReductionInstance,
+                                _embedding, _shear_off_diagonals, audit_script,
                                 build_instance, convex_drawing,
                                 cover_to_script, drawing_from_coords,
                                 eliminate_sharp, instance_coord_bits,
                                 region_to_pointset)
 from flipdist.search import FlipScript, exact_distance, lower_bound
-from flipdist.triangulation import (FlipMove, Triangulation, canonical_cycle,
-                                    derive_apexes, edge, hull_cycle, replay,
+from flipdist.triangulation import (FlipMove, PolygonalRegion, Triangulation,
+                                    canonical_cycle, derive_apexes, edge,
+                                    flip_is_convex, hull_cycle, replay,
                                     validate, walk_segment)
 from flipdist.vertexcover import Graph, exact_vc
 
@@ -29,6 +31,7 @@ from oracles import (apexes_by_side, chain_audit_by_whole_drawing,
                      derive_triangles_by_faces,
                      edges_crossing_segment,
                      embedding_faces_by_networkx,
+                     flip_is_convex_four_orientations,
                      segment_in_domain_by_pieces, segment_inside,
                      segment_inside_by_midpoint)
 
@@ -274,19 +277,93 @@ def test_k4_instance_shape(k4_instance):
     assert delta == 12 * 22
 
 
+def counting(calls, f):
+    """`f`, appending its arguments to `calls` on every call."""
+    def counted(*args):
+        calls.append(args)
+        return f(*args)
+    return counted
+
+
 def test_validate_runs_no_sweep_on_valid_k4(k4_instance, monkeypatch):
     # on a valid triangulation the certificate alone decides: the
     # all-edges `touching_pairs` sweep never runs
     calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return touching_pairs(*args)
-
-    monkeypatch.setattr(triangulation, "touching_pairs", counted)
+    monkeypatch.setattr(triangulation, "touching_pairs",
+                        counting(calls, touching_pairs))
     inst = k4_instance[0]
     assert validate(inst.t1).ok and validate(inst.t2).ok
     assert calls == []
+
+
+def test_replay_makes_two_orientations_per_move(k4_instance, monkeypatch):
+    # the apex map already puts each move's apexes on opposite sides of
+    # its removed edge, so the K4 cover script's 348 moves cost 696
+    inst = k4_instance[0]
+    g = Graph(inst.graph_vertices, inst.graph_edges)
+    script = cover_to_script(inst, exact_vc(g)[1])
+    inst.t1.edge_apexes()
+    calls = []
+    monkeypatch.setattr(triangulation, "orientation",
+                        counting(calls, orientation))
+    assert replay(inst.t1, script.moves).edges == inst.t2.edges
+    assert len(calls) == 2 * len(script) == 696
+
+
+def test_flip_legality_matches_four_orientations_on_k4(k4_instance):
+    inst = k4_instance[0]
+    seen = set()
+    for t in (inst.t1, inst.t2):
+        for e, aps in t.edge_apexes().items():
+            if len(aps) == 2:
+                fast = flip_is_convex(inst.region, *e, *aps)
+                assert fast == flip_is_convex_four_orientations(
+                    inst.region, *e, *aps), (e, aps)
+                seen.add(fast)
+    assert seen == {True, False}
+
+
+def test_region_computes_each_cycle_area_once(k4_instance, monkeypatch):
+    region = k4_instance[0].region
+    calls = []
+    monkeypatch.setattr(triangulation, "polygon_signed_area2",
+                        counting(calls, polygon_signed_area2))
+    again = PolygonalRegion(region.points, region.outer, region.holes)
+    assert again.area2 == region.area2
+    assert len(calls) == len(region.boundary_cycles) == 4
+
+
+def test_drawing_scales_to_its_grid_once(k4_instance, monkeypatch):
+    d2 = k4_instance[1]
+    calls = []
+    counted = counting(calls, on_grid)
+    monkeypatch.setattr(reduction, "on_grid", counted)
+    monkeypatch.setattr(geometry, "on_grid", counted)
+    d = PlanarGraphDrawing(pos=d2.pos, edges=d2.edges,
+                           outer_face=d2.outer_face)
+    assert len(calls) == 1
+    assert d.faces() == d2.faces() and d.sharp_vertices() == []
+    assert len(calls) == 1
+
+
+def test_drawing_predicates_take_no_point2(monkeypatch):
+    # the drawing's audits and the instance assembly read the drawing's
+    # integer grid, never its `Point2` positions
+    passed = []
+
+    def points_of(*args):
+        return [p for a in args for p in (a if isinstance(a, list) else [a])]
+
+    for name, f in (("orientation", orientation),
+                    ("polygon_signed_area2", polygon_signed_area2)):
+        def recorded(*args, f=f):
+            passed.extend(type(p) for p in points_of(*args))
+            return f(*args)
+        monkeypatch.setattr(reduction, name, recorded)
+    d = convex_drawing([0, 1, 2, 3], K4_EDGES, outer=[0, 1, 2])
+    d2, t = eliminate_sharp(d)
+    build_instance(d2, k_input=3, t_outer=t)
+    assert passed and Point2 not in passed
 
 
 def test_segment_inside_matches_midpoint_oracle(c3_instance, k4_instance):
@@ -411,12 +488,8 @@ def test_certificate_makes_no_orientation_call(k4_instance, monkeypatch):
     # certificate reads every side off the derived map
     inst = k4_instance[0]
     calls = []
-
-    def counted(p, q, r):
-        calls.append(None)
-        return orientation(p, q, r)
-
-    monkeypatch.setattr(triangulation, "orientation", counted)
+    monkeypatch.setattr(triangulation, "orientation",
+                        counting(calls, orientation))
     derive_apexes(inst.region, inst.t1.edges)
     derived = len(calls)
     calls.clear()

@@ -25,8 +25,8 @@ from flipdist import instanceio
 from oracles import (PointSetByFormulas, apexes_by_side, apply_flip_by_copy,
                      canonical_cycle_all_rotations,
                      check_nesting_unfiltered, derive_triangles_by_faces,
-                     edge_difference,
-                     flip_graph_by_triangulations,
+                     edge_difference, flip_graph_by_triangulations,
+                     flip_is_convex_four_orientations,
                      hull_cycle_by_scans, replay_by_copies, segment_inside,
                      segment_inside_by_midpoint, triangle_apexes,
                      validate_by_segments, validate_with_sweep)
@@ -638,6 +638,35 @@ def test_shared_neighbours_give_the_faces(differential_seeds, seed):
         if not moves:
             break
         t = t.apply_flip(rng.choice(moves))
+
+
+@pytest.mark.parametrize("seed", WALK_SEEDS + ["c3_pointset"])
+def test_flip_legality_matches_four_orientation_oracle(differential_seeds,
+                                                       seed):
+    # along a random flip walk, the two-orientation rule agrees with the
+    # four corners' turns on every diagonal's apex pair
+    t = differential_seeds[seed]
+    rng = random.Random(seed)
+    for _ in range(40):
+        for e, aps in t.edge_apexes().items():
+            if len(aps) == 2:
+                assert flip_is_convex(t.domain, *e, *aps) == \
+                    flip_is_convex_four_orientations(t.domain, *e, *aps), \
+                    (e, aps)
+        moves = t.legal_flips()
+        if not moves:
+            break
+        t = t.apply_flip(rng.choice(moves))
+
+
+def test_derive_apexes_rejects_a_collinear_common_neighbour():
+    # the contract that keeps every apex map's pair on opposite sides of
+    # its edge, as the two-orientation `flip_is_convex` needs: point 1
+    # lies on edge (0, 2) and neighbours both its ends
+    ps = PointSet([pt(0, 0), pt(1, 0), pt(2, 0), pt(1, 1)])
+    with pytest.raises(ValidationError,
+                       match=r"degenerate triangle face \(0, 1, 2\)"):
+        derive_apexes(ps, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
 
 def test_walk_carries_on_from_a_vertex_met_mid_segment():
