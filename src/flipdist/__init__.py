@@ -4,16 +4,15 @@ gadget properties."""
 
 from .errors import (CapExceededError, DomainMismatchError,
                      EmptyFeasibleRegionError, EmptyRegionError, FlipdistError,
-                     IllegalFlipError, IllegalScriptError, InfeasibleSagError,
+                     IllegalScriptError, InfeasibleSagError,
                      InvalidOuterFaceError, Not3ConnectedError, NotACoverError,
                      NotPlanarError, SharpVertexError, ValidationError)
 from .geometry import (CCW, COLLINEAR, CW, ConvexRegion, HalfPlane, Point2,
                        coord_bits, interior_point, orientation, pt)
 from .triangulation import (FlipMove, PointSet, PolygonalRegion, Triangulation,
                             edge, validate)
-from .search import (FlipScript, SearchResult, bfs_distance,
-                     count_polygon_triangulations, enumerate_flip_graph,
-                     exact_distance, lower_bound)
+from .search import (FlipScript, SearchResult, count_polygon_triangulations,
+                     enumerate_flip_graph, exact_distance, lower_bound)
 from .gadgets import (Channel, Mouths, build_channel, build_vertex_gadget,
                       blocking_set, capped_transform_moves, channel_mouths,
                       channel_region, channel_triangulations,

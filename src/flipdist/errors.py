@@ -17,18 +17,10 @@ class DomainMismatchError(FlipdistError):
     exit_code = 2
 
 
-class IllegalFlipError(FlipdistError):
-    """A flip is not legal; `index` is its position in a replayed script."""
-
-    exit_code = 2
-
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
-
-
 class IllegalScriptError(FlipdistError):
-    """A flip script fails to replay; `index` is the first failing move."""
+    """A flip script fails to replay: `index` is its first illegal move,
+    -1 when it does not start at the triangulation it is replayed from, or
+    its length when `audit_script` finds that it does not end at t2."""
 
     exit_code = 2
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import (EmptyFeasibleRegionError, IllegalFlipError,
+from .errors import (EmptyFeasibleRegionError, IllegalScriptError,
                      InfeasibleSagError, SharpVertexError, ValidationError)
 from .geometry import (ConvexRegion, HalfPlane, Point2, halfplane_shift,
                        halfplane_through, interior_point, on_grid,
@@ -136,7 +136,7 @@ def capped_transform_replays(ch: Channel, cap: Point2, far_end: bool) -> bool:
                                    2 * n, cap_at_far_end=far_end)
     try:
         return replay(t_left, moves).edges == t_right.edges
-    except IllegalFlipError:
+    except IllegalScriptError:
         return False
 
 

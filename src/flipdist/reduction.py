@@ -633,6 +633,9 @@ class ReductionInstance:
             channels = {}
             for c in meta["channels"]:
                 key = tuple(c["edge"])
+                if key in channels:
+                    raise ValidationError(f"bad gadget metadata: channel "
+                                          f"{key} is listed twice")
                 channels[key] = ChannelRecord(
                     key=key,
                     upper=list(c["upper"]),
@@ -650,6 +653,9 @@ class ReductionInstance:
                 )
             gadgets = {}
             for g in meta["gadgets"]:
+                if g["vertex"] in gadgets:
+                    raise ValidationError(f"bad gadget metadata: gadget "
+                                          f"{g['vertex']!r} is listed twice")
                 gadgets[g["vertex"]] = GadgetRecord(
                     vertex=g["vertex"], degree=g["degree"],
                     points=dict(g["points"]),
@@ -678,8 +684,10 @@ def _check_metadata(channels: dict[tuple[int, int], ChannelRecord],
     """Cross-check loaded gadget metadata: every channel end has a gadget
     record, both chains hold 7 points (a channel's 28 flips assume it),
     every per-end record is keyed by exactly the channel's two ends, every
-    gate is an index pair, every cap script two moves, and every point
-    index is in range."""
+    gate is an index pair, every cap script two moves, every gadget names
+    exactly its points C, D, E and F, with its lock CE and its unlocking
+    edge DF, as `_assemble` builds them, and every point index is in
+    range."""
     def in_range(owner, indices):
         for i in indices:
             if type(i) is not int or not 0 <= i < n_points:
@@ -724,8 +732,18 @@ def _check_metadata(channels: dict[tuple[int, int], ChannelRecord],
               for e in m for i in e),
             *(i for bl in rec.blocking.values() for e in bl for i in e)])
     for v, g in gadgets.items():
+        if sorted(g.points) != ["C", "D", "E", "F"]:
+            raise ValidationError(
+                f"bad gadget metadata: gadget {v!r} has points "
+                f"{sorted(g.points)}, not C, D, E and F")
         in_range(f"gadget {v!r}",
                  [*g.points.values(), *g.lock, *g.unlock_insert])
+        p = g.points
+        if g.lock != edge(p["C"], p["E"]) \
+                or g.unlock_insert != edge(p["D"], p["F"]):
+            raise ValidationError(
+                f"bad gadget metadata: gadget {v!r} has lock {g.lock} and "
+                f"unlocking edge {g.unlock_insert}, not CE and DF")
 
 
 def instance_coord_bits(domain) -> int:
@@ -987,21 +1005,17 @@ def _channel_mouth_audit(ch: Channel, key, gadget_obj, gate_pts, drawing) -> boo
 
 def _assemble(drawing, gadget_obj, channel_obj, k_input, t_outer):
     points: list[Point2] = []
-    index: dict = {}
 
-    def add_point(tag, p: Point2) -> int:
-        if tag in index:
-            return index[tag]
-        index[tag] = len(points)
+    def add_point(p: Point2) -> int:
         points.append(p)
-        return index[tag]
+        return len(points) - 1
 
     channels: dict[tuple[int, int], ChannelRecord] = {}
     for key in sorted(channel_obj):
         ch = channel_obj[key]
         u, w = key
-        upper = [add_point(("ch", key, "U", i), p) for i, p in enumerate(ch.upper)]
-        lower = [add_point(("ch", key, "L", i), p) for i, p in enumerate(ch.lower)]
+        upper = [add_point(p) for p in ch.upper]
+        lower = [add_point(p) for p in ch.lower]
         channels[key] = ChannelRecord(
             key=key, upper=upper, lower=lower,
             gates={u: (upper[0], lower[0]), w: (upper[-1], lower[-1])},
@@ -1011,12 +1025,10 @@ def _assemble(drawing, gadget_obj, channel_obj, k_input, t_outer):
     sym_maps: dict[int, dict] = {}
     for v in sorted(gadget_obj):
         g = gadget_obj[v]
-        names = {}
-        for name in ("C", "D", "E", "F"):
-            names[name] = add_point(("gp", v, name), g.points[name])
+        names = {name: add_point(g.points[name]) for name in "CDEF"}
         sym = dict(names)
         for kname in sorted(g.corner_points):
-            sym[kname] = add_point(("corner", v, kname), g.corner_points[kname])
+            sym[kname] = add_point(g.corner_points[kname])
         for key in g.order_ccw:
             rec = channels[key]
             a_idx, b_idx = rec.gates[v]   # (upper-chain end, lower-chain end)
@@ -1234,36 +1246,22 @@ def region_to_pointset(inst: ReductionInstance,
     region = inst.region
     pts: list[Point2] = list(region.points)
 
+    # hull pockets: the stretches of the outer boundary between consecutive
+    # hull vertices, closed by a hull chord; holes lie strictly inside the
+    # outer boundary, so every hull vertex is on it, and a stretch of one
+    # edge is a hull edge with no pocket
+    hull = hull_cycle(region.ipoints)
+    on_hull = set(hull)
+    outer = list(region.outer)
+    at = [i for i, v in enumerate(outer) if v in on_hull]
+    pockets = [outer[i:j + 1] for i, j in zip(at, at[1:])]
+    pockets.append(outer[at[-1]:] + outer[:at[0] + 1])
     fill_edges: set[Edge] = set()
     fill_triangles: list = []
-    for cyc in region.poly_holes:
-        es, ts = ear_clip_with_triangles(region, list(cyc))
+    for cyc in [*region.poly_holes, *(p for p in pockets if len(p) > 2)]:
+        es, ts = ear_clip_with_triangles(region, cyc)
         fill_edges.update(es)
         fill_triangles.extend(ts)
-
-    # hull pockets: stretches of the outer boundary strictly inside the hull
-    hull = hull_cycle(region.ipoints)
-    hull_set = set(hull)
-    outer = list(region.outer)
-    n_out = len(outer)
-    starts = [i for i, v in enumerate(outer) if v in hull_set]
-    if not starts:
-        raise ValidationError("outer boundary has no hull vertex")
-    for si, i in enumerate(starts):
-        j = starts[(si + 1) % len(starts)]
-        path = [outer[i]]
-        k = i
-        while k != j or len(path) == 1:
-            k = (k + 1) % n_out
-            path.append(outer[k])
-            if len(path) > n_out + 1:
-                raise ValidationError("hull walk failed")
-        if len(path) > 2:
-            es, ts = ear_clip_with_triangles(region, path)
-            fill_edges.update(es)
-            fill_triangles.extend(ts)
-        else:
-            fill_edges.add(edge(path[0], path[1]))
 
     base1 = set(inst.t1.edges) | fill_edges
     base2 = set(inst.t2.edges) | fill_edges

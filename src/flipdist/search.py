@@ -22,8 +22,8 @@ keys and each node's edges, a sorted tuple of the kernel's shared `(u, v)`
 pairs rebuilt from its parent's by one flip, only when `nodes` or
 `adjacency` is first read.  `Triangulation` stays the type at the API
 boundary, and witnesses are replayed by the one in-place
-`triangulation.replay`.  A plain BFS and a triangulation counter serve as
-oracles in the tests.
+`triangulation.replay`.  An interval-DP triangulation counter serves as
+an oracle in the tests.
 
 Each side of the search keeps one record per state it has reached, an int
 `g * W + f + 1` keyed by the mask: `g` is the best known number of flips
@@ -51,7 +51,7 @@ from heapq import heappop, heappush
 from itertools import chain
 from typing import Optional
 
-from .errors import (CapExceededError, DomainMismatchError, IllegalFlipError,
+from .errors import (CapExceededError, DomainMismatchError,
                      IllegalScriptError, ValidationError)
 from .geometry import on_segment, point_in_cycle, segments_share_interior
 from .triangulation import (FlipMove, Triangulation, flip_is_convex,
@@ -73,12 +73,7 @@ class FlipScript:
         if start.canonical_key() != self.start_key:
             raise IllegalScriptError("script does not start at this triangulation",
                                      index=-1)
-        try:
-            return replay(start, self.moves, on_flip)
-        except IllegalFlipError as exc:
-            i = exc.index
-            raise IllegalScriptError(f"move {i} ({self.moves[i]}) is illegal",
-                                     index=i) from exc
+        return replay(start, self.moves, on_flip)
 
 
 @dataclass
@@ -101,38 +96,6 @@ def lower_bound(t1: Triangulation, t2: Triangulation) -> int:
     if t1.domain != t2.domain:
         raise DomainMismatchError("triangulations live on different domains")
     return len(t1.edges - t2.edges)
-
-
-def bfs_distance(t1: Triangulation, t2: Triangulation,
-                 budget: Optional[int] = None) -> Optional[int]:
-    """Plain breadth-first flip distance; the oracle the fast search is
-    checked against."""
-    if t1.domain != t2.domain:
-        raise DomainMismatchError("triangulations live on different domains")
-    goal = t2.canonical_key()
-    start = t1.canonical_key()
-    if start == goal:
-        return 0
-    dist = {start: 0}
-    frontier = [t1]
-    d = 0
-    while frontier:
-        d += 1
-        if budget is not None and d > budget:
-            return None
-        nxt = []
-        for t in frontier:
-            for m in t.legal_flips():
-                t_new = t.apply_flip(m)
-                k = t_new.canonical_key()
-                if k in dist:
-                    continue
-                if k == goal:
-                    return d
-                dist[k] = d
-                nxt.append(t_new)
-        frontier = nxt
-    return None
 
 
 class _FlipKernel:

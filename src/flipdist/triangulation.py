@@ -9,10 +9,11 @@ A region decides hole nesting by one sweep of rays over its boundary edges.
 
 Every query here does work in proportion to what it touches: each edge's
 apexes come, by side, from the neighbours its ends share, with no angular
-sort, and `validate` checks that one map with no further orientation;
-`replay` applies a script in place on one copy of the edges and apexes,
-at two orientations a move, and `walk_segment` walks from a vertex through
-only the triangles a segment crosses.  Both run on valid triangulations.
+sort, and `validate` checks that one map with no further orientation.  A
+triangulation keeps that one by-side map: `replay` applies a script in
+place on one copy of the edges and apexes, at two orientations a move, and
+`walk_segment` walks from a vertex through only the triangles a segment
+crosses, reading each side off the map.  Both run on valid triangulations.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import IllegalFlipError, ValidationError
+from .errors import IllegalScriptError, ValidationError
 from .geometry import (Point2, on_grid, orientation, polygon_signed_area2,
                        touching_pairs)
 
@@ -416,11 +417,6 @@ def quad_sides(removed: Edge, inserted: Edge):
             ((y, u) if y < u else (u, y), v, x))
 
 
-def _listed(apexes) -> dict[Edge, list[int]]:
-    """A by-side apex map with its empty sides left out."""
-    return {e: [w for w in aps if w is not None] for e, aps in apexes.items()}
-
-
 class Triangulation:
     """Immutable edge-set triangulation over a shared domain."""
 
@@ -429,18 +425,20 @@ class Triangulation:
     def __init__(self, domain, edges):
         self.domain = domain
         self.edges = frozenset(edge(u, v) for u, v in edges)
-        self._apexes: Optional[dict[Edge, list[int]]] = None
+        self._apexes: Optional[dict[Edge, list[Optional[int]]]] = None
         self._neighbours: Optional[dict[int, list[int]]] = None
 
     @property
     def triangles(self) -> frozenset[Triangle]:
         return frozenset(tri(u, v, w)
                          for (u, v), aps in self.edge_apexes().items()
-                         for w in aps)
+                         for w in aps if w is not None)
 
-    def edge_apexes(self) -> dict[Edge, list[int]]:
+    def edge_apexes(self) -> dict[Edge, list[Optional[int]]]:
+        """`derive_apexes`' map: `{(u, v): [left, right]}`, None on a side
+        outside the region."""
         if self._apexes is None:
-            self._apexes = _listed(derive_apexes(self.domain, self.edges))
+            self._apexes = derive_apexes(self.domain, self.edges)
         return self._apexes
 
     def neighbours(self) -> dict[int, list[int]]:
@@ -456,17 +454,14 @@ class Triangulation:
     def canonical_key(self) -> bytes:
         return ";".join(f"{u},{v}" for u, v in sorted(self.edges)).encode("ascii")
 
+    # perfbench/tracing.py times this name; the search runs on a flip kernel
     def legal_flips(self) -> list[FlipMove]:
-        out = []
-        apexes = self.edge_apexes()
-        for e in self.edges:
-            aps = apexes.get(e)
-            if aps is not None and len(aps) == 2 \
-                    and flip_is_convex(self.domain, *e, *aps):
-                out.append(FlipMove(e, edge(*aps)))
-        out.sort()
-        return out
+        return sorted(FlipMove(e, edge(*aps))
+                      for e, aps in self.edge_apexes().items()
+                      if None not in aps
+                      and flip_is_convex(self.domain, *e, *aps))
 
+    # perfbench/tracing.py times this name; scripts run on `replay` itself
     def apply_flip(self, move: FlipMove) -> "Triangulation":
         return replay(self, (move,))
 
@@ -474,15 +469,18 @@ class Triangulation:
 def replay(t: Triangulation, moves, on_flip=None) -> Triangulation:
     """The triangulation that `moves` lead to from `t`, which stays as it is.
 
-    The edge set and the apex map are copied once and then updated in
-    place.  A move is legal when its removed edge has two apexes, its
+    The edge set and the by-side apex map are copied once and then updated
+    in place.  A move is legal when its removed edge has two apexes, its
     inserted edge joins them and the quadrilateral is strictly convex
-    (`flip_is_convex`, two orientations); the apexes then change through
-    `quad_sides`, and the edges are already normalised, so no triangle
-    derivation and no `edge()` pass runs.  An illegal move raises
-    `IllegalFlipError` carrying its index.  When given, `on_flip(move,
+    (`flip_is_convex`, two orientations).  The map then changes with no
+    orientation: with x left of u->v (u < v) and y right of it, v is left
+    of x->y, and each side of `quad_sides` gains its new apex on the side
+    where it loses the old one.  The edges are already normalised, so no
+    triangle derivation and no `edge()` pass runs.  An illegal move raises
+    `IllegalScriptError` carrying its index.  When given, `on_flip(move,
     edges)` sees the live edge set after each flip.  `t` must be a valid
-    triangulation: its apexes are those `derive_apexes` gives it.
+    triangulation: its apexes are those `derive_apexes` gives it, and so
+    are the result's.
     """
     domain = t.domain
     edges = set(t.edges)
@@ -490,11 +488,12 @@ def replay(t: Triangulation, moves, on_flip=None) -> Triangulation:
     for i, move in enumerate(moves):
         removed, inserted = move
         aps = apexes.get(removed)
-        if aps is None or len(aps) != 2 or edge(*aps) != inserted \
+        if aps is None or None in aps or edge(*aps) != inserted \
                 or not flip_is_convex(domain, *removed, *aps):
-            raise IllegalFlipError(f"illegal flip {move}", index=i)
+            raise IllegalScriptError(f"move {i} ({move}) is illegal", index=i)
         del apexes[removed]
-        apexes[inserted] = list(removed)
+        u, v = removed
+        apexes[inserted] = [v, u] if aps[0] < aps[1] else [u, v]
         for side, old, new in quad_sides(removed, inserted):
             apexes[side] = [new if w == old else w for w in apexes[side]]
         edges.discard(removed)
@@ -516,11 +515,12 @@ def walk_segment(t: Triangulation, p: int, q: int):
     None when the segment leaves the domain.  The walk visits only the
     triangles the segment passes through.  From a vertex it rotates
     through the vertex's triangles for the one whose corner holds the
-    direction to q, with one orientation per neighbour and at most two
-    more; then it crosses one edge per step, with one orientation for the
-    apex beyond.  From a vertex inside the segment it carries on the same
-    way; at a boundary edge (one triangle) it would leave the domain.  `t`
-    must be a valid triangulation.
+    direction to q, with one orientation per neighbour; then it crosses
+    one edge per step, with one orientation for the apex beyond.  Each
+    apex is read off the by-side map by its side, with no orientation.
+    From a vertex inside the segment it carries on the same way; at a
+    boundary edge (one triangle) it would leave the domain.  `t` must be a
+    valid triangulation.
     """
     orient = t.domain.orient
     ip = t.domain.ipoints
@@ -547,29 +547,29 @@ def walk_segment(t: Triangulation, p: int, q: int):
             v = w
             continue
         # q's direction lies strictly inside the corner at v of a triangle
-        # (v, right, left), counterclockwise; the corner opposite it has
-        # the same signs but turns clockwise
-        corner = next(((a, b) for a in nbrs[v] if side[a] > 0
-                       for b in apexes[edge(v, a)]
-                       if side[b] < 0 and orient(v, a, b) > 0), None)
-        if corner is None:
+        # (v, right, left), counterclockwise: right lies right of v->q, and
+        # left, the apex left of v->right, left of v->q
+        for right in nbrs[v]:
+            if side[right] > 0:
+                left = apexes[edge(v, right)][v > right]
+                if left is not None and side[left] < 0:
+                    break
+        else:
             return None             # the segment leaves the domain at v
-        right, left = corner
-        prev = v
         while True:
+            # the walk crosses from right of left->right to its left side
             e = edge(left, right)
             crossed.append(e)
-            aps = apexes[e]
-            if len(aps) < 2:
+            c = apexes[e][left > right]
+            if c is None:
                 return None         # a boundary edge: it leaves the domain
-            c = aps[1] if aps[0] == prev else aps[0]
             if c == q:
                 return crossed, met
             s = orient(v, q, c)
             if s > 0:
-                left, prev = c, left
+                left = c
             elif s < 0:
-                right, prev = c, right
+                right = c
             else:
                 met.append(c)
                 v = c
@@ -650,8 +650,8 @@ def validate(t: Triangulation) -> ValidationReport:
 def _certificate(t: Triangulation) -> list[str]:
     """The violations of `validate`'s local certificate, for edges that are
     in range, include the boundary, use every point and have the maximal
-    count.  It derives the apexes afresh; `t` keeps them if they pass and
-    it carries none (a replay's)."""
+    count.  It derives the apexes afresh; `t` keeps the map if it passes
+    and `t` carries none (a replay's)."""
     domain = t.domain
     try:
         apexes = derive_apexes(domain, t.edges)
@@ -688,5 +688,5 @@ def _certificate(t: Triangulation) -> list[str]:
         out.append(f"triangles cover twice-area {area2}, the domain "
                    f"{domain.area2}")
     if not out and t._apexes is None:
-        t._apexes = _listed(apexes)
+        t._apexes = apexes
     return out

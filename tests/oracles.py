@@ -8,7 +8,7 @@ from typing import NamedTuple
 import networkx as nx
 
 from flipdist.errors import (CapExceededError, DomainMismatchError,
-                             IllegalFlipError, Not3ConnectedError,
+                             IllegalScriptError, Not3ConnectedError,
                              NotPlanarError, ValidationError)
 from flipdist.gadgets import channel_region
 from flipdist.geometry import (HalfPlane, Point2, _collinear_overlap,
@@ -20,7 +20,7 @@ from flipdist.reduction import PlanarGraphDrawing
 from flipdist.search import FlipScript, _FlipKernel
 from flipdist.triangulation import (Edge, Triangulation, ValidationReport,
                                     _certificate, _DomainBase, canonical_cycle,
-                                    edge, quad_sides, tri, walk_faces)
+                                    edge, tri, walk_faces)
 
 
 def sorted_rotations(domain, edges) -> dict[int, list[int]]:
@@ -66,16 +66,6 @@ def derive_triangles_by_faces(domain, edges) -> frozenset:
     if expected:
         raise ValidationError("boundary cycles missing from the face structure")
     return frozenset(triangles)
-
-
-def triangle_apexes(triangles) -> dict[Edge, list[int]]:
-    """Every side of the triangles, with the apexes opposite it."""
-    apexes: dict[Edge, list[int]] = {}
-    for a, b, c in triangles:
-        apexes.setdefault(edge(a, b), []).append(c)
-        apexes.setdefault(edge(a, c), []).append(b)
-        apexes.setdefault(edge(b, c), []).append(a)
-    return apexes
 
 
 def apexes_by_side(domain, edges, triangles) -> dict[Edge, list]:
@@ -403,6 +393,38 @@ def flip_graph_by_triangulations(seed):
     return nodes, adjacency
 
 
+def bfs_distance(t1, t2, budget=None):
+    """Plain breadth-first flip distance over `Triangulation.legal_flips`
+    and `apply_flip`: the oracle of `search.exact_distance`.  None when the
+    distance exceeds `budget`."""
+    if t1.domain != t2.domain:
+        raise DomainMismatchError("triangulations live on different domains")
+    goal = t2.canonical_key()
+    start = t1.canonical_key()
+    if start == goal:
+        return 0
+    dist = {start: 0}
+    frontier = [t1]
+    d = 0
+    while frontier:
+        d += 1
+        if budget is not None and d > budget:
+            return None
+        nxt = []
+        for t in frontier:
+            for m in t.legal_flips():
+                t_new = t.apply_flip(m)
+                k = t_new.canonical_key()
+                if k in dist:
+                    continue
+                if k == goal:
+                    return d
+                dist[k] = d
+                nxt.append(t_new)
+        frontier = nxt
+    return None
+
+
 def angular_key(d):
     """The oracle of `geometry.ccw_compare`: a sort key ordering directions
     `(x, y)` counterclockwise from +x, by half-turn and then by the
@@ -643,17 +665,20 @@ def chain_pair_blocked_by_segments(ch):
 
 def apply_flip_by_copy(t, move):
     """The oracle of `triangulation.replay` for one move: a new
-    triangulation with a fresh copy of the apex map, five entries changed."""
+    triangulation with a fresh copy of the by-side apex map, in which each
+    side of the two new triangles takes its apex on the side that the
+    apex's own orientation gives, as `apexes_by_side` puts it."""
     removed, inserted = move
     aps = t.edge_apexes().get(removed)
-    if aps is None or len(aps) != 2 or edge(*aps) != inserted \
+    if aps is None or None in aps or edge(*aps) != inserted \
             or not flip_is_convex_four_orientations(t.domain, *removed, *aps):
-        raise IllegalFlipError(f"illegal flip {move}")
-    apexes = t.edge_apexes().copy()
+        raise IllegalScriptError(f"illegal flip {move}")
+    apexes = {e: list(aps) for e, aps in t.edge_apexes().items()}
     del apexes[removed]
-    apexes[inserted] = list(removed)
-    for side, old, new in quad_sides(removed, inserted):
-        apexes[side] = [new if w == old else w for w in apexes[side]]
+    apexes[inserted] = [None, None]
+    for a, b, c in (tri(*inserted, w) for w in removed):
+        for u, v, w in ((a, b, c), (a, c, b), (b, c, a)):
+            apexes[(u, v)][t.domain.orient(u, v, w) < 0] = w
     child = Triangulation(t.domain, (t.edges - {removed}) | {inserted})
     child._apexes = apexes
     return child
@@ -666,7 +691,7 @@ def replay_by_copies(t, moves):
     for i, m in enumerate(moves):
         try:
             t = apply_flip_by_copy(t, m)
-        except IllegalFlipError:
+        except IllegalScriptError:
             return i
     return t
 

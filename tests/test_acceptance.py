@@ -4,9 +4,6 @@ one printed PASS line per criterion."""
 import random
 from fractions import Fraction
 
-import pytest
-
-from flipdist import instanceio
 from flipdist.gadgets import (Channel, blocking_set, build_channel,
                               canonical_capped_edges, channel_mouths,
                               channel_region, channel_triangulations,
@@ -16,14 +13,12 @@ from flipdist.reduction import (audit_script, build_instance, convex_drawing,
                                 cover_to_script, drawing_from_coords,
                                 eliminate_sharp, instance_coord_bits,
                                 region_to_pointset)
-from flipdist.search import (bfs_distance, enumerate_flip_graph, exact_distance)
+from flipdist.search import enumerate_flip_graph, exact_distance
 from flipdist.triangulation import (PolygonalRegion, Triangulation, edge,
                                     ear_clip_with_triangles, replay, validate)
 from flipdist.vertexcover import Graph, exact_vc
 
-K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-PRISM_EDGES = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
-               (0, 3), (1, 4), (2, 5)]
+from conftest import K4_EDGES, PRISM_EDGES
 
 
 def report(n, text):
@@ -33,20 +28,6 @@ def report(n, text):
 def figure_channel(n=7):
     return build_channel((pt(-60, 40), pt(-60, -40)),
                          (pt(60, 40), pt(60, -40)), Fraction(1, 160), n=n)
-
-
-@pytest.fixture(scope="module")
-def k4_instance():
-    d = convex_drawing([0, 1, 2, 3], K4_EDGES, outer=[0, 1, 2])
-    d2, t = eliminate_sharp(d)
-    return build_instance(d2, k_input=3, t_outer=t)
-
-
-@pytest.fixture(scope="module")
-def prism_instance():
-    d = convex_drawing(list(range(6)), PRISM_EDGES, outer=[0, 1, 2])
-    d2, t = eliminate_sharp(d)
-    return build_instance(d2, k_input=4, t_outer=t)
 
 
 def test_criterion_1_channel_distance_36():

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import random
@@ -6,13 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from flipdist import instanceio
+from flipdist import instanceio, triangulation
 from flipdist.cli import main
 from flipdist.gadgets import (build_channel, channel_region, left_edges,
                               right_edges)
 from flipdist.geometry import pt
 from flipdist.triangulation import PolygonalRegion, Triangulation
 from flipdist.vertexcover import Graph, brute_force_vc
+
+from conftest import PRISM_EDGES
 
 C3_GRAPH = """# triangle with coordinates
 v 0 0 0
@@ -40,8 +43,6 @@ e 1 3
 e 2 3
 """
 
-PRISM_EDGES = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
-               (0, 3), (1, 4), (2, 5)]
 
 
 # SHA-256 of the canonical JSON that `reduce` writes for the graphs above;
@@ -117,6 +118,42 @@ def test_reduce_k4_builds_few_fractions(tmp_path, count_fractions):
                      "--out", str(out)]) == 0
     assert sha256(out) == K4_SHA256
     assert len(built) <= 6000, len(built)
+
+
+def test_reduce_k4_orientation_calls(tmp_path, monkeypatch):
+    # the walks behind the blocking sets read each corner's apex off the
+    # by-side map, by its side, so a K4 reduce makes at most 6,391 domain
+    # orientation calls
+    calls = []
+    orient = triangulation._DomainBase.orient
+
+    def counted(self, i, j, k):
+        calls.append(None)
+        return orient(self, i, j, k)
+
+    monkeypatch.setattr(triangulation._DomainBase, "orient", counted)
+    g = write(tmp_path / "k4.txt", K4_GRAPH)
+    out = tmp_path / "inst.json"
+    assert main(["reduce", "--graph", g, "--k", "3", "--out", str(out)]) == 0
+    assert sha256(out) == K4_SHA256
+    assert len(calls) <= 6391, len(calls)
+
+
+def test_reduce_unreadable_graph_or_unwritable_out_exits_5(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    with pytest.raises(SystemExit) as exc:
+        main(["reduce", "--graph", str(missing / "g.txt"), "--k", "2",
+              "--out", str(tmp_path / "inst.json")])
+    assert exc.value.code == 5
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot read {missing / 'g.txt'}:")
+    g = write(tmp_path / "c3.txt", C3_GRAPH)
+    with pytest.raises(SystemExit) as exc:
+        main(["reduce", "--graph", g, "--k", "2",
+              "--out", str(missing / "inst.json")])
+    assert exc.value.code == 5
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot write {missing / 'inst.json'}:")
 
 
 def test_reduce_json_prints_build_stats(tmp_path, capsys):
@@ -401,6 +438,28 @@ def test_distance_on_channel_instance(tmp_path, capsys):
     assert main(["distance", "--instance", str(path), "--budget", "10"]) == 4
 
 
+def test_distance_witness_replays_to_t2(tmp_path, capsys):
+    doc = channel_instance_doc()
+    path, witness = tmp_path / "channel.json", tmp_path / "witness.json"
+    instanceio.save(doc, path)
+    assert main(["distance", "--instance", str(path), "--witness",
+                 str(witness)]) == 0
+    assert capsys.readouterr().out.startswith("distance = 36 ")
+    script = instanceio.script_load(witness)
+    assert len(script) == 36
+    assert script.replay(doc.t1).canonical_key() == doc.t2.canonical_key()
+
+
+def test_distance_refuses_an_invalid_t1(tmp_path, capsys):
+    doc = channel_instance_doc()
+    dropped = min(doc.t1.edges - doc.domain.mandatory_edges)
+    doc.t1 = Triangulation(doc.domain, doc.t1.edges - {dropped})
+    path = tmp_path / "channel.json"
+    instanceio.save(doc, path)
+    assert main(["distance", "--instance", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: t1 invalid: ")
+
+
 def test_distance_json_reports_search_statistics(tmp_path, capsys):
     # --json carries the expansion count, the frontier peak and the number
     # of states the two sides recorded, within and past the budget
@@ -518,6 +577,23 @@ def test_enumerate_cap_admits_exactly_the_graph(tmp_path, capsys):
     assert main(["enumerate", "--instance", str(path), "--cap", "923"]) == 4
     assert capsys.readouterr().err == \
         "error: flip graph exceeds the 923-node cap\n"
+
+
+def test_enumerate_needs_a_valid_seed(tmp_path, capsys):
+    # a document with no triangulation, and one whose seed lacks a
+    # diagonal, both exit 2 before any enumeration
+    region = PolygonalRegion([pt(0, 0), pt(4, 0), pt(4, 4), pt(0, 4)],
+                             [0, 1, 2, 3])
+    path = tmp_path / "bare.json"
+    instanceio.save(instanceio.InstanceDoc(domain=region), path)
+    assert main(["enumerate", "--instance", str(path)]) == 2
+    assert capsys.readouterr().err == \
+        "error: instance has no triangulation to enumerate from\n"
+    instanceio.save(instanceio.InstanceDoc(
+        domain=region, edges=Triangulation(region, region.mandatory_edges)),
+        path)
+    assert main(["enumerate", "--instance", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: seed invalid: ")
 
 
 def test_render_instance_without_triangulation(tmp_path):
@@ -755,6 +831,23 @@ def one_move_cap_script(meta):
     scripts[end] = scripts[end][:1]
 
 
+def second_copy_of_channel(meta):
+    meta["channels"].append(copy.deepcopy(meta["channels"][0]))
+
+
+def second_copy_of_gadget(meta):
+    meta["gadgets"].append(copy.deepcopy(meta["gadgets"][0]))
+
+
+def gadget_without_c(meta):
+    del meta["gadgets"][0]["points"]["C"]
+
+
+def gadget_with_c_and_d_swapped(meta):
+    points = meta["gadgets"][0]["points"]
+    points["C"], points["D"] = points["D"], points["C"]
+
+
 @pytest.mark.parametrize("command", ["script", "verify"])
 @pytest.mark.parametrize("corrupt, message", [
     (no_gadgets, "has no gadget"),
@@ -766,6 +859,11 @@ def one_move_cap_script(meta):
       for name in ("gates", "caps", "cap_scripts", "blocking")),
     (one_index_gate, "not an index pair"),
     (one_move_cap_script, "has a 1-move cap script at 0, not 2"),
+    (second_copy_of_channel, "channel (0, 1) is listed twice"),
+    (second_copy_of_gadget, "gadget 0 is listed twice"),
+    (gadget_without_c, "gadget 0 has points ['D', 'E', 'F'], not C, D, E "
+                       "and F"),
+    (gadget_with_c_and_d_swapped, "not CE and DF"),
 ])
 def test_inconsistent_gadget_metadata_exits_2(tmp_path, capsys, command,
                                               corrupt, message):
@@ -833,3 +931,17 @@ def test_enumerate_nonpositive_cap_exits_2(tmp_path, capsys, cap):
     assert main(["enumerate", "--instance", str(path), "--cap", cap]) == 2
     err = capsys.readouterr().err
     assert err == f"error: cap must be positive, got {cap}\n"
+
+
+def test_verify_names_an_illegal_move(tmp_path, capsys):
+    # a script whose move 5 removes an edge t1 does not hold exits 2 and
+    # names the move
+    inst, script = c3_files(tmp_path, capsys)
+    data = json.loads(script.read_text())
+    removed, inserted = data["moves"][5]
+    data["moves"][5] = [inserted, removed]
+    script.write_text(json.dumps(data))
+    assert main(["verify", "--instance", str(inst),
+                 "--script", str(script)]) == 2
+    bad = f"FlipMove(removed={tuple(inserted)}, inserted={tuple(removed)})"
+    assert capsys.readouterr().err == f"error: move 5 ({bad}) is illegal\n"

@@ -7,20 +7,23 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from flipdist import instanceio, triangulation
-from flipdist.errors import InfeasibleSagError, ValidationError
+from flipdist.errors import (IllegalScriptError, InfeasibleSagError,
+                             ValidationError)
 from flipdist.gadgets import (
     Channel, blocking_set, build_channel, canonical_capped_edges,
-    capped_transform_moves, channel_invariant_report, channel_mouths,
+    capped_transform_moves, capped_transform_replays,
+    channel_invariant_report, channel_mouths,
     channel_region,
     channel_triangulations, left_to_canonical_moves,
     left_edges, right_edges, right_to_canonical_moves,
 )
 from flipdist.geometry import on_segment, orientation, pt
-from flipdist.search import (bfs_distance, count_polygon_triangulations,
+from flipdist.search import (count_polygon_triangulations,
                              enumerate_flip_graph, exact_distance)
 from flipdist.triangulation import (PolygonalRegion, Triangulation, edge,
                                     replay, validate)
-from oracles import (chain_by_point_arithmetic, chain_pair_blocked_by_segments,
+from oracles import (bfs_distance, chain_by_point_arithmetic,
+                     chain_pair_blocked_by_segments,
                      edges_crossing_segment,
                      edges_crossing_segment_four_tests,
                      reflex_report_by_fractions, segment_inside)
@@ -267,6 +270,23 @@ def test_capped_transform_from_far_end():
     assert len(from_left) == len(from_right) == 12
     assert replay(t_left, from_left).edges == frozenset(canon)
     assert replay(t_right, from_right).edges == frozenset(canon)
+
+
+def test_capped_transform_replays_rejects_a_cap_that_sees_too_little():
+    # a cap just outside the near end, high up beside the upper chain: the
+    # capped region and its left-inclined triangulation are valid, but the
+    # cap sees too little of the channel for the fan, so the transform's
+    # move 7 is illegal and the cap is refused; the figure's cap passes
+    ch = figure_channel()
+    cap = pt(-61, 39)
+    _, t_left, _ = channel_triangulations(ch, cap_near=cap)
+    assert validate(t_left).ok
+    with pytest.raises(IllegalScriptError) as exc:
+        replay(t_left, capped_transform_moves(list(range(7)),
+                                              list(range(7, 14)), 14))
+    assert exc.value.index == 7
+    assert capped_transform_replays(ch, cap, far_end=False) is False
+    assert capped_transform_replays(ch, pt(-80, 0), far_end=False) is True
 
 
 def test_property_double_capped_distance_24():

@@ -35,23 +35,7 @@ from oracles import (apexes_by_side, chain_audit_by_whole_drawing,
                      segment_in_domain_by_pieces, segment_inside,
                      segment_inside_by_midpoint)
 
-K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-PRISM_EDGES = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
-               (0, 3), (1, 4), (2, 5)]
-
-
-@pytest.fixture(scope="module")
-def k4_instance():
-    d = convex_drawing([0, 1, 2, 3], K4_EDGES, outer=[0, 1, 2])
-    d2, t = eliminate_sharp(d)
-    return build_instance(d2, k_input=3, t_outer=t), d2, t
-
-
-@pytest.fixture(scope="module")
-def prism_instance():
-    d = convex_drawing(list(range(6)), PRISM_EDGES, outer=[0, 1, 2])
-    d2, t = eliminate_sharp(d)
-    return build_instance(d2, k_input=4, t_outer=t), d2, t
+from conftest import K4_EDGES, PRISM_EDGES
 
 
 def test_convex_drawing_k4():
@@ -268,8 +252,8 @@ def test_c3_instance_valid(c3_instance):
 
 
 def test_k4_instance_shape(k4_instance):
-    inst, _, t = k4_instance
-    assert t == 3
+    inst = k4_instance
+    assert inst.t_outer == 3
     assert len(inst.channels) == 12 and len(inst.gadgets) == 10
     assert inst.k_prime == 6
     assert inst.threshold == 2 * 6 + 28 * 12 == 348
@@ -291,7 +275,7 @@ def test_validate_runs_no_sweep_on_valid_k4(k4_instance, monkeypatch):
     calls = []
     monkeypatch.setattr(triangulation, "touching_pairs",
                         counting(calls, touching_pairs))
-    inst = k4_instance[0]
+    inst = k4_instance
     assert validate(inst.t1).ok and validate(inst.t2).ok
     assert calls == []
 
@@ -299,7 +283,7 @@ def test_validate_runs_no_sweep_on_valid_k4(k4_instance, monkeypatch):
 def test_replay_makes_two_orientations_per_move(k4_instance, monkeypatch):
     # the apex map already puts each move's apexes on opposite sides of
     # its removed edge, so the K4 cover script's 348 moves cost 696
-    inst = k4_instance[0]
+    inst = k4_instance
     g = Graph(inst.graph_vertices, inst.graph_edges)
     script = cover_to_script(inst, exact_vc(g)[1])
     inst.t1.edge_apexes()
@@ -310,12 +294,26 @@ def test_replay_makes_two_orientations_per_move(k4_instance, monkeypatch):
     assert len(calls) == 2 * len(script) == 696
 
 
+def test_replay_carries_the_derived_map_along_the_k4_script(k4_instance):
+    # a move changes the by-side apex map with no orientation; after every
+    # move of the K4 cover script the carried map is the one
+    # `derive_apexes` gives the edges, side for side
+    inst = k4_instance
+    g = Graph(inst.graph_vertices, inst.graph_edges)
+    script = cover_to_script(inst, exact_vc(g)[1])
+    t = inst.t1
+    for move in script.moves:
+        t = t.apply_flip(move)
+        assert t.edge_apexes() == derive_apexes(inst.region, t.edges)
+    assert t.edges == inst.t2.edges
+
+
 def test_flip_legality_matches_four_orientations_on_k4(k4_instance):
-    inst = k4_instance[0]
+    inst = k4_instance
     seen = set()
     for t in (inst.t1, inst.t2):
         for e, aps in t.edge_apexes().items():
-            if len(aps) == 2:
+            if None not in aps:
                 fast = flip_is_convex(inst.region, *e, *aps)
                 assert fast == flip_is_convex_four_orientations(
                     inst.region, *e, *aps), (e, aps)
@@ -324,7 +322,7 @@ def test_flip_legality_matches_four_orientations_on_k4(k4_instance):
 
 
 def test_region_computes_each_cycle_area_once(k4_instance, monkeypatch):
-    region = k4_instance[0].region
+    region = k4_instance.region
     calls = []
     monkeypatch.setattr(triangulation, "polygon_signed_area2",
                         counting(calls, polygon_signed_area2))
@@ -333,8 +331,8 @@ def test_region_computes_each_cycle_area_once(k4_instance, monkeypatch):
     assert len(calls) == len(region.boundary_cycles) == 4
 
 
-def test_drawing_scales_to_its_grid_once(k4_instance, monkeypatch):
-    d2 = k4_instance[1]
+def test_drawing_scales_to_its_grid_once(k4_drawing, monkeypatch):
+    d2 = k4_drawing[0]
     calls = []
     counted = counting(calls, on_grid)
     monkeypatch.setattr(reduction, "on_grid", counted)
@@ -373,7 +371,7 @@ def test_segment_inside_matches_midpoint_oracle(c3_instance, k4_instance):
     taken from their larger end, and sampled pairs, where point holes and
     polygonal holes are met."""
     checked = 0
-    for inst in (c3_instance, k4_instance[0]):
+    for inst in (c3_instance, k4_instance):
         pts = inst.region.points
         for (u, w), rec in sorted(inst.channels.items()):
             ch = Channel(tuple(pts[i] for i in rec.upper),
@@ -390,7 +388,7 @@ def test_segment_inside_matches_midpoint_oracle(c3_instance, k4_instance):
                                 segment_inside_by_midpoint(region, i, j), \
                                 ((u, w), caps, i, j)
                             checked += 1
-    inst = k4_instance[0]
+    inst = k4_instance
     region = inst.region
     n = len(region.points)
     rng = random.Random(17)
@@ -409,7 +407,7 @@ def test_walk_matches_crossing_scan_on_k4(k4_instance):
     a walk that stays in the domain crosses exactly the edges the scan
     finds, and the vertices it meets lie inside the segment; some of these
     segments run through vertices."""
-    inst = k4_instance[0]
+    inst = k4_instance
     ip = inst.region.ipoints
     n = len(ip)
     inside = through = 0
@@ -434,7 +432,7 @@ def test_walk_visibility_matches_segment_inside_on_k4(k4_instance):
     the walk in t1 stays in the domain and meets no vertex; on a sample
     and on every pair through a vertex, the walk leaves the domain iff a
     piece of the segment between the points on it fails `segment_inside`."""
-    inst = k4_instance[0]
+    inst = k4_instance
     region, t = inst.region, inst.t1
     n = len(region.points)
     walks = {(p, q): walk_segment(t, p, q)
@@ -452,7 +450,7 @@ def test_walk_visibility_matches_segment_inside_on_k4(k4_instance):
 
 
 def test_grid_scaling_builds_no_fraction_on_k4(k4_instance, count_fractions):
-    region = k4_instance[0].region
+    region = k4_instance.region
     scale = lcm(*(c.denominator for p in region.points for c in p))
     want = [(int(p.x * scale), int(p.y * scale)) for p in region.points]
     assert region.ipoints == want
@@ -463,7 +461,7 @@ def test_grid_scaling_builds_no_fraction_on_k4(k4_instance, count_fractions):
 
 def test_derive_triangles_builds_no_fraction(k4_instance, count_fractions):
     # every side of every edge is decided on the integer grid
-    inst = k4_instance[0]
+    inst = k4_instance
     with count_fractions() as built:
         apexes = derive_apexes(inst.region, inst.t1.edges)
     assert built == []
@@ -475,7 +473,7 @@ def test_shared_neighbours_give_the_k4_faces(k4_instance):
     # the apexes from shared neighbours, side by side, are those of the
     # faces the rotation system's walk finds, on both triangulations of
     # the K4 instance
-    inst = k4_instance[0]
+    inst = k4_instance
     for t in (inst.t1, inst.t2):
         faces = derive_triangles_by_faces(inst.region, t.edges)
         assert derive_apexes(inst.region, t.edges) == \
@@ -486,7 +484,7 @@ def test_shared_neighbours_give_the_k4_faces(k4_instance):
 def test_certificate_makes_no_orientation_call(k4_instance, monkeypatch):
     # validating K4's t1 orients only inside `derive_apexes`: the
     # certificate reads every side off the derived map
-    inst = k4_instance[0]
+    inst = k4_instance
     calls = []
     monkeypatch.setattr(triangulation, "orientation",
                         counting(calls, orientation))
@@ -498,7 +496,7 @@ def test_certificate_makes_no_orientation_call(k4_instance, monkeypatch):
 
 
 def test_gadget_audit_blocking_sets(c3_instance, k4_instance):
-    for inst in (c3_instance, k4_instance[0]):
+    for inst in (c3_instance, k4_instance):
         locks = {v: inst.gadgets[v].lock for v in inst.gadgets}
         per_gadget = {v: [] for v in inst.gadgets}
         for key, rec in inst.channels.items():
@@ -546,7 +544,7 @@ def test_cover_to_script_c3(c3_instance):
 
 
 def test_cover_to_script_min_covers(k4_instance, prism_instance):
-    for inst, d2, t in (k4_instance, prism_instance):
+    for inst in (k4_instance, prism_instance):
         g = Graph(inst.graph_vertices, inst.graph_edges)
         size, witness = exact_vc(g)
         script = cover_to_script(inst, witness)
@@ -626,8 +624,8 @@ def test_coord_bits_polynomial_family(c3_instance, k4_instance, prism_instance):
     c4 = build_instance(
         drawing_from_coords(sq, [(0, 1), (1, 2), (2, 3), (3, 0)]),
         k_input=2, t_outer=0)
-    family = [("C3", c3_instance), ("C4", c4), ("prism", prism_instance[0]),
-              ("K4", k4_instance[0])]
+    family = [("C3", c3_instance), ("C4", c4), ("prism", prism_instance),
+              ("K4", k4_instance)]
     sizes = []
     for name, inst in family:
         bits = instance_coord_bits(inst.region)
@@ -661,7 +659,7 @@ def test_region_to_pointset_default_multiplicity(c3_instance):
 def test_capping_one_channel_leaves_siblings_blocked(k4_instance):
     # after unlocking a gadget and capping one of its channels, its sibling
     # channels are still separated from their caps by at least two edges
-    inst, _, _ = k4_instance
+    inst = k4_instance
     deg3 = next(v for v in inst.gadgets if
                 sum(v in k for k in inst.channels) == 3)
     keys = sorted(k for k in inst.channels if deg3 in k)

@@ -11,15 +11,15 @@ from flipdist.errors import CapExceededError
 from flipdist.gadgets import build_channel, channel_triangulations
 from flipdist.geometry import pt, segments_share_interior
 from flipdist.search import (
-    FlipScript, bfs_distance, count_polygon_triangulations,
+    FlipScript, count_polygon_triangulations,
     enumerate_flip_graph, exact_distance, lower_bound,
 )
 from flipdist.triangulation import (
     FlipMove, PointSet, PolygonalRegion, Triangulation, edge, validate,
 )
 
-from oracles import (greedy_by_triangulations, greedy_upper_bound,
-                     segment_inside)
+from oracles import (bfs_distance, greedy_by_triangulations,
+                     greedy_upper_bound, segment_inside)
 
 
 def convex_polygon_region(n):

@@ -10,11 +10,11 @@ from hypothesis import (HealthCheck, assume, example, given, settings,
                         strategies as st)
 
 from flipdist.errors import (CapExceededError, DomainMismatchError,
-                             IllegalFlipError, ValidationError)
+                             IllegalScriptError, ValidationError)
 from flipdist.gadgets import build_channel, channel_region, channel_triangulations
 from flipdist.geometry import orientation, pt
 from flipdist.reduction import region_to_pointset
-from flipdist.search import (_FlipKernel, _heap_key, _key, bfs_distance,
+from flipdist.search import (_FlipKernel, _heap_key, _key,
                              enumerate_flip_graph, exact_distance)
 from flipdist.triangulation import (
     FlipMove, PointSet, PolygonalRegion, Triangulation, canonical_cycle,
@@ -23,12 +23,12 @@ from flipdist.triangulation import (
 )
 from flipdist import instanceio
 from oracles import (PointSetByFormulas, apexes_by_side, apply_flip_by_copy,
-                     canonical_cycle_all_rotations,
+                     bfs_distance, canonical_cycle_all_rotations,
                      check_nesting_unfiltered, derive_triangles_by_faces,
                      edge_difference, flip_graph_by_triangulations,
                      flip_is_convex_four_orientations,
                      hull_cycle_by_scans, replay_by_copies, segment_inside,
-                     segment_inside_by_midpoint, triangle_apexes,
+                     segment_inside_by_midpoint,
                      validate_by_segments, validate_with_sweep)
 
 
@@ -108,8 +108,11 @@ def test_flip_reversibility_and_delta():
 def test_illegal_flip_raises():
     region = quad_region()
     t = Triangulation(region, list(region.mandatory_edges) + [(0, 2)])
-    with pytest.raises(IllegalFlipError):
+    with pytest.raises(IllegalScriptError,
+                       match=r"move 0 \(FlipMove\(removed=\(0, 1\), "
+                             r"inserted=\(2, 3\)\)\) is illegal") as exc:
         t.apply_flip(FlipMove((0, 1), (2, 3)))
+    assert exc.value.index == 0
 
 
 def reflex_quad():
@@ -547,7 +550,7 @@ def mutated(data, t):
                 st.sampled_from(two_steps).map(lambda w: edge(u, w)),
                 st.tuples(st.integers(0, n - 1), st.integers(1, n - 1))
                 .map(lambda p: edge(p[0], (p[0] + p[1]) % n))]
-            if len(apexes[(u, v)]) == 2:
+            if None not in apexes[(u, v)]:
                 choices.insert(0, st.just(edge(*apexes[(u, v)])))
             edges.add(data.draw(st.one_of(choices)))
     return Triangulation(t.domain, edges)
@@ -603,14 +606,12 @@ WALK_SEEDS = [s.__name__ for s, _, _ in SMALL_SEEDS] + [
     "square_with_interior_points", "c3_region"]
 
 
-def sorted_apexes(apexes):
-    return {e: sorted(aps) for e, aps in apexes.items()}
-
-
-@pytest.mark.parametrize("seed", WALK_SEEDS)
+@pytest.mark.parametrize("seed", WALK_SEEDS + ["c3_pointset"])
 def test_carried_apexes_match_face_walk(differential_seeds, seed):
-    # a random flip walk: after every flip the apexes `apply_flip` carried
-    # over equal those of the child's triangles, found by the face walk
+    # a random flip walk: after every flip the by-side map `apply_flip`
+    # carried over, with no orientation, is the one `derive_apexes` gives
+    # the child's edges, side for side (which
+    # `test_shared_neighbours_give_the_faces` ties to the face walk)
     t = differential_seeds[seed]
     rng = random.Random(seed)
     for _ in range(60):
@@ -618,8 +619,7 @@ def test_carried_apexes_match_face_walk(differential_seeds, seed):
         if not moves:
             break
         t = t.apply_flip(rng.choice(moves))
-        fresh = triangle_apexes(derive_triangles_by_faces(t.domain, t.edges))
-        assert sorted_apexes(t.edge_apexes()) == sorted_apexes(fresh)
+        assert t.edge_apexes() == derive_apexes(t.domain, t.edges)
 
 
 @pytest.mark.parametrize("seed", WALK_SEEDS + ["c3_pointset"])
@@ -649,7 +649,7 @@ def test_flip_legality_matches_four_orientation_oracle(differential_seeds,
     rng = random.Random(seed)
     for _ in range(40):
         for e, aps in t.edge_apexes().items():
-            if len(aps) == 2:
+            if None not in aps:
                 assert flip_is_convex(t.domain, *e, *aps) == \
                     flip_is_convex_four_orientations(t.domain, *e, *aps), \
                     (e, aps)
@@ -691,7 +691,7 @@ def illegal_moves(t):
     boundary edge flipped to a legal flip's inserted edge."""
     apexes = t.edge_apexes()
     out = [FlipMove(e, edge(*aps)) for e, aps in sorted(apexes.items())
-           if len(aps) == 2 and not flip_is_convex(t.domain, *e, *aps)]
+           if None not in aps and not flip_is_convex(t.domain, *e, *aps)]
     legal = t.legal_flips()
     if legal:
         out.append(FlipMove(legal[0].removed, legal[0].removed))
@@ -702,10 +702,12 @@ def illegal_moves(t):
 @pytest.mark.parametrize("seed", WALK_SEEDS + ["c3_pointset"])
 def test_replay_matches_apply_flip_chain(differential_seeds, seed):
     # a random script of legal flips: the in-place replay ends where the
-    # chain of copying flips ends, with the same apexes, and leaves its
-    # start as it was; with an illegal move spliced in, both stop there
+    # chain of copying flips ends, with the same apexes side for side, and
+    # leaves its start as it was; with an illegal move spliced in, both
+    # stop there, and the replay names the move
     t = differential_seeds[seed]
-    start_edges, start_apexes = t.edges, sorted_apexes(t.edge_apexes())
+    start_edges = t.edges
+    start_apexes = {e: list(aps) for e, aps in t.edge_apexes().items()}
     rng = random.Random(seed)
     moves, states, cur = [], [t], t
     for _ in range(40):
@@ -717,16 +719,16 @@ def test_replay_matches_apply_flip_chain(differential_seeds, seed):
         states.append(cur)
     end = replay(t, moves)
     assert end.edges == replay_by_copies(t, moves).edges == cur.edges
-    assert sorted_apexes(end.edge_apexes()) == sorted_apexes(cur.edge_apexes())
-    assert (t.edges, sorted_apexes(t.edge_apexes())) == \
-        (start_edges, start_apexes)
+    assert end.edge_apexes() == cur.edge_apexes()
+    assert (t.edges, t.edge_apexes()) == (start_edges, start_apexes)
     spliced = 0
     for k in sorted(rng.sample(range(len(states)), min(6, len(states)))):
         for bad in illegal_moves(states[k])[:3]:
             script = moves[:k] + [bad] + moves[k:]
-            with pytest.raises(IllegalFlipError) as exc:
+            with pytest.raises(IllegalScriptError) as exc:
                 replay(t, script)
             assert exc.value.index == replay_by_copies(t, script) == k
+            assert str(exc.value) == f"move {k} ({bad}) is illegal"
             spliced += 1
     assert spliced > 0
 
