@@ -33,25 +33,12 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def _load_graph(path):
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise SystemExit(_io_fail(f"cannot read {path}: {exc}"))
-    return instanceio.parse_graph_text(text)
-
-
-def _io_fail(msg) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return 5
+    return instanceio.parse_graph_text(instanceio.read_text(path))
 
 
 def _write(path, text) -> None:
-    try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise SystemExit(_io_fail(f"cannot write {path}: {exc}"))
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(text)
 
 
 def cmd_reduce(args) -> int:
@@ -265,8 +252,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
     except FlipdistError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

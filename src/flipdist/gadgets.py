@@ -348,8 +348,6 @@ class VertexGadget:
     names on the pocket boundary walk between their gates.
     """
 
-    center: Point2
-    degree: int
     points: dict[str, Point2]          # 'C','D','E','F'
     order_ccw: list                    # stub keys in counterclockwise order
     cap_of: dict                       # stub key -> point name
@@ -358,8 +356,6 @@ class VertexGadget:
     triangles: list                    # list of symbolic triangles
     corner_points: dict                # ('K', j) -> Point2
     arcs_ccw: dict                     # (key_i, key_j) -> [corner names]
-    lock: tuple = ("C", "E")
-    unlock_inserts: tuple = ("D", "F")
 
 
 def _sym_edge(a, b):
@@ -576,7 +572,6 @@ def _build_degree2(v: Point2, half_side: Fraction,
         qk: {_sym_edge("C", "E"), _sym_edge("C", "D"), _sym_edge("C", Lq)},
     }
     return VertexGadget(
-        center=v, degree=2,
         points={"C": C, "D": D, "E": E, "F": F},
         order_ccw=[pk, qk],
         cap_of={pk: "D", qk: "F"},
@@ -670,7 +665,6 @@ def _build_degree3_rolled(v: Point2, half_side: Fraction,
         k3: {_sym_edge("C", "E"), _sym_edge("E", "D"), _sym_edge("E", R3)},
     }
     return VertexGadget(
-        center=v, degree=3,
         points={"C": C, "D": D, "E": E, "F": F},
         order_ccw=[k1, k2, k3],
         cap_of={k1: "D", k2: "D", k3: "F"},

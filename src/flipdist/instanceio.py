@@ -145,9 +145,20 @@ def save(doc: InstanceDoc, path) -> None:
         fh.write(dumps(doc))
 
 
+def read_text(path) -> str:
+    """A file's text, which must be ASCII, as every flipdist input is."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not ASCII text: byte "
+                              f"{data[exc.start]:#04x} at offset "
+                              f"{exc.start}") from None
+
+
 def load(path) -> InstanceDoc:
-    with open(path, "r", encoding="ascii") as fh:
-        return loads(fh.read())
+    return loads(read_text(path))
 
 
 # --- flip scripts ----------------------------------------------------------
@@ -179,8 +190,7 @@ def script_loads(text: str):
 
 
 def script_load(path):
-    with open(path, "r", encoding="ascii") as fh:
-        return script_loads(fh.read())
+    return script_loads(read_text(path))
 
 
 # --- graph text format -----------------------------------------------------

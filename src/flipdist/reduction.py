@@ -15,6 +15,8 @@ up each inserted edge's partner cap edge.
 
 from __future__ import annotations
 
+import reprlib
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -522,19 +524,30 @@ class ChannelRecord:
     key: tuple[int, int]              # graph edge, u < w
     upper: list[int]                  # domain indices, u end to w end
     lower: list[int]
-    gates: dict[int, tuple[int, int]]  # graph vertex -> (upper, lower) gate idx
     caps: dict[int, int]              # graph vertex -> cap domain index
     cap_scripts: dict[int, list[FlipMove]]
     blocking: dict[int, frozenset[Edge]]
+
+    @property
+    def gates(self) -> dict[int, tuple[int, int]]:
+        """Graph vertex -> its end's (upper, lower) gate indices."""
+        u, w = self.key
+        return {u: (self.upper[0], self.lower[0]),
+                w: (self.upper[-1], self.lower[-1])}
 
 
 @dataclass
 class GadgetRecord:
     vertex: int
-    degree: int
     points: dict[str, int]            # 'C','D','E','F' -> domain index
-    lock: Edge
-    unlock_insert: Edge
+
+    @property
+    def lock(self) -> Edge:
+        return edge(self.points["C"], self.points["E"])
+
+    @property
+    def unlock_insert(self) -> Edge:
+        return edge(self.points["D"], self.points["F"])
 
 
 @dataclass
@@ -582,8 +595,11 @@ class ReductionInstance:
     def graph_vertices(self) -> list[int]:
         return sorted(self.gadgets)
 
-    def to_doc(self) -> InstanceDoc:
-        meta = {
+    def metadata(self) -> dict:
+        """The `gadget_metadata` block: the stored facts, and the gates,
+        degrees, locks and unlocking edges they imply."""
+        degree = Counter(v for key in self.channels for v in key)
+        return {
             "channels": [
                 {
                     "edge": list(rec.key),
@@ -605,7 +621,7 @@ class ReductionInstance:
             "gadgets": [
                 {
                     "vertex": g.vertex,
-                    "degree": g.degree,
+                    "degree": degree[g.vertex],
                     "points": g.points,
                     "lock": list(g.lock),
                     "unlock_insert": list(g.unlock_insert),
@@ -613,6 +629,8 @@ class ReductionInstance:
                 for g in (self.gadgets[v] for v in sorted(self.gadgets))
             ],
         }
+
+    def to_doc(self) -> InstanceDoc:
         accounting = {
             "k_input": self.k_input,
             "t_outer": self.t_outer,
@@ -622,46 +640,36 @@ class ReductionInstance:
             "max_coord_bits": instance_coord_bits(self.region),
         }
         return InstanceDoc(domain=self.region, t1=self.t1, t2=self.t2,
-                           gadget_metadata=meta, accounting=accounting)
+                           gadget_metadata=self.metadata(),
+                           accounting=accounting)
 
     @classmethod
     def from_doc(cls, doc: InstanceDoc) -> "ReductionInstance":
+        """The instance of a document whose `gadget_metadata` equals what
+        `metadata()` writes for it; any other form, or a copied fact that
+        disagrees with its source, exits 2."""
         meta = doc.gadget_metadata
         if meta is None:
             raise ValidationError("instance carries no gadget metadata")
         try:
             channels = {}
             for c in meta["channels"]:
-                key = tuple(c["edge"])
-                if key in channels:
-                    raise ValidationError(f"bad gadget metadata: channel "
-                                          f"{key} is listed twice")
+                key = edge(*c["edge"])
+                ends = {name: _read_keys(f"channel {key}", c, name, key)
+                        for name in ("caps", "cap_scripts", "blocking")}
                 channels[key] = ChannelRecord(
-                    key=key,
-                    upper=list(c["upper"]),
-                    lower=list(c["lower"]),
-                    gates={int(v): tuple(g) for v, g in c["gates"].items()},
-                    caps={int(v): cap for v, cap in c["caps"].items()},
+                    key=key, upper=list(c["upper"]), lower=list(c["lower"]),
+                    caps=ends["caps"],
                     cap_scripts={
-                        int(v): [FlipMove(edge(*r), edge(*i)) for r, i in ms]
-                        for v, ms in c["cap_scripts"].items()
-                    },
-                    blocking={
-                        int(v): frozenset(edge(*e) for e in bl)
-                        for v, bl in c["blocking"].items()
-                    },
-                )
+                        v: [FlipMove(edge(*r), edge(*i)) for r, i in ms]
+                        for v, ms in ends["cap_scripts"].items()},
+                    blocking={v: frozenset(edge(*e) for e in bl)
+                              for v, bl in ends["blocking"].items()})
             gadgets = {}
             for g in meta["gadgets"]:
-                if g["vertex"] in gadgets:
-                    raise ValidationError(f"bad gadget metadata: gadget "
-                                          f"{g['vertex']!r} is listed twice")
-                gadgets[g["vertex"]] = GadgetRecord(
-                    vertex=g["vertex"], degree=g["degree"],
-                    points=dict(g["points"]),
-                    lock=edge(*g["lock"]),
-                    unlock_insert=edge(*g["unlock_insert"]),
-                )
+                v = g["vertex"]
+                gadgets[v] = GadgetRecord(vertex=v, points=_read_keys(
+                    f"gadget {v!r}", g, "points", "CDEF"))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad gadget metadata: {exc!r}") from exc
         _check_metadata(channels, gadgets, len(doc.domain.points))
@@ -675,19 +683,32 @@ class ReductionInstance:
                 raise ValidationError(f"bad accounting: {name} must be a "
                                       f"nonnegative integer, got {value!r}")
         t1, t2 = doc.pair
-        return cls(region=doc.domain, t1=t1, t2=t2, channels=channels,
+        inst = cls(region=doc.domain, t1=t1, t2=t2, channels=channels,
                    gadgets=gadgets, **counts)
+        want = inst.metadata()
+        if meta != want:
+            raise ValidationError(
+                f"bad gadget metadata: {_first_difference(meta, want)}")
+        return inst
+
+
+def _read_keys(owner: str, record: dict, name: str, keys) -> dict:
+    """`record[name]` at each of `keys`, which it writes as strings."""
+    found = record[name]
+    for k in keys:
+        if str(k) not in found:
+            raise ValidationError(
+                f"bad gadget metadata: {owner} has no {name} for {k}")
+    return {k: found[str(k)] for k in keys}
 
 
 def _check_metadata(channels: dict[tuple[int, int], ChannelRecord],
                     gadgets: dict[int, GadgetRecord], n_points: int) -> None:
-    """Cross-check loaded gadget metadata: every channel end has a gadget
-    record, both chains hold 7 points (a channel's 28 flips assume it),
-    every per-end record is keyed by exactly the channel's two ends, every
-    gate is an index pair, every cap script two moves, every gadget names
-    exactly its points C, D, E and F, with its lock CE and its unlocking
-    edge DF, as `_assemble` builds them, and every point index is in
-    range."""
+    """Check what the metadata's form cannot show: vertices are integers,
+    every channel end has a gadget, both chains hold 7 points (a channel's
+    28 flips assume it), every point index is in range, and each cap
+    script inserts exactly the edges from its cap to its end's gate, the
+    pair `audit_script` counts as a cap."""
     def in_range(owner, indices):
         for i in indices:
             if type(i) is not int or not 0 <= i < n_points:
@@ -695,55 +716,56 @@ def _check_metadata(channels: dict[tuple[int, int], ChannelRecord],
                     f"bad gadget metadata: {owner} names point {i!r}, "
                     f"not one of the {n_points} points")
 
+    for v, g in gadgets.items():
+        if type(v) is not int:
+            raise ValidationError(f"bad gadget metadata: gadget vertex "
+                                  f"{v!r} is not an integer")
+        in_range(f"gadget {v}", g.points.values())
     for key, rec in channels.items():
         for v in key:
-            if v not in gadgets:
+            if type(v) is not int or v not in gadgets:
                 raise ValidationError(f"bad gadget metadata: channel {key} "
                                       f"ends at {v!r}, which has no gadget")
         if len(rec.upper) != 7 or len(rec.lower) != 7:
             raise ValidationError(
                 f"bad gadget metadata: channel {key} has chains of "
                 f"{len(rec.upper)} and {len(rec.lower)} points, not 7")
-        for name in ("gates", "caps", "cap_scripts", "blocking"):
-            per_end = getattr(rec, name)
-            for v in per_end:
-                if v not in key:
-                    raise ValidationError(
-                        f"bad gadget metadata: channel {key} has {name} "
-                        f"for {v}, which is not one of its ends")
-            for v in key:
-                if v not in per_end:
-                    raise ValidationError(f"bad gadget metadata: channel "
-                                          f"{key} has no {name} for {v}")
-        for v, g in rec.gates.items():
-            if len(g) != 2:
-                raise ValidationError(
-                    f"bad gadget metadata: channel {key} has gate {list(g)} "
-                    f"at {v}, not an index pair")
-        for v, ms in rec.cap_scripts.items():
-            if len(ms) != 2:
-                raise ValidationError(
-                    f"bad gadget metadata: channel {key} has a "
-                    f"{len(ms)}-move cap script at {v}, not 2")
         in_range(f"channel {key}", [
             *rec.upper, *rec.lower, *rec.caps.values(),
-            *(i for g in rec.gates.values() for i in g),
             *(i for ms in rec.cap_scripts.values() for m in ms
               for e in m for i in e),
             *(i for bl in rec.blocking.values() for e in bl for i in e)])
-    for v, g in gadgets.items():
-        if sorted(g.points) != ["C", "D", "E", "F"]:
-            raise ValidationError(
-                f"bad gadget metadata: gadget {v!r} has points "
-                f"{sorted(g.points)}, not C, D, E and F")
-        in_range(f"gadget {v!r}",
-                 [*g.points.values(), *g.lock, *g.unlock_insert])
-        p = g.points
-        if g.lock != edge(p["C"], p["E"]) \
-                or g.unlock_insert != edge(p["D"], p["F"]):
-            raise ValidationError(
-                f"bad gadget metadata: gadget {v!r} has lock {g.lock} and "
-                f"unlocking edge {g.unlock_insert}, not CE and DF")
+        for v, (a, b) in rec.gates.items():
+            cap = rec.caps[v]
+            inserted = sorted(m.inserted for m in rec.cap_scripts[v])
+            if inserted != sorted([edge(cap, a), edge(cap, b)]):
+                raise ValidationError(
+                    f"bad gadget metadata: channel {key} has a cap script "
+                    f"at {v} inserting {inserted}, not the edges from cap "
+                    f"{cap} to its gate {[a, b]}")
+
+
+def _first_difference(meta: dict, want: dict) -> str:
+    """The first channel or gadget field, or else top-level key, in which
+    loaded metadata differs from `want`."""
+    def first_field(owner, got, exp):
+        for name in dict.fromkeys([*exp, *got]):
+            if (name in got, got.get(name)) != (name in exp, exp.get(name)):
+                g, w = (reprlib.repr(r[name]) if name in r else "absent"
+                        for r in (got, exp))
+                return f"{owner}{name} is {g}, not {w}"
+
+    for part in ("channels", "gadgets"):
+        for i, got in enumerate(meta[part]):
+            owner = f"channel {edge(*got['edge'])}" if part == "channels" \
+                else f"gadget {got['vertex']!r}"
+            if i == len(want[part]):
+                # the records before it match `want`, so it repeats one
+                return f"{owner} is listed twice"
+            found = first_field(f"{owner}: ", got, want[part][i])
+            if found:
+                return found
+    return first_field("", meta, want)
 
 
 def instance_coord_bits(domain) -> int:
@@ -1013,13 +1035,10 @@ def _assemble(drawing, gadget_obj, channel_obj, k_input, t_outer):
     channels: dict[tuple[int, int], ChannelRecord] = {}
     for key in sorted(channel_obj):
         ch = channel_obj[key]
-        u, w = key
         upper = [add_point(p) for p in ch.upper]
         lower = [add_point(p) for p in ch.lower]
-        channels[key] = ChannelRecord(
-            key=key, upper=upper, lower=lower,
-            gates={u: (upper[0], lower[0]), w: (upper[-1], lower[-1])},
-            caps={}, cap_scripts={}, blocking={})
+        channels[key] = ChannelRecord(key=key, upper=upper, lower=lower,
+                                      caps={}, cap_scripts={}, blocking={})
 
     gadgets: dict[int, GadgetRecord] = {}
     sym_maps: dict[int, dict] = {}
@@ -1041,10 +1060,7 @@ def _assemble(drawing, gadget_obj, channel_obj, k_input, t_outer):
                 sym[("R", key)] = a_idx   # wall left of u->w arrives right of w->u
                 sym[("L", key)] = b_idx
         sym_maps[v] = sym
-        gadgets[v] = GadgetRecord(
-            vertex=v, degree=g.degree, points=names,
-            lock=edge(names["C"], names["E"]),
-            unlock_insert=edge(names["D"], names["F"]))
+        gadgets[v] = GadgetRecord(vertex=v, points=names)
         for key in g.order_ccw:
             rec = channels[key]
             rec.caps[v] = names[g.cap_of[key]]
@@ -1122,10 +1138,8 @@ def _blocking_audit(inst: ReductionInstance):
             if len(found) != 3:
                 raise ValidationError(
                     f"channel {key} at {v}: blocking set has {len(found)} edges")
-        g = inst.gadgets
-        for v in rec.caps:
-            lock = g[v].lock
-            if lock not in rec.blocking[v]:
+            lock = inst.gadgets[v].lock
+            if lock not in found:
                 raise ValidationError(f"lock {lock} missing from blocking set")
 
 

@@ -11,7 +11,8 @@ from fractions import Fraction
 
 from .errors import ValidationError
 from .instanceio import InstanceDoc
-from .triangulation import edge, validate
+from .reduction import ReductionInstance
+from .triangulation import validate
 
 
 def _fmt(x: Fraction) -> str:
@@ -46,13 +47,18 @@ def render_instance_svg(doc: InstanceDoc) -> str:
         f'viewBox="{_fmt(x0)} {_fmt(y0)} {_fmt(w)} {_fmt(h)}">',
     ]
 
-    locks = set()
-    caps = set()
-    if doc.gadget_metadata:
-        for g in doc.gadget_metadata.get("gadgets", ()):
-            locks.add(edge(*g["lock"]))
-        for c in doc.gadget_metadata.get("channels", ()):
-            caps.update(c["caps"].values())
+    locks, caps = set(), set()
+    if doc.gadget_metadata is not None:
+        inst = ReductionInstance.from_doc(doc)
+        locks = {g.lock for g in inst.gadgets.values()}
+        caps = {c for rec in inst.channels.values() for c in rec.caps.values()}
+
+    def segments(attrs, es):
+        lines.append(f'<g {attrs}>')
+        for u, v in sorted(es):
+            (xa, ya), (xb, yb) = xy(u), xy(v)
+            lines.append(f'<line x1="{xa}" y1="{ya}" x2="{xb}" y2="{yb}"/>')
+        lines.append('</g>')
 
     if tri_source is not None:
         lines.append('<g fill="#dce9f5" stroke="none" class="triangles">')
@@ -62,28 +68,13 @@ def render_instance_svg(doc: InstanceDoc) -> str:
                 f'<polygon points="{pa[0]},{pa[1]} {pb[0]},{pb[1]} '
                 f'{pc[0]},{pc[1]}"/>')
         lines.append('</g>')
-
-    if tri_source is not None:
-        lines.append('<g stroke="#3b6ea5" stroke-width="0.6" class="edges">')
-        for u, v in sorted(tri_source.edges - set(locks)):
-            (xa, ya), (xb, yb) = xy(u), xy(v)
-            lines.append(f'<line x1="{xa}" y1="{ya}" x2="{xb}" y2="{yb}"/>')
-        lines.append('</g>')
-
+        segments('stroke="#3b6ea5" stroke-width="0.6" class="edges"',
+                 tri_source.edges - locks)
     if locks:
-        lines.append('<g stroke="#c0392b" stroke-width="1.4" '
-                     'stroke-dasharray="3,2" class="locks">')
-        for u, v in sorted(locks):
-            (xa, ya), (xb, yb) = xy(u), xy(v)
-            lines.append(f'<line x1="{xa}" y1="{ya}" x2="{xb}" y2="{yb}"/>')
-        lines.append('</g>')
-
-    boundary = sorted(domain.mandatory_edges)
-    lines.append('<g stroke="#1b1b1b" stroke-width="1.0" class="boundary">')
-    for u, v in boundary:
-        (xa, ya), (xb, yb) = xy(u), xy(v)
-        lines.append(f'<line x1="{xa}" y1="{ya}" x2="{xb}" y2="{yb}"/>')
-    lines.append('</g>')
+        segments('stroke="#c0392b" stroke-width="1.4" '
+                 'stroke-dasharray="3,2" class="locks"', locks)
+    segments('stroke="#1b1b1b" stroke-width="1.0" class="boundary"',
+             domain.mandatory_edges)
 
     lines.append('<g class="points">')
     for i in range(len(pts)):

@@ -67,9 +67,6 @@ class _DomainBase:
     def __eq__(self, other):
         return type(self) is type(other) and self._key() == other._key()
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     __hash__ = None  # type: ignore[assignment]
 
 

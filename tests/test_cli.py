@@ -1,11 +1,14 @@
+import contextlib
 import copy
 import hashlib
+import io
 import json
 import random
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flipdist import instanceio, triangulation
 from flipdist.cli import main
@@ -140,20 +143,44 @@ def test_reduce_k4_orientation_calls(tmp_path, monkeypatch):
 
 
 def test_reduce_unreadable_graph_or_unwritable_out_exits_5(tmp_path, capsys):
+    # both come back from `main` as a return code, with the path named
     missing = tmp_path / "missing"
-    with pytest.raises(SystemExit) as exc:
-        main(["reduce", "--graph", str(missing / "g.txt"), "--k", "2",
-              "--out", str(tmp_path / "inst.json")])
-    assert exc.value.code == 5
-    assert capsys.readouterr().err.startswith(
-        f"error: cannot read {missing / 'g.txt'}:")
+    assert main(["reduce", "--graph", str(missing / "g.txt"), "--k", "2",
+                 "--out", str(tmp_path / "inst.json")]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(missing / "g.txt") in err
     g = write(tmp_path / "c3.txt", C3_GRAPH)
-    with pytest.raises(SystemExit) as exc:
-        main(["reduce", "--graph", g, "--k", "2",
-              "--out", str(missing / "inst.json")])
-    assert exc.value.code == 5
-    assert capsys.readouterr().err.startswith(
-        f"error: cannot write {missing / 'inst.json'}:")
+    assert main(["reduce", "--graph", g, "--k", "2",
+                 "--out", str(missing / "inst.json")]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(missing / "inst.json") in err
+
+
+@pytest.mark.parametrize("command", ["vc", "reduce"])
+def test_non_ascii_graph_file_exits_2(tmp_path, capsys, command):
+    g = tmp_path / "c3.txt"
+    g.write_bytes("# café\n".encode("utf-8") + C3_GRAPH.encode("ascii"))
+    other = {"vc": [],
+             "reduce": ["--k", "2", "--out", str(tmp_path / "inst.json")]}
+    assert main([command, "--graph", str(g), *other[command]]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {g} is not ASCII text: byte 0xc3 at offset 5\n"
+    assert not (tmp_path / "inst.json").exists()
+
+
+@pytest.mark.parametrize("command, bad", [
+    ("render", "instance"), ("distance", "instance"), ("script", "instance"),
+    ("verify", "instance"), ("verify", "script")])
+def test_non_ascii_instance_or_script_exits_2(tmp_path, capsys, command, bad):
+    inst, script = c3_files(tmp_path, capsys)
+    path = {"instance": inst, "script": script}[bad]
+    path.write_bytes(b"\xff\xfe" + path.read_bytes())
+    other = {"render": ["--out", str(tmp_path / "out.svg")], "distance": [],
+             "script": ["--cover", "0,1", "--out", str(tmp_path / "s.json")],
+             "verify": ["--script", str(script)]}[command]
+    assert main([command, "--instance", str(inst), *other]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {path} is not ASCII text: byte 0xff at offset 0\n"
 
 
 def test_reduce_json_prints_build_stats(tmp_path, capsys):
@@ -848,22 +875,58 @@ def gadget_with_c_and_d_swapped(meta):
     points["C"], points["D"] = points["D"], points["C"]
 
 
+def reversed_channel_edge(meta):
+    meta["channels"][0]["edge"].reverse()
+
+
+def foreign_gate(meta):
+    # the gate at 0 of channel (0, 2), which ends there too
+    gates, end = first_channel_end(meta, "gates")
+    gates[end] = meta["channels"][1]["gates"][end]
+
+
+def swapped_chains(meta):
+    c = meta["channels"][0]
+    c["upper"], c["lower"] = c["lower"], c["upper"]
+
+
+def moved_cap(meta):
+    caps, end = first_channel_end(meta, "caps")
+    caps[end] += 1
+
+
+def wrong_degree(meta):
+    meta["gadgets"][0]["degree"] = 3
+
+
 @pytest.mark.parametrize("command", ["script", "verify"])
 @pytest.mark.parametrize("corrupt, message", [
     (no_gadgets, "has no gadget"),
     (far_upper_point, "names point 1000000"),
-    (cap_at_other_vertex, "has caps for 7"),
+    (cap_at_other_vertex, "channel (0, 1) has no caps for 0"),
     (chains_of_five, "has chains of 5 and 5 points, not 7"),
     (short_lower_chain, "has chains of 7 and 6 points, not 7"),
+    (drop_first_end("gates"), "channel (0, 1): gates is {'1': [6, 13]}, "
+                              "not {'0': [0, 7], '1': [6, 13]}"),
     *((drop_first_end(name), f"has no {name} for 0")
-      for name in ("gates", "caps", "cap_scripts", "blocking")),
-    (one_index_gate, "not an index pair"),
-    (one_move_cap_script, "has a 1-move cap script at 0, not 2"),
+      for name in ("caps", "cap_scripts", "blocking")),
+    (one_index_gate, "channel (0, 1): gates is {'0': [0], '1': [6, 13]}"),
+    (one_move_cap_script, "channel (0, 1) has a cap script at 0 inserting "
+                          "[(7, 43)], not the edges from cap 43 to its gate "
+                          "[0, 7]"),
     (second_copy_of_channel, "channel (0, 1) is listed twice"),
     (second_copy_of_gadget, "gadget 0 is listed twice"),
-    (gadget_without_c, "gadget 0 has points ['D', 'E', 'F'], not C, D, E "
-                       "and F"),
-    (gadget_with_c_and_d_swapped, "not CE and DF"),
+    (gadget_without_c, "gadget 0 has no points for C"),
+    (gadget_with_c_and_d_swapped, "gadget 0: lock is [42, 44], "
+                                  "not [43, 44]"),
+    (reversed_channel_edge, "channel (0, 1): edge is [1, 0], not [0, 1]"),
+    (foreign_gate, "channel (0, 1): gates is {'0': [14, 21], '1': [6, 13]}"),
+    (swapped_chains, "channel (0, 1): gates is {'0': [0, 7], '1': [6, 13]}, "
+                     "not {'0': [7, 0], '1': [13, 6]}"),
+    (moved_cap, "channel (0, 1) has a cap script at 0 inserting "
+                "[(0, 43), (7, 43)], not the edges from cap 44 to its gate "
+                "[0, 7]"),
+    (wrong_degree, "gadget 0: degree is 3, not 2"),
 ])
 def test_inconsistent_gadget_metadata_exits_2(tmp_path, capsys, command,
                                               corrupt, message):
@@ -876,6 +939,154 @@ def test_inconsistent_gadget_metadata_exits_2(tmp_path, capsys, command,
     assert main([command, "--instance", str(inst), *other]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: bad gadget metadata:") and message in err
+
+
+def lock_an_int(data):
+    data["gadget_metadata"]["gadgets"][0]["lock"] = 5
+
+
+def lock_out_of_range(data):
+    data["gadget_metadata"]["gadgets"][0]["lock"] = [0, 1000000]
+
+
+def caps_a_list(data):
+    c = data["gadget_metadata"]["channels"][0]
+    c["caps"] = list(c["caps"].values())
+
+
+def gadgets_an_int(data):
+    data["gadget_metadata"]["gadgets"] = 7
+
+
+def metadata_a_list(data):
+    data["gadget_metadata"] = list(data["gadget_metadata"].values())
+
+
+@pytest.mark.parametrize("corrupt", [lock_an_int, lock_out_of_range,
+                                     caps_a_list, gadgets_an_int,
+                                     metadata_a_list])
+def test_render_malformed_gadget_metadata_exits_2(tmp_path, capsys, corrupt):
+    # render reads locks and caps through `from_doc`, as script and verify do
+    inst, _ = c3_files(tmp_path, capsys)
+    data = json.loads(inst.read_text())
+    corrupt(data)
+    inst.write_text(json.dumps(data))
+    assert main(["render", "--instance", str(inst),
+                 "--out", str(tmp_path / "out.svg")]) == 2
+    assert capsys.readouterr().err.startswith("error: bad gadget metadata:")
+    assert not (tmp_path / "out.svg").exists()
+
+
+def run_main(argv):
+    """`main(argv)`'s exit code and printed output; an exception propagates."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue() + err.getvalue()
+
+
+# graph file, --k and --cover (None: a minimum cover that `script` finds)
+FUZZ_GRAPHS = {"C3": (C3_GRAPH, "2", "0,1"), "K4": (K4_GRAPH, "3", None)}
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    """name -> (directory, instance document, cover, good `verify
+    --json` output) for a `FUZZ_GRAPHS` graph's instance and the script of
+    its cover."""
+    built = {}
+
+    def base(name):
+        if name not in built:
+            text, k, cover = FUZZ_GRAPHS[name]
+            d = tmp_path_factory.mktemp(name)
+            g = write(d / "graph.txt", text)
+            inst, script = d / "inst.json", d / "script.json"
+            assert run_main(["reduce", "--graph", g, "--k", k,
+                             "--out", str(inst)])[0] == 0
+            code, out = run_main(["script", "--instance", str(inst),
+                                  *(["--cover", cover] if cover else []),
+                                  "--out", str(script), "--json"])
+            assert code == 0
+            cover = ",".join(map(str, json.loads(out)["cover"]))
+            code, good = run_main(["verify", "--instance", str(inst),
+                                   "--script", str(script), "--json"])
+            assert code == 0
+            built[name] = (d, json.loads(inst.read_text()), cover, good)
+        return built[name]
+    return base
+
+
+def json_paths(node, path=()):
+    """Every path into a JSON value, the value's own `()` first."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for k, v in (node.items() if isinstance(node, dict)
+                     else enumerate(node)):
+            yield from json_paths(v, path + (k,))
+
+
+def mutate_once(meta, data):
+    """One drawn edit of `meta`, in place: a value replaced by an int, bool,
+    string, None or list, a key or item deleted, or a list item
+    duplicated."""
+    *head, last = data.draw(st.sampled_from(list(json_paths(meta))[1:]))
+    parent = meta
+    for k in head:
+        parent = parent[k]
+    edit = data.draw(st.sampled_from(["replace", "delete", "duplicate"]))
+    if edit == "replace":
+        parent[last] = data.draw(st.one_of(
+            st.integers(-1, 80), st.booleans(), st.text(max_size=3),
+            st.none(), st.lists(st.integers(-1, 80), max_size=3)))
+    elif edit == "duplicate" and isinstance(parent, list):
+        parent.insert(last, copy.deepcopy(parent[last]))
+    else:
+        del parent[last]
+
+
+def check_mutated_metadata(fuzz_base, name, data):
+    """`script`, `verify` and `render` on one mutation of the metadata
+    return an exit code; `verify` of the good script exits 2 or prints the
+    good accounting."""
+    d, doc, cover, good = fuzz_base(name)
+    doc = copy.deepcopy(doc)
+    mutate_once(doc["gadget_metadata"], data)
+    inst = d / "mutated.json"
+    inst.write_text(json.dumps(doc))
+    args = ["--instance", str(inst)]
+    for argv in (["script", *args, "--cover", cover,
+                  "--out", str(d / "out.json")],
+                 ["render", *args, "--out", str(d / "out.svg")]):
+        assert run_main(argv)[0] in (0, 2)
+    code, out = run_main(["verify", *args, "--script",
+                          str(d / "script.json"), "--json"])
+    assert code == 2 or (code, out) == (0, good)
+
+
+def test_fuzz_base_accounting(fuzz_base):
+    _, _, cover, good = fuzz_base("C3")
+    report = json.loads(good)
+    assert cover == "0,1"
+    assert (report["length"], report["lower_bound"], report["uncapped"],
+            report["unlocked"]) == (88, 88, [], [0, 1])
+    assert json.loads(fuzz_base("K4")[3])["lower_bound"] == 348
+
+
+@settings(max_examples=50)
+@given(data=st.data())
+def test_mutated_gadget_metadata_never_raises(fuzz_base, data):
+    check_mutated_metadata(fuzz_base, "C3", data)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", ["C3", "K4"])
+def test_mutated_gadget_metadata_never_raises_slow(fuzz_base, name):
+    @settings(max_examples=400)
+    @given(data=st.data())
+    def check(data):
+        check_mutated_metadata(fuzz_base, name, data)
+    check()
 
 
 @pytest.mark.parametrize("command", ["script", "verify"])
