@@ -50,7 +50,7 @@ def cmd_reduce(args) -> int:
             raise ValidationError(f"multiplicity must be at least 1, "
                                   f"got {args.multiplicity}")
     ids, coords, edges, outer = _load_graph(args.graph)
-    if coords is not None and set(coords) >= set(ids):
+    if coords is not None:
         drawing = drawing_from_coords(coords, edges, outer)
     else:
         drawing = convex_drawing(ids, edges, outer)

@@ -340,26 +340,28 @@ class ChannelStub:
 class VertexGadget:
     """Placed gadget: the four lock points and the pocket combinatorics.
 
-    `cap_of` maps stub keys to the designated cap name; `cap_moves` holds the
-    two-flip capping scripts in symbolic (name, name) edge form; `triangles`
-    is the full pocket triangulation over symbolic names, where gate corners
-    are named ('R', key) / ('L', key) and square corner points ('K', j).
+    `cap_moves` holds, per stub key in counterclockwise order, the two-flip
+    capping script in symbolic (name, name) edge form; it is the one
+    statement of the channel's cap (`cap`) and, with the lock CE, of the
+    cap's blocking set (the edges the script removes).  `triangles` is the
+    full pocket triangulation over symbolic names, where gate corners are
+    named ('R', key) / ('L', key) and square corner points ('K', j).
     `arcs_ccw` lists, per counterclockwise-consecutive stub pair, the corner
     names on the pocket boundary walk between their gates.
     """
 
     points: dict[str, Point2]          # 'C','D','E','F'
-    order_ccw: list                    # stub keys in counterclockwise order
-    cap_of: dict                       # stub key -> point name
-    cap_moves: dict                    # stub key -> [(sym_edge, sym_edge), ...]
-    blocking: dict                     # stub key -> set of symbolic edges
+    cap_moves: dict                    # stub key -> [(removed, inserted)]
     triangles: list                    # list of symbolic triangles
     corner_points: dict                # ('K', j) -> Point2
     arcs_ccw: dict                     # (key_i, key_j) -> [corner names]
 
-
-def _sym_edge(a, b):
-    return tuple(sorted((a, b), key=repr))
+    def cap(self, key) -> str:
+        """Name of the cap of channel `key`: the point that both edges
+        inserted by its capping script join."""
+        (_, a), (_, b) = self.cap_moves[key]
+        (name,) = set(a) & set(b)
+        return name
 
 
 def build_vertex_gadget(center: Point2, half_side: Fraction,
@@ -562,21 +564,12 @@ def _build_degree2(v: Point2, half_side: Fraction,
     triangles += _fan("C", [Lp] + arcs[(pk, qk)] + [Rq])
     triangles += _fan("E", [Lq] + arcs[(qk, pk)] + [Rp])
     cap_moves = {
-        pk: [(_sym_edge("C", "F"), _sym_edge("D", Rp)),
-             (_sym_edge("C", Rp), _sym_edge("D", Lp))],
-        qk: [(_sym_edge("C", "D"), _sym_edge("F", Lq)),
-             (_sym_edge("C", Lq), _sym_edge("F", Rq))],
-    }
-    blocking = {
-        pk: {_sym_edge("C", "E"), _sym_edge("C", "F"), _sym_edge("C", Rp)},
-        qk: {_sym_edge("C", "E"), _sym_edge("C", "D"), _sym_edge("C", Lq)},
+        pk: [(("C", "F"), ("D", Rp)), (("C", Rp), ("D", Lp))],
+        qk: [(("C", "D"), ("F", Lq)), (("C", Lq), ("F", Rq))],
     }
     return VertexGadget(
         points={"C": C, "D": D, "E": E, "F": F},
-        order_ccw=[pk, qk],
-        cap_of={pk: "D", qk: "F"},
         cap_moves=cap_moves,
-        blocking=blocking,
         triangles=triangles,
         corner_points=corner_points,
         arcs_ccw=arcs,
@@ -652,24 +645,13 @@ def _build_degree3_rolled(v: Point2, half_side: Fraction,
     triangles += _fan("C", [L2] + arcs[(k2, k3)] + [R3])
     triangles += _fan("E", [L3] + arcs[(k3, k1)] + [R1])
     cap_moves = {
-        k1: [(_sym_edge("F", "E"), _sym_edge("D", R1)),
-             (_sym_edge("F", R1), _sym_edge("D", L1))],
-        k2: [(_sym_edge("C", "F"), _sym_edge("D", R2)),
-             (_sym_edge("C", R2), _sym_edge("D", L2))],
-        k3: [(_sym_edge("E", "D"), _sym_edge("F", R3)),
-             (_sym_edge("E", R3), _sym_edge("F", L3))],
-    }
-    blocking = {
-        k1: {_sym_edge("C", "E"), _sym_edge("F", "E"), _sym_edge("F", R1)},
-        k2: {_sym_edge("C", "E"), _sym_edge("C", "F"), _sym_edge("C", R2)},
-        k3: {_sym_edge("C", "E"), _sym_edge("E", "D"), _sym_edge("E", R3)},
+        k1: [(("F", "E"), ("D", R1)), (("F", R1), ("D", L1))],
+        k2: [(("C", "F"), ("D", R2)), (("C", R2), ("D", L2))],
+        k3: [(("E", "D"), ("F", R3)), (("E", R3), ("F", L3))],
     }
     return VertexGadget(
         points={"C": C, "D": D, "E": E, "F": F},
-        order_ccw=[k1, k2, k3],
-        cap_of={k1: "D", k2: "D", k3: "F"},
         cap_moves=cap_moves,
-        blocking=blocking,
         triangles=triangles,
         corner_points=corner_points,
         arcs_ccw=arcs,

@@ -199,8 +199,10 @@ def parse_graph_text(text: str):
     """Parse the `v <id> [<x> <y>]` / `e <u> <v>` / `outer <ids>` format.
 
     Lines may come in any order.  A repeated vertex id, a self-loop, an
-    edge listed twice (in either orientation) and an edge to a vertex no
-    `v` line declares are rejected with the offending line's number.
+    edge listed twice (in either orientation), a second `outer` line, an
+    edge to a vertex no `v` line declares and a `v` line without
+    coordinates when another has them are rejected with the offending
+    line's number.
 
     Returns (vertex ids, coords dict or None, edge list, outer list or None).
     """
@@ -210,6 +212,8 @@ def parse_graph_text(text: str):
     edges: list[tuple[int, int]] = []
     edge_lines: dict[frozenset, int] = {}
     outer: Optional[list[int]] = None
+    outer_line = None
+    first_bare = None          # (line, id) of the first v line without x y
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -228,6 +232,8 @@ def parse_graph_text(text: str):
                 if len(parts) == 4:
                     coords[vid] = Point2(str_to_frac(parts[2]),
                                          str_to_frac(parts[3]))
+                elif first_bare is None:
+                    first_bare = (lineno, vid)
             elif kind == "e":
                 if len(parts) != 3:
                     raise ValidationError("expected 'e <u> <v>'")
@@ -241,11 +247,18 @@ def parse_graph_text(text: str):
                 edge_lines[key] = lineno
                 edges.append((u, v))
             elif kind == "outer":
+                if outer_line is not None:
+                    raise ValidationError(f"outer repeats line {outer_line}")
+                outer_line = lineno
                 outer = [int(p) for p in parts[1:]]
             else:
                 raise ValidationError(f"unknown directive {kind!r}")
         except (ValueError, ValidationError) as exc:
             raise ValidationError(f"line {lineno}: {exc}") from exc
+    if coords and first_bare:
+        lineno, vid = first_bare
+        raise ValidationError(f"line {lineno}: vertex {vid} has no "
+                              f"coordinates, but other vertices do")
     for (u, v), lineno in zip(edges, edge_lines.values()):
         missing = [w for w in (u, v) if w not in declared]
         if missing:

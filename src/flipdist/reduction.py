@@ -133,22 +133,20 @@ def convex_drawing(vertices: Sequence[int], edges: Sequence[tuple[int, int]],
     if inner:
         index = {v: i for i, v in enumerate(inner)}
         m = len(inner)
-        a = [[Fraction(0)] * m for _ in range(m)]
-        bx = [Fraction(0)] * m
-        by = [Fraction(0)] * m
+        # one row per inner vertex, with its x and y right-hand sides last
+        rows = [[Fraction(0)] * (m + 2) for _ in range(m)]
         for v in inner:
-            i = index[v]
-            a[i][i] = Fraction(len(adj[v]))
+            row = rows[index[v]]
+            row[index[v]] = Fraction(len(adj[v]))
             for w in adj[v]:
                 if w in index:
-                    a[i][index[w]] -= 1
+                    row[index[w]] -= 1
                 else:
-                    bx[i] += pos[w].x
-                    by[i] += pos[w].y
-        xs = _solve([row[:] for row in a], list(bx))
-        ys = _solve([row[:] for row in a], list(by))
+                    row[m] += pos[w].x
+                    row[m + 1] += pos[w].y
+        _solve(rows)
         for v in inner:
-            pos[v] = Point2(xs[index[v]], ys[index[v]])
+            pos[v] = Point2(*rows[index[v]][m:])
 
     drawing = PlanarGraphDrawing(pos=pos, edges=list(edges),
                                  outer_face=outer_cycle)
@@ -156,24 +154,22 @@ def convex_drawing(vertices: Sequence[int], edges: Sequence[tuple[int, int]],
     return drawing
 
 
-def _solve(a, b):
-    """Exact Gaussian elimination with partial pivoting over rationals."""
+def _solve(a):
+    """Exact Gauss-Jordan elimination with partial pivoting over rationals,
+    in place: the m rows of `a`, each m coefficients followed by its
+    right-hand sides, end with the identity followed by the solutions."""
     m = len(a)
     for col in range(m):
         piv = next((r for r in range(col, m) if a[r][col] != 0), None)
         if piv is None:
             raise ValidationError("singular barycentric system")
         a[col], a[piv] = a[piv], a[col]
-        b[col], b[piv] = b[piv], b[col]
         inv = 1 / a[col][col]
         a[col] = [x * inv for x in a[col]]
-        b[col] *= inv
         for r in range(m):
             if r != col and a[r][col] != 0:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                b[r] -= f * b[col]
-    return b
 
 
 def _embedding(vertices, edges) -> tuple[dict[int, set[int]], list[list[int]]]:
@@ -524,9 +520,7 @@ class ChannelRecord:
     key: tuple[int, int]              # graph edge, u < w
     upper: list[int]                  # domain indices, u end to w end
     lower: list[int]
-    caps: dict[int, int]              # graph vertex -> cap domain index
-    cap_scripts: dict[int, list[FlipMove]]
-    blocking: dict[int, frozenset[Edge]]
+    cap_scripts: dict[int, list[FlipMove]]   # graph vertex -> two moves
 
     @property
     def gates(self) -> dict[int, tuple[int, int]]:
@@ -534,6 +528,15 @@ class ChannelRecord:
         u, w = self.key
         return {u: (self.upper[0], self.lower[0]),
                 w: (self.upper[-1], self.lower[-1])}
+
+    @property
+    def caps(self) -> dict[int, int]:
+        """Graph vertex -> its cap: the point that both edges inserted by
+        its cap script join."""
+        out = {}
+        for v, (m1, m2) in self.cap_scripts.items():
+            (out[v],) = set(m1.inserted) & set(m2.inserted)
+        return out
 
 
 @dataclass
@@ -595,8 +598,15 @@ class ReductionInstance:
     def graph_vertices(self) -> list[int]:
         return sorted(self.gadgets)
 
+    def blocking(self, key, v) -> set[Edge]:
+        """The edges that block channel `key`'s cap at `v`: the lock of
+        `v`'s gadget and the two edges the cap script removes."""
+        return {self.gadgets[v].lock} | \
+            {m.removed for m in self.channels[key].cap_scripts[v]}
+
     def metadata(self) -> dict:
-        """The `gadget_metadata` block: the stored facts, and the gates,
+        """The `gadget_metadata` block: the stored facts (chains, cap
+        scripts and gadget points), and the gates, caps, blocking sets,
         degrees, locks and unlocking edges they imply."""
         degree = Counter(v for key in self.channels for v in key)
         return {
@@ -612,8 +622,8 @@ class ReductionInstance:
                         for v, ms in sorted(rec.cap_scripts.items())
                     },
                     "blocking": {
-                        str(v): sorted(map(list, bl))
-                        for v, bl in sorted(rec.blocking.items())
+                        str(v): sorted(map(list, self.blocking(rec.key, v)))
+                        for v in sorted(rec.cap_scripts)
                     },
                 }
                 for rec in (self.channels[k] for k in sorted(self.channels))
@@ -655,16 +665,12 @@ class ReductionInstance:
             channels = {}
             for c in meta["channels"]:
                 key = edge(*c["edge"])
-                ends = {name: _read_keys(f"channel {key}", c, name, key)
-                        for name in ("caps", "cap_scripts", "blocking")}
+                scripts = _read_keys(f"channel {key}", c, "cap_scripts", key)
                 channels[key] = ChannelRecord(
                     key=key, upper=list(c["upper"]), lower=list(c["lower"]),
-                    caps=ends["caps"],
                     cap_scripts={
                         v: [FlipMove(edge(*r), edge(*i)) for r, i in ms]
-                        for v, ms in ends["cap_scripts"].items()},
-                    blocking={v: frozenset(edge(*e) for e in bl)
-                              for v, bl in ends["blocking"].items()})
+                        for v, ms in scripts.items()})
             gadgets = {}
             for g in meta["gadgets"]:
                 v = g["vertex"]
@@ -707,8 +713,8 @@ def _check_metadata(channels: dict[tuple[int, int], ChannelRecord],
     """Check what the metadata's form cannot show: vertices are integers,
     every channel end has a gadget, both chains hold 7 points (a channel's
     28 flips assume it), every point index is in range, and each cap
-    script inserts exactly the edges from its cap to its end's gate, the
-    pair `audit_script` counts as a cap."""
+    script is two moves whose inserted edges join one point, the cap, to
+    both ends of its end's gate, the pair `audit_script` counts as a cap."""
     def in_range(owner, indices):
         for i in indices:
             if type(i) is not int or not 0 <= i < n_points:
@@ -731,18 +737,19 @@ def _check_metadata(channels: dict[tuple[int, int], ChannelRecord],
                 f"bad gadget metadata: channel {key} has chains of "
                 f"{len(rec.upper)} and {len(rec.lower)} points, not 7")
         in_range(f"channel {key}", [
-            *rec.upper, *rec.lower, *rec.caps.values(),
+            *rec.upper, *rec.lower,
             *(i for ms in rec.cap_scripts.values() for m in ms
-              for e in m for i in e),
-            *(i for bl in rec.blocking.values() for e in bl for i in e)])
-        for v, (a, b) in rec.gates.items():
-            cap = rec.caps[v]
+              for e in m for i in e)])
+        for v, gate in rec.gates.items():
             inserted = sorted(m.inserted for m in rec.cap_scripts[v])
-            if inserted != sorted([edge(cap, a), edge(cap, b)]):
+            joint = set(inserted[0]) & set(inserted[1]) \
+                if len(inserted) == 2 else set()
+            if len(joint) != 1 or joint & set(gate) or \
+                    inserted != sorted(edge(*joint, g) for g in gate):
                 raise ValidationError(
                     f"bad gadget metadata: channel {key} has a cap script "
-                    f"at {v} inserting {inserted}, not the edges from cap "
-                    f"{cap} to its gate {[a, b]}")
+                    f"at {v} inserting {inserted}, not two edges joining "
+                    f"one point to its gate {list(gate)}")
 
 
 def _first_difference(meta: dict, want: dict) -> str:
@@ -974,12 +981,9 @@ def build_instance(drawing: PlanarGraphDrawing, k_input: int,
                 sag /= 2
                 continue
             if _channel_mouth_audit(cand, (u, w), gadget_obj, gate_pts, drawing) \
-                    and capped_transform_replays(
-                        cand, gadget_obj[u].points[gadget_obj[u].cap_of[(u, w)]],
-                        far_end=False) \
-                    and capped_transform_replays(
-                        cand, gadget_obj[w].points[gadget_obj[w].cap_of[(u, w)]],
-                        far_end=True):
+                    and all(capped_transform_replays(
+                        cand, g.points[g.cap((u, w))], far_end=(x == w))
+                        for x, g in ((u, gadget_obj[u]), (w, gadget_obj[w]))):
                 ch = cand
                 break
             sag /= 2
@@ -1004,7 +1008,7 @@ def _channel_mouth_audit(ch: Channel, key, gadget_obj, gate_pts, drawing) -> boo
         if not mouths.narrow.is_subset_of(mouths.wide):
             return False
         g = gadget_obj[end_vertex]
-        cap_name = g.cap_of[key]
+        cap_name = g.cap(key)
         for name, p in g.points.items():
             if name == cap_name:
                 if not mouths.narrow.contains(p):
@@ -1038,7 +1042,7 @@ def _assemble(drawing, gadget_obj, channel_obj, k_input, t_outer):
         upper = [add_point(p) for p in ch.upper]
         lower = [add_point(p) for p in ch.lower]
         channels[key] = ChannelRecord(key=key, upper=upper, lower=lower,
-                                      caps={}, cap_scripts={}, blocking={})
+                                      cap_scripts={})
 
     gadgets: dict[int, GadgetRecord] = {}
     sym_maps: dict[int, dict] = {}
@@ -1048,7 +1052,7 @@ def _assemble(drawing, gadget_obj, channel_obj, k_input, t_outer):
         sym = dict(names)
         for kname in sorted(g.corner_points):
             sym[kname] = add_point(g.corner_points[kname])
-        for key in g.order_ccw:
+        for key, moves in g.cap_moves.items():
             rec = channels[key]
             a_idx, b_idx = rec.gates[v]   # (upper-chain end, lower-chain end)
             u, w = key
@@ -1059,16 +1063,12 @@ def _assemble(drawing, gadget_obj, channel_obj, k_input, t_outer):
             else:
                 sym[("R", key)] = a_idx   # wall left of u->w arrives right of w->u
                 sym[("L", key)] = b_idx
-        sym_maps[v] = sym
-        gadgets[v] = GadgetRecord(vertex=v, points=names)
-        for key in g.order_ccw:
-            rec = channels[key]
-            rec.caps[v] = names[g.cap_of[key]]
+            # a cap script names only C to F and its own gate's corners
             rec.cap_scripts[v] = [
                 FlipMove(edge(sym[a0], sym[a1]), edge(sym[b0], sym[b1]))
-                for (a0, a1), (b0, b1) in g.cap_moves[key]]
-            rec.blocking[v] = frozenset(
-                edge(sym[a0], sym[a1]) for a0, a1 in g.blocking[key])
+                for (a0, a1), (b0, b1) in moves]
+        sym_maps[v] = sym
+        gadgets[v] = GadgetRecord(vertex=v, points=names)
 
     # region boundary cycles from the drawing's faces; between consecutive
     # channel walls the cycle follows the pocket arc around the square
@@ -1126,21 +1126,16 @@ def _assemble(drawing, gadget_obj, channel_obj, k_input, t_outer):
 
 
 def _blocking_audit(inst: ReductionInstance):
-    """The construction's promised blocking structure, checked exactly."""
+    """The construction's promised blocking structure, checked exactly:
+    each cap's blocking set, walked in t1, is its gadget's lock and the two
+    edges its cap script removes."""
     for key, rec in inst.channels.items():
         for v, cap in rec.caps.items():
-            gate = rec.gates[v]
-            found = blocking_set(inst.t1, cap, edge(*gate))
-            if found != set(rec.blocking[v]):
+            found = blocking_set(inst.t1, cap, edge(*rec.gates[v]))
+            if found != inst.blocking(key, v):
                 raise ValidationError(
                     f"channel {key} at {v}: blocking set {sorted(found)} != "
-                    f"declared {sorted(rec.blocking[v])}")
-            if len(found) != 3:
-                raise ValidationError(
-                    f"channel {key} at {v}: blocking set has {len(found)} edges")
-            lock = inst.gadgets[v].lock
-            if lock not in found:
-                raise ValidationError(f"lock {lock} missing from blocking set")
+                    f"declared {sorted(inst.blocking(key, v))}")
 
 
 # ---------------------------------------------------------------------------

@@ -115,7 +115,7 @@ def test_criterion_5_gadget_audit(c3_instance, k4_instance):
             for v, cap in rec.caps.items():
                 found = blocking_set(inst.t1, cap, edge(*rec.gates[v]))
                 assert len(found) == 3
-                assert found == set(rec.blocking[v])
+                assert found == inst.blocking(key, v)
                 per_gadget[v].append(found)
                 end = 0 if rec.gates[v] == (rec.upper[0], rec.lower[0]) else 1
                 m = channel_mouths(upper, lower, end)

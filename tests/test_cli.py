@@ -347,10 +347,16 @@ def test_reduce_negative_k_exits_2(tmp_path, capsys):
     (K4_XY_GRAPH + "outer 0 1 3\n",
      "[0, 1, 3] is not the outer face of the drawing"),
     (K4_GRAPH.replace("outer 0 1 2", "outer"), "[] is not a face"),
+    (C3_GRAPH + "outer 0 1 2\nouter 0 2 1\n", "line 9: outer repeats line 8"),
+    (K4_XY_GRAPH.replace("v 3 600 400", "v 3"),
+     "line 5: vertex 3 has no coordinates, but other vertices do"),
+    (K4_GRAPH.replace("v 3", "v 3 600 400"),
+     "line 1: vertex 0 has no coordinates, but other vertices do"),
 ], ids=["vertex-twice-xy", "vertex-twice", "edge-twice-reversed-xy",
         "edge-twice", "self-loop", "undeclared-xy", "undeclared-before-v",
         "collinear-xy", "coincident-xy", "outer-undeclared-xy",
-        "outer-inner-face-xy", "outer-empty"])
+        "outer-inner-face-xy", "outer-empty", "outer-twice-xy",
+        "xy-on-some-v-lines", "xy-after-a-bare-v-line"])
 def test_hostile_graph_file_exits_2(tmp_path, capsys, text, message):
     g = write(tmp_path / "bad.txt", text)
     out = tmp_path / "inst.json"
@@ -899,34 +905,69 @@ def wrong_degree(meta):
     meta["gadgets"][0]["degree"] = 3
 
 
+def blocking_edge_swapped(meta):
+    # [0, 8] is a diagonal of the channel's left-inclined fan in t1
+    blocking, end = first_channel_end(meta, "blocking")
+    blocking[end][0] = [0, 8]
+
+
+def cap_at_a_gate_end(meta):
+    # the scripts, caps and blocking sets agree, but the "cap" is gate
+    # end 0, so the first inserted edge joins 0 to itself
+    scripts, end = first_channel_end(meta, "cap_scripts")
+    scripts[end] = [[[42, 45], [0, 0]], [[7, 42], [0, 7]]]
+    meta["channels"][0]["caps"][end] = 0
+
+
+def cap_script_without_a_cap(meta):
+    # the second inserted edge shares no point with the first, (7, 43)
+    scripts, end = first_channel_end(meta, "cap_scripts")
+    scripts[end][1][1] = [1, 8]
+
+
 @pytest.mark.parametrize("command", ["script", "verify"])
 @pytest.mark.parametrize("corrupt, message", [
     (no_gadgets, "has no gadget"),
     (far_upper_point, "names point 1000000"),
-    (cap_at_other_vertex, "channel (0, 1) has no caps for 0"),
+    (cap_at_other_vertex, "channel (0, 1): caps is {'1': 53, '7': 43}, "
+                          "not {'0': 43, '1': 53}"),
     (chains_of_five, "has chains of 5 and 5 points, not 7"),
     (short_lower_chain, "has chains of 7 and 6 points, not 7"),
     (drop_first_end("gates"), "channel (0, 1): gates is {'1': [6, 13]}, "
                               "not {'0': [0, 7], '1': [6, 13]}"),
-    *((drop_first_end(name), f"has no {name} for 0")
-      for name in ("caps", "cap_scripts", "blocking")),
+    (drop_first_end("caps"), "channel (0, 1): caps is {'1': 53}, "
+                             "not {'0': 43, '1': 53}"),
+    (drop_first_end("cap_scripts"), "has no cap_scripts for 0"),
+    (drop_first_end("blocking"), "channel (0, 1): blocking is "
+                                 "{'1': [[13, 50], [50, 51], [50, 52]]}, "
+                                 "not {'0': [[7, 42], [42, 44], [42, 45]]"),
     (one_index_gate, "channel (0, 1): gates is {'0': [0], '1': [6, 13]}"),
     (one_move_cap_script, "channel (0, 1) has a cap script at 0 inserting "
-                          "[(7, 43)], not the edges from cap 43 to its gate "
-                          "[0, 7]"),
+                          "[(7, 43)], not two edges joining one point to its "
+                          "gate [0, 7]"),
     (second_copy_of_channel, "channel (0, 1) is listed twice"),
     (second_copy_of_gadget, "gadget 0 is listed twice"),
     (gadget_without_c, "gadget 0 has no points for C"),
-    (gadget_with_c_and_d_swapped, "gadget 0: lock is [42, 44], "
-                                  "not [43, 44]"),
+    # the lock CE is in the blocking sets, which come before the gadgets
+    (gadget_with_c_and_d_swapped, "channel (0, 1): blocking is "
+                                  "{'0': [[7, 42], [42, 44], [42, 45]], "
+                                  "'1': [[13, 50], [50, 51], [50, 52]]}, "
+                                  "not {'0': [[7, 42], [42, 45], [43, 44]]"),
     (reversed_channel_edge, "channel (0, 1): edge is [1, 0], not [0, 1]"),
     (foreign_gate, "channel (0, 1): gates is {'0': [14, 21], '1': [6, 13]}"),
     (swapped_chains, "channel (0, 1): gates is {'0': [0, 7], '1': [6, 13]}, "
                      "not {'0': [7, 0], '1': [13, 6]}"),
-    (moved_cap, "channel (0, 1) has a cap script at 0 inserting "
-                "[(0, 43), (7, 43)], not the edges from cap 44 to its gate "
-                "[0, 7]"),
+    (moved_cap, "channel (0, 1): caps is {'0': 44, '1': 53}, "
+                "not {'0': 43, '1': 53}"),
     (wrong_degree, "gadget 0: degree is 3, not 2"),
+    (blocking_edge_swapped, "channel (0, 1): blocking is "
+                            "{'0': [[0, 8], [42, 44], [42, 45]]"),
+    (cap_at_a_gate_end, "channel (0, 1) has a cap script at 0 inserting "
+                        "[(0, 0), (0, 7)], not two edges joining one point "
+                        "to its gate [0, 7]"),
+    (cap_script_without_a_cap, "channel (0, 1) has a cap script at 0 "
+                               "inserting [(1, 8), (7, 43)], not two edges "
+                               "joining one point to its gate [0, 7]"),
 ])
 def test_inconsistent_gadget_metadata_exits_2(tmp_path, capsys, command,
                                               corrupt, message):

@@ -502,7 +502,7 @@ def test_gadget_audit_blocking_sets(c3_instance, k4_instance):
         for key, rec in inst.channels.items():
             for v, cap in rec.caps.items():
                 found = blocking_set(inst.t1, cap, edge(*rec.gates[v]))
-                assert found == set(rec.blocking[v])
+                assert found == inst.blocking(key, v)
                 assert len(found) == 3
                 assert locks[v] in found
                 per_gadget[v].append(found)
